@@ -839,88 +839,29 @@ let e15 () =
   Printf.printf "wrote bench/BENCH_parallel.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* E16 — the kernel-plan execution backend vs the legacy closure tree:
-   sweep wall clock at rank 2 and 3 (identical grids, bit-identical
-   outputs asserted), plus a sanitized pass over the legal tuning space
-   of both shipped machine models confirming the plan driver traps
-   nowhere the schedule analyzer allows. Writes bench/BENCH_plan.json. *)
+(* E16 — the plan driver skips per-point bounds checks: a sanitized
+   pass over the legal tuning space of both shipped machine models
+   confirms it traps nowhere the schedule analyzer allows. Writes
+   bench/BENCH_plan.json. *)
 
 let e16 () =
-  header "e16" "Kernel-plan backend vs closure backend (BENCH_plan.json)";
-  let module Sweep = Engine.Sweep in
+  header "e16" "Plan driver over the sanitized legal space (BENCH_plan.json)";
   let module Sanitizer = Engine.Sanitizer in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let sweep_case (spec, dims, reps) =
-    let spec = Stencil.Suite.resolve_defaults spec in
-    let info = Stencil.Analysis.of_spec spec in
-    let halo = Stencil.Analysis.halo info in
-    let rank = spec.Stencil.Spec.rank in
-    let prng = Yasksite_util.Prng.create ~seed:(16 * rank) in
-    let a = Grid.create ~halo ~dims () in
-    Grid.fill a ~f:(fun _ ->
-        Yasksite_util.Prng.float_range prng ~lo:(-1.0) ~hi:1.0);
-    Grid.halo_dirichlet a 0.25;
-    let run backend =
-      let o = Grid.create ~halo ~dims () in
-      (* Best-of-3 over [reps] back-to-back sweeps to shed scheduler
-         noise; the first timed run also warms the allocator. *)
-      let best = ref infinity in
-      for _ = 1 to 3 do
-        let (_ : Sweep.stats), s =
-          time (fun () ->
-              let acc = ref Sweep.zero_stats in
-              for _ = 1 to reps do
-                acc :=
-                  Sweep.add_stats !acc
-                    (Sweep.run ~backend spec ~inputs:[| a |] ~output:o)
-              done;
-              !acc)
-        in
-        if s < !best then best := s
-      done;
-      (o, !best)
-    in
-    let o_plan, plan_s = run Sweep.Plan_backend in
-    let o_closure, closure_s = run Sweep.Closure_backend in
-    let identical = Grid.max_abs_diff o_plan o_closure = 0.0 in
-    let points = Array.fold_left ( * ) 1 dims in
-    let speedup = closure_s /. plan_s in
-    Printf.printf
-      "%-14s rank %d %-12s %7d pts x%d: closure %.4f s, plan %.4f s \
-       (%.2fx, outputs %s)\n"
-      spec.Stencil.Spec.name rank
-      (String.concat "x" (Array.to_list (Array.map string_of_int dims)))
-      points reps closure_s plan_s speedup
-      (if identical then "bit-identical" else "DIFFER");
-    (spec, dims, points, reps, closure_s, plan_s, speedup, identical)
-  in
-  let cases =
-    List.map sweep_case
-      [ (Stencil.Suite.heat_2d_5pt, [| 512; 512 |], 8);
-        (Stencil.Suite.heat_3d_7pt, [| 96; 96; 96 |], 4) ]
-  in
-  (* The plan driver skips per-point bounds checks; run the whole legal
-     tuning space of both shipped machine models under the fail-fast
-     sanitizer to show it traps nowhere the analyzer admits. *)
-  let spec2 = Stencil.Suite.resolve_defaults Stencil.Suite.heat_2d_5pt in
-  let sdims = [| 24; 24 |] in
-  let info2 = Stencil.Analysis.of_spec spec2 in
+  let spec = Stencil.Suite.resolve_defaults Stencil.Suite.heat_2d_5pt in
+  let dims = [| 24; 24 |] in
+  let info = Stencil.Analysis.of_spec spec in
   let legal_rows =
     List.map
       (fun m ->
-        let space = Advisor.space m ~dims:sdims ~threads:2 ~rank:2 in
-        let legal = List.filter (Lint.Schedule.legal info2 ~dims:sdims) space in
+        let space = Advisor.space m ~dims:dims ~threads:2 ~rank:2 in
+        let legal = List.filter (Lint.Schedule.legal info ~dims:dims) space in
         let traps = ref 0 in
         List.iter
           (fun config ->
             try
               ignore
-                (Engine.Measure.stencil_sweep ~sanitize:true m spec2
-                   ~dims:sdims ~config
+                (Engine.Measure.stencil_sweep ~sanitize:true m spec
+                   ~dims:dims ~config
                   : Measure.t)
             with Sanitizer.Trap _ -> incr traps)
           legal;
@@ -931,35 +872,13 @@ let e16 () =
       [ clx; rome ]
   in
   let json =
-    let case_json (spec, dims, points, reps, closure_s, plan_s, speedup, id) =
-      Printf.sprintf
-        "    {\n\
-        \      \"stencil\": \"%s\",\n\
-        \      \"rank\": %d,\n\
-        \      \"dims\": [%s],\n\
-        \      \"points\": %d,\n\
-        \      \"reps\": %d,\n\
-        \      \"closure_s\": %.6f,\n\
-        \      \"plan_s\": %.6f,\n\
-        \      \"speedup\": %.2f,\n\
-        \      \"bit_identical\": %b\n\
-        \    }"
-        spec.Stencil.Spec.name spec.Stencil.Spec.rank
-        (String.concat ", " (Array.to_list (Array.map string_of_int dims)))
-        points reps closure_s plan_s speedup id
-    in
     let legal_json (m, space, legal, traps) =
       Printf.sprintf
         "    { \"machine\": \"%s\", \"candidates\": %d, \"legal\": %d, \
          \"traps\": %d }"
         m.Machine.name space legal traps
     in
-    Printf.sprintf
-      "{\n\
-      \  \"sweeps\": [\n%s\n  ],\n\
-      \  \"sanitized_legal_space\": [\n%s\n  ]\n\
-       }\n"
-      (String.concat ",\n" (List.map case_json cases))
+    Printf.sprintf "{\n  \"sanitized_legal_space\": [\n%s\n  ]\n}\n"
       (String.concat ",\n" (List.map legal_json legal_rows))
   in
   Out_channel.with_open_text "bench/BENCH_plan.json" (fun oc ->
@@ -1283,15 +1202,13 @@ let e18 () =
 (* ------------------------------------------------------------------ *)
 (* E19 — the codegen backend: kernels specialized per plan fingerprint,
    compiled out of process and cached. Sweep wall clock against the
-   plan interpreter and the closure tree (bit-identical outputs
-   asserted), plus the compile-cache economics: first sweep against an
+   plan interpreter (bit-identical outputs asserted), plus the compile-cache economics: first sweep against an
    empty store (pays the compiler) vs a fresh process warm-starting
    from the store (pays only the Dynlink load). Writes
    bench/BENCH_codegen.json. *)
 
 let e19 () =
-  header "e19"
-    "Codegen backend vs plan and closure backends (BENCH_codegen.json)";
+  header "e19" "Codegen backend vs plan backend (BENCH_codegen.json)";
   let module Sweep = Engine.Sweep in
   let module Native = Engine.Native in
   let time f =
@@ -1351,25 +1268,19 @@ let e19 () =
         done;
         (o, !best)
       in
-      let o_closure, closure_s = run Sweep.Closure_backend in
       let o_plan, plan_s = run Sweep.Plan_backend in
       let o_codegen, codegen_s = run Sweep.Codegen_backend in
-      let identical =
-        Grid.max_abs_diff o_plan o_closure = 0.0
-        && Grid.max_abs_diff o_plan o_codegen = 0.0
-      in
+      let identical = Grid.max_abs_diff o_plan o_codegen = 0.0 in
       let points = Array.fold_left ( * ) 1 dims in
       let vs_plan = plan_s /. codegen_s in
-      let vs_closure = closure_s /. codegen_s in
       Printf.printf
-        "%-14s rank %d %-12s %7d pts x%d: closure %.4f s, plan %.4f s, \
-         codegen %.4f s (%.2fx vs plan, %.2fx vs closure, outputs %s)\n"
+        "%-14s rank %d %-12s %7d pts x%d: plan %.4f s, codegen %.4f s \
+         (%.2fx, outputs %s)\n"
         spec.Stencil.Spec.name rank
         (String.concat "x" (Array.to_list (Array.map string_of_int dims)))
-        points reps closure_s plan_s codegen_s vs_plan vs_closure
+        points reps plan_s codegen_s vs_plan
         (if identical then "bit-identical" else "DIFFER");
-      (spec, dims, points, reps, closure_s, plan_s, codegen_s, vs_plan,
-       vs_closure, identical)
+      (spec, dims, points, reps, plan_s, codegen_s, vs_plan, identical)
     in
     let cases =
       List.map sweep_case
@@ -1429,9 +1340,8 @@ let e19 () =
       (cold_s /. warm_s)
       warm_stats.Native.compiles warm_stats.Native.store_hits;
     let json =
-      let case_json
-          (spec, dims, points, reps, closure_s, plan_s, codegen_s, vs_plan,
-           vs_closure, id) =
+      let case_json (spec, dims, points, reps, plan_s, codegen_s, vs_plan, id)
+          =
         Printf.sprintf
           "    {\n\
           \      \"stencil\": \"%s\",\n\
@@ -1439,16 +1349,14 @@ let e19 () =
           \      \"dims\": [%s],\n\
           \      \"points\": %d,\n\
           \      \"reps\": %d,\n\
-          \      \"closure_s\": %.6f,\n\
           \      \"plan_s\": %.6f,\n\
           \      \"codegen_s\": %.6f,\n\
           \      \"speedup_vs_plan\": %.2f,\n\
-          \      \"speedup_vs_closure\": %.2f,\n\
           \      \"bit_identical\": %b\n\
           \    }"
           spec.Stencil.Spec.name spec.Stencil.Spec.rank
           (String.concat ", " (Array.to_list (Array.map string_of_int dims)))
-          points reps closure_s plan_s codegen_s vs_plan vs_closure id
+          points reps plan_s codegen_s vs_plan id
       in
       Printf.sprintf
         "{\n\

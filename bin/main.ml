@@ -116,18 +116,16 @@ let backend_arg =
   let backend =
     Arg.enum
       [ ("plan", Engine.Sweep.Plan_backend);
-        ("closure", Engine.Sweep.Closure_backend);
         ("codegen", Engine.Sweep.Codegen_backend) ]
   in
   let doc =
     "Execution backend for sweeps and program stages: $(b,plan) (the \
      kernel-plan driver — row-hoisted table-addressed loops, the \
-     default), $(b,closure) (the legacy per-point closure tree), or \
-     $(b,codegen) (kernels specialized per plan fingerprint, compiled \
-     out of process and cached; falls back to plan when no OCaml \
-     toolchain is available). All produce bit-identical results — \
-     including multi-stage program runs. Default: the \
-     YASKSITE_BACKEND environment variable, else plan."
+     default) or $(b,codegen) (kernels specialized per plan \
+     fingerprint, compiled out of process and cached; falls back to \
+     plan when no OCaml toolchain is available). Both produce \
+     bit-identical results — including multi-stage program runs. \
+     Default: the YASKSITE_BACKEND environment variable, else plan."
   in
   Arg.(
     value

@@ -9,7 +9,6 @@ module Stencil = struct
   module Analysis = Yasksite_stencil.Analysis
   module Dsl = Yasksite_stencil.Dsl
   module Suite = Yasksite_stencil.Suite
-  module Compile = Yasksite_stencil.Compile
   module Plan = Yasksite_stencil.Plan
   module Lower = Yasksite_stencil.Lower
   module Codegen = Yasksite_stencil.Codegen

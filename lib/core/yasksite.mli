@@ -37,7 +37,6 @@ module Stencil : sig
   module Analysis = Yasksite_stencil.Analysis
   module Dsl = Yasksite_stencil.Dsl
   module Suite = Yasksite_stencil.Suite
-  module Compile = Yasksite_stencil.Compile
 
   module Plan = Yasksite_stencil.Plan
   (** The flat kernel-plan IR every stencil lowers to; its fingerprint

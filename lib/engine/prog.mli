@@ -9,8 +9,8 @@
     off-centre cells it reads already valid — no halo exchange runs
     between stages.
 
-    All three sweep backends execute programs, and (like single
-    sweeps) produce bit-identical outputs; fusing stages with
+    Both sweep backends execute programs, and (like single sweeps)
+    produce bit-identical outputs; fusing stages with
     {!Yasksite_stencil.Program.fuse} before running preserves outputs
     bit-for-bit as well, because the inlined expression replays the
     producer's arithmetic tree in the same IEEE evaluation order the

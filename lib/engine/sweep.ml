@@ -2,7 +2,6 @@ module Grid = Yasksite_grid.Grid
 module Hierarchy = Yasksite_cachesim.Hierarchy
 module Spec = Yasksite_stencil.Spec
 module Analysis = Yasksite_stencil.Analysis
-module Compile = Yasksite_stencil.Compile
 module Plan = Yasksite_stencil.Plan
 module Lower = Yasksite_stencil.Lower
 module Codegen = Yasksite_stencil.Codegen
@@ -25,7 +24,7 @@ let add_stats a b =
 
 (* ---- execution backends ---- *)
 
-type backend = Plan_backend | Closure_backend | Codegen_backend
+type backend = Plan_backend | Codegen_backend
 
 let backend_override = ref None
 
@@ -34,9 +33,7 @@ let set_default_backend b = backend_override := Some b
 let clear_default_backend () = backend_override := None
 
 let legal_backends =
-  [ ("plan", Plan_backend);
-    ("closure", Closure_backend);
-    ("codegen", Codegen_backend) ]
+  [ ("plan", Plan_backend); ("codegen", Codegen_backend) ]
 
 let backend_of_string s =
   match List.assoc_opt (String.lowercase_ascii (String.trim s)) legal_backends with
@@ -66,7 +63,6 @@ let default_backend () =
 
 let backend_name = function
   | Plan_backend -> "plan"
-  | Closure_backend -> "closure"
   | Codegen_backend -> "codegen"
 
 let ceil_div a b = (a + b - 1) / b
@@ -127,10 +123,11 @@ let check_region ~extend ~dims ~lo ~hi =
 
 (* All ranks route through the plan driver for addressing: row bases are
    set once per row ([Lower.set_row]) and the inner x-loop walks the
-   row through the bound's precomputed last-dimension tables. The
-   closure backend only swaps the evaluator — tracing, sanitizing and
-   output addressing are shared, which is what keeps the two backends'
-   traces and traps identical by construction. *)
+   row through the bound's precomputed last-dimension tables. On
+   instrumented runs the codegen backend only swaps the point
+   evaluator — tracing, sanitizing and output addressing are shared,
+   which is what keeps the two backends' traces and traps identical by
+   construction. *)
 
 let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
     ?(config = Config.default) ?vec_unit ?extend spec ~inputs ~output ~lo ~hi =
@@ -169,25 +166,6 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
   let block = Config.block_extents config ~dims in
   let nt = config.Config.streaming_stores in
   let backend = match backend with Some b -> b | None -> default_backend () in
-  (* On the closure backend the staged compiler runs first, so its
-     diagnostics ([Compile: ...], Unresolved_coefficient) keep surfacing
-     exactly as before the plan driver existed. *)
-  let closure_eval =
-    match backend with
-    | Plan_backend | Codegen_backend -> None
-    | Closure_backend ->
-        Some
-          (match rank with
-          | 1 ->
-              let f = Compile.compile1 spec ~inputs in
-              fun (_ : int array) x -> f x
-          | 2 ->
-              let f = Compile.compile2 spec ~inputs in
-              fun (outer : int array) x -> f outer.(0) x
-          | _ ->
-              let f = Compile.compile3 spec ~inputs in
-              fun (outer : int array) x -> f outer.(0) outer.(1) x)
-  in
   let bound =
     match bound with
     | Some b -> b
@@ -205,7 +183,7 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
     match backend with
     | Codegen_backend ->
         Native.kern_for ~plan:(Lower.plan_of bound) ~inputs ~output
-    | Plan_backend | Closure_backend -> None
+    | Plan_backend -> None
   in
   (* Shadow checks run per point *before* any evaluation or address
      computation, so an out-of-bounds trap fires ahead of the driver's
@@ -239,8 +217,8 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
             write wc)
   in
   let row_body =
-    match (closure_eval, trace, sanitize_point, kern) with
-    | None, None, None, Some k ->
+    match (trace, sanitize_point, kern) with
+    | None, None, Some k ->
         (* the generated hot path: the compiled unit's own row loop,
            driven by the same bound storage and row bases as the
            interpreter's *)
@@ -250,23 +228,22 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
           k.Codegen.row rw.Lower.r_slot_data rw.Lower.r_slot_tab
             rw.Lower.r_out_data rw.Lower.r_out_tab row
             (Lower.driver_out_row drv) xb xe
-    | None, None, None, None ->
+    | None, None, None ->
         (* the hot path: one monomorphic loop inside the driver *)
         fun (_ : int array) xb xe -> Lower.store_row drv xb xe
     | _ ->
         let eval =
-          match (closure_eval, kern) with
-          | Some f, _ -> f
-          | None, Some k ->
+          match kern with
+          | Some k ->
               (* instrumented codegen runs: the generated point
                  evaluator under the driver's addressing, so traces,
                  traps and output placement stay shared with the
-                 other backends *)
+                 interpreter *)
               let rw = Lower.raw_of bound in
               let row = Lower.driver_row drv in
-              fun (_ : int array) x ->
+              fun x ->
                 k.Codegen.point rw.Lower.r_slot_data rw.Lower.r_slot_tab row x
-          | None, None -> fun (_ : int array) x -> Lower.eval drv x
+          | None -> Lower.eval drv
         in
         let traced =
           match trace with
@@ -285,12 +262,12 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
                 for s = 0 to nslots - 1 do
                   Hierarchy.read h ~addr:(Lower.read_addr drv s x)
                 done;
-                let v = eval outer x in
+                let v = eval x in
                 let o = Lower.out_offset drv x in
                 store ~addr:(Lower.out_addr drv x);
                 Grid.unsafe_set_flat output o v
             | None ->
-                let v = eval outer x in
+                let v = eval x in
                 Grid.unsafe_set_flat output (Lower.out_offset drv x) v
           done
   in
@@ -359,28 +336,15 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
       done);
   { points = !points; vec_units = !vec_units; rows = !rows; blocks = !blocks }
 
-let run_sequential ?backend ?bound ?trace ?sanitize ?check ?config ?vec_unit
-    ?extend spec ~inputs ~output =
-  let dims = Grid.dims output in
-  let lo, hi =
-    match extend with
-    | None -> (Array.map (fun _ -> 0) dims, dims)
-    | Some e ->
-        ( Array.map (fun x -> -x) e,
-          Array.mapi (fun i d -> d + e.(i)) dims )
-  in
-  run_region ?backend ?bound ?trace ?sanitize ?check ?config ?vec_unit ?extend
-    spec ~inputs ~output ~lo ~hi
-
 (* Domain-parallel sweep. The interior is split along the blocked
    dimension (dim 0 for rank 1, dim 1 — x or y — otherwise) at block
    boundaries, so every slice is a whole number of block columns:
    the union of the slices' loop structures is exactly the sequential
-   one, making the returned stats bit-identical to [run_sequential]
-   and the written output regions disjoint. Unblocked configs have a
-   single block column and run sequentially — spatial blocking is what
-   creates the parallelism, exactly as it creates the per-thread
-   partition on the modelled machine. *)
+   one, making the returned stats bit-identical to the single-region
+   sweep and the written output regions disjoint. Unblocked configs
+   have a single block column and run sequentially — spatial blocking
+   is what creates the parallelism, exactly as it creates the
+   per-thread partition on the modelled machine. *)
 let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
     ?vec_unit ?extend spec ~inputs ~output =
   let cfg = match config with Some c -> c | None -> Config.default in
@@ -398,16 +362,13 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
     Lint.gate ~context:"Sweep.run"
       (Schedule_lint.grids ?extend (Analysis.of_spec spec) cfg ~inputs ~output);
   let backend = match backend with Some b -> b | None -> default_backend () in
-  (* Lower once when the plan backend needs a bound or a certificate
-     lookup needs the fingerprint. *)
+  (* A passed bound carries its plan, so callers that sweep repeatedly
+     lower once. *)
   let plan =
-    match plan with
-    | Some _ -> plan
-    | None ->
-        if backend <> Closure_backend
-           || (sanitize <> None && check && Cert.enabled ())
-        then Some (Lower.lower spec)
-        else None
+    match (bound, plan) with
+    | Some b, _ -> Lower.plan_of b
+    | None, Some p -> p
+    | None, None -> Lower.lower spec
   in
   (* Certified fast path: a sanitized, gate-checked sweep whose
      (plan x layout x halo x blocking) tuple holds a safety certificate
@@ -417,9 +378,9 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
      composes with later checked passes. [check:false] (the
      adversarial mode) never takes the fast path. *)
   let certified =
-    match (sanitize, plan) with
-    | Some _, Some p when check && Cert.enabled () ->
-        let hit = Cert.mem (Cert.key ~plan:p ~inputs ~output ~config:cfg) in
+    match sanitize with
+    | Some _ when check && Cert.enabled () ->
+        let hit = Cert.mem (Cert.key ~plan ~inputs ~output ~config:cfg) in
         if hit then Cert.record_fast_path ();
         hit
     | _ -> false
@@ -435,62 +396,50 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
         Some (Sanitizer.begin_sweep san ~inputs ~output)
   in
   (* Bind once; the bound is immutable and shared by every pool slice
-     (each slice allocates its own driver). The closure backend binds
-     inside [run_region], after the staged compiler's own checks. *)
+     (each slice allocates its own driver). *)
   let bound =
-    match (backend, bound) with
-    | _, Some b -> Some b
-    | Closure_backend, None -> None
-    | (Plan_backend | Codegen_backend), None ->
-        let p = match plan with Some p -> p | None -> Lower.lower spec in
-        Some (Lower.bind p ~inputs ~output)
+    match bound with Some b -> b | None -> Lower.bind plan ~inputs ~output
   in
   let slice_of s =
     if certified then None
     else Option.map (fun p -> Sanitizer.slice p s) pass
   in
+  let dims = Grid.dims output in
+  let rank = Array.length dims in
+  let ext = match extend with Some e -> e | None -> Array.make rank 0 in
+  let block = Config.block_extents cfg ~dims in
+  let pd = if rank = 1 then 0 else 1 in
+  let bsize = block.(pd) in
+  let nblocks = ceil_div (dims.(pd) + (2 * ext.(pd))) bsize in
+  let nslices =
+    match pool with Some p -> min (Pool.size p) nblocks | None -> 1
+  in
+  let bounds s =
+    (* Slice [s] owns block columns [nblocks*s/nslices,
+       nblocks*(s+1)/nslices) along the partition dimension. Blocks
+       start at the (possibly extended) low edge, exactly where the
+       sequential sweep starts them, so the union of the slices' loop
+       structures stays the sequential one. *)
+    let b0 = nblocks * s / nslices and b1 = nblocks * (s + 1) / nslices in
+    let lo = Array.map (fun x -> -x) ext
+    and hi = Array.mapi (fun i d -> d + ext.(i)) dims in
+    lo.(pd) <- -ext.(pd) + (b0 * bsize);
+    hi.(pd) <- min (dims.(pd) + ext.(pd)) (-ext.(pd) + (b1 * bsize));
+    (lo, hi)
+  in
+  let region ?trace s =
+    let lo, hi = bounds s in
+    run_region ~backend ~bound ?trace ?sanitize:(slice_of s) ~check:false
+      ?config ?vec_unit ?extend spec ~inputs ~output ~lo ~hi
+  in
   let stats =
     match pool with
-    | None ->
-        run_sequential ~backend ?bound ?trace ?sanitize:(slice_of 0)
-          ~check:false ?config ?vec_unit ?extend spec ~inputs ~output
-    | Some pool ->
-      let dims = Grid.dims output in
-      let rank = Array.length dims in
-      let ext =
-        match extend with Some e -> e | None -> Array.make rank 0
-      in
-      let block = Config.block_extents cfg ~dims in
-      let pd = if rank = 1 then 0 else 1 in
-      let bsize = block.(pd) in
-      let nblocks = ceil_div (dims.(pd) + (2 * ext.(pd))) bsize in
-      let nslices = min (Pool.size pool) nblocks in
-      if nslices < 2 then
-        run_sequential ~backend ?bound ?trace ?sanitize:(slice_of 0)
-          ~check:false ?config ?vec_unit ?extend spec ~inputs ~output
-      else begin
-        let bounds s =
-          (* Slice [s] owns block columns [nblocks*s/nslices,
-             nblocks*(s+1)/nslices) along the partition dimension.
-             Blocks start at the (possibly extended) low edge, exactly
-             where the sequential sweep starts them, so the union of
-             the slices' loop structures stays the sequential one. *)
-          let b0 = nblocks * s / nslices and b1 = nblocks * (s + 1) / nslices in
-          let lo = Array.map (fun x -> -x) ext
-          and hi = Array.mapi (fun i d -> d + ext.(i)) dims in
-          lo.(pd) <- -ext.(pd) + (b0 * bsize);
-          hi.(pd) <- min (dims.(pd) + ext.(pd)) (-ext.(pd) + (b1 * bsize));
-          (lo, hi)
-        in
+    | Some pool when nslices >= 2 ->
         let out = Array.make nslices zero_stats in
         (match trace with
         | None ->
             Pool.parallel_for ~chunk:1 pool ~n:nslices (fun s ->
-                let lo, hi = bounds s in
-                out.(s) <-
-                  run_region ~backend ?bound ?sanitize:(slice_of s)
-                    ~check:false ?config ?vec_unit spec ~inputs ~output ~lo
-                    ~hi)
+                out.(s) <- region s)
         | Some h ->
             (* Each slice simulates against a private clone of the shared
                hierarchy's current state, counting only its own events;
@@ -505,22 +454,16 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
                   c)
             in
             Pool.parallel_for ~chunk:1 pool ~n:nslices (fun s ->
-                let lo, hi = bounds s in
-                out.(s) <-
-                  run_region ~backend ?bound ~trace:clones.(s)
-                    ?sanitize:(slice_of s) ~check:false ?config ?vec_unit
-                    spec ~inputs ~output ~lo ~hi);
+                out.(s) <- region ~trace:clones.(s) s);
             Array.iter (fun c -> Hierarchy.merge_counters ~into:h c) clones;
             Hierarchy.adopt_contents ~into:h clones.(nslices - 1));
         Array.fold_left add_stats zero_stats out
-      end
+    | _ -> region ?trace 0
   in
   (match pass with
   | Some p ->
-      if certified then begin
-        let dims = Grid.dims output in
-        Sanitizer.commit_pass p ~lo:(Array.map (fun _ -> 0) dims) ~hi:dims
-      end;
+      if certified then
+        Sanitizer.commit_pass p ~lo:(Array.map (fun _ -> 0) dims) ~hi:dims;
       Sanitizer.end_sweep p
   | None -> ());
   stats

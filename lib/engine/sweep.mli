@@ -9,21 +9,20 @@
     property tests): blocking, folding and tracing change only the order
     and observation of operations, never values.
 
-    Three execution {!type-backend}s share this schedule. The default
+    Two execution {!type-backend}s share this schedule. The default
     [Plan_backend] binds the stencil's kernel plan
     ({!Yasksite_stencil.Lower}) to the grids once and drives row-hoisted,
-    table-addressed inner loops with no per-point closure dispatch; the
-    legacy [Closure_backend] evaluates the staged closure tree
-    ({!Yasksite_stencil.Compile}) per point; [Codegen_backend] runs a
-    natively compiled specialization of the plan
-    ({!Yasksite_stencil.Codegen} emitted, {!Native} built and cached),
-    falling back to the plan interpreter with a one-line warning
-    whenever a kernel cannot be resolved (no toolchain, rejected or
-    unsupported plan, failed compile). All backends produce
+    table-addressed inner loops with no per-point closure dispatch;
+    [Codegen_backend] runs a natively compiled specialization of the
+    plan ({!Yasksite_stencil.Codegen} emitted, {!Native} built and
+    cached), falling back to the plan interpreter with a one-line
+    warning whenever a kernel cannot be resolved (no toolchain, rejected
+    or unsupported plan, failed compile). Both backends produce
     bit-identical output grids, traces and sanitizer verdicts (the plan
-    driver supplies addressing throughout; property-tested) — including
-    when driven stage-by-stage by the {!Prog} executor over a
-    multi-stage stencil program, under every fusion partition. *)
+    driver supplies addressing throughout; property-tested against an
+    independent tree-walking evaluator) — including when driven
+    stage-by-stage by the {!Prog} executor over a multi-stage stencil
+    program, under every fusion partition. *)
 
 type stats = {
   points : int;  (** lattice updates performed *)
@@ -38,7 +37,7 @@ val zero_stats : stats
 
 val add_stats : stats -> stats -> stats
 
-type backend = Plan_backend | Closure_backend | Codegen_backend
+type backend = Plan_backend | Codegen_backend
 
 val backend_of_string : string -> (backend, string) result
 (** Parse a backend name (case-insensitive, whitespace-trimmed). The
@@ -90,10 +89,10 @@ val run :
     would pass [\[|1;1;8|\]]).
 
     [backend] selects the execution backend (default
-    {!default_backend}). On the plan backend, [plan] supplies an
-    already-lowered kernel plan (callers that sweep repeatedly lower
-    once) and [bound] an already-bound plan for these exact grids —
-    both are computed on demand when absent.
+    {!default_backend}). [plan] supplies an already-lowered kernel plan
+    (callers that sweep repeatedly lower once) and [bound] an
+    already-bound plan for these exact grids, whose plan then wins over
+    [plan] — both are computed on demand when absent.
 
     With [pool], the sweep is split along the blocked dimension at
     block boundaries and slices run on the pool's domains. Output

@@ -103,14 +103,9 @@ let steps ?backend ?plan ?trace ?sanitize ?(check = true)
           end
           else Some (Sanitizer.slice pass 0))
     in
-    let bound =
-      match backend with
-      | Sweep.Closure_backend -> None
-      | Sweep.Plan_backend | Sweep.Codegen_backend ->
-          Some (Lazy.force (if abs_t mod 2 = 0 then bound_ab else bound_ba))
-    in
+    let bound = Lazy.force (if abs_t mod 2 = 0 then bound_ab else bound_ba) in
     let s =
-      Sweep.run_region ~backend ?bound ?trace ?sanitize ~check ~config
+      Sweep.run_region ~backend ~bound ?trace ?sanitize ~check ~config
         ?vec_unit spec ~inputs:[| src |] ~output:dst ~lo:plo ~hi:phi
     in
     stats := Sweep.add_stats !stats s

@@ -1,7 +1,7 @@
 module Grid = Yasksite_grid.Grid
 module Spec = Yasksite_stencil.Spec
 module Analysis = Yasksite_stencil.Analysis
-module Compile = Yasksite_stencil.Compile
+module Lower = Yasksite_stencil.Lower
 open Yasksite_stencil.Dsl
 
 type boundary = Dirichlet of float | Periodic
@@ -146,33 +146,37 @@ let init_grid t =
   apply_boundary t g;
   g
 
-(* Flat-vector view: copy the state in, refresh halos, sweep the
-   stencil, copy the derivative out. *)
+(* Flat-vector view: copy the state in, refresh halos, evaluate the
+   stencil row by row through the plan driver straight into the
+   derivative. The plan is bound once against the state grid, which
+   doubles as the (never written) output. *)
 let to_ivp t ~t_end =
   let points = Array.fold_left ( * ) 1 t.dims in
   let state = Grid.create ~halo:(halo t) ~dims:t.dims () in
-  let eval_at =
-    match t.rank with
-    | 1 ->
-        let f = Compile.compile1 t.spec ~inputs:[| state |] in
-        fun (idx : int array) -> f idx.(0)
-    | 2 ->
-        let f = Compile.compile2 t.spec ~inputs:[| state |] in
-        fun idx -> f idx.(0) idx.(1)
-    | _ ->
-        let f = Compile.compile3 t.spec ~inputs:[| state |] in
-        fun idx -> f idx.(0) idx.(1) idx.(2)
+  let drv =
+    Lower.driver
+      (Lower.bind (Lower.lower t.spec) ~inputs:[| state |] ~output:state)
   in
+  let nx = t.dims.(t.rank - 1) in
+  let outer = Array.make (t.rank - 1) 0 in
   let rhs ~tm:_ ~y ~dydt =
     let pos = ref 0 in
     Grid.iter_interior state ~f:(fun idx ->
         Grid.set state idx y.(!pos);
         incr pos);
     apply_boundary t state;
-    let pos = ref 0 in
-    Grid.iter_interior state ~f:(fun idx ->
-        dydt.(!pos) <- eval_at idx;
-        incr pos)
+    for row = 0 to (points / nx) - 1 do
+      (* row-major: the last leading coordinate varies fastest *)
+      let r = ref row in
+      for i = t.rank - 2 downto 0 do
+        outer.(i) <- !r mod t.dims.(i);
+        r := !r / t.dims.(i)
+      done;
+      Lower.set_row drv outer;
+      for x = 0 to nx - 1 do
+        dydt.((row * nx) + x) <- Lower.eval drv x
+      done
+    done
   in
   let y0 = Array.make points 0.0 in
   let pos = ref 0 in

@@ -136,28 +136,24 @@ let step t =
       List.iter (refresh_halo t) c.halo_inputs;
       let inputs = Array.map (grid_of t) c.kernel.Variant.inputs in
       let output = grid_of t c.kernel.Variant.output in
-      (* [create] proved these grids legal once; skip the per-step gate. *)
-      let bound =
-        match backend with
-        | Sweep.Closure_backend -> None
-        | Sweep.Plan_backend | Sweep.Codegen_backend ->
-            (* Physical identity of the grid combination: the ping-pong
-               swap changes which grids the buffers resolve to, not the
-               buffers themselves. *)
-            let key =
-              Grid.base_address output
-              :: Array.to_list (Array.map Grid.base_address inputs)
-            in
-            Some
-              (match List.assoc_opt key c.bounds with
-              | Some b -> b
-              | None ->
-                  let b = Lower.bind c.plan ~inputs ~output in
-                  c.bounds <- (key, b) :: c.bounds;
-                  b)
+      (* Physical identity of the grid combination: the ping-pong swap
+         changes which grids the buffers resolve to, not the buffers
+         themselves. *)
+      let key =
+        Grid.base_address output
+        :: Array.to_list (Array.map Grid.base_address inputs)
       in
+      let bound =
+        match List.assoc_opt key c.bounds with
+        | Some b -> b
+        | None ->
+            let b = Lower.bind c.plan ~inputs ~output in
+            c.bounds <- (key, b) :: c.bounds;
+            b
+      in
+      (* [create] proved these grids legal once; skip the per-step gate. *)
       ignore
-        (Sweep.run ~backend ?bound ~check:false c.kernel.Variant.spec
+        (Sweep.run ~backend ~bound ~check:false c.kernel.Variant.spec
            ~inputs ~output
           : Sweep.stats))
     t.kernels;

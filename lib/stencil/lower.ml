@@ -4,7 +4,7 @@ module Grid = Yasksite_grid.Grid
 
    Every rewrite used below is exact in IEEE-754 double arithmetic for
    the finite data the engine operates on, so plan execution is
-   bit-identical to walking the closure tree Compile builds:
+   bit-identical to walking the expression tree point by point:
 
    - constant subtrees are folded with the very operation the tree would
      have applied at run time;
@@ -201,7 +201,15 @@ let check (plan : Plan.t) ~inputs ~output =
                  "Lower: field %d halo %d too small for offset %d" a.field
                  h.(i) d))
         a.offsets)
-    plan.Plan.accesses
+    plan.Plan.accesses;
+  match plan.Plan.body with
+  | Plan.Program { code; _ } ->
+      Array.iter
+        (function
+          | Plan.Sym n -> invalid_arg ("Lower: unresolved coefficient " ^ n)
+          | _ -> ())
+        code
+  | Plan.Groups _ -> ()
 
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -259,14 +267,6 @@ let flatten gs =
 
 let bind (plan : Plan.t) ~inputs ~output =
   check plan ~inputs ~output;
-  (match plan.Plan.body with
-  | Plan.Program { code; _ } ->
-      Array.iter
-        (function
-          | Plan.Sym n -> raise (Compile.Unresolved_coefficient n)
-          | _ -> ())
-        code
-  | Plan.Groups _ -> ());
   let r = plan.Plan.rank in
   let field_tab = Array.map Grid.last_dim_offsets inputs in
   let field_lp = Array.map (fun g -> (Grid.left_pad g).(r - 1)) inputs in
@@ -385,6 +385,11 @@ let point_groups b row goff scaled gscale t_coeff t_slot x =
   done;
   !acc
 
+(* Host timings of this loop are sensitive to where the linker places
+   it: at offset 48 mod 64 the perfbench [program] workload measured
+   25–38% slower than at offset 0, with byte-identical code. When a
+   change elsewhere moves it, check the placement
+   ([nm _build/default/perfbench/main.exe]) before blaming the change. *)
 let point_program b row stack code x =
   let sp = ref 0 in
   for i = 0 to Array.length code - 1 do

@@ -11,7 +11,7 @@
 
 val lower : Spec.t -> Plan.t
 (** Lower a spec (resolved or not — unresolved coefficients become
-    {!Plan.Sym} instructions, refused only at {!bind} time). Never
+    {!Plan.Sym} instructions, refused only by {!check}). Never
     raises on a validated spec. *)
 
 val fingerprint : Spec.t -> string
@@ -22,10 +22,11 @@ val fingerprint : Spec.t -> string
 val check :
   Plan.t -> inputs:Yasksite_grid.Grid.t array ->
   output:Yasksite_grid.Grid.t -> unit
-(** Structural validation mirroring [Compile.check_inputs]: input count
-    equals [n_fields], every grid (and the output) has the plan's rank,
-    and each input's halo covers the accesses to it. Raises
-    [Invalid_argument] with a ["Lower: ..."] message. *)
+(** Structural validation: input count equals [n_fields], every grid
+    (and the output) has the plan's rank, each input's halo covers the
+    accesses to it, and no {!Plan.Sym} remains. Raises
+    [Invalid_argument] with a ["Lower: ..."] message; a symbolic plan
+    gets ["Lower: unresolved coefficient <name>"]. *)
 
 type bound
 (** A plan specialised to concrete grids: precomputed flat row bases,
@@ -34,8 +35,7 @@ type bound
 val bind :
   Plan.t -> inputs:Yasksite_grid.Grid.t array ->
   output:Yasksite_grid.Grid.t -> bound
-(** {!check}, refuse unresolved plans ([Compile.Unresolved_coefficient]),
-    then precompute the addressing tables. *)
+(** {!check}, then precompute the addressing tables. *)
 
 val plan_of : bound -> Plan.t
 

@@ -9,7 +9,7 @@
      suite stencil and every generated random stencil lands here. The
      grouping mirrors the expression tree exactly (left-leaning chains,
      scale factors applied where the tree applies them), so evaluating
-     a group plan is bit-identical to walking the closure tree: the
+     a group plan is bit-identical to walking the expression tree: the
      only rewrites used are the exact IEEE-754 identities
      [a -. b = a +. (-.b)], [-.(a *. b) = (-.a) *. b], [1.0 *. v = v]
      and [c *. v = v *. c].
@@ -17,7 +17,7 @@
    - [Program]: the general fallback — the expression flattened to
      postfix (reverse Polish) code over a small stack. Postfix emission
      preserves the tree's exact operand evaluation order, so this too is
-     bit-identical to the closure tree, for any expression including
+     bit-identical to the expression tree, for any expression including
      divisions.
 
    Terms reference accesses by {e slot}: an index into the plan's access

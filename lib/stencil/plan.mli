@@ -5,10 +5,11 @@
     (the distinct reads, in {!Analysis.accesses} order) and a body that
     is either a detected linear combination ({!Groups}) or a flattened
     postfix program ({!Program}). Both forms evaluate bit-identically to
-    the original closure tree; {!Lower} produces plans and binds them to
-    concrete grids. The {!field-fingerprint} is a stable content-addressed
-    digest (kernel name excluded) used as the memoization key by the ECM
-    cache, the tuner's checkpoints and the Offsite executor. *)
+    walking the original expression tree; {!Lower} produces plans and
+    binds them to concrete grids. The {!field-fingerprint} is a stable
+    content-addressed digest (kernel name excluded) used as the
+    memoization key by the ECM cache, the tuner's checkpoints and the
+    Offsite executor. *)
 
 type term = { coeff : float; slot : int }
 (** One FMA-chain element: [coeff *. load slot], or the literal [coeff]

@@ -2,14 +2,14 @@
 
    Contract under test: a sweep on [Codegen_backend] — a natively
    compiled, fully unrolled specialization of the kernel plan — is
-   bit-identical to both interpreters (plan driver and closure tree)
-   across ranks, layouts, blocking, wavefronts and sanitized runs; the
-   compiled artifact round-trips through the kern-v1 store schema
-   (warm runs skip the compiler entirely); corrupted or garbage store
-   entries recompile instead of loading; and a machine without a
+   bit-identical to the plan interpreter and to the tree-walking
+   {!Oracle} across ranks, layouts, blocking, wavefronts and sanitized
+   runs; the compiled artifact round-trips through the kern-v1 store
+   schema (warm runs skip the compiler entirely); corrupted or garbage
+   store entries recompile instead of loading; and a machine without a
    toolchain degrades to the plan interpreter with a warning, never a
-   failure. Plus the satellite coverage: the three-way backend parser
-   and its precedence chain. *)
+   failure. Plus the satellite coverage: the backend parser and its
+   precedence chain. *)
 
 module Grid = Yasksite_grid.Grid
 module Spec = Yasksite_stencil.Spec
@@ -31,8 +31,7 @@ module Prng = Yasksite_util.Prng
 
 let qt = QCheck_alcotest.to_alcotest
 
-let all_backends =
-  [ Sweep.Plan_backend; Sweep.Closure_backend; Sweep.Codegen_backend ]
+let all_backends = [ Sweep.Plan_backend; Sweep.Codegen_backend ]
 
 let make_grid ?(layout = Grid.Linear) ~halo ~dims seed =
   let rng = Prng.create ~seed in
@@ -70,25 +69,28 @@ let test_backend_of_string () =
   (match Sweep.backend_of_string " CodeGen " with
   | Ok Sweep.Codegen_backend -> ()
   | _ -> Alcotest.fail "\" CodeGen \" should parse to Codegen_backend");
-  match Sweep.backend_of_string "jit" with
-  | Ok _ -> Alcotest.fail "\"jit\" should be rejected"
-  | Error msg ->
-      List.iter
-        (fun name ->
-          if not (contains ~needle:(Printf.sprintf "%S" name) msg) then
-            Alcotest.failf "rejection message %S does not list %s" msg name)
-        [ "plan"; "closure"; "codegen" ]
+  List.iter
+    (fun bad ->
+      match Sweep.backend_of_string bad with
+      | Ok _ -> Alcotest.failf "%S should be rejected" bad
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S lists exactly plan and codegen" msg)
+            true
+            (String.ends_with
+               ~suffix:{|legal backends are "plan", "codegen"|} msg))
+    [ "jit"; "closure" ]
 
 let test_backend_precedence () =
   Fun.protect ~finally:Sweep.clear_default_backend @@ fun () ->
-  with_env "YASKSITE_BACKEND" "closure" @@ fun () ->
+  with_env "YASKSITE_BACKEND" "codegen" @@ fun () ->
   Sweep.clear_default_backend ();
   Alcotest.(check string)
-    "env wins over the built-in default" "closure"
+    "env wins over the built-in default" "codegen"
     (Sweep.backend_name (Sweep.default_backend ()));
-  Sweep.set_default_backend Sweep.Codegen_backend;
+  Sweep.set_default_backend Sweep.Plan_backend;
   Alcotest.(check string)
-    "explicit override wins over the environment" "codegen"
+    "explicit override wins over the environment" "plan"
     (Sweep.backend_name (Sweep.default_backend ()));
   Sweep.clear_default_backend ();
   with_env "YASKSITE_BACKEND" "" @@ fun () ->
@@ -146,8 +148,9 @@ let test_source_refuses_unresolved () =
 (* ------------------------------------------------------------------ *)
 (* Three-way bit-identity (tentpole property).                         *)
 
-(* One sweep of a random stencil, same grids and config, all three
-   backends: outputs must be bit-identical and the stats equal. *)
+(* One sweep of a random stencil, same grids and config, on both
+   backends and the oracle — all three outputs must be bit-identical,
+   and the two backends' stats equal. *)
 let sweep_three_way ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
@@ -177,21 +180,22 @@ let sweep_three_way ~seed =
     in
     Config.v ?fold ?block ()
   in
+  let a = make_grid ~layout ~halo ~dims (seed + 1000) in
   let run backend =
-    let a = make_grid ~layout ~halo ~dims (seed + 1000) in
     let o = Grid.create ~halo ~layout ~dims () in
     let s = Sweep.run ~backend ~config:cfg spec ~inputs:[| a |] ~output:o in
     (o, s)
   in
   let o_code, s_code = run Sweep.Codegen_backend in
   let o_plan, s_plan = run Sweep.Plan_backend in
-  let o_closure, s_closure = run Sweep.Closure_backend in
+  let o_ref = Grid.create ~halo ~layout ~dims () in
+  Oracle.sweep spec ~inputs:[| a |] ~output:o_ref;
   Grid.max_abs_diff o_code o_plan = 0.0
-  && Grid.max_abs_diff o_code o_closure = 0.0
-  && s_code = s_plan && s_code = s_closure
+  && Grid.max_abs_diff o_code o_ref = 0.0
+  && s_code = s_plan
 
 let codegen_three_way_sweep =
-  QCheck.Test.make ~name:"codegen bit-reproduces plan and closure backends"
+  QCheck.Test.make ~name:"codegen bit-reproduces plan and oracle"
     ~count:20 QCheck.small_int (fun seed -> sweep_three_way ~seed)
 
 let wavefront_three_way ~seed =
@@ -213,15 +217,20 @@ let wavefront_three_way ~seed =
     final
   in
   let f_code = run Sweep.Codegen_backend in
+  let f_ref =
+    Oracle.steps spec ~a:(make_grid ~halo ~dims (seed + 1))
+      ~b:(make_grid ~halo ~dims (seed + 2)) ~steps
+  in
   Grid.max_abs_diff f_code (run Sweep.Plan_backend) = 0.0
-  && Grid.max_abs_diff f_code (run Sweep.Closure_backend) = 0.0
+  && Grid.max_abs_diff f_code f_ref = 0.0
 
 let codegen_three_way_wavefront =
   QCheck.Test.make ~name:"wavefront agrees across all three backends"
     ~count:10 QCheck.small_int (fun seed -> wavefront_three_way ~seed)
 
-(* A sanitized, gate-checked sweep must agree bit-for-bit too (the
-   sanitizer routes codegen through the generated point evaluator). *)
+(* A sanitized, gate-checked sweep must agree bit-for-bit with the plan
+   backend and the oracle too (the sanitizer routes codegen through the
+   generated point evaluator). *)
 let sanitized_three_way ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:2 in
@@ -229,16 +238,18 @@ let sanitized_three_way ~seed =
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
   let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:8) in
+  let a = make_grid ~halo ~dims (seed + 3) in
   let run backend =
-    let a = make_grid ~halo ~dims (seed + 3) in
     let o = Grid.create ~halo ~dims () in
     let san = Sanitizer.create () in
     let _ = Sweep.run ~backend ~sanitize:san spec ~inputs:[| a |] ~output:o in
     o
   in
   let o_code = run Sweep.Codegen_backend in
+  let o_ref = Grid.create ~halo ~dims () in
+  Oracle.sweep spec ~inputs:[| a |] ~output:o_ref;
   Grid.max_abs_diff o_code (run Sweep.Plan_backend) = 0.0
-  && Grid.max_abs_diff o_code (run Sweep.Closure_backend) = 0.0
+  && Grid.max_abs_diff o_code o_ref = 0.0
 
 let codegen_three_way_sanitized =
   QCheck.Test.make ~name:"sanitized sweep agrees across all three backends"

@@ -1,12 +1,12 @@
 (* The kernel-plan IR and the plan execution backend.
 
    The contract under test: lowering a resolved stencil to a flat plan
-   and sweeping it with the plan driver is *bit-identical* to the legacy
-   closure-tree backend, across ranks, layouts, blocking, wavefronts and
-   both body shapes (detected linear combination and postfix fallback).
-   Plus the satellite coverage: the [Compile.check_inputs] /
-   [Lower.check] error paths on both backends, and the fingerprint
-   contract that keys the ECM cache and tuner checkpoints. *)
+   and sweeping it with the plan driver is *bit-identical* to the
+   tree-walking {!Oracle}, across ranks, layouts, blocking, wavefronts
+   and both body shapes (detected linear combination and postfix
+   fallback). Plus the satellite coverage: the [Lower.check] error
+   paths on both backends, and the fingerprint contract that keys the
+   ECM cache and tuner checkpoints. *)
 
 module Grid = Yasksite_grid.Grid
 module Machine = Yasksite_arch.Machine
@@ -16,7 +16,6 @@ module Analysis = Yasksite_stencil.Analysis
 module Suite = Yasksite_stencil.Suite
 module Gen = Yasksite_stencil.Gen
 module Dsl = Yasksite_stencil.Dsl
-module Compile = Yasksite_stencil.Compile
 module Plan = Yasksite_stencil.Plan
 module Lower = Yasksite_stencil.Lower
 module Config = Yasksite_ecm.Config
@@ -41,10 +40,11 @@ let force_program spec =
     ~n_fields:spec.Spec.n_fields
     Dsl.(spec.Spec.expr /: c 1.0)
 
-(* One sweep of a random stencil, same grids and config, both backends:
-   outputs must be bit-identical and the stats equal. Exercised over
-   ranks 1..3, both body shapes, folded layouts and spatial blocking. *)
-let sweep_backends_agree ~seed =
+(* One sweep of a random stencil on the plan backend: the output must
+   be bit-identical to the oracle's and every interior point counted.
+   Exercised over ranks 1..3, both body shapes, folded layouts and
+   spatial blocking. *)
+let sweep_matches_oracle ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
   let spec = Gen.spec rng ~rank () in
@@ -73,23 +73,25 @@ let sweep_backends_agree ~seed =
     in
     Config.v ?fold ?block ()
   in
-  let run backend =
-    let a = make_grid ~layout ~halo ~dims (seed + 1000) in
-    let o = Grid.create ~halo ~layout ~dims () in
-    let s = Sweep.run ~backend ~config:cfg spec ~inputs:[| a |] ~output:o in
-    (o, s)
+  let a = make_grid ~layout ~halo ~dims (seed + 1000) in
+  let o_plan = Grid.create ~halo ~layout ~dims () in
+  let s =
+    Sweep.run ~backend:Sweep.Plan_backend ~config:cfg spec ~inputs:[| a |]
+      ~output:o_plan
   in
-  let o_plan, s_plan = run Sweep.Plan_backend in
-  let o_closure, s_closure = run Sweep.Closure_backend in
-  Grid.max_abs_diff o_plan o_closure = 0.0 && s_plan = s_closure
+  let o_ref = Grid.create ~halo ~layout ~dims () in
+  Oracle.sweep spec ~inputs:[| a |] ~output:o_ref;
+  Grid.max_abs_diff o_plan o_ref = 0.0
+  && s.Sweep.points = Array.fold_left ( * ) 1 dims
 
-let plan_backend_matches_closure =
-  QCheck.Test.make ~name:"plan backend bit-reproduces closure backend"
-    ~count:120 QCheck.small_int (fun seed -> sweep_backends_agree ~seed)
+let plan_backend_matches_oracle =
+  QCheck.Test.make ~name:"plan backend bit-reproduces the oracle"
+    ~count:120 QCheck.small_int (fun seed -> sweep_matches_oracle ~seed)
 
-(* The same contract through the temporal-blocking path: random
-   wavefront depth and (legal) stagger, per-direction plan reuse. *)
-let wavefront_backends_agree ~seed =
+(* The same contract through the temporal-blocking path, against the
+   oracle's plain ping-pong sweeps: random wavefront depth and (legal)
+   stagger, per-direction plan reuse. *)
+let wavefront_matches_oracle ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
   let spec = Gen.spec rng ~rank () in
@@ -101,39 +103,42 @@ let wavefront_backends_agree ~seed =
   let wf = 2 + Prng.int rng ~bound:3 in
   let stagger = halo.(0) + 1 + Prng.int rng ~bound:2 in
   let cfg = Config.v ~wavefront:wf ~wavefront_stagger:stagger () in
-  let run backend =
-    let a = make_grid ~halo ~dims (seed + 1) in
-    let b = make_grid ~halo ~dims (seed + 2) in
-    let final, _ = Wavefront.steps ~backend ~config:cfg spec ~a ~b ~steps in
-    final
+  let a () = make_grid ~halo ~dims (seed + 1)
+  and b () = make_grid ~halo ~dims (seed + 2) in
+  let final, _ =
+    Wavefront.steps ~backend:Sweep.Plan_backend ~config:cfg spec ~a:(a ())
+      ~b:(b ()) ~steps
   in
-  Grid.max_abs_diff (run Sweep.Plan_backend) (run Sweep.Closure_backend) = 0.0
+  Grid.max_abs_diff final (Oracle.steps spec ~a:(a ()) ~b:(b ()) ~steps)
+  = 0.0
 
 let wavefront_backend_parity =
   QCheck.Test.make ~name:"wavefront agrees across backends" ~count:60
-    QCheck.small_int (fun seed -> wavefront_backends_agree ~seed)
+    QCheck.small_int (fun seed -> wavefront_matches_oracle ~seed)
 
-(* Tracing must not perturb results on either backend (both route
-   addresses through the plan's access table). *)
-let traced_backends_agree ~seed =
+(* Tracing must not perturb results (addresses route through the
+   plan's access table). *)
+let traced_matches_oracle ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
   let spec = Gen.spec rng ~rank () in
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
   let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:8) in
-  let run backend =
-    let a = make_grid ~halo ~dims (seed + 7) in
-    let o = Grid.create ~halo ~dims () in
-    let trace = Hierarchy.create Machine.test_chip in
-    let _ = Sweep.run ~backend ~trace spec ~inputs:[| a |] ~output:o in
-    o
+  let a = make_grid ~halo ~dims (seed + 7) in
+  let o = Grid.create ~halo ~dims () in
+  let trace = Hierarchy.create Machine.test_chip in
+  let _ =
+    Sweep.run ~backend:Sweep.Plan_backend ~trace spec ~inputs:[| a |]
+      ~output:o
   in
-  Grid.max_abs_diff (run Sweep.Plan_backend) (run Sweep.Closure_backend) = 0.0
+  let o_ref = Grid.create ~halo ~dims () in
+  Oracle.sweep spec ~inputs:[| a |] ~output:o_ref;
+  Grid.max_abs_diff o o_ref = 0.0
 
 let traced_backend_parity =
   QCheck.Test.make ~name:"traced sweep agrees across backends" ~count:40
-    QCheck.small_int (fun seed -> traced_backends_agree ~seed)
+    QCheck.small_int (fun seed -> traced_matches_oracle ~seed)
 
 (* ------------------------------------------------------------------ *)
 (* Plan structure and fingerprints.                                    *)
@@ -190,15 +195,17 @@ let test_unresolved_plan () =
   let g = make_grid ~halo:[| 1 |] ~dims:[| 8 |] 11 in
   let o = Grid.create ~halo:[| 1 |] ~dims:[| 8 |] () in
   Alcotest.check_raises "bind refuses symbolic plans"
-    (Compile.Unresolved_coefficient "r") (fun () ->
+    (Invalid_argument "Lower: unresolved coefficient r") (fun () ->
       ignore (Lower.bind plan ~inputs:[| g |] ~output:o))
 
 (* ------------------------------------------------------------------ *)
-(* Error paths: Compile.check_inputs and Lower.check, and the same
-   violations pushed through Sweep.run on each backend (gates off, so
-   the backend's own validation is what fires).                        *)
+(* Error paths: Lower.check, and the same violations pushed through
+   Sweep.run on each backend (gates off, so the backend's own
+   validation is what fires).                                          *)
 
 let contains = Astring_contains.contains
+
+let backends = [ Sweep.Plan_backend; Sweep.Codegen_backend ]
 
 let raises_invalid ~substr f =
   match f () with
@@ -217,15 +224,12 @@ let test_check_field_count () =
   let g = make_grid ~halo:[| 1 |] ~dims:[| 8 |] 1 in
   let o = Grid.create ~halo:[| 1 |] ~dims:[| 8 |] () in
   raises_invalid ~substr:"field" (fun () ->
-      Compile.check_inputs heat1 ~inputs:[| g; g |]);
-  raises_invalid ~substr:"field" (fun () ->
       Lower.check (Lower.lower heat1) ~inputs:[| g; g |] ~output:o);
-  raises_invalid ~substr:"field" (fun () ->
-      Sweep.run ~backend:Sweep.Plan_backend ~check:false heat1
-        ~inputs:[| g; g |] ~output:o);
-  raises_invalid ~substr:"field" (fun () ->
-      Sweep.run ~backend:Sweep.Closure_backend ~check:false heat1
-        ~inputs:[| g; g |] ~output:o)
+  List.iter
+    (fun backend ->
+      raises_invalid ~substr:"field" (fun () ->
+          Sweep.run ~backend ~check:false heat1 ~inputs:[| g; g |] ~output:o))
+    backends
 
 let test_check_rank () =
   let g1 = make_grid ~halo:[| 1 |] ~dims:[| 8 |] 2 in
@@ -233,10 +237,8 @@ let test_check_rank () =
   let g2 = make_grid ~halo:[| 1; 1 |] ~dims:[| 8; 8 |] 3 in
   let o2 = Grid.create ~halo:[| 1; 1 |] ~dims:[| 8; 8 |] () in
   raises_invalid ~substr:"rank" (fun () ->
-      Compile.check_inputs heat2s ~inputs:[| g1 |]);
-  raises_invalid ~substr:"rank" (fun () ->
       Lower.check (Lower.lower heat2s) ~inputs:[| g1 |] ~output:o2);
-  (* Output rank is checked too (Compile never sees the output). *)
+  (* Output rank is checked too. *)
   let o1 = Grid.create ~halo:[| 1 |] ~dims:[| 8 |] () in
   raises_invalid ~substr:"rank" (fun () ->
       Lower.check (Lower.lower heat2s) ~inputs:[| g2 |] ~output:o1)
@@ -245,15 +247,12 @@ let test_check_halo () =
   let thin = make_grid ~halo:[| 1 |] ~dims:[| 8 |] 4 in
   let o = Grid.create ~halo:[| 1 |] ~dims:[| 8 |] () in
   raises_invalid ~substr:"halo" (fun () ->
-      Compile.check_inputs wide1 ~inputs:[| thin |]);
-  raises_invalid ~substr:"halo" (fun () ->
       Lower.check (Lower.lower wide1) ~inputs:[| thin |] ~output:o);
-  raises_invalid ~substr:"halo" (fun () ->
-      Sweep.run ~backend:Sweep.Plan_backend ~check:false wide1
-        ~inputs:[| thin |] ~output:o);
-  raises_invalid ~substr:"halo" (fun () ->
-      Sweep.run ~backend:Sweep.Closure_backend ~check:false wide1
-        ~inputs:[| thin |] ~output:o)
+  List.iter
+    (fun backend ->
+      raises_invalid ~substr:"halo" (fun () ->
+          Sweep.run ~backend ~check:false wide1 ~inputs:[| thin |] ~output:o))
+    backends
 
 let test_unresolved_both_backends () =
   let spec = Spec.v ~name:"sym" ~rank:1 Dsl.(p "r" *: fld [ 0 ]) in
@@ -263,10 +262,10 @@ let test_unresolved_both_backends () =
     (fun backend ->
       Alcotest.check_raises
         (Sweep.backend_name backend ^ " refuses unresolved coefficients")
-        (Compile.Unresolved_coefficient "r") (fun () ->
+        (Invalid_argument "Lower: unresolved coefficient r") (fun () ->
           ignore
             (Sweep.run ~backend ~check:false spec ~inputs:[| g |] ~output:o)))
-    [ Sweep.Plan_backend; Sweep.Closure_backend ]
+    backends
 
 (* The dynamic sanitizer reaches the same verdict on both backends:
    an aliased in-place sweep traps YS452 either way. *)
@@ -286,15 +285,15 @@ let test_sanitizer_verdict_parity () =
       Alcotest.(check (option string))
         (Sweep.backend_name backend ^ " traps the aliased sweep")
         (Some "YS452") code)
-    [ Sweep.Plan_backend; Sweep.Closure_backend ]
+    backends
 
 (* ------------------------------------------------------------------ *)
 (* Backend selection.                                                  *)
 
 let test_backend_selection () =
   let original = Sweep.default_backend () in
-  Sweep.set_default_backend Sweep.Closure_backend;
-  Alcotest.(check string) "override to closure" "closure"
+  Sweep.set_default_backend Sweep.Codegen_backend;
+  Alcotest.(check string) "override to codegen" "codegen"
     (Sweep.backend_name (Sweep.default_backend ()));
   Sweep.set_default_backend Sweep.Plan_backend;
   Alcotest.(check string) "override to plan" "plan"
@@ -303,7 +302,7 @@ let test_backend_selection () =
   Sweep.set_default_backend original
 
 let suite =
-  [ qt plan_backend_matches_closure;
+  [ qt plan_backend_matches_oracle;
     qt wavefront_backend_parity;
     qt traced_backend_parity;
     Alcotest.test_case "heat 5pt lowers to Groups" `Quick test_groups_detected;

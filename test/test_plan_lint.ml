@@ -584,13 +584,13 @@ let test_backend_of_string () =
   Alcotest.(check bool) "plan parses" true
     (Sweep.backend_of_string "plan" = Ok Sweep.Plan_backend);
   Alcotest.(check bool) "case and whitespace tolerated" true
-    (Sweep.backend_of_string " Closure " = Ok Sweep.Closure_backend);
+    (Sweep.backend_of_string " Codegen " = Ok Sweep.Codegen_backend);
   match Sweep.backend_of_string "bogus" with
   | Ok _ -> Alcotest.fail "bogus backend accepted"
   | Error msg ->
       let contains s = Astring_contains.contains msg s in
       Alcotest.(check bool) "error lists the legal backends" true
-        (contains "plan" && contains "closure" && contains "bogus")
+        (contains "plan" && contains "codegen" && contains "bogus")
 
 let suite =
   [ Alcotest.test_case "suite plans verify clean" `Quick

@@ -66,12 +66,21 @@ let test_to_c () =
   Alcotest.(check bool) "loop vars" true (Astring_contains.contains s "for (int y");
   Alcotest.(check bool) "access" true (Astring_contains.contains s "f0(y-1,x)")
 
+(* A rank-1 kernel compiled for [g] — lowered, bound, and positioned on
+   its one row — as the plan driver's point evaluator [fun x -> value]. *)
+let compile1 spec g =
+  let drv =
+    Lower.driver (Lower.bind (Lower.lower spec) ~inputs:[| g |] ~output:g)
+  in
+  Lower.set_row drv [||];
+  Lower.eval drv
+
 let test_compile_heat1d () =
   let spec = Spec.resolve Suite.heat_1d_3pt [ ("r", 0.25); ("c", 0.5) ] in
   let g = Grid.create ~halo:[| 1 |] ~dims:[| 5 |] () in
   Grid.fill g ~f:(fun i -> float_of_int i.(0));
   Grid.halo_dirichlet g 0.0;
-  let eval = Compile.compile1 spec ~inputs:[| g |] in
+  let eval = compile1 spec g in
   (* at x=2: 0.25*(1+3) + 0.5*2 = 2.0 *)
   Alcotest.(check (float 1e-12)) "interior" 2.0 (eval 2);
   (* at x=0: 0.25*(halo 0 + 1) + 0 = 0.25 *)
@@ -81,17 +90,18 @@ let test_compile_unresolved () =
   let g = Grid.create ~halo:[| 1 |] ~dims:[| 4 |] () in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Compile.compile1 Suite.heat_1d_3pt ~inputs:[| g |] : int -> float);
+       ignore (compile1 Suite.heat_1d_3pt g : int -> float);
        false
-     with Compile.Unresolved_coefficient "c" | Compile.Unresolved_coefficient "r" ->
-       true)
+     with Invalid_argument m ->
+       m = "Lower: unresolved coefficient c"
+       || m = "Lower: unresolved coefficient r")
 
 let test_compile_halo_check () =
   let g = Grid.create ~dims:[| 4 |] () in
   let spec = Spec.resolve Suite.heat_1d_3pt [ ("r", 0.25); ("c", 0.5) ] in
   Alcotest.(check bool) "halo too small" true
     (try
-       ignore (Compile.compile1 spec ~inputs:[| g |] : int -> float);
+       ignore (compile1 spec g : int -> float);
        false
      with Invalid_argument _ -> true)
 
@@ -168,9 +178,8 @@ let test_parser_basic () =
         | Ok s -> Spec.with_expr s e
         | Error m -> Alcotest.fail m
       in
-      let eval = Compile.compile1 spec ~inputs:[| g |] in
       (* at x=2: 0.25*(1+3) + 0.5*2 = 2.0 *)
-      Alcotest.(check (float 1e-12)) "evaluates" 2.0 (eval 2)
+      Alcotest.(check (float 1e-12)) "evaluates" 2.0 (compile1 spec g 2)
 
 let test_parser_coefficients () =
   match Parser.parse_expr ~rank:2 "r * f0(y-1,x) + c * f0(y,x)" with

@@ -397,6 +397,8 @@ let test_cache_with_degraded_store_identical () =
 (* Certificate persistence                                             *)
 
 let test_cert_persistence () =
+  (* Certificate behaviour is under test: pin the kill switch off. *)
+  Test_native_lint.with_env "YASKSITE_NO_CERT" "" @@ fun () ->
   with_root @@ fun root ->
   let finally () =
     Cert.set_store None;
