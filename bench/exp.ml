@@ -3,6 +3,8 @@ open Yasksite
 module Table = Yasksite_util.Table
 module Chart = Yasksite_util.Chart
 module Stats = Yasksite_util.Stats
+module Clock = Yasksite_util.Clock
+module Json = Yasksite_util.Json
 
 (* The simulated testbed: the paper's two machines at 1/8 cache scale
    (grids are scaled alike, so all capacity-relative effects carry
@@ -34,3 +36,26 @@ let err ~predicted ~measured = Stats.rel_error ~predicted ~measured
 let glups x = x /. 1e9
 
 let mlups x = x /. 1e6
+
+(* [f ()] and its wall-clock seconds on the library's monotonic clock. *)
+let time f =
+  let t0 = Clock.now Clock.system in
+  let r = f () in
+  (r, Clock.now Clock.system -. t0)
+
+(* Write a machine-readable record in the one bench layout. *)
+let write_json path v =
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (Json.to_string_indented v ^ "\n"));
+  Printf.printf "wrote %s\n" path
+
+let ints a = Json.List (Array.to_list (Array.map (fun i -> Json.Int i) a))
+
+(* Remove a scratch store root and everything under it. *)
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error _ -> ()

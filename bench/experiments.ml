@@ -704,11 +704,6 @@ let e15 () =
   let info = Stencil.Analysis.of_spec spec in
   let dims = [| 64; 64; 64 |] in
   let threads = 8 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   Pool.with_pool ~domains @@ fun pool ->
   (* Analytic ranking three ways: sequential on a cold cache, the pool
      on a cold cache, and the pool on the now-warm cache — the steady
@@ -797,46 +792,37 @@ let e15 () =
      hit rate)\n"
     os.Model_cache.hits os.Model_cache.misses
     (100.0 *. Model_cache.hit_rate ode_cache);
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"domains\": %d,\n\
-      \  \"analytic_ranking\": {\n\
-      \    \"candidates\": %d,\n\
-      \    \"seq_cold_s\": %.6f,\n\
-      \    \"par_cold_s\": %.6f,\n\
-      \    \"par_warm_s\": %.6f,\n\
-      \    \"speedup_par_cold\": %.2f,\n\
-      \    \"speedup_par_warm\": %.2f,\n\
-      \    \"rankings_identical\": %b,\n\
-      \    \"cache\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f }\n\
-      \  },\n\
-      \  \"empirical_tuning\": {\n\
-      \    \"seq_s\": %.6f,\n\
-      \    \"par_s\": %.6f,\n\
-      \    \"bit_identical\": %b,\n\
-      \    \"chosen\": \"%s\",\n\
-      \    \"measured_glups\": %.4f\n\
-      \  },\n\
-      \  \"offsite_ranking\": {\n\
-      \    \"cache_hits\": %d,\n\
-      \    \"cache_misses\": %d,\n\
-      \    \"hit_rate\": %.4f\n\
-      \  }\n\
-       }\n"
-      domains (List.length ranked_seq) seq_cold_s par_cold_s par_warm_s
-      speedup_cold speedup_warm same_ranking cs.Model_cache.hits
-      cs.Model_cache.misses
-      (Model_cache.hit_rate par_cache)
-      emp_seq_s emp_par_s emp_identical
-      (Config.describe emp_par.Tuner.chosen)
-      (glups emp_par.Tuner.measured_lups)
-      os.Model_cache.hits os.Model_cache.misses
-      (Model_cache.hit_rate ode_cache)
-  in
-  Out_channel.with_open_text "bench/BENCH_parallel.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Printf.printf "wrote bench/BENCH_parallel.json\n"
+  write_json "bench/BENCH_parallel.json"
+    (Obj
+       [ ("domains", Int domains);
+         ( "analytic_ranking",
+           Obj
+             [ ("candidates", Int (List.length ranked_seq));
+               ("seq_cold_s", Float seq_cold_s);
+               ("par_cold_s", Float par_cold_s);
+               ("par_warm_s", Float par_warm_s);
+               ("speedup_par_cold", Float speedup_cold);
+               ("speedup_par_warm", Float speedup_warm);
+               ("rankings_identical", Bool same_ranking);
+               ( "cache",
+                 Obj
+                   [ ("hits", Int cs.Model_cache.hits);
+                     ("misses", Int cs.Model_cache.misses);
+                     ("hit_rate", Float (Model_cache.hit_rate par_cache)) ]
+               ) ] );
+         ( "empirical_tuning",
+           Obj
+             [ ("seq_s", Float emp_seq_s);
+               ("par_s", Float emp_par_s);
+               ("bit_identical", Bool emp_identical);
+               ("chosen", String (Config.describe emp_par.Tuner.chosen));
+               ("measured_glups", Float (glups emp_par.Tuner.measured_lups))
+             ] );
+         ( "offsite_ranking",
+           Obj
+             [ ("cache_hits", Int os.Model_cache.hits);
+               ("cache_misses", Int os.Model_cache.misses);
+               ("hit_rate", Float (Model_cache.hit_rate ode_cache)) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* E16 — the plan driver skips per-point bounds checks: a sanitized
@@ -871,19 +857,18 @@ let e16 () =
         (m, List.length space, List.length legal, !traps))
       [ clx; rome ]
   in
-  let json =
-    let legal_json (m, space, legal, traps) =
-      Printf.sprintf
-        "    { \"machine\": \"%s\", \"candidates\": %d, \"legal\": %d, \
-         \"traps\": %d }"
-        m.Machine.name space legal traps
-    in
-    Printf.sprintf "{\n  \"sanitized_legal_space\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" (List.map legal_json legal_rows))
-  in
-  Out_channel.with_open_text "bench/BENCH_plan.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Printf.printf "wrote bench/BENCH_plan.json\n"
+  write_json "bench/BENCH_plan.json"
+    (Obj
+       [ ( "sanitized_legal_space",
+           List
+             (List.map
+                (fun (m, space, legal, traps) ->
+                  Json.Obj
+                    [ ("machine", String m.Machine.name);
+                      ("candidates", Int space);
+                      ("legal", Int legal);
+                      ("traps", Int traps) ])
+                legal_rows) ) ])
 
 (* E17 — what a safety certificate buys: wall clock of the sanitized
    sweep on the fully checked path (per-point shadow reads/writes) vs
@@ -898,11 +883,6 @@ let e17 () =
   let module Sanitizer = Engine.Sanitizer in
   let module Cert = Engine.Cert in
   let module Certify = Engine.Certify in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let case (spec, dims, reps) =
     let spec = Stencil.Suite.resolve_defaults spec in
     let info = Stencil.Analysis.of_spec spec in
@@ -970,33 +950,26 @@ let e17 () =
       [ (Stencil.Suite.heat_2d_5pt, [| 384; 384 |], 6);
         (Stencil.Suite.heat_3d_7pt, [| 64; 64; 64 |], 4) ]
   in
-  let json =
-    let case_json (spec, dims, points, reps, base_s, checked_s, cert_s, id) =
-      Printf.sprintf
-        "    {\n\
-        \      \"stencil\": \"%s\",\n\
-        \      \"dims\": [%s],\n\
-        \      \"points\": %d,\n\
-        \      \"reps\": %d,\n\
-        \      \"plain_s\": %.6f,\n\
-        \      \"checked_s\": %.6f,\n\
-        \      \"certified_s\": %.6f,\n\
-        \      \"checked_overhead\": %.2f,\n\
-        \      \"certified_overhead\": %.2f,\n\
-        \      \"certified_speedup_vs_checked\": %.2f,\n\
-        \      \"bit_identical\": %b\n\
-        \    }"
-        spec.Stencil.Spec.name
-        (String.concat ", " (Array.to_list (Array.map string_of_int dims)))
-        points reps base_s checked_s cert_s (checked_s /. base_s)
-        (cert_s /. base_s) (checked_s /. cert_s) id
-    in
-    Printf.sprintf "{\n  \"sweeps\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" (List.map case_json cases))
-  in
-  Out_channel.with_open_text "bench/BENCH_certify.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Printf.printf "wrote bench/BENCH_certify.json\n"
+  write_json "bench/BENCH_certify.json"
+    (Obj
+       [ ( "sweeps",
+           List
+             (List.map
+                (fun (spec, dims, points, reps, base_s, checked_s, cert_s, id) ->
+                  Json.Obj
+                    [ ("stencil", String spec.Stencil.Spec.name);
+                      ("dims", ints dims);
+                      ("points", Int points);
+                      ("reps", Int reps);
+                      ("plain_s", Float base_s);
+                      ("checked_s", Float checked_s);
+                      ("certified_s", Float cert_s);
+                      ("checked_overhead", Float (checked_s /. base_s));
+                      ("certified_overhead", Float (cert_s /. base_s));
+                      ( "certified_speedup_vs_checked",
+                        Float (checked_s /. cert_s) );
+                      ("bit_identical", Bool id) ])
+                cases) ) ])
 
 (* ------------------------------------------------------------------ *)
 (* E18 — persistent store: warm starts, corruption, degraded mode.
@@ -1010,19 +983,6 @@ let e18 () =
   header "e18"
     "Persistent tuning store: warm start, corruption, degraded mode \
      (BENCH_store.json)";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-        Unix.rmdir path
-    | _ -> Unix.unlink path
-    | exception Unix.Unix_error _ -> ()
-  in
   let entry_files root =
     let acc = ref [] in
     let rec walk dir =
@@ -1157,47 +1117,39 @@ let e18 () =
   let degraded_identical = ranked_dead = ranked_base in
   Printf.printf "degraded (unusable root): ranking %s vs store-less run\n"
     (if degraded_identical then "bit-identical" else "DIFFERENT");
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"ranking\": {\n\
-      \    \"candidates\": %d,\n\
-      \    \"cold_s\": %.6f,\n\
-      \    \"warm_from_disk_s\": %.6f,\n\
-      \    \"speedup_warm\": %.2f,\n\
-      \    \"bit_identical\": %b,\n\
-      \    \"cold_store\": { \"hits\": %d, \"misses\": %d, \"entries\": %d },\n\
-      \    \"warm_store\": { \"hits\": %d, \"misses\": %d }\n\
-      \  },\n\
-      \  \"offsite\": {\n\
-      \    \"cold_hit_rate\": %.4f,\n\
-      \    \"warm_no_eval_rate\": %.4f,\n\
-      \    \"warm_memory_hits\": %d,\n\
-      \    \"warm_store_hits\": %d,\n\
-      \    \"warm_store_misses\": %d\n\
-      \  },\n\
-      \  \"corruption\": {\n\
-      \    \"planted\": %d,\n\
-      \    \"verify_scanned\": %d,\n\
-      \    \"verify_bad\": %d,\n\
-      \    \"reranking_bit_identical\": %b,\n\
-      \    \"rescan_bad\": %d\n\
-      \  },\n\
-      \  \"degraded_root_bit_identical\": %b\n\
-       }\n"
-      (List.length ranked_cold) cold_s warm_s (cold_s /. warm_s)
-      ranking_identical cold_cs.Model_cache.store_hits
-      cold_cs.Model_cache.store_misses cold_entries
-      warm_cs.Model_cache.store_hits
-      warm_cs.Model_cache.store_misses cold_rate warm_rate
-      oc_warm.Model_cache.hits oc_warm.Model_cache.store_hits
-      oc_warm.Model_cache.store_misses planted v1.Store.scanned v1.Store.bad
-      (ranked_post = ranked_base)
-      v2.Store.bad degraded_identical
-  in
-  Out_channel.with_open_text "bench/BENCH_store.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Printf.printf "wrote bench/BENCH_store.json\n"
+  write_json "bench/BENCH_store.json"
+    (Obj
+       [ ( "ranking",
+           Obj
+             [ ("candidates", Int (List.length ranked_cold));
+               ("cold_s", Float cold_s);
+               ("warm_from_disk_s", Float warm_s);
+               ("speedup_warm", Float (cold_s /. warm_s));
+               ("bit_identical", Bool ranking_identical);
+               ( "cold_store",
+                 Obj
+                   [ ("hits", Int cold_cs.Model_cache.store_hits);
+                     ("misses", Int cold_cs.Model_cache.store_misses);
+                     ("entries", Int cold_entries) ] );
+               ( "warm_store",
+                 Obj
+                   [ ("hits", Int warm_cs.Model_cache.store_hits);
+                     ("misses", Int warm_cs.Model_cache.store_misses) ] ) ] );
+         ( "offsite",
+           Obj
+             [ ("cold_hit_rate", Float cold_rate);
+               ("warm_no_eval_rate", Float warm_rate);
+               ("warm_memory_hits", Int oc_warm.Model_cache.hits);
+               ("warm_store_hits", Int oc_warm.Model_cache.store_hits);
+               ("warm_store_misses", Int oc_warm.Model_cache.store_misses) ] );
+         ( "corruption",
+           Obj
+             [ ("planted", Int planted);
+               ("verify_scanned", Int v1.Store.scanned);
+               ("verify_bad", Int v1.Store.bad);
+               ("reranking_bit_identical", Bool (ranked_post = ranked_base));
+               ("rescan_bad", Int v2.Store.bad) ] );
+         ("degraded_root_bit_identical", Bool degraded_identical) ])
 
 (* ------------------------------------------------------------------ *)
 (* E19 — the codegen backend: kernels specialized per plan fingerprint,
@@ -1211,28 +1163,13 @@ let e19 () =
   header "e19" "Codegen backend vs plan backend (BENCH_codegen.json)";
   let module Sweep = Engine.Sweep in
   let module Native = Engine.Native in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-        Unix.rmdir path
-    | _ -> Unix.unlink path
-    | exception Unix.Unix_error _ -> ()
-  in
   if not (Native.available ()) then begin
     (* No toolchain here: the backend falls back to the plan
        interpreter (covered by tests); record that and bail. *)
     Printf.printf
       "no OCaml toolchain available: codegen falls back to the plan \
        interpreter; nothing to measure\n";
-    Out_channel.with_open_text "bench/BENCH_codegen.json" (fun oc ->
-        Out_channel.output_string oc "{\n  \"toolchain\": false\n}\n");
-    Printf.printf "wrote bench/BENCH_codegen.json\n"
+    write_json "bench/BENCH_codegen.json" (Obj [ ("toolchain", Bool false) ])
   end
   else begin
     let sweep_case (spec, dims, reps) =
@@ -1339,47 +1276,31 @@ let e19 () =
       cold_s cold_stats.Native.compiles cold_stats.Native.store_hits warm_s
       (cold_s /. warm_s)
       warm_stats.Native.compiles warm_stats.Native.store_hits;
-    let json =
-      let case_json (spec, dims, points, reps, plan_s, codegen_s, vs_plan, id)
-          =
-        Printf.sprintf
-          "    {\n\
-          \      \"stencil\": \"%s\",\n\
-          \      \"rank\": %d,\n\
-          \      \"dims\": [%s],\n\
-          \      \"points\": %d,\n\
-          \      \"reps\": %d,\n\
-          \      \"plan_s\": %.6f,\n\
-          \      \"codegen_s\": %.6f,\n\
-          \      \"speedup_vs_plan\": %.2f,\n\
-          \      \"bit_identical\": %b\n\
-          \    }"
-          spec.Stencil.Spec.name spec.Stencil.Spec.rank
-          (String.concat ", " (Array.to_list (Array.map string_of_int dims)))
-          points reps plan_s codegen_s vs_plan id
-      in
-      Printf.sprintf
-        "{\n\
-        \  \"toolchain\": true,\n\
-        \  \"sweeps\": [\n%s\n  ],\n\
-        \  \"compile_cache\": {\n\
-        \    \"cold_first_sweep_s\": %.6f,\n\
-        \    \"warm_first_sweep_s\": %.6f,\n\
-        \    \"speedup_warm\": %.2f,\n\
-        \    \"cold_compiles\": %d,\n\
-        \    \"cold_store_hits\": %d,\n\
-        \    \"warm_compiles\": %d,\n\
-        \    \"warm_store_hits\": %d\n\
-        \  }\n\
-         }\n"
-        (String.concat ",\n" (List.map case_json cases))
-        cold_s warm_s (cold_s /. warm_s) cold_stats.Native.compiles
-        cold_stats.Native.store_hits warm_stats.Native.compiles
-        warm_stats.Native.store_hits
+    let case_json (spec, dims, points, reps, plan_s, codegen_s, vs_plan, id) =
+      Json.Obj
+        [ ("stencil", String spec.Stencil.Spec.name);
+          ("rank", Int spec.Stencil.Spec.rank);
+          ("dims", ints dims);
+          ("points", Int points);
+          ("reps", Int reps);
+          ("plan_s", Float plan_s);
+          ("codegen_s", Float codegen_s);
+          ("speedup_vs_plan", Float vs_plan);
+          ("bit_identical", Bool id) ]
     in
-    Out_channel.with_open_text "bench/BENCH_codegen.json" (fun oc ->
-        Out_channel.output_string oc json);
-    Printf.printf "wrote bench/BENCH_codegen.json\n"
+    write_json "bench/BENCH_codegen.json"
+      (Obj
+         [ ("toolchain", Bool true);
+           ("sweeps", List (List.map case_json cases));
+           ( "compile_cache",
+             Obj
+               [ ("cold_first_sweep_s", Float cold_s);
+                 ("warm_first_sweep_s", Float warm_s);
+                 ("speedup_warm", Float (cold_s /. warm_s));
+                 ("cold_compiles", Int cold_stats.Native.compiles);
+                 ("cold_store_hits", Int cold_stats.Native.store_hits);
+                 ("warm_compiles", Int warm_stats.Native.compiles);
+                 ("warm_store_hits", Int warm_stats.Native.store_hits) ] ) ])
   end
 
 (* E20 — the YS6xx translation validator: cold proof cost per suite
@@ -1397,19 +1318,6 @@ let e20 () =
   let module Cert = Engine.Cert in
   let module NL = Lint.Native in
   let module Mis = Faults.Miscompile in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-        Unix.rmdir path
-    | _ -> Unix.unlink path
-    | exception Unix.Unix_error _ -> ()
-  in
   (* Every suite kernel × both layouts, with its emitted source. *)
   let corpus =
     List.concat_map
@@ -1588,57 +1496,48 @@ let e20 () =
             cert_stats.Native.validations, val_stats.Native.validations)
     end
   in
-  let json =
-    let row_json (spec, lname, ms) =
-      Printf.sprintf
-        "    {\"stencil\": \"%s\", \"layout\": \"%s\", \
-         \"validate_ms\": %.4f}"
-        spec.Stencil.Spec.name lname ms
+  let class_json cls =
+    let k, t =
+      match Hashtbl.find_opt by_class cls with
+      | Some kt -> kt
+      | None -> (0, 0)
     in
-    let class_json cls =
-      let k, t =
-        match Hashtbl.find_opt by_class cls with
-        | Some kt -> kt
-        | None -> (0, 0)
-      in
-      Printf.sprintf "    {\"class\": \"%s\", \"killed\": %d, \"total\": %d}"
-        (Mis.class_name cls) k t
-    in
-    Printf.sprintf
-      "{\n\
-      \  \"validator_version\": %d,\n\
-      \  \"kernels\": [\n%s\n  ],\n\
-      \  \"mutation\": {\n\
-      \    \"killed\": %d,\n\
-      \    \"total\": %d,\n\
-      \    \"kill_rate\": %.4f,\n\
-      \    \"by_class\": [\n%s\n    ]\n\
-      \  },\n\
-      \  \"warm_path\": %s\n\
-       }\n"
-      NL.version
-      (String.concat ",\n" (List.map row_json rows))
-      !killed !total
-      (float_of_int !killed /. float_of_int (max 1 !total))
-      (String.concat ",\n" (List.map class_json Mis.classes))
-      (match warm with
-      | None -> "{\"toolchain\": false}"
-      | Some (c, v_, g, pct, cv, vv) ->
-          Printf.sprintf
-            "{\n\
-            \    \"toolchain\": true,\n\
-            \    \"warm_certified_s\": %.6f,\n\
-            \    \"warm_validated_s\": %.6f,\n\
-            \    \"gate_s\": %.8f,\n\
-            \    \"gate_overhead_pct\": %.3f,\n\
-            \    \"certified_validations\": %d,\n\
-            \    \"uncertified_validations\": %d\n\
-            \  }"
-            c v_ g pct cv vv)
+    Json.Obj
+      [ ("class", String (Mis.class_name cls));
+        ("killed", Int k);
+        ("total", Int t) ]
   in
-  Out_channel.with_open_text "bench/BENCH_validate.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Printf.printf "wrote bench/BENCH_validate.json\n"
+  write_json "bench/BENCH_validate.json"
+    (Obj
+       [ ("validator_version", Int NL.version);
+         ( "kernels",
+           List
+             (List.map
+                (fun (spec, lname, ms) ->
+                  Json.Obj
+                    [ ("stencil", String spec.Stencil.Spec.name);
+                      ("layout", String lname);
+                      ("validate_ms", Float ms) ])
+                rows) );
+         ( "mutation",
+           Obj
+             [ ("killed", Int !killed);
+               ("total", Int !total);
+               ( "kill_rate",
+                 Float (float_of_int !killed /. float_of_int (max 1 !total)) );
+               ("by_class", List (List.map class_json Mis.classes)) ] );
+         ( "warm_path",
+           match warm with
+           | None -> Obj [ ("toolchain", Bool false) ]
+           | Some (c, v_, g, pct, cv, vv) ->
+               Obj
+                 [ ("toolchain", Bool true);
+                   ("warm_certified_s", Float c);
+                   ("warm_validated_s", Float v_);
+                   ("gate_s", Float g);
+                   ("gate_overhead_pct", Float pct);
+                   ("certified_validations", Int cv);
+                   ("uncertified_validations", Int vv) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* E21 — ECM-ranked stage fusion for stencil programs. The 16-stage
@@ -1657,11 +1556,6 @@ let e21 () =
   let p = Stencil.Suite.hdiff in
   let dims = [| 256; 256 |] in
   let config = Config.v () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let key inline = String.concat "," (List.sort compare inline) in
   let label inline = if inline = [] then "(none)" else key inline in
   let hp = P.halo_plan p in
@@ -1855,74 +1749,62 @@ let e21 () =
     wall_rows;
   Printf.printf "outputs across partitions: %s\n"
     (if bit_identical then "bit-identical" else "DIFFER");
-  let json =
-    let ints a =
-      String.concat ", " (Array.to_list (Array.map string_of_int a))
+  let strs l = Json.List (List.map (fun x -> Json.String x) l) in
+  let machine_json
+      (file, m, total, rows, pairs, concordant, meas_unfused, meas_best,
+       (best : Advisor.partition)) =
+    let row_json (inline, (e : Advisor.partition), rank, meas) =
+      Json.Obj
+        [ ("inline", strs inline);
+          ("stages", Int e.Advisor.stages);
+          ("predicted_rank", Int (rank + 1));
+          ("predicted_s", Float e.Advisor.time);
+          ("measured_s", Float meas) ]
     in
-    let strs l =
-      String.concat ", " (List.map (Printf.sprintf "%S") l)
-    in
-    let machine_json
-        (file, m, total, rows, pairs, concordant, meas_unfused, meas_best,
-         (best : Advisor.partition)) =
-      let row_json (inline, (e : Advisor.partition), rank, meas) =
-        Printf.sprintf
-          "        {\n\
-          \          \"inline\": [%s],\n\
-          \          \"stages\": %d,\n\
-          \          \"predicted_rank\": %d,\n\
-          \          \"predicted_s\": %.6f,\n\
-          \          \"measured_s\": %.6f\n\
-          \        }"
-          (strs inline) e.Advisor.stages (rank + 1) e.Advisor.time meas
-      in
-      Printf.sprintf
-        "    {\n\
-        \      \"file\": %S,\n\
-        \      \"machine\": %S,\n\
-        \      \"partitions_ranked\": %d,\n\
-        \      \"candidates\": [\n%s\n      ],\n\
-        \      \"ranking_agreement\": {\"pairs\": %d, \"concordant\": %d, \
-         \"fraction\": %.3f},\n\
-        \      \"best\": {\"inline\": [%s], \"predicted_s\": %.6f, \
-         \"measured_s\": %.6f, \"measured_speedup_vs_unfused\": %.3f}\n\
-        \    }"
-        file m.Machine.name total
-        (String.concat ",\n" (List.map row_json rows))
-        pairs concordant
-        (float_of_int concordant /. float_of_int (max 1 pairs))
-        (strs best.Advisor.inline) best.Advisor.time meas_best
-        (meas_unfused /. meas_best)
-    in
-    let wall_json (inline, (s, _)) =
-      Printf.sprintf
-        "      {\"inline\": [%s], \"seconds\": %.6f, \
-         \"speedup_vs_unfused\": %.3f}"
-        (strs inline) s (unfused_wall /. s)
-    in
-    Printf.sprintf
-      "{\n\
-      \  \"program\": \"hdiff\",\n\
-      \  \"dims\": [%s],\n\
-      \  \"scale_factor\": 8,\n\
-      \  \"machines\": [\n%s\n  ],\n\
-      \  \"wall_clock\": {\n\
-      \    \"backend\": \"plan\",\n\
-      \    \"note\": \"host interpreter is compute-bound: recomputation \
-       dominates wall clock; the memory-traffic trade-off is measured on \
-       the simulated machines above\",\n\
-      \    \"bit_identical\": %b,\n\
-      \    \"runs\": [\n%s\n    ]\n\
-      \  }\n\
-       }\n"
-      (ints dims)
-      (String.concat ",\n" (List.map machine_json per_machine))
-      bit_identical
-      (String.concat ",\n" (List.map wall_json wall_rows))
+    Json.Obj
+      [ ("file", String file);
+        ("machine", String m.Machine.name);
+        ("partitions_ranked", Int total);
+        ("candidates", List (List.map row_json rows));
+        ( "ranking_agreement",
+          Obj
+            [ ("pairs", Int pairs);
+              ("concordant", Int concordant);
+              ( "fraction",
+                Float (float_of_int concordant /. float_of_int (max 1 pairs))
+              ) ] );
+        ( "best",
+          Obj
+            [ ("inline", strs best.Advisor.inline);
+              ("predicted_s", Float best.Advisor.time);
+              ("measured_s", Float meas_best);
+              ("measured_speedup_vs_unfused", Float (meas_unfused /. meas_best))
+            ] ) ]
   in
-  Out_channel.with_open_text "bench/BENCH_fusion.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Printf.printf "wrote bench/BENCH_fusion.json\n"
+  write_json "bench/BENCH_fusion.json"
+    (Obj
+       [ ("program", String "hdiff");
+         ("dims", ints dims);
+         ("scale_factor", Int 8);
+         ("machines", List (List.map machine_json per_machine));
+         ( "wall_clock",
+           Obj
+             [ ("backend", String "plan");
+               ( "note",
+                 String
+                   "host interpreter is compute-bound: recomputation \
+                    dominates wall clock; the memory-traffic trade-off is \
+                    measured on the simulated machines above" );
+               ("bit_identical", Bool bit_identical);
+               ( "runs",
+                 List
+                   (List.map
+                      (fun (inline, (s, _)) ->
+                        Json.Obj
+                          [ ("inline", strs inline);
+                            ("seconds", Float s);
+                            ("speedup_vs_unfused", Float (unfused_wall /. s)) ])
+                      wall_rows) ) ] ) ])
 
 let all = [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
             ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);

@@ -12,10 +12,10 @@ let () =
   let args = Array.to_list Sys.argv in
   match args with
   | [ _ ] ->
-      let t0 = Sys.time () in
-      List.iter (fun (_, f) -> f ()) Experiments.all;
-      Printf.printf "\nall experiments completed in %.1f s (CPU)\n"
-        (Sys.time () -. t0)
+      let (), s =
+        Exp.time (fun () -> List.iter (fun (_, f) -> f ()) Experiments.all)
+      in
+      Printf.printf "\nall experiments completed in %.1f s\n" s
   | [ _; "--list" ] ->
       List.iter (fun (n, _) -> print_endline n) Experiments.all
   | [ _; "--micro" ] -> Micro.run ()

@@ -104,9 +104,8 @@ let welford_summary () =
       for _ = 1 to 3 do fn () done;
       let w = Ustats.welford_create () in
       for _ = 1 to runs do
-        let t0 = Unix.gettimeofday () in
-        fn ();
-        Ustats.welford_add w ((Unix.gettimeofday () -. t0) *. 1e9)
+        let (), s = Exp.time fn in
+        Ustats.welford_add w (s *. 1e9)
       done;
       Printf.printf "%-24s %12.1f ns/run  (stddev %.1f)\n" name
         (Ustats.welford_mean w) (Ustats.welford_stddev w))

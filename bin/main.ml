@@ -3,6 +3,14 @@
    rank ODE implementation variants. *)
 open Cmdliner
 open Yasksite
+module Clock = Yasksite_util.Clock
+module Json = Yasksite_util.Json
+
+(* [f ()] and its wall-clock seconds on the library's monotonic clock. *)
+let timed f =
+  let t0 = Clock.now Clock.system in
+  let r = f () in
+  (r, Clock.now Clock.system -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* Shared argument parsing                                             *)
@@ -161,29 +169,48 @@ let stats_json_arg =
   Arg.(value & flag & info [ "stats-json" ] ~doc)
 
 let stats_json_line ~cache ~store =
-  let cs = Model_cache.stats cache in
-  let store_part =
+  let cs = Model_cache.stats cache and k = Engine.Native.stats () in
+  let store_part : Json.t =
     match store with
-    | None -> "null"
+    | None -> Null
     | Some s ->
-        let ss = Store.stats s in
-        let u = Store.usage s in
-        Printf.sprintf
-          "{\"root\":%S,\"active\":%b,\"writable\":%b,\"hits\":%d,\
-           \"misses\":%d,\"writes\":%d,\"write_errors\":%d,\
-           \"quarantined\":%d,\"locks_broken\":%d,\"entries\":%d,\
-           \"bytes\":%d,\"corrupt\":%d}"
-          (Store.root s) (Store.active s) (Store.writable s) ss.Store.hits
-          ss.Store.misses ss.Store.writes ss.Store.write_errors
-          ss.Store.quarantined ss.Store.locks_broken u.Store.entries
-          u.Store.bytes u.Store.corrupt
+        let ss = Store.stats s and u = Store.usage s in
+        Obj
+          [ ("root", String (Store.root s));
+            ("active", Bool (Store.active s));
+            ("writable", Bool (Store.writable s));
+            ("hits", Int ss.Store.hits);
+            ("misses", Int ss.Store.misses);
+            ("writes", Int ss.Store.writes);
+            ("write_errors", Int ss.Store.write_errors);
+            ("quarantined", Int ss.Store.quarantined);
+            ("locks_broken", Int ss.Store.locks_broken);
+            ("entries", Int u.Store.entries);
+            ("bytes", Int u.Store.bytes);
+            ("corrupt", Int u.Store.corrupt) ]
   in
-  Printf.sprintf
-    "{\"cache\":{\"hits\":%d,\"misses\":%d,\"entries\":%d,\
-     \"store_hits\":%d,\"store_misses\":%d},\"store\":%s,\"kernels\":%s}"
-    cs.Model_cache.hits cs.Model_cache.misses cs.Model_cache.entries
-    cs.Model_cache.store_hits cs.Model_cache.store_misses store_part
-    (Engine.Native.stats_json ())
+  Json.to_string
+    (Obj
+       [ ( "cache",
+           Obj
+             [ ("hits", Int cs.Model_cache.hits);
+               ("misses", Int cs.Model_cache.misses);
+               ("entries", Int cs.Model_cache.entries);
+               ("store_hits", Int cs.Model_cache.store_hits);
+               ("store_misses", Int cs.Model_cache.store_misses) ] );
+         ("store", store_part);
+         ( "kernels",
+           Obj
+             Engine.Native.
+               [ ("compiles", Int k.compiles);
+                 ("compile_errors", Int k.compile_errors);
+                 ("store_hits", Int k.store_hits);
+                 ("loads", Int k.loads);
+                 ("load_errors", Int k.load_errors);
+                 ("fallbacks", Int k.fallbacks);
+                 ("gate_rejections", Int k.gate_rejections);
+                 ("validations", Int k.validations);
+                 ("validator_rejections", Int k.validator_rejections) ] ) ])
 
 (* The shared end-of-command summary of tune/ode: one JSON line under
    --stats-json, the familiar human cache line otherwise. *)
@@ -417,20 +444,15 @@ let parallel_sweep_demo ?(sanitize = false) k ~config pool =
     let output = fresh () in
     (inputs, output)
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let inputs_s, output_s = make () in
   let _, seq_s =
-    time (fun () ->
+    timed (fun () ->
         Engine.Sweep.run ?sanitize:(san ()) ~config k.spec ~inputs:inputs_s
           ~output:output_s)
   in
   let inputs_p, output_p = make () in
   let _, par_s =
-    time (fun () ->
+    timed (fun () ->
         Engine.Sweep.run ~pool ?sanitize:(san ()) ~config k.spec
           ~inputs:inputs_p ~output:output_p)
   in
@@ -1242,9 +1264,8 @@ let program_run_cmd =
       | l -> "fused: " ^ String.concat " " l);
     let space, inputs = program_inputs fused ~dims ~config in
     let exec pool =
-      let t0 = Unix.gettimeofday () in
-      let r = Engine.Prog.run ?pool ?backend ~config ~space fused ~inputs in
-      (r, Unix.gettimeofday () -. t0)
+      timed (fun () ->
+          Engine.Prog.run ?pool ?backend ~config ~space fused ~inputs)
     in
     let result, wall =
       match domains with
@@ -1386,18 +1407,23 @@ let store_cmd =
       let by_ns = Store.usage_by_ns s in
       if json then
         print_endline
-          (Printf.sprintf
-             "{\"root\":%S,\"active\":%b,\"writable\":%b,\"entries\":%d,\
-              \"bytes\":%d,\"corrupt\":%d,\"schemas\":[%s]}"
-             (Store.root s) (Store.active s) (Store.writable s)
-             u.Store.entries u.Store.bytes u.Store.corrupt
-             (String.concat ","
-                (List.map
-                   (fun (n : Store.ns_usage) ->
-                     Printf.sprintf
-                       "{\"ns\":%S,\"entries\":%d,\"bytes\":%d}" n.Store.ns
-                       n.Store.ns_entries n.Store.ns_bytes)
-                   by_ns)))
+          (Json.to_string
+             (Obj
+                [ ("root", String (Store.root s));
+                  ("active", Bool (Store.active s));
+                  ("writable", Bool (Store.writable s));
+                  ("entries", Int u.Store.entries);
+                  ("bytes", Int u.Store.bytes);
+                  ("corrupt", Int u.Store.corrupt);
+                  ( "schemas",
+                    List
+                      (List.map
+                         (fun (n : Store.ns_usage) ->
+                           Json.Obj
+                             [ ("ns", String n.Store.ns);
+                               ("entries", Int n.Store.ns_entries);
+                               ("bytes", Int n.Store.ns_bytes) ])
+                         by_ns) ) ]))
       else begin
         Printf.printf "root      %s\n" (Store.root s);
         Printf.printf "active    %b\n" (Store.active s);
@@ -1432,9 +1458,13 @@ let store_cmd =
       let stale = List.length (Engine.Native.stale_kernels s) in
       if json then
         print_endline
-          (Printf.sprintf
-             "{\"root\":%S,\"scanned\":%d,\"ok\":%d,\"bad\":%d,\"stale\":%d}"
-             (Store.root s) r.Store.scanned r.Store.ok r.Store.bad stale)
+          (Json.to_string
+             (Obj
+                [ ("root", String (Store.root s));
+                  ("scanned", Int r.Store.scanned);
+                  ("ok", Int r.Store.ok);
+                  ("bad", Int r.Store.bad);
+                  ("stale", Int stale) ]))
       else begin
         Printf.printf
           "verified %s: %d scanned, %d ok, %d bad (quarantined)\n"
@@ -1491,11 +1521,15 @@ let store_cmd =
       let r = Store.gc ?ns ?max_age_s:max_age ?max_size_bytes:max_size s in
       if json then
         print_endline
-          (Printf.sprintf
-             "{\"root\":%S,\"scanned\":%d,\"removed\":%d,\"kept\":%d,\
-              \"bytes_removed\":%d,\"bytes_kept\":%d,\"stale_removed\":%d}"
-             (Store.root s) r.Store.scanned r.Store.removed r.Store.kept
-             r.Store.bytes_removed r.Store.bytes_kept stale_removed)
+          (Json.to_string
+             (Obj
+                [ ("root", String (Store.root s));
+                  ("scanned", Int r.Store.scanned);
+                  ("removed", Int r.Store.removed);
+                  ("kept", Int r.Store.kept);
+                  ("bytes_removed", Int r.Store.bytes_removed);
+                  ("bytes_kept", Int r.Store.bytes_kept);
+                  ("stale_removed", Int stale_removed) ]))
       else begin
         Printf.printf
           "gc %s: %d scanned, %d removed (%d bytes), %d kept (%d bytes)\n"

@@ -481,15 +481,6 @@ let stats () =
         validations = !validations;
         validator_rejections = !validator_rejections })
 
-let stats_json () =
-  let s = stats () in
-  Printf.sprintf
-    "{\"compiles\":%d,\"compile_errors\":%d,\"store_hits\":%d,\"loads\":%d,\
-     \"load_errors\":%d,\"fallbacks\":%d,\"gate_rejections\":%d,\
-     \"validations\":%d,\"validator_rejections\":%d}"
-    s.compiles s.compile_errors s.store_hits s.loads s.load_errors s.fallbacks
-    s.gate_rejections s.validations s.validator_rejections
-
 let reset_for_tests () =
   Mutex.protect mutex (fun () ->
       Hashtbl.reset memo;

@@ -101,9 +101,6 @@ val gc_stale : Yasksite_store.Store.t -> int
 val stats : unit -> stats
 (** Process-wide kernel-cache counters. *)
 
-val stats_json : unit -> string
-(** One-line JSON object of {!stats}. *)
-
 val reset_for_tests : unit -> unit
 (** Forget everything: memo, counters, the warning latch, the toolchain
     probe and the attached store — so a test can exercise resolution

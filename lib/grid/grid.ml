@@ -135,45 +135,6 @@ let unsafe_get_flat t off = Bigarray.Array1.unsafe_get t.data off
 
 let unsafe_set_flat t off v = Bigarray.Array1.unsafe_set t.data off v
 
-let indexer1 t =
-  let h0 = t.left_pad.(0) in
-  match t.layout with
-  | Linear -> fun x -> x + h0
-  | Folded _ ->
-      let f0 = t.fold.(0) in
-      fun x ->
-        let c = x + h0 in
-        ((c / f0) * t.lanes) + (c mod f0)
-
-let indexer2 t =
-  let h0 = t.left_pad.(0) and h1 = t.left_pad.(1) in
-  match t.layout with
-  | Linear ->
-      let p1 = t.padded.(1) in
-      fun y x -> ((y + h0) * p1) + x + h1
-  | Folded _ ->
-      let f0 = t.fold.(0) and f1 = t.fold.(1) in
-      let b1 = t.blocks.(1) and lanes = t.lanes in
-      fun y x ->
-        let c0 = y + h0 and c1 = x + h1 in
-        let blk = ((c0 / f0) * b1) + (c1 / f1) in
-        (blk * lanes) + ((c0 mod f0) * f1) + (c1 mod f1)
-
-let indexer3 t =
-  let h0 = t.left_pad.(0) and h1 = t.left_pad.(1) and h2 = t.left_pad.(2) in
-  match t.layout with
-  | Linear ->
-      let p1 = t.padded.(1) and p2 = t.padded.(2) in
-      fun z y x -> ((((z + h0) * p1) + y + h1) * p2) + x + h2
-  | Folded _ ->
-      let f0 = t.fold.(0) and f1 = t.fold.(1) and f2 = t.fold.(2) in
-      let b1 = t.blocks.(1) and b2 = t.blocks.(2) and lanes = t.lanes in
-      fun z y x ->
-        let c0 = z + h0 and c1 = y + h1 and c2 = x + h2 in
-        let blk = ((((c0 / f0) * b1) + (c1 / f1)) * b2) + (c2 / f2) in
-        (blk * lanes) + ((((c0 mod f0) * f1) + (c1 mod f1)) * f2)
-        + (c2 mod f2)
-
 let left_pad t = Array.copy t.left_pad
 
 (* The flat offset of any point decomposes as

@@ -84,17 +84,6 @@ val unsafe_get_flat : t -> int -> float
 
 val unsafe_set_flat : t -> int -> float -> unit
 
-val indexer1 : t -> int -> int
-(** Flat offset of a rank-1 interior coordinate (halo range allowed); the
-    partially applied form is a closure specialised to the grid's layout,
-    suitable for hot loops. No bounds checks. *)
-
-val indexer2 : t -> int -> int -> int
-(** Rank-2 analogue of {!indexer1}; arguments ordered slowest-first. *)
-
-val indexer3 : t -> int -> int -> int -> int
-(** Rank-3 analogue of {!indexer1}; arguments ordered slowest-first. *)
-
 val left_pad : t -> int array
 (** Per-dimension left padding (the halo rounded up to a fold boundary):
     the padded coordinate of interior point [x] in dimension [i] is

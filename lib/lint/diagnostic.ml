@@ -117,45 +117,35 @@ let render_list ?src ?origin ds =
 
 (* ------------------------------------------------------------------ *)
 (* JSON rendering: a stable machine-readable schema so CI can diff
-   findings across runs. Hand-rolled (no JSON dependency); the escaping
-   covers everything our messages can contain. *)
+   findings across runs; the text itself comes from [Json]. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Yasksite_util.Json
 
-let loc_to_json ?src loc =
+let loc_to_json ?src loc : Json.t =
+  let kind k rest = Json.Obj (("kind", Json.String k) :: rest) in
   match loc with
-  | No_loc -> {|{"kind":"none"}|}
-  | Field name -> Printf.sprintf {|{"kind":"field","field":"%s"}|} (json_escape name)
-  | Line n -> Printf.sprintf {|{"kind":"line","line":%d}|} n
-  | Span { pos; stop } -> (
-      match src with
-      | None -> Printf.sprintf {|{"kind":"span","pos":%d,"stop":%d}|} pos stop
-      | Some src ->
-          let lineno, col, _ = line_of_pos src pos in
-          Printf.sprintf
-            {|{"kind":"span","pos":%d,"stop":%d,"line":%d,"col":%d}|} pos stop
-            lineno (col + 1))
+  | No_loc -> kind "none" []
+  | Field name -> kind "field" [ ("field", String name) ]
+  | Line n -> kind "line" [ ("line", Int n) ]
+  | Span { pos; stop } ->
+      let at =
+        match src with
+        | None -> []
+        | Some src ->
+            let lineno, col, _ = line_of_pos src pos in
+            [ ("line", Json.Int lineno); ("col", Int (col + 1)) ]
+      in
+      kind "span" (("pos", Json.Int pos) :: ("stop", Int stop) :: at)
 
-let to_json ?src ?(origin = "input") d =
-  Printf.sprintf
-    {|{"origin":"%s","code":"%s","severity":"%s","message":"%s","loc":%s}|}
-    (json_escape origin) (json_escape d.code)
-    (severity_label d.severity)
-    (json_escape d.message) (loc_to_json ?src d.loc)
+let finding_to_json ?src ?(origin = "input") d =
+  Json.Obj
+    [ ("origin", String origin);
+      ("code", String d.code);
+      ("severity", String (severity_label d.severity));
+      ("message", String d.message);
+      ("loc", loc_to_json ?src d.loc) ]
+
+let to_json ?src ?origin d = Json.to_string (finding_to_json ?src ?origin d)
 
 (* The rule table, rendered once for every subcommand: [yasksite lint
    --rules] in both text and JSON uses this, so the families can never
@@ -170,30 +160,33 @@ let rules_to_text rules =
     rules;
   Buffer.contents buf
 
+(* Documents keep one rule or finding per line (see
+   [Json.to_string_rows]) and end in a newline. *)
+let document members =
+  Json.to_string_rows (Obj (("version", Int 1) :: members)) ^ "\n"
+
 let rules_to_json rules =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf {|{"version":1,"rules":[|};
-  List.iteri
-    (fun i (code, sev, what) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n  {\"code\":\"%s\",\"severity\":\"%s\",\"summary\":\"%s\"}"
-           (json_escape code) (severity_label sev) (json_escape what)))
-    rules;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  document
+    [ ( "rules",
+        List
+          (List.map
+             (fun (code, sev, what) ->
+               Json.Obj
+                 [ ("code", String code);
+                   ("severity", String (severity_label sev));
+                   ("summary", String what) ])
+             rules) ) ]
 
 let report_to_json items =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf {|{"version":1,"findings":[|};
-  List.iteri
-    (fun i (origin, src, d) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf ("\n  " ^ to_json ?src ~origin d))
-    items;
   let ds = List.map (fun (_, _, d) -> d) items in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\n],\"summary\":{\"errors\":%d,\"warnings\":%d,\"hints\":%d}}\n"
-       (count Error ds) (count Warning ds) (count Hint ds));
-  Buffer.contents buf
+  document
+    [ ( "findings",
+        List
+          (List.map
+             (fun (origin, src, d) -> finding_to_json ?src ~origin d)
+             items) );
+      ( "summary",
+        Obj
+          [ ("errors", Int (count Error ds));
+            ("warnings", Int (count Warning ds));
+            ("hints", Int (count Hint ds)) ] ) ]

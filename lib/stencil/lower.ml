@@ -387,8 +387,10 @@ let point_groups b row goff scaled gscale t_coeff t_slot x =
 
 (* Host timings of this loop are sensitive to where the linker places
    it: at offset 48 mod 64 the perfbench [program] workload measured
-   25–38% slower than at offset 0, with byte-identical code. When a
-   change elsewhere moves it, check the placement
+   25–38% slower than at offset 0, with byte-identical code. Builds
+   padded to each offset read [mlups_plan] 1.8–2.1 MLUP/s at 0 mod 64,
+   2.0–2.4 at 16, 1.6–2.0 at 32 and 1.2–1.5 at 48. When a change
+   elsewhere moves it, check the placement
    ([nm _build/default/perfbench/main.exe]) before blaming the change. *)
 let point_program b row stack code x =
   let sp = ref 0 in

@@ -766,13 +766,3 @@ let stats t =
         write_errors = t.write_errors;
         quarantined = t.quarantined;
         locks_broken = t.locks_broken })
-
-let stats_json t =
-  let s = stats t in
-  Printf.sprintf
-    "{\"root\":%S,\"active\":%b,\"writable\":%b,\"hits\":%d,\"misses\":%d,\
-     \"writes\":%d,\"write_errors\":%d,\"quarantined\":%d,\
-     \"locks_broken\":%d}"
-    t.root (active t) (writable t) s.hits s.misses s.writes s.write_errors
-    s.quarantined s.locks_broken
-

@@ -173,9 +173,6 @@ type stats = {
 val stats : t -> stats
 (** This handle's counters (process-local, zero at open). *)
 
-val stats_json : t -> string
-(** One-line JSON object of {!stats} plus root/active/writable. *)
-
 val diagnostics : t -> string list
 (** Recorded degradation diagnostics, oldest first (bounded). The store
     never prints; callers decide what to surface. *)

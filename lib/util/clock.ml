@@ -10,7 +10,7 @@ let of_fun f = Fun f
 let manual ?(start = 0.0) () = Manual (ref start)
 
 let now = function
-  | System -> Sys.time ()
+  | System -> Int64.to_float (Monotonic_clock.now ()) *. 1e-9
   | Fun f -> f ()
   | Manual r -> !r
 

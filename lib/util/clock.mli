@@ -2,13 +2,17 @@
 
     Every component that accounts wall time (the measurement harness,
     the tuner's budget and backoff logic) reads time through a [Clock.t]
-    instead of calling [Sys.time] directly, so deadline and budget
+    instead of reading the system clock directly, so deadline and budget
     behaviour is testable with a deterministic clock. *)
 
 type t
 
 val system : t
-(** CPU-time clock backed by [Sys.time] — the default everywhere. *)
+(** Monotonic wall clock ([CLOCK_MONOTONIC], via bechamel's
+    [Monotonic_clock]) — the default everywhere. Unlike process CPU
+    time it does not add up across domains, so budgets and deadlines
+    checked under a pool see elapsed time. Its origin is arbitrary:
+    only differences between readings are meaningful. *)
 
 val of_fun : (unit -> float) -> t
 (** Arbitrary time source (e.g. a counter that advances on every read). *)

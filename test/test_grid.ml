@@ -58,28 +58,6 @@ let offsets_bijective =
       go 0;
       !ok)
 
-let indexers_match_offset_of =
-  QCheck.Test.make ~name:"indexerN agrees with offset_of" ~count:100
-    QCheck.small_int (fun seed ->
-      let rng, rank, dims, halo, layout = shape_of_seed seed in
-      let g = Grid.create ~halo ~layout ~dims () in
-      let ok = ref true in
-      for _ = 1 to 50 do
-        let idx =
-          Array.init rank (fun i ->
-              Prng.int rng ~bound:(dims.(i) + (2 * halo.(i))) - halo.(i))
-        in
-        let reference = Grid.offset_of g idx in
-        let fast =
-          match rank with
-          | 1 -> Grid.indexer1 g idx.(0)
-          | 2 -> Grid.indexer2 g idx.(0) idx.(1)
-          | _ -> Grid.indexer3 g idx.(0) idx.(1) idx.(2)
-        in
-        if fast <> reference then ok := false
-      done;
-      !ok)
-
 let test_fold_alignment () =
   (* The interior origin must start a fold block (YASK halo padding). *)
   let g =
@@ -174,7 +152,6 @@ let suite =
   [ Alcotest.test_case "create validation" `Quick test_create_validation;
     Alcotest.test_case "get/set roundtrip" `Quick test_get_set_roundtrip;
     qt offsets_bijective;
-    qt indexers_match_offset_of;
     Alcotest.test_case "fold alignment" `Quick test_fold_alignment;
     Alcotest.test_case "fill and iter" `Quick test_fill_and_iter;
     Alcotest.test_case "halo dirichlet" `Quick test_halo_dirichlet;

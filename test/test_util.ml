@@ -264,6 +264,85 @@ let test_clock_of_fun () =
   Alcotest.(check bool) "system clock readable" true
     (Clock.now Clock.system >= 0.0)
 
+let test_clock_system_wall () =
+  (* CPU time barely moves while the process sleeps; wall time must. *)
+  let t0 = Clock.now Clock.system in
+  Unix.sleepf 0.1;
+  let dt = Clock.now Clock.system -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "advanced %.3f s across a 0.1 s sleep" dt)
+    true (dt >= 0.09)
+
+let check_json = Alcotest.(check string)
+
+let test_json_escapes () =
+  check_json "short escapes" {|"q\"b\\s\nn\rr\tt"|}
+    (Json.to_string (String "q\"b\\s\nn\rr\tt"));
+  check_json "other control bytes" {|"\u0001\u001f\u0000"|}
+    (Json.to_string (String "\x01\x1f\x00"));
+  check_json "UTF-8 and DEL pass through" "\"caf\xc3\xa9 \x7f\""
+    (Json.to_string (String "caf\xc3\xa9 \x7f"));
+  check_json "keys escape too" {|{"a\"b":1}|}
+    (Json.to_string (Obj [ ("a\"b", Int 1) ]))
+
+let test_json_numbers () =
+  check_json "non-finite floats" "[null,null,null]"
+    (Json.to_string (List [ Float nan; Float infinity; Float neg_infinity ]));
+  check_json "finite floats"
+    "[0.1,1.5,100,-0.25,1e-07,0.3333333333333333,0.30000000000000004]"
+    (Json.to_string
+       (List
+          [ Float 0.1; Float 1.5; Float 100.0; Float (-0.25); Float 1e-7;
+            Float (1.0 /. 3.0); Float (0.1 +. 0.2) ]));
+  check_json "ints, bools, null" "[-3,true,false,null]"
+    (Json.to_string (List [ Int (-3); Bool true; Bool false; Null ]))
+
+let test_json_containers () =
+  check_json "empty list" "[]" (Json.to_string (List []));
+  check_json "empty object" "{}" (Json.to_string (Obj []));
+  check_json "nesting" {|{"a":[1,{"b":null,"c":[]}],"d":{"e":"f"}}|}
+    (Json.to_string
+       (Obj
+          [ ("a", List [ Int 1; Obj [ ("b", Null); ("c", List []) ] ]);
+            ("d", Obj [ ("e", String "f") ]) ]))
+
+let test_json_layouts () =
+  let v : Json.t =
+    Obj
+      [ ("n", Int 1);
+        ("dims", List [ Int 64; Int 64 ]);
+        ("rows", List [ Obj [ ("x", Float 0.5); ("ok", Bool true) ]; Obj [] ]);
+        ("none", List []);
+        ("sub", Obj [ ("k", String "v") ]) ]
+  in
+  check_json "indented"
+    "{\n\
+    \  \"n\": 1,\n\
+    \  \"dims\": [64, 64],\n\
+    \  \"rows\": [\n\
+    \    {\n\
+    \      \"x\": 0.5,\n\
+    \      \"ok\": true\n\
+    \    },\n\
+    \    {}\n\
+    \  ],\n\
+    \  \"none\": [],\n\
+    \  \"sub\": {\n\
+    \    \"k\": \"v\"\n\
+    \  }\n\
+     }"
+    (Json.to_string_indented v);
+  check_json "rows: top-level arrays one element per line"
+    "{\"n\":1,\"dims\":[\n\
+    \  64,\n\
+    \  64\n\
+     ],\"rows\":[\n\
+    \  {\"x\":0.5,\"ok\":true},\n\
+    \  {}\n\
+     ],\"none\":[\n\
+     ],\"sub\":{\"k\":\"v\"}}"
+    (Json.to_string_rows v)
+
 let test_gaussian () =
   let a = Prng.create ~seed:11 and b = Prng.create ~seed:11 in
   for _ = 1 to 50 do
@@ -290,6 +369,12 @@ let robust_suite =
     Alcotest.test_case "stats trimmed mean" `Quick test_trimmed_mean;
     Alcotest.test_case "clock manual" `Quick test_clock_manual;
     Alcotest.test_case "clock of_fun" `Quick test_clock_of_fun;
-    Alcotest.test_case "prng gaussian" `Quick test_gaussian ]
+    Alcotest.test_case "prng gaussian" `Quick test_gaussian;
+    Alcotest.test_case "clock system is wall time" `Quick
+      test_clock_system_wall;
+    Alcotest.test_case "json escapes" `Quick test_json_escapes;
+    Alcotest.test_case "json numbers" `Quick test_json_numbers;
+    Alcotest.test_case "json containers" `Quick test_json_containers;
+    Alcotest.test_case "json layouts" `Quick test_json_layouts ]
 
 let suite = base_suite @ extra_suite @ robust_suite
