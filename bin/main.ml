@@ -140,6 +140,14 @@ let backend_arg =
     & opt (some backend) None
     & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
+(* Apply --backend, then validate the effective backend eagerly: a bad
+   YASKSITE_BACKEND fails here with the one-line legal-backends message
+   instead of mid-measurement. (--backend, validated by the parser,
+   overrides the variable.) *)
+let apply_backend backend =
+  Option.iter Engine.Sweep.set_default_backend backend;
+  ignore (Engine.Sweep.default_backend () : Engine.Sweep.backend)
+
 (* Explicit --domains gets a private pool (shut down on the way out);
    otherwise the environment-sized shared pool is used. *)
 let with_domains domains f =
@@ -147,7 +155,7 @@ let with_domains domains f =
   | None -> f (Pool.shared ())
   | Some d -> Pool.with_pool ~domains:d f
 
-(* Tuning commands persist by default: the shared model cache spills
+(* Tuning commands persist by default: the command's model cache spills
    through the default store and safety certificates are written
    through, so a second invocation warm-starts from disk. [None] when
    YASKSITE_NO_STORE disables persistence — everything then runs
@@ -423,11 +431,7 @@ let parallel_sweep_demo ?(sanitize = false) k ~config pool =
      reuses the same virtual bases, so shadow state must not be shared. *)
   let san () = if sanitize then Some (Engine.Sanitizer.create ()) else None in
   let halo = Stencil.Analysis.halo k.info in
-  let layout =
-    match config.Config.fold with
-    | None -> Grid.Linear
-    | Some f -> Grid.Folded (Array.copy f)
-  in
+  let layout = Grid.layout_of_fold config.Config.fold in
   let make () =
     let rng = Yasksite_util.Prng.create ~seed:7 in
     let space = Grid.fresh_space () in
@@ -468,15 +472,11 @@ let run_cmd =
   let run machine scale stencil expr dims threads block fold wavefront nt
       stagger domains sanitize backend stats_json =
     protect @@ fun () ->
-    Option.iter Engine.Sweep.set_default_backend backend;
-    (* Eager backend validation: a bad YASKSITE_BACKEND fails here with
-       the one-line legal-backends message instead of mid-measurement.
-       (--backend, validated by the parser, overrides the variable.) *)
-    ignore (Engine.Sweep.default_backend () : Engine.Sweep.backend);
+    apply_backend backend;
     (* The codegen backend warm-starts from the persistent store: a
        second run of the same kernel loads the compiled .cmxs instead
        of invoking the compiler (YASKSITE_NO_STORE opts out). *)
-    let cache = Model_cache.shared in
+    let cache = Model_cache.create () in
     let store = attach_default_store cache in
     let k = or_die (build_kernel ?expr ~machine ~scale ~stencil ~dims ()) in
     let config =
@@ -547,14 +547,10 @@ let tune_cmd =
       fault_rate noise retries budget resume domains sanitize backend
       stats_json =
     protect @@ fun () ->
-    Option.iter Engine.Sweep.set_default_backend backend;
-    (* Eager backend validation: a bad YASKSITE_BACKEND fails here with
-       the one-line legal-backends message instead of mid-measurement.
-       (--backend, validated by the parser, overrides the variable.) *)
-    ignore (Engine.Sweep.default_backend () : Engine.Sweep.backend);
+    apply_backend backend;
     let k = or_die (build_kernel ?expr ~machine ~scale ~stencil ~dims ()) in
     with_domains domains @@ fun pool ->
-    let cache = Model_cache.shared in
+    let cache = Model_cache.create () in
     let store = attach_default_store cache in
     let legal = Lint.Schedule.legal k.info ~dims:k.dims in
     let ranked =
@@ -684,7 +680,7 @@ let ode_cmd =
     in
     let h = 1e-5 in
     with_domains domains @@ fun pool ->
-    let cache = Model_cache.shared in
+    let cache = Model_cache.create () in
     let store = attach_default_store cache in
     let candidates =
       Offsite.evaluate ~cache ?store ~pool m pde tab ~h ~threads
@@ -734,6 +730,51 @@ let ode_cmd =
       const run $ machine_arg $ scale_arg $ method_arg $ pde_arg $ n_arg
       $ threads_arg $ domains_arg $ stats_json_arg)
 
+let quiet_arg =
+  let doc = "Only set the exit status; print nothing." in
+  Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
+
+let format_arg =
+  let doc =
+    "Output format: $(b,text) (compiler-style, default) or $(b,json) \
+     (one stable machine-readable report for the whole run)."
+  in
+  Arg.(
+    value
+    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+    & info [ "format" ] ~docv:"FMT" ~doc)
+
+(* One lint run's reporting: text mode prints each input's findings as
+   they come; JSON mode accumulates every finding and [finish] emits one
+   report at the end. [finish] returns the exit status, 1 if any finding
+   was an error. *)
+let lint_reporter ~quiet ~format =
+  let worst = ref 0 and collected = ref [] in
+  let report ?src ~origin diagnostics =
+    worst := max !worst (Lint.exit_code diagnostics);
+    match format with
+    | `Json ->
+        List.iter
+          (fun d -> collected := (origin, src, d) :: !collected)
+          diagnostics
+    | `Text ->
+        if not quiet then
+          if diagnostics = [] then Printf.printf "%s: clean\n" origin
+          else begin
+            print_string (Lint.Diagnostic.render_list ?src ~origin diagnostics);
+            Printf.printf "%s: %s\n" origin
+              (Lint.Diagnostic.summary diagnostics)
+          end
+  in
+  let finish () =
+    (match format with
+    | `Json when not quiet ->
+        print_endline (Lint.Diagnostic.report_to_json (List.rev !collected))
+    | _ -> ());
+    !worst
+  in
+  (report, finish)
+
 let lint_cmd =
   let inputs_arg =
     let doc =
@@ -751,10 +792,6 @@ let lint_cmd =
   let rules_arg =
     let doc = "Print the rule table (code, severity, summary) and exit." in
     Arg.(value & flag & info [ "rules" ] ~doc)
-  in
-  let quiet_arg =
-    let doc = "Only set the exit status; print nothing." in
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
   in
   let schedule_arg =
     let doc =
@@ -802,16 +839,6 @@ let lint_cmd =
     let doc = "Seed for --miscompile site selection." in
     Arg.(value & opt int 42 & info [ "fault-seed" ] ~docv:"N" ~doc)
   in
-  let format_arg =
-    let doc =
-      "Output format: $(b,text) (compiler-style, default) or $(b,json) \
-       (one stable machine-readable report for the whole run)."
-    in
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc)
-  in
   let run machine dims rank rules quiet schedule plan native miscompile
       fault_seed format threads block fold wavefront nt stagger inputs =
     protect @@ fun () ->
@@ -839,26 +866,23 @@ let lint_cmd =
     in
     let dims = or_die (dims_of_string dims) in
     let rank = match rank with Some r -> r | None -> Array.length dims in
-    let worst = ref 0 in
-    (* JSON mode accumulates every finding and emits one report at the
-       end; text mode prints per input as before. *)
-    let collected = ref [] in
-    let report ?src ~origin diagnostics =
-      worst := max !worst (Lint.exit_code diagnostics);
-      match format with
-      | `Json ->
-          List.iter
-            (fun d -> collected := (origin, src, d) :: !collected)
-            diagnostics
-      | `Text ->
-          if not quiet then
-            if diagnostics = [] then Printf.printf "%s: clean\n" origin
-            else begin
-              print_string
-                (Lint.Diagnostic.render_list ?src ~origin diagnostics);
-              Printf.printf "%s: %s\n" origin
-                (Lint.Diagnostic.summary diagnostics)
-            end
+    let report, finish = lint_reporter ~quiet ~format in
+    (* --plan and --native judge the lowered plan against grids with
+       the kernel's own halo. Both proofs are extent-independent
+       (|offset| <= halo per dim), so proxy extents are as good as
+       --dims when the ranks differ. *)
+    let lowered_on_proxies spec =
+      let info = Stencil.Analysis.of_spec spec in
+      let halo = Stencil.Analysis.halo info in
+      let krank = spec.Stencil.Spec.rank in
+      let gdims =
+        if Array.length dims = krank then dims
+        else Array.init krank (fun i -> max 8 ((2 * halo.(i)) + 1))
+      in
+      let space = Grid.fresh_space () in
+      let mk () = Grid.create ~space ~halo ~dims:gdims () in
+      let inputs = Array.init spec.Stencil.Spec.n_fields (fun _ -> mk ()) in
+      (info, Stencil.Lower.lower spec, inputs, mk ())
     in
     (* When tuning flags are given, also lint the resulting configuration
        against each kernel input; the machine is only resolved then. *)
@@ -890,42 +914,13 @@ let lint_cmd =
              config)
       end;
       if plan then begin
-        let info = Stencil.Analysis.of_spec spec in
-        let p = Stencil.Lower.lower spec in
-        let halo = Stencil.Analysis.halo info in
-        let krank = spec.Stencil.Spec.rank in
-        (* Bounds are extent-independent (|offset| <= halo per dim), so
-           proxy extents are as good as --dims when the ranks differ. *)
-        let gdims =
-          if Array.length dims = krank then dims
-          else Array.init krank (fun i -> max 8 ((2 * halo.(i)) + 1))
-        in
-        let space = Grid.fresh_space () in
-        let mk () = Grid.create ~space ~halo ~dims:gdims () in
-        let inputs =
-          Array.init spec.Stencil.Spec.n_fields (fun _ -> mk ())
-        in
+        let info, p, inputs, output = lowered_on_proxies spec in
         report
           ~origin:(origin ^ " (plan)")
-          (Lint.Plan.check ~info p ~inputs ~output:(mk ()))
+          (Lint.Plan.check ~info p ~inputs ~output)
       end;
       if native then begin
-        let info = Stencil.Analysis.of_spec spec in
-        let p = Stencil.Lower.lower spec in
-        let halo = Stencil.Analysis.halo info in
-        let krank = spec.Stencil.Spec.rank in
-        (* Same proxy-extent rule as --plan: the proof is
-           extent-independent. *)
-        let gdims =
-          if Array.length dims = krank then dims
-          else Array.init krank (fun i -> max 8 ((2 * halo.(i)) + 1))
-        in
-        let space = Grid.fresh_space () in
-        let mk () = Grid.create ~space ~halo ~dims:gdims () in
-        let inputs =
-          Array.init spec.Stencil.Spec.n_fields (fun _ -> mk ())
-        in
-        let output = mk () in
+        let _, p, inputs, output = lowered_on_proxies spec in
         let v = Stencil.Codegen.variant_of ~plan:p ~inputs ~output in
         match Stencil.Codegen.source ~plan:p v with
         | Error reason ->
@@ -988,11 +983,7 @@ let lint_cmd =
              "nothing to lint (pass expressions, files or stencil names, or \
               --rules)"));
     List.iter lint_one inputs;
-    (match format with
-    | `Json when not quiet ->
-        print_endline (Lint.Diagnostic.report_to_json (List.rev !collected))
-    | _ -> ());
-    exit !worst
+    exit (finish ())
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1046,11 +1037,7 @@ let load_program input =
    fusion partition being run, so output checksums are comparable. *)
 let program_inputs (p : Stencil.Program.t) ~dims ~config =
   let hp = Stencil.Program.halo_plan p in
-  let layout =
-    match config.Config.fold with
-    | None -> Grid.Linear
-    | Some f -> Grid.Folded (Array.copy f)
-  in
+  let layout = Grid.layout_of_fold config.Config.fold in
   let space = Grid.fresh_space () in
   ( space,
     List.map
@@ -1085,44 +1072,12 @@ let program_lint_cmd =
     let doc = "Programs to lint: .prog files or suite program names." in
     Arg.(value & pos_all string [] & info [] ~docv:"PROGRAM" ~doc)
   in
-  let quiet_arg =
-    let doc = "Only set the exit status; print nothing." in
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
-  in
-  let format_arg =
-    let doc =
-      "Output format: $(b,text) (compiler-style, default) or $(b,json) \
-       (one stable machine-readable report for the whole run)."
-    in
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc)
-  in
   let run quiet format inputs =
     protect @@ fun () ->
     if inputs = [] then
       or_die
         (Error (`Msg "nothing to lint (pass .prog files or program names)"));
-    let worst = ref 0 in
-    let collected = ref [] in
-    let report ?src ~origin diagnostics =
-      worst := max !worst (Lint.exit_code diagnostics);
-      match format with
-      | `Json ->
-          List.iter
-            (fun d -> collected := (origin, src, d) :: !collected)
-            diagnostics
-      | `Text ->
-          if not quiet then
-            if diagnostics = [] then Printf.printf "%s: clean\n" origin
-            else begin
-              print_string
-                (Lint.Diagnostic.render_list ?src ~origin diagnostics);
-              Printf.printf "%s: %s\n" origin
-                (Lint.Diagnostic.summary diagnostics)
-            end
-    in
+    let report, finish = lint_reporter ~quiet ~format in
     List.iter
       (fun input ->
         if Sys.file_exists input then
@@ -1136,11 +1091,7 @@ let program_lint_cmd =
                 [ Lint.Diagnostic.errorf ~code:"YS700"
                     "no such file or suite program: %s" input ])
       inputs;
-    (match format with
-    | `Json when not quiet ->
-        print_endline (Lint.Diagnostic.report_to_json (List.rev !collected))
-    | _ -> ());
-    exit !worst
+    exit (finish ())
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1165,7 +1116,7 @@ let program_rank_cmd =
         (build_config ~block ~fold ~wavefront ~threads ~streaming_stores:nt ())
     in
     Lint.gate ~context:"program rank" (Lint.Program.program p);
-    let cache = Model_cache.shared in
+    let cache = Model_cache.create () in
     let store = attach_default_store cache in
     let ranked = Advisor.rank_partitions ~cache m p ~dims ~config in
     let unfused =
@@ -1232,8 +1183,7 @@ let program_run_cmd =
   let run machine scale input dims threads block fold nt fuse domains backend
       stats_json =
     protect @@ fun () ->
-    Option.iter Engine.Sweep.set_default_backend backend;
-    ignore (Engine.Sweep.default_backend () : Engine.Sweep.backend);
+    apply_backend backend;
     let p, _ = or_die (load_program input) in
     let dims = or_die (dims_of_string dims) in
     let config =
@@ -1241,7 +1191,7 @@ let program_run_cmd =
         (build_config ~block ~fold ~wavefront:1 ~threads ~streaming_stores:nt
            ())
     in
-    let cache = Model_cache.shared in
+    let cache = Model_cache.create () in
     let store = attach_default_store cache in
     Lint.gate ~context:"program run" (Lint.Program.program p);
     let inline =

@@ -64,43 +64,6 @@ let create ?(active_cores = 1) (m : Machine.t) =
     nt_stores = 0;
     nt_bytes = 0 }
 
-(* Deep copy for domain-parallel traced sweeps: each domain simulates
-   its slice against a private clone seeded with the shared state, and
-   the clones' counters are merged back at the barrier. *)
-let clone t =
-  { t with
-    levels = Array.map Level.copy t.levels;
-    hits = Array.copy t.hits;
-    misses = Array.copy t.misses;
-    writebacks = Array.copy t.writebacks;
-    boundary = Array.copy t.boundary }
-
-(* Add [src]'s event counts into [into]. Cache contents of [into] are
-   untouched — merging is about accounting, not coherence. *)
-let merge_counters ~into src =
-  if into.n <> src.n then invalid_arg "Hierarchy.merge_counters: level mismatch";
-  into.accesses <- into.accesses + src.accesses;
-  into.loads <- into.loads + src.loads;
-  into.stores <- into.stores + src.stores;
-  for k = 0 to into.n - 1 do
-    into.hits.(k) <- into.hits.(k) + src.hits.(k);
-    into.misses.(k) <- into.misses.(k) + src.misses.(k);
-    into.writebacks.(k) <- into.writebacks.(k) + src.writebacks.(k);
-    into.boundary.(k) <- into.boundary.(k) + src.boundary.(k)
-  done;
-  into.mem_loads <- into.mem_loads + src.mem_loads;
-  into.mem_writebacks <- into.mem_writebacks + src.mem_writebacks;
-  into.nt_stores <- into.nt_stores + src.nt_stores;
-  into.nt_bytes <- into.nt_bytes + src.nt_bytes
-
-(* Replace [into]'s cache contents with a deep copy of [src]'s, leaving
-   [into]'s counters alone. The parallel sweep uses this to leave the
-   shared hierarchy in the final state of its last slice, the best
-   stand-in for the sequential end state. *)
-let adopt_contents ~into src =
-  if into.n <> src.n then invalid_arg "Hierarchy.adopt_contents: level mismatch";
-  into.levels <- Array.map Level.copy src.levels
-
 (* Handle a line evicted from level [k], cascading outwards. *)
 let rec evicted_from t k line dirty =
   if k = t.n - 1 then begin

@@ -10,7 +10,11 @@
     All writes are write-allocate / write-back. Shared levels are
     modelled with their per-active-core share of the capacity, which is
     how the ECM layer-condition analysis treats them too, so simulator
-    and model see the same effective sizes. *)
+    and model see the same effective sizes.
+
+    A hierarchy is mutable, unsynchronised state for one core's access
+    stream in program order: drive it from one domain at a time (a
+    traced [Sweep.run] ignores its pool for this reason). *)
 
 type t
 
@@ -32,24 +36,6 @@ val create : ?active_cores:int -> Yasksite_arch.Machine.t -> t
 (** [create m] builds the hierarchy of machine [m] as seen by one core
     when [active_cores] (default 1) cores are running: each shared
     level's capacity is divided by [min active_cores shared_by]. *)
-
-val clone : t -> t
-(** Independent deep copy: cache contents (every level's tags, dirty
-    bits and LRU state) and all counters are duplicated, so a clone can
-    be driven from another domain without sharing mutable state. *)
-
-val merge_counters : into:t -> t -> unit
-(** [merge_counters ~into src] adds every event count of [src]
-    (accesses, per-level hits/misses/write-backs, boundary traffic,
-    memory traffic, streaming-store accounting) into [into]. Cache
-    {e contents} of [into] are left untouched. Raises
-    [Invalid_argument] if the hierarchies have different depths. *)
-
-val adopt_contents : into:t -> t -> unit
-(** [adopt_contents ~into src] replaces [into]'s cache {e contents} with
-    a deep copy of [src]'s, leaving [into]'s counters unchanged — the
-    complement of {!merge_counters}. Raises [Invalid_argument] on depth
-    mismatch. *)
 
 val read : t -> addr:int -> unit
 (** Issue a load of the byte at [addr]. *)

@@ -20,12 +20,6 @@ let create (spec : Cache_level.t) ~effective_size =
     stamp = Array.make (n_sets * spec.assoc) 0;
     clock = 0 }
 
-let copy t =
-  { t with
-    tags = Array.copy t.tags;
-    dirty = Bytes.copy t.dirty;
-    stamp = Array.copy t.stamp }
-
 let set_of t line = line mod t.n_sets
 
 let find_way t line =

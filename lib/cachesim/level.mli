@@ -13,10 +13,6 @@ val create : Yasksite_arch.Cache_level.t -> effective_size:int -> t
     (the per-core share of a shared level). [effective_size] must be at
     least one set's worth of lines. *)
 
-val copy : t -> t
-(** Independent deep copy: contents, dirty bits and LRU state are
-    duplicated; mutating either copy never affects the other. *)
-
 val probe : t -> line:int -> bool
 (** Lookup; refreshes LRU on hit. Does not fill. *)
 

@@ -112,8 +112,8 @@ let rank_all ?cache ?pool ?filter m (a : Analysis.t) ~dims ~threads =
   in
   rank_space ?cache ?pool m a ~dims configs
 
-let best ?cache ?pool ?filter m a ~dims ~threads =
-  match rank_all ?cache ?pool ?filter m a ~dims ~threads with
+let best ?filter m a ~dims ~threads =
+  match rank_all ?filter m a ~dims ~threads with
   | [] -> invalid_arg "Advisor.best: empty space"
   | (c, p) :: _ -> (c, p)
 

@@ -24,8 +24,6 @@ val space :
 (** Full cross product of the candidates at a fixed thread count. *)
 
 val best :
-  ?cache:Cache.t ->
-  ?pool:Yasksite_util.Pool.t ->
   ?filter:(Config.t -> bool) ->
   Yasksite_arch.Machine.t ->
   Yasksite_stencil.Analysis.t ->
@@ -33,8 +31,9 @@ val best :
   threads:int ->
   Config.t * Model.prediction
 (** Configuration with the highest predicted chip performance, with its
-    prediction. Ties break towards simpler configurations (earlier in
-    the enumeration). *)
+    prediction: the head of {!rank_all}, uncached and on one domain.
+    Ties break towards simpler configurations (earlier in the
+    enumeration). *)
 
 val rank_all :
   ?cache:Cache.t ->

@@ -50,8 +50,6 @@ let create ?(capacity = default_capacity) () =
     store_hits = 0;
     store_misses = 0 }
 
-let shared = create ()
-
 (* Canonical machine rendering for fingerprinting. Floats use %h so the
    fingerprint distinguishes every representable value. *)
 let machine_fingerprint (m : Machine.t) =

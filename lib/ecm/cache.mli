@@ -10,7 +10,10 @@
 
     The cache is a bounded LRU and is safe to share between domains
     (lookups and inserts are mutex-protected; model evaluation happens
-    outside the lock).
+    outside the lock). There is no process-wide instance: a caller that
+    wants memoization across calls creates one cache and passes it to
+    each (the CLI creates one per command; the tuner and Offsite entry
+    points default to a fresh cache per call).
 
     With a persistent store attached ({!attach_store}), a memory miss
     consults the store before evaluating the model, and computed
@@ -33,10 +36,6 @@ val create : ?capacity:int -> unit -> t
 (** [create ()] builds an empty cache evicting least-recently-used
     entries beyond [capacity] (default 65536). [capacity] must be
     >= 1. *)
-
-val shared : t
-(** A process-wide cache at the default capacity, used by the tuner and
-    Offsite paths unless told otherwise. *)
 
 val predict :
   t ->

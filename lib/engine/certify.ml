@@ -40,11 +40,7 @@ let validate_traffic ?(machine = Machine.test_chip) spec ~plan
   let halo = Analysis.halo info in
   let rank = spec.Spec.rank in
   let dims = proxy_dims ~rank ~halo ~config in
-  let layout =
-    match config.Config.fold with
-    | None -> Grid.Linear
-    | Some f -> Grid.Folded (Array.copy f)
-  in
+  let layout = Grid.layout_of_fold config.Config.fold in
   let space = Grid.fresh_space () in
   let mk () =
     let g = Grid.create ~space ~halo ~layout ~dims () in

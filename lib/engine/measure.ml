@@ -48,11 +48,7 @@ let slice_dims ~dims ~rank ~wavefront ~threads =
 let make_grids spec ~space ~dims ~config ~rng =
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
-  let layout =
-    match config.Config.fold with
-    | None -> Grid.Linear
-    | Some f -> Grid.Folded (Array.copy f)
-  in
+  let layout = Grid.layout_of_fold config.Config.fold in
   let fresh () =
     let g = Grid.create ~space ~halo ~layout ~dims () in
     Grid.fill g ~f:(fun _ -> Prng.float_range rng ~lo:(-1.0) ~hi:1.0);
@@ -67,21 +63,20 @@ let make_grids spec ~space ~dims ~config ~rng =
 (* Execute warm-up plus a measured pass; return work stats and the number
    of measured lattice updates. The kernel plan is lowered once by the
    caller and reused for every pass. *)
-let execute ?backend ?plan spec ~inputs ~output ~config ~vec_unit ~trace
-    ~sanitize =
+let execute ~plan spec ~inputs ~output ~config ~vec_unit ~trace ~sanitize =
   let wf = config.Config.wavefront in
   if wf > 1 then begin
     let a = inputs.(0) and b = output in
     (* Warm-up pass. *)
     let final, _ =
-      Wavefront.steps ?backend ?plan ~trace ?sanitize ~config ~vec_unit spec
-        ~a ~b ~steps:wf
+      Wavefront.steps ~plan ~trace ?sanitize ~config ~vec_unit spec ~a ~b
+        ~steps:wf
     in
     Hierarchy.reset_counters trace;
     let a', b' = if final == a then (a, b) else (b, a) in
     let _, stats =
-      Wavefront.steps ?backend ?plan ~trace ?sanitize ~config ~vec_unit spec
-        ~a:a' ~b:b' ~steps:wf
+      Wavefront.steps ~plan ~trace ?sanitize ~config ~vec_unit spec ~a:a'
+        ~b:b' ~steps:wf
     in
     stats
   end
@@ -89,18 +84,16 @@ let execute ?backend ?plan spec ~inputs ~output ~config ~vec_unit ~trace
     (* Warm-up sweep, then a measured ping-pong pass (two sweeps). *)
     let swap_input = Array.copy inputs in
     let _ =
-      Sweep.run ?backend ?plan ~trace ?sanitize ~config ~vec_unit spec
-        ~inputs ~output
+      Sweep.run ~plan ~trace ?sanitize ~config ~vec_unit spec ~inputs ~output
     in
     Hierarchy.reset_counters trace;
     swap_input.(0) <- output;
     let s1 =
-      Sweep.run ?backend ?plan ~trace ?sanitize ~config ~vec_unit spec
+      Sweep.run ~plan ~trace ?sanitize ~config ~vec_unit spec
         ~inputs:swap_input ~output:inputs.(0)
     in
     let s2 =
-      Sweep.run ?backend ?plan ~trace ?sanitize ~config ~vec_unit spec
-        ~inputs ~output
+      Sweep.run ~plan ~trace ?sanitize ~config ~vec_unit spec ~inputs ~output
     in
     Sweep.add_stats s1 s2
   end
@@ -114,8 +107,8 @@ let sanitize_default () =
   | None | Some "" | Some "0" -> false
   | Some _ -> true
 
-let stencil_sweep ?(clock = Clock.system) ?backend ?sanitize (m : Machine.t)
-    spec ~dims ~config =
+let stencil_sweep ?(clock = Clock.system) ?sanitize (m : Machine.t) spec ~dims
+    ~config =
   let sanitize =
     match sanitize with Some s -> s | None -> sanitize_default ()
   in
@@ -158,7 +151,7 @@ let stencil_sweep ?(clock = Clock.system) ?backend ?sanitize (m : Machine.t)
   if sanitize && Cert.enabled () then
     ignore (Certify.ensure ~machine:m ~plan spec ~inputs ~output ~config);
   let stats =
-    execute ?backend ~plan spec ~inputs ~output ~config ~vec_unit ~trace
+    execute ~plan spec ~inputs ~output ~config ~vec_unit ~trace
       ~sanitize:sanitizer
   in
   let points = stats.Sweep.points in
@@ -231,6 +224,6 @@ let stencil_sweep ?(clock = Clock.system) ?backend ?sanitize (m : Machine.t)
     sim_points = points;
     wall_seconds = Clock.now clock -. t0 }
 
-let lups_at_threads ?clock m spec ~dims ~config ~threads =
+let lups_at_threads m spec ~dims ~config ~threads =
   let c = { config with Config.threads } in
-  (stencil_sweep ?clock m spec ~dims ~config:c).lups_chip
+  (stencil_sweep m spec ~dims ~config:c).lups_chip

@@ -34,7 +34,6 @@ type t = {
 
 val stencil_sweep :
   ?clock:Yasksite_util.Clock.t ->
-  ?backend:Sweep.backend ->
   ?sanitize:bool ->
   Yasksite_arch.Machine.t ->
   Yasksite_stencil.Spec.t ->
@@ -46,7 +45,9 @@ val stencil_sweep :
     the grids in the configured layout, runs a warm-up pass, then
     measures one ping-pong pass (or one wavefront pass of the configured
     depth). Only the representative core's slice is simulated, so the
-    cost is independent of the thread count.
+    cost is independent of the thread count. The sweeps run on
+    {!Sweep.default_backend}; both backends trace identically, so the
+    backend changes only the harness's own speed.
 
     [sanitize] threads every access of the run through a fresh
     fail-fast shadow-memory {!Sanitizer}: a legal schedule measures
@@ -57,7 +58,6 @@ val stencil_sweep :
     an entire suite shadow-checked. *)
 
 val lups_at_threads :
-  ?clock:Yasksite_util.Clock.t ->
   Yasksite_arch.Machine.t ->
   Yasksite_stencil.Spec.t ->
   dims:int array ->

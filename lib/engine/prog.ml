@@ -15,11 +15,10 @@ type result = {
   stages : stage_run list;
 }
 
-let run ?pool ?backend ?(check = true) ?(config = Config.default) ?space
-    (p : Program.t) ~inputs =
-  if check then
-    Lint.gate ~context:"Prog.run"
-      (Lint.Program.program p @ Lint.Program.grids p ~inputs);
+let run ?pool ?backend ?(config = Config.default) ?space (p : Program.t)
+    ~inputs =
+  Lint.gate ~context:"Prog.run"
+    (Lint.Program.program p @ Lint.Program.grids p ~inputs);
   let order =
     match Program.topo p with
     | Ok o -> o
@@ -31,11 +30,7 @@ let run ?pool ?backend ?(check = true) ?(config = Config.default) ?space
     | (_, g) :: _ -> Grid.dims g
     | [] -> invalid_arg "Prog.run: a program needs at least one input grid"
   in
-  let layout =
-    match config.Config.fold with
-    | None -> Grid.Linear
-    | Some f -> Grid.Folded (Array.copy f)
-  in
+  let layout = Grid.layout_of_fold config.Config.fold in
   let env = Hashtbl.create 16 in
   List.iter (fun (name, g) -> Hashtbl.replace env name g) inputs;
   let lookup name =
@@ -59,8 +54,8 @@ let run ?pool ?backend ?(check = true) ?(config = Config.default) ?space
         let spec = Program.stage_spec p s in
         let grids = Array.map lookup s.Program.reads in
         let stats =
-          Sweep.run ?pool ?backend ~check ~config ~extend:ext spec
-            ~inputs:grids ~output
+          Sweep.run ?pool ?backend ~config ~extend:ext spec ~inputs:grids
+            ~output
         in
         Hashtbl.replace env sname output;
         { stage = sname; stats })

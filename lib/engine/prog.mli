@@ -31,7 +31,6 @@ type result = {
 val run :
   ?pool:Yasksite_util.Pool.t ->
   ?backend:Sweep.backend ->
-  ?check:bool ->
   ?config:Yasksite_ecm.Config.t ->
   ?space:Yasksite_grid.Grid.space ->
   Yasksite_stencil.Program.t ->
@@ -47,13 +46,14 @@ val run :
     different spaces may overlap and the aliasing gate (YS403) would
     then reject a perfectly disjoint run.
 
-    [check] (default [true]) gates on the full program lint
+    Every run gates on the full program lint
     ({!Yasksite_lint.Lint.Program}: the YS7xx DAG rules, per-stage
     kernel rules, and the YS704 halo-sufficiency judgement of the
-    supplied grids) and leaves each stage's own schedule gate on;
-    [~check:false] skips both. Raises [Lint.Gate_error] on lint
-    errors, [Invalid_argument] on structurally unusable input (cyclic
-    or non-closed program with [~check:false], empty [inputs]).
+    supplied grids), and each stage's sweep keeps its own schedule
+    gate. Raises [Lint.Gate_error] on lint errors (a cyclic or
+    non-closed program, a missing or too-thin input grid), and
+    [Invalid_argument] on empty [inputs] for a program that declares
+    none.
 
     [pool], [backend] and [config] are passed through to every stage's
     {!Sweep.run}; pooled execution keeps the sequential bit-identity

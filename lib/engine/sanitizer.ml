@@ -88,17 +88,18 @@ type t = {
   mutable trap_list : trap list; (* newest first *)
   mutable n_traps : int;
   fail_fast : bool;
-  limit : int;
   front_counter : int Atomic.t;
 }
 
-let create ?(fail_fast = true) ?(limit = 64) () =
+(* Traps kept for reporting; the count keeps growing past it. *)
+let trap_limit = 64
+
+let create ?(fail_fast = true) () =
   { registry = Hashtbl.create 8;
     mutex = Mutex.create ();
     trap_list = [];
     n_traps = 0;
     fail_fast;
-    limit;
     front_counter = Atomic.make 0 }
 
 let record t kind ~grid ~coord detail =
@@ -108,7 +109,7 @@ let record t kind ~grid ~coord detail =
   in
   Mutex.protect t.mutex (fun () ->
       t.n_traps <- t.n_traps + 1;
-      if t.n_traps <= t.limit then t.trap_list <- trap :: t.trap_list);
+      if t.n_traps <= trap_limit then t.trap_list <- trap :: t.trap_list);
   (* Out-of-bounds must stop the engine before its unchecked access
      touches memory outside the allocation, whatever the mode. *)
   if t.fail_fast || kind = Out_of_bounds then raise (Trap trap)

@@ -52,10 +52,10 @@ exception Trap of trap
 
 type t
 
-val create : ?fail_fast:bool -> ?limit:int -> unit -> t
+val create : ?fail_fast:bool -> unit -> t
 (** A fresh sanitizer. [fail_fast] (default [true]) raises {!Trap} on
-    the first violation; otherwise traps are collected (up to [limit],
-    default 64 — the count keeps growing past it) and execution
+    the first violation; otherwise traps are collected (up to 64 — the
+    count keeps growing past it) and execution
     continues, except for out-of-bounds accesses which always raise. *)
 
 val register : ?halo:[ `Static | `Snapshot | `Uninit ] -> t -> Grid.t -> unit
@@ -130,8 +130,7 @@ val end_wavefront : t -> final:Grid.t -> other:Grid.t -> final_version:int -> un
 val trap_count : t -> int
 
 val traps : t -> trap list
-(** Collected traps, oldest first (at most the [limit] given to
-    {!create}). *)
+(** Collected traps, oldest first (at most 64). *)
 
 val diagnostics : t -> Yasksite_lint.Diagnostic.t list
 (** The collected traps as YS45x error diagnostics. *)

@@ -168,7 +168,12 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
   let backend = match backend with Some b -> b | None -> default_backend () in
   let bound =
     match bound with
-    | Some b -> b
+    | Some b ->
+        (* A bound's tables address the grids it was made for; any other
+           grids would be read and written through them unchecked. *)
+        if not (Lower.bound_to b ~inputs ~output) then
+          invalid_arg "Sweep.run_region: bound was made for other grids";
+        b
     | None -> Lower.bind (Lower.lower spec) ~inputs ~output
   in
   let drv = Lower.driver bound in
@@ -345,7 +350,7 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
    have a single block column and run sequentially — spatial blocking
    is what creates the parallelism, exactly as it creates the
    per-thread partition on the modelled machine. *)
-let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
+let run ?pool ?backend ?plan ?trace ?sanitize ?(check = true) ?config
     ?vec_unit ?extend spec ~inputs ~output =
   let cfg = match config with Some c -> c | None -> Config.default in
   check_extend ~rank:(Grid.rank output) extend;
@@ -362,14 +367,8 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
     Lint.gate ~context:"Sweep.run"
       (Schedule_lint.grids ?extend (Analysis.of_spec spec) cfg ~inputs ~output);
   let backend = match backend with Some b -> b | None -> default_backend () in
-  (* A passed bound carries its plan, so callers that sweep repeatedly
-     lower once. *)
-  let plan =
-    match (bound, plan) with
-    | Some b, _ -> Lower.plan_of b
-    | None, Some p -> p
-    | None, None -> Lower.lower spec
-  in
+  (* A passed plan lets callers that sweep repeatedly lower once. *)
+  let plan = match plan with Some p -> p | None -> Lower.lower spec in
   (* Certified fast path: a sanitized, gate-checked sweep whose
      (plan x layout x halo x blocking) tuple holds a safety certificate
      skips the per-point shadow checks — the certificate proves no
@@ -395,11 +394,9 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
         Array.iter (Sanitizer.check_fold san ~fold:cfg.Config.fold) inputs;
         Some (Sanitizer.begin_sweep san ~inputs ~output)
   in
-  (* Bind once; the bound is immutable and shared by every pool slice
-     (each slice allocates its own driver). *)
-  let bound =
-    match bound with Some b -> b | None -> Lower.bind plan ~inputs ~output
-  in
+  (* Bind once, to the grids the gate checked; the bound is immutable and
+     shared by every pool slice (each slice allocates its own driver). *)
+  let bound = Lower.bind plan ~inputs ~output in
   let slice_of s =
     if certified then None
     else Option.map (fun p -> Sanitizer.slice p s) pass
@@ -411,8 +408,12 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
   let pd = if rank = 1 then 0 else 1 in
   let bsize = block.(pd) in
   let nblocks = ceil_div (dims.(pd) + (2 * ext.(pd))) bsize in
+  (* A traced sweep runs on one domain: the hierarchy is a single
+     core's sequential view, so its counts are the sequential sweep's. *)
   let nslices =
-    match pool with Some p -> min (Pool.size p) nblocks | None -> 1
+    match (pool, trace) with
+    | Some p, None -> min (Pool.size p) nblocks
+    | _ -> 1
   in
   let bounds s =
     (* Slice [s] owns block columns [nblocks*s/nslices,
@@ -427,7 +428,7 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
     hi.(pd) <- min (dims.(pd) + ext.(pd)) (-ext.(pd) + (b1 * bsize));
     (lo, hi)
   in
-  let region ?trace s =
+  let region s =
     let lo, hi = bounds s in
     run_region ~backend ~bound ?trace ?sanitize:(slice_of s) ~check:false
       ?config ?vec_unit ?extend spec ~inputs ~output ~lo ~hi
@@ -436,29 +437,10 @@ let run ?pool ?backend ?plan ?bound ?trace ?sanitize ?(check = true) ?config
     match pool with
     | Some pool when nslices >= 2 ->
         let out = Array.make nslices zero_stats in
-        (match trace with
-        | None ->
-            Pool.parallel_for ~chunk:1 pool ~n:nslices (fun s ->
-                out.(s) <- region s)
-        | Some h ->
-            (* Each slice simulates against a private clone of the shared
-               hierarchy's current state, counting only its own events;
-               the clones' counters are merged at the barrier and the last
-               slice's contents adopted (the nearest sequential-end
-               state). Slice boundaries depend only on the pool width, so
-               the merged counts are deterministic for a given width. *)
-            let clones =
-              Array.init nslices (fun _ ->
-                  let c = Hierarchy.clone h in
-                  Hierarchy.reset_counters c;
-                  c)
-            in
-            Pool.parallel_for ~chunk:1 pool ~n:nslices (fun s ->
-                out.(s) <- region ~trace:clones.(s) s);
-            Array.iter (fun c -> Hierarchy.merge_counters ~into:h c) clones;
-            Hierarchy.adopt_contents ~into:h clones.(nslices - 1));
+        Pool.parallel_for ~chunk:1 pool ~n:nslices (fun s ->
+            out.(s) <- region s);
         Array.fold_left add_stats zero_stats out
-    | _ -> region ?trace 0
+    | _ -> region 0
   in
   (match pass with
   | Some p ->

@@ -66,7 +66,6 @@ val run :
   ?pool:Yasksite_util.Pool.t ->
   ?backend:backend ->
   ?plan:Yasksite_stencil.Plan.t ->
-  ?bound:Yasksite_stencil.Lower.bound ->
   ?trace:Yasksite_cachesim.Hierarchy.t ->
   ?sanitize:Sanitizer.t ->
   ?check:bool ->
@@ -90,22 +89,19 @@ val run :
 
     [backend] selects the execution backend (default
     {!default_backend}). [plan] supplies an already-lowered kernel plan
-    (callers that sweep repeatedly lower once) and [bound] an
-    already-bound plan for these exact grids, whose plan then wins over
-    [plan] — both are computed on demand when absent.
+    (callers that sweep repeatedly lower once; lowered on demand when
+    absent). The sweep always binds the plan to [inputs] and [output],
+    the grids the gate below checks.
 
     With [pool], the sweep is split along the blocked dimension at
     block boundaries and slices run on the pool's domains. Output
     values and the returned stats are bit-identical to the sequential
     sweep (slices write disjoint regions and cover the same loop
-    structure; a shared bound is reused across slices). A traced
-    parallel sweep drives one {e clone} of the hierarchy per slice and
-    merges their event counts back at the barrier (the hierarchy then
-    holds the last slice's contents) — counts are deterministic for a
-    given pool width but, unlike the output, can differ from the
-    sequential trace because slices don't see each other's cache state.
-    Unblocked configs have one block column and run sequentially:
-    spatial blocking is what creates the parallelism.
+    structure; one bound is shared across slices). A traced sweep
+    ignores [pool] and runs on one domain: the hierarchy is one core's
+    view of the sweep in program order, so its counts are exactly the
+    sequential sweep's. Unblocked configs have one block column and run
+    sequentially: spatial blocking is what creates the parallelism.
 
     [check] (default [true]) runs the schedule-legality gate
     ({!Yasksite_lint.Schedule_lint.grids}: halo sufficiency, aliasing,
@@ -160,4 +156,10 @@ val run_region :
     slice's view of an enclosing sanitizer pass. [extend] widens the
     legal region to [[-ext, dims+ext)] (see {!run}); a checked
     extended region additionally passes the full grids gate, proving
-    the halos can hold the extension. *)
+    the halos can hold the extension.
+
+    [bound] reuses a plan already bound to these grids (the wavefront
+    driver binds each ping-pong direction once for all its planes). It
+    must have been made for exactly [inputs] and [output]
+    ({!Yasksite_stencil.Lower.bound_to}); any other bound raises
+    [Invalid_argument], whatever [check] says. *)

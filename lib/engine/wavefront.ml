@@ -5,11 +5,9 @@ module Lower = Yasksite_stencil.Lower
 module Config = Yasksite_ecm.Config
 module Lint = Yasksite_lint.Lint
 module Schedule_lint = Yasksite_lint.Schedule_lint
-module D = Yasksite_lint.Diagnostic
 
 let steps ?backend ?plan ?trace ?sanitize ?(check = true)
-    ?(config = Config.default) ?vec_unit ?lo ?hi (spec : Spec.t) ~a ~b ~steps
-    =
+    ?(config = Config.default) ?vec_unit (spec : Spec.t) ~a ~b ~steps =
   let dims = Grid.dims a in
   let info = Analysis.of_spec spec in
   (* Precondition failures surface as YS4xx diagnostics through
@@ -23,15 +21,6 @@ let steps ?backend ?plan ?trace ?sanitize ?(check = true)
     in
     Lint.gate ~context:"Wavefront.steps" (Schedule_lint.dedup ds)
   end;
-  let rank = Array.length dims in
-  let lo = match lo with None -> Array.make rank 0 | Some l -> Array.copy l in
-  let hi = match hi with None -> Array.copy dims | Some h -> Array.copy h in
-  if check && (lo.(0) <> 0 || hi.(0) <> dims.(0)) then
-    Lint.gate ~context:"Wavefront.steps"
-      [ D.errorf ~code:"YS406"
-          "the streamed dimension must stay full: fronts travel through \
-           planes [0..%d), got [%d..%d)"
-          dims.(0) lo.(0) hi.(0) ];
   let shift = Schedule_lint.effective_stagger info config in
   let n0 = dims.(0) in
   let grids = [| a; b |] in
@@ -86,7 +75,7 @@ let steps ?backend ?plan ?trace ?sanitize ?(check = true)
      very front produced). *)
   let update_plane ~abs_t ~front z =
     let src = grids.(abs_t mod 2) and dst = grids.((abs_t + 1) mod 2) in
-    let plo = Array.copy lo and phi = Array.copy hi in
+    let plo = Array.make (Array.length dims) 0 and phi = Array.copy dims in
     plo.(0) <- z;
     phi.(0) <- z + 1;
     let sanitize =

@@ -23,8 +23,6 @@ val steps :
   ?check:bool ->
   ?config:Yasksite_ecm.Config.t ->
   ?vec_unit:int array ->
-  ?lo:int array ->
-  ?hi:int array ->
   Yasksite_stencil.Spec.t ->
   a:Yasksite_grid.Grid.t ->
   b:Yasksite_grid.Grid.t ->
@@ -34,11 +32,10 @@ val steps :
     timesteps using wavefront depth [config.wavefront] (1 = plane-by-
     plane, equivalent to consecutive sweeps) and returns the grid holding
     the final state ([a] if [steps] is even, [b] otherwise) along with
-    accumulated work stats. [lo]/[hi] restrict the non-streamed
-    dimensions (thread partition); the streamed dimension's range must
-    stay full. Both grids must share dims and have halos covering the
-    stencil radius; halos of {e both} grids must be pre-filled and are
-    kept static.
+    accumulated work stats. Every step updates the whole interior,
+    plane by plane along the streamed dimension. Both grids must share
+    dims and have halos covering the stencil radius; halos of {e both}
+    grids must be pre-filled and are kept static.
 
     The per-step plane shift is the config's [wavefront_stagger] when
     set (the engine-safe default is radius+1). [check] (default [true])

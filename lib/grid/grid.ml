@@ -1,5 +1,7 @@
 type layout = Linear | Folded of int array
 
+let layout_of_fold = function None -> Linear | Some f -> Folded (Array.copy f)
+
 type t = {
   dims : int array;
   halo : int array;

@@ -20,6 +20,10 @@ type layout =
   | Folded of int array
       (** fold extent per dimension; the product is the SIMD block size *)
 
+val layout_of_fold : int array option -> layout
+(** The layout a configuration's optional fold describes: [None] is
+    [Linear], [Some f] is [Folded] over a copy of [f]. *)
+
 type t
 
 type space

@@ -13,12 +13,8 @@ type compiled = {
   (* Input buffers that are read at non-zero offsets and therefore need a
      halo refresh before the kernel runs (periodic problems only). *)
   halo_inputs : Variant.buffer list;
-  (* The kernel's lowered plan (computed once at creation) and its
-     bindings, memoized per physical grid combination: the state/next
-     ping-pong means each kernel only ever sees a couple of
-     combinations, so every step after the first two reuses a bound. *)
+  (* The kernel's lowered plan, computed once at creation. *)
   plan : Kplan.t;
-  mutable bounds : (int list * Lower.bound) list;
 }
 
 type t = {
@@ -93,8 +89,7 @@ let create (pde : Pde.t) (variant : Variant.t) =
         { kernel = k;
           halo_inputs =
             List.map (fun f -> k.Variant.inputs.(f)) fields_at_offsets;
-          plan = Lower.lower k.Variant.spec;
-          bounds = [] })
+          plan = Lower.lower k.Variant.spec })
       variant.Variant.kernels
   in
   let t = { pde; variant; state; next_state; others; kernels; steps_done = 0 } in
@@ -136,24 +131,9 @@ let step t =
       List.iter (refresh_halo t) c.halo_inputs;
       let inputs = Array.map (grid_of t) c.kernel.Variant.inputs in
       let output = grid_of t c.kernel.Variant.output in
-      (* Physical identity of the grid combination: the ping-pong swap
-         changes which grids the buffers resolve to, not the buffers
-         themselves. *)
-      let key =
-        Grid.base_address output
-        :: Array.to_list (Array.map Grid.base_address inputs)
-      in
-      let bound =
-        match List.assoc_opt key c.bounds with
-        | Some b -> b
-        | None ->
-            let b = Lower.bind c.plan ~inputs ~output in
-            c.bounds <- (key, b) :: c.bounds;
-            b
-      in
       (* [create] proved these grids legal once; skip the per-step gate. *)
       ignore
-        (Sweep.run ~backend ~bound ~check:false c.kernel.Variant.spec
+        (Sweep.run ~backend ~plan:c.plan ~check:false c.kernel.Variant.spec
            ~inputs ~output
           : Sweep.stats))
     t.kernels;
@@ -178,14 +158,14 @@ type run_report = {
 }
 
 let run_resilient ?(faults = Yasksite_faults.Plan.none)
-    ?(policy = Yasksite_faults.Policy.default)
-    ?(clock = Yasksite_util.Clock.system) t ~steps =
+    ?(policy = Yasksite_faults.Policy.default) t ~steps =
   let module Plan = Yasksite_faults.Plan in
   let module Policy = Yasksite_faults.Policy in
   let module Retry = Yasksite_faults.Retry in
-  let t0 = Yasksite_util.Clock.now clock in
+  let module Clock = Yasksite_util.Clock in
+  let t0 = Clock.now Clock.system in
   let charged = ref 0.0 in
-  let vnow () = Yasksite_util.Clock.now clock +. !charged in
+  let vnow () = Clock.now Clock.system +. !charged in
   let sleep d = charged := !charged +. d in
   let deadline = t0 +. policy.Policy.pass_budget_s in
   let inj = Plan.injector faults in

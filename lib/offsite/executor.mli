@@ -35,7 +35,6 @@ type run_report = {
 val run_resilient :
   ?faults:Yasksite_faults.Plan.t ->
   ?policy:Yasksite_faults.Policy.t ->
-  ?clock:Yasksite_util.Clock.t ->
   t ->
   steps:int ->
   run_report
@@ -43,7 +42,9 @@ val run_resilient :
     transient failure or simulated timeout fires {e before} the step's
     kernels execute, so retrying is always safe (the state advances
     exactly once per completed step). Retries, backoff and budgets follow
-    [policy]; with the default fault-free plan this is exactly {!run}.
+    [policy]; the pass budget is wall time on
+    {!Yasksite_util.Clock.system} plus the charged backoff and timeout
+    time. With the default fault-free plan this is exactly {!run}.
     Deterministic for a fixed [faults.seed]. *)
 
 val state : t -> Yasksite_grid.Grid.t

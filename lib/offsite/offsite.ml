@@ -36,7 +36,7 @@ let memo_key m (info : Analysis.t) ~dims ~threads =
     (String.concat "x" (Array.to_list (Array.map string_of_int dims)))
     threads
 
-let best_static_config ?(cache = Cache.shared) ?store ?pool m info ~dims
+let best_static_config ?(cache = Cache.create ()) ?store ?pool m info ~dims
     ~threads =
   let warm =
     match store with
@@ -77,7 +77,7 @@ let best_static_config ?(cache = Cache.shared) ?store ?pool m info ~dims
             (Config.to_string best));
       best
 
-let score ?(cache = Cache.shared) ?store ?pool m (pde : Pde.t)
+let score ?(cache = Cache.create ()) ?store ?pool m (pde : Pde.t)
     (variant : Variant.t) ~threads ~tuned =
   let dims = pde.Pde.dims in
   let points = float_of_int (Array.fold_left ( * ) 1 dims) in
@@ -106,7 +106,7 @@ let score ?(cache = Cache.shared) ?store ?pool m (pde : Pde.t)
     measured_step_seconds =
       List.fold_left (fun acc (_, _, _, s) -> acc +. s) 0.0 per_kernel }
 
-let evaluate_variants ?(cache = Cache.shared) ?store ?pool m pde variants
+let evaluate_variants ?(cache = Cache.create ()) ?store ?pool m pde variants
     ~threads =
   let jobs =
     List.concat_map (fun v -> [ (v, false); (v, true) ]) variants
@@ -126,10 +126,8 @@ let evaluate_variants ?(cache = Cache.shared) ?store ?pool m pde variants
     (fun a b -> compare a.predicted_step_seconds b.predicted_step_seconds)
     candidates
 
-let evaluate_mixed ?cache ?store ?pool m pde tab ~h ~threads =
-  evaluate_variants ?cache ?store ?pool m pde
-    (Variant.all_mixed tab pde ~h)
-    ~threads
+let evaluate_mixed m pde tab ~h ~threads =
+  evaluate_variants m pde (Variant.all_mixed tab pde ~h) ~threads
 
 let evaluate ?cache ?store ?pool m pde tab ~h ~threads =
   evaluate_variants ?cache ?store ?pool m pde (Variant.all tab pde ~h) ~threads

@@ -41,16 +41,14 @@ val evaluate :
   candidate list
 (** All four candidates ({unfused, fused} x {naive, tuned}), sorted by
     predicted time, fastest first. ECM model evaluations are memoized
-    in [cache] (default {!Yasksite_ecm.Cache.shared}) — variants share
-    kernels, so repeated rankings hit; candidates are scored on
+    in [cache] (default: a fresh cache for this call) — variants share
+    kernels, so repeated rankings hit, and a cache passed to several
+    calls carries its entries across them; candidates are scored on
     [pool]'s domains when given; [store] additionally persists
     per-kernel tuning memos (see {!best_static_config}). None of the
     three changes the result. *)
 
 val evaluate_mixed :
-  ?cache:Yasksite_ecm.Cache.t ->
-  ?store:Yasksite_store.Store.t ->
-  ?pool:Yasksite_util.Pool.t ->
   Yasksite_arch.Machine.t ->
   Yasksite_ode.Pde.t ->
   Yasksite_ode.Tableau.t ->
@@ -60,7 +58,7 @@ val evaluate_mixed :
 (** Like {!evaluate} but over the full per-stage fusion-mask space
     ({!Variant.all_mixed}) x {naive, tuned} — the richer variant set the
     real Offsite enumerates (2^s x 2 candidates for an s-stage
-    method). *)
+    method), on a fresh model cache, one domain and no store. *)
 
 type quality = {
   kendall : float;  (** rank correlation predicted vs measured times *)

@@ -155,9 +155,9 @@ let fused (tab : Tableau.t) (pde : Pde.t) ~h =
 
 let all tab pde ~h = [ unfused tab pde ~h; fused tab pde ~h ]
 
-let all_mixed ?(max_stages = 4) (tab : Tableau.t) pde ~h =
+let all_mixed (tab : Tableau.t) pde ~h =
   let s = tab.Tableau.s in
-  if s > max_stages then all tab pde ~h
+  if s > 4 then all tab pde ~h
   else begin
     (* Stages with empty coefficient rows have no fusion decision; fix
        their mask bit to avoid duplicate variants. *)

@@ -61,12 +61,10 @@ val all : Yasksite_ode.Tableau.t -> Yasksite_ode.Pde.t -> h:float -> t list
 (** Both pure schemes. *)
 
 val all_mixed :
-  ?max_stages:int ->
   Yasksite_ode.Tableau.t ->
   Yasksite_ode.Pde.t ->
   h:float ->
   t list
 (** Every fusion mask (2^s variants, de-duplicated: stages with an empty
     coefficient row have no axpy to fuse). Only for methods with at most
-    [max_stages] (default 4) stages; larger methods fall back to
-    {!all}. *)
+    4 stages; larger methods fall back to {!all}. *)

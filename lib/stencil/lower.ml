@@ -504,3 +504,12 @@ let store_row drv xb xe =
             (drv.out_row + Array.unsafe_get b.out_tab (x + b.out_lp))
             (point_program b row stack code x)
         done
+
+(* Defined after the hot functions above so that it does not shift their
+   code placement (see [point_program]). *)
+let bound_to b ~inputs ~output =
+  b.output == output
+  && Array.length inputs = b.plan.Plan.n_fields
+  && Array.for_all2
+       (fun (a : Expr.access) g -> g == inputs.(a.field))
+       b.plan.Plan.accesses b.slot_grid

@@ -39,6 +39,15 @@ val bind :
 
 val plan_of : bound -> Plan.t
 
+val bound_to :
+  bound -> inputs:Yasksite_grid.Grid.t array ->
+  output:Yasksite_grid.Grid.t -> bool
+(** [bound_to b ~inputs ~output] holds iff [b] was bound to exactly
+    these grids: [output] is physically the bound's output, and each
+    access slot's grid is physically [inputs.(field)]. A bound used with
+    any other grids would address memory through tables made for
+    different extents and halos. *)
+
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type raw = {

@@ -36,7 +36,7 @@ type result = {
   wall_seconds : float;
 }
 
-let tune_analytic ?(cache = Cache.shared) ?pool ?(clock = Clock.system)
+let tune_analytic ?(cache = Cache.create ()) ?pool ?(clock = Clock.system)
     ?(sanitize = false) m spec ~dims ~threads =
   let t0 = Clock.now clock in
   Lint.gate ~context:"Tuner.tune_analytic" (Lint.Kernel.spec spec);
@@ -113,7 +113,7 @@ let jitter_seed_salt = 0x5DEECE66
 let checkpoint_ns = "ckpt-v1"
 
 let tune_empirical ?space ?(faults = Plan.none) ?(policy = Policy.default)
-    ?(clock = Clock.system) ?checkpoint ?store ?pool ?(cache = Cache.shared)
+    ?(clock = Clock.system) ?checkpoint ?store ?pool ?(cache = Cache.create ())
     ?(sanitize = false) m spec ~dims ~threads =
   let t0 = Clock.now clock in
   Lint.gate ~context:"Tuner.tune_empirical" (Lint.Kernel.spec spec);
@@ -449,11 +449,9 @@ type comparison = {
   quality : float;
 }
 
-let compare_strategies ?space ?faults ?policy ?pool m spec ~dims ~threads =
-  let analytic = tune_analytic ?pool m spec ~dims ~threads in
-  let empirical =
-    tune_empirical ?space ?faults ?policy ?pool m spec ~dims ~threads
-  in
+let compare_strategies ?space ?faults ?policy m spec ~dims ~threads =
+  let analytic = tune_analytic m spec ~dims ~threads in
+  let empirical = tune_empirical ?space ?faults ?policy m spec ~dims ~threads in
   { analytic;
     empirical;
     cost_ratio =

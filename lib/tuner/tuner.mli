@@ -67,7 +67,7 @@ val tune_analytic :
   result
 (** Rank the full advisor space with the ECM model, then run one
     validation measurement of the winner. Model evaluations are
-    memoized in [cache] (default {!Yasksite_ecm.Cache.shared}) and
+    memoized in [cache] (default: a fresh cache for this call) and
     spread over [pool]'s domains when given; neither changes the
     result.
 
@@ -129,9 +129,9 @@ val tune_empirical :
     mid-flight), and once one candidate misses the deadline it and all
     later candidates are reported as budget skips. With non-binding
     budgets the two paths are bit-identical. A [pool]ed sweep requires a domain-safe [clock]
-    (the default system clock is). [cache] (default
-    {!Yasksite_ecm.Cache.shared}) memoizes the analytic fallback's
-    model evaluations. *)
+    (the default system clock is). [cache] (default: a fresh cache
+    for this call) memoizes the analytic fallback's model
+    evaluations. *)
 
 type comparison = {
   analytic : result;
@@ -149,7 +149,6 @@ val compare_strategies :
   ?space:Yasksite_ecm.Config.t list ->
   ?faults:Yasksite_faults.Plan.t ->
   ?policy:Yasksite_faults.Policy.t ->
-  ?pool:Yasksite_util.Pool.t ->
   Yasksite_arch.Machine.t ->
   Yasksite_stencil.Spec.t ->
   dims:int array ->
@@ -157,4 +156,5 @@ val compare_strategies :
   comparison
 (** Run both tuners on the same kernel and summarise the trade-off; the
     fault plan and policy apply to the empirical side only (the analytic
-    tuner's single validation run is taken as trusted). *)
+    tuner's single validation run is taken as trusted). Both run on one
+    domain. *)

@@ -21,7 +21,8 @@ let bounds series =
       let xmin, xmax = widen xmin xmax and ymin, ymax = widen ymin ymax in
       (xmin, xmax, ymin, ymax)
 
-let line ?(width = 64) ?(height = 18) ~title ~x_label ~y_label series =
+let line ~title ~x_label ~y_label series =
+  let width = 64 and height = 18 in
   let xmin, xmax, ymin, ymax = bounds series in
   let cells = Array.make_matrix height width ' ' in
   let plot_x x =
@@ -66,7 +67,8 @@ let line ?(width = 64) ?(height = 18) ~title ~x_label ~y_label series =
     series;
   Buffer.contents buf
 
-let bars ?(width = 50) ~title entries =
+let bars ~title entries =
+  let width = 50 in
   let vmax =
     List.fold_left
       (fun acc (_, v) ->

@@ -8,18 +8,11 @@
 type series = { label : string; points : (float * float) array }
 
 val line :
-  ?width:int ->
-  ?height:int ->
-  title:string ->
-  x_label:string ->
-  y_label:string ->
-  series list ->
-  string
-(** Multi-series scatter/line chart. Each series is drawn with its own
-    glyph; a legend maps glyphs to labels. Axes are linear and
-    auto-scaled over all series. *)
+  title:string -> x_label:string -> y_label:string -> series list -> string
+(** Multi-series scatter/line chart, 64 columns by 18 rows of plot area.
+    Each series is drawn with its own glyph; a legend maps glyphs to
+    labels. Axes are linear and auto-scaled over all series. *)
 
-val bars :
-  ?width:int -> title:string -> (string * float) list -> string
-(** Horizontal bar chart: one labelled bar per entry, scaled to the
-    maximum value. Values must be non-negative. *)
+val bars : title:string -> (string * float) list -> string
+(** Horizontal bar chart, bars up to 50 columns: one labelled bar per
+    entry, scaled to the maximum value. Values must be non-negative. *)

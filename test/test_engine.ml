@@ -4,6 +4,7 @@ module Hierarchy = Yasksite_cachesim.Hierarchy
 module Spec = Yasksite_stencil.Spec
 module Analysis = Yasksite_stencil.Analysis
 module Suite = Yasksite_stencil.Suite
+module Lower = Yasksite_stencil.Lower
 module Gen = Yasksite_stencil.Gen
 module Config = Yasksite_ecm.Config
 module Sweep = Yasksite_engine.Sweep
@@ -252,6 +253,32 @@ let test_region_stats () =
   in
   Alcotest.(check int) "region points" 30 s.Sweep.points
 
+let test_run_region_foreign_bound () =
+  (* A bound's tables address the grids it was bound to, so a bound
+     passed with any other grids is refused rather than swept. The grids
+     share one shape: without the check, the sweep would write the
+     bound's output and leave [~output] untouched, corrupting nothing. *)
+  let spec = Suite.resolve_defaults Suite.heat_2d_5pt in
+  let rng = Prng.create ~seed:13 in
+  let halo = [| 1; 1 |] and dims = [| 6; 6 |] in
+  let a = make_grid ~halo ~dims rng in
+  let b = make_grid ~halo ~dims rng in
+  let o1 = Grid.create ~halo ~dims () and o2 = Grid.create ~halo ~dims () in
+  let bound = Lower.bind (Lower.lower spec) ~inputs:[| a |] ~output:o1 in
+  let refused ~inputs ~output =
+    match
+      Sweep.run_region ~bound spec ~inputs ~output ~lo:[| 0; 0 |] ~hi:dims
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "other output refused" true
+    (refused ~inputs:[| a |] ~output:o2);
+  Alcotest.(check bool) "other input refused" true
+    (refused ~inputs:[| b |] ~output:o1);
+  Alcotest.(check bool) "own grids swept" false
+    (refused ~inputs:[| a |] ~output:o1)
+
 
 
 
@@ -291,6 +318,8 @@ let extra_suite =
     Alcotest.test_case "measure rome victim" `Quick test_measure_rome_victim_path;
     Alcotest.test_case "multifield sweep" `Quick test_multifield_sweep;
     Alcotest.test_case "region stats" `Quick test_region_stats;
+    Alcotest.test_case "run_region refuses a foreign bound" `Quick
+      test_run_region_foreign_bound;
     Alcotest.test_case "streaming store sweep" `Quick
       test_streaming_store_sweep ]
 

@@ -137,34 +137,43 @@ let test_parallel_sweep_untraced () =
   Alcotest.(check int) "rows" stats_s.Sweep.rows stats_p.Sweep.rows;
   Alcotest.(check int) "blocks" stats_s.Sweep.blocks stats_p.Sweep.blocks
 
+let counters =
+  Alcotest.testable
+    (fun ppf (c : Hierarchy.counters) ->
+      let ints a =
+        String.concat "/" (Array.to_list (Array.map string_of_int a))
+      in
+      Format.fprintf ppf
+        "accesses %d (%d loads, %d stores), hits %s, misses %s, \
+         writebacks %s, memory %d loads %d writebacks, nt %d stores %d lines"
+        c.accesses c.loads c.stores (ints c.hits) (ints c.misses)
+        (ints c.writebacks) c.mem_loads c.mem_writebacks c.nt_stores
+        c.nt_lines)
+    ( = )
+
 let test_parallel_sweep_traced () =
+  (* A traced sweep given a pool runs on one domain, so every counter of
+     the hierarchy, per level, is the sequential sweep's. *)
   let spec, config, make = sweep_setup (Config.v ~block:[| 0; 8 |] ()) in
   let inputs_s, out_s = make () in
   let trace_s = Hierarchy.create ~active_cores:1 machine in
   let stats_s =
     Sweep.run ~trace:trace_s ~config spec ~inputs:inputs_s ~output:out_s
   in
-  let run_traced () =
-    Pool.with_pool ~domains:4 @@ fun pool ->
-    let inputs_p, out_p = make () in
-    let trace = Hierarchy.create ~active_cores:1 machine in
-    let stats =
-      Sweep.run ~pool ~trace ~config spec ~inputs:inputs_p ~output:out_p
-    in
-    (out_p, stats, (Hierarchy.counters trace).Hierarchy.accesses)
+  Pool.with_pool ~domains:4 @@ fun pool ->
+  let inputs_p, out_p = make () in
+  let trace_p = Hierarchy.create ~active_cores:1 machine in
+  let stats_p =
+    Sweep.run ~pool ~trace:trace_p ~config spec ~inputs:inputs_p ~output:out_p
   in
-  let out_p, stats_p, accesses_p = run_traced () in
-  let _, _, accesses_p2 = run_traced () in
   Alcotest.(check (float 0.0)) "traced outputs bit-identical" 0.0
     (Grid.max_abs_diff out_s out_p);
   Alcotest.(check int) "stats equal sequential" stats_s.Sweep.points
     stats_p.Sweep.points;
   Alcotest.(check int) "vec units equal sequential" stats_s.Sweep.vec_units
     stats_p.Sweep.vec_units;
-  (* Merged event totals are conserved and deterministic per width. *)
-  Alcotest.(check int) "every access merged"
-    ((Hierarchy.counters trace_s).Hierarchy.accesses) accesses_p;
-  Alcotest.(check int) "merged counts deterministic" accesses_p accesses_p2
+  Alcotest.check counters "counters equal sequential"
+    (Hierarchy.counters trace_s) (Hierarchy.counters trace_p)
 
 let test_parallel_sweep_sanitized () =
   (* The shadow-memory sanitizer observes every read and write of the
