@@ -828,7 +828,7 @@ let lint_cmd =
        emitted source before validation, to demonstrate (or CI-check) \
        that the validator rejects it. Classes: coeff-perturb, \
        swap-assoc, offset-off-by-one, drop-term, wrong-slot, \
-       point-row-diverge, rename-registration."
+       rename-registration."
     in
     Arg.(
       value

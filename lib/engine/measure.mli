@@ -29,7 +29,10 @@ type t = {
   lups_chip : float;  (** LUP/s at [config.threads] with contention *)
   flops_chip : float;
   sim_points : int;  (** lattice updates actually simulated *)
-  wall_seconds : float;  (** harness CPU cost (tuning-cost accounting) *)
+  wall_seconds : float;
+      (** seconds the measurement took on [?clock], wall time on the
+          default {!Yasksite_util.Clock.system} (tuning-cost
+          accounting) *)
 }
 
 val stencil_sweep :

@@ -43,7 +43,7 @@ val kern_for :
   plan:Yasksite_stencil.Plan.t ->
   inputs:Yasksite_grid.Grid.t array ->
   output:Yasksite_grid.Grid.t ->
-  Yasksite_stencil.Codegen.kern option
+  Yasksite_stencil.Codegen.kern_row option
 (** The compiled kernel for [plan] specialized to these grids' variant,
     or [None] when the codegen path is unavailable for any reason (see
     the degraded-mode contract above). Safe to call from pool slices;

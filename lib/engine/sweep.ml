@@ -4,7 +4,6 @@ module Spec = Yasksite_stencil.Spec
 module Analysis = Yasksite_stencil.Analysis
 module Plan = Yasksite_stencil.Plan
 module Lower = Yasksite_stencil.Lower
-module Codegen = Yasksite_stencil.Codegen
 module Expr = Yasksite_stencil.Expr
 module Config = Yasksite_ecm.Config
 module Pool = Yasksite_util.Pool
@@ -122,12 +121,11 @@ let check_region ~extend ~dims ~lo ~hi =
   Lint.gate ~context:"Sweep.run_region" ds
 
 (* All ranks route through the plan driver for addressing: row bases are
-   set once per row ([Lower.set_row]) and the inner x-loop walks the
-   row through the bound's precomputed last-dimension tables. On
-   instrumented runs the codegen backend only swaps the point
-   evaluator — tracing, sanitizing and output addressing are shared,
-   which is what keeps the two backends' traces and traps identical by
-   construction. *)
+   set once per row ([Lower.set_row]) and each row block is one row call
+   through the bound's precomputed last-dimension tables. The codegen
+   backend only swaps that row call — tracing and sanitizing are issued
+   by the driver before it, which is what keeps the two backends'
+   traces and traps identical by construction. *)
 
 let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
     ?(config = Config.default) ?vec_unit ?extend spec ~inputs ~output ~lo ~hi =
@@ -190,10 +188,26 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
         Native.kern_for ~plan:(Lower.plan_of bound) ~inputs ~output
     | Plan_backend -> None
   in
-  (* Shadow checks run per point *before* any evaluation or address
-     computation, so an out-of-bounds trap fires ahead of the driver's
-     unchecked table access. Scratch coordinate arrays are safe to
-     reuse: the sanitizer copies on record. *)
+  (* One row call evaluates and stores the row block: the compiled
+     unit's own row loop, driven by the same bound storage and row bases
+     as the interpreter's, or the interpreter's. *)
+  let store_row =
+    match kern with
+    | Some k ->
+        let rw = Lower.raw_of bound in
+        let row = Lower.driver_row drv in
+        fun xb xe ->
+          k rw.Lower.r_slot_data rw.Lower.r_slot_tab rw.Lower.r_out_data
+            rw.Lower.r_out_tab row (Lower.driver_out_row drv) xb xe
+    | None -> Lower.store_row drv
+  in
+  (* Instrumented runs first issue, point by point, each point's shadow
+     checks and then its traced reads (in access-table order) and its
+     write, and only then make the row call. So both backends give the
+     simulator one stream, each point's reads before its write, and an
+     out-of-bounds trap fires before any point of the row is evaluated
+     or written. Scratch coordinate arrays are safe to reuse: the
+     sanitizer copies on record. *)
   let sanitize_point =
     match sanitize with
     | None -> None
@@ -221,60 +235,28 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
             wc.(rank - 1) <- x;
             write wc)
   in
+  let trace_point =
+    match trace with
+    | None -> None
+    | Some h ->
+        let store = if nt then Hierarchy.write_nt h else Hierarchy.write h in
+        Some
+          (fun x ->
+            for s = 0 to nslots - 1 do
+              Hierarchy.read h ~addr:(Lower.read_addr drv s x)
+            done;
+            store ~addr:(Lower.out_addr drv x))
+  in
   let row_body =
-    match (trace, sanitize_point, kern) with
-    | None, None, Some k ->
-        (* the generated hot path: the compiled unit's own row loop,
-           driven by the same bound storage and row bases as the
-           interpreter's *)
-        let rw = Lower.raw_of bound in
-        let row = Lower.driver_row drv in
-        fun (_ : int array) xb xe ->
-          k.Codegen.row rw.Lower.r_slot_data rw.Lower.r_slot_tab
-            rw.Lower.r_out_data rw.Lower.r_out_tab row
-            (Lower.driver_out_row drv) xb xe
-    | None, None, None ->
-        (* the hot path: one monomorphic loop inside the driver *)
-        fun (_ : int array) xb xe -> Lower.store_row drv xb xe
+    match (sanitize_point, trace_point) with
+    | None, None -> fun (_ : int array) xb xe -> store_row xb xe
     | _ ->
-        let eval =
-          match kern with
-          | Some k ->
-              (* instrumented codegen runs: the generated point
-                 evaluator under the driver's addressing, so traces,
-                 traps and output placement stay shared with the
-                 interpreter *)
-              let rw = Lower.raw_of bound in
-              let row = Lower.driver_row drv in
-              fun x ->
-                k.Codegen.point rw.Lower.r_slot_data rw.Lower.r_slot_tab row x
-          | None -> Lower.eval drv
-        in
-        let traced =
-          match trace with
-          | None -> None
-          | Some h ->
-              let store =
-                if nt then Hierarchy.write_nt h else Hierarchy.write h
-              in
-              Some (h, store)
-        in
         fun outer xb xe ->
           for x = xb to xe - 1 do
             (match sanitize_point with Some f -> f outer x | None -> ());
-            match traced with
-            | Some (h, store) ->
-                for s = 0 to nslots - 1 do
-                  Hierarchy.read h ~addr:(Lower.read_addr drv s x)
-                done;
-                let v = eval x in
-                let o = Lower.out_offset drv x in
-                store ~addr:(Lower.out_addr drv x);
-                Grid.unsafe_set_flat output o v
-            | None ->
-                let v = eval x in
-                Grid.unsafe_set_flat output (Lower.out_offset drv x) v
-          done
+            match trace_point with Some f -> f x | None -> ()
+          done;
+          store_row xb xe
   in
   let points = ref 0 and vec_units = ref 0 and rows = ref 0 and blocks = ref 0 in
   (match rank with

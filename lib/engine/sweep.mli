@@ -11,16 +11,17 @@
 
     Two execution {!type-backend}s share this schedule. The default
     [Plan_backend] binds the stencil's kernel plan
-    ({!Yasksite_stencil.Lower}) to the grids once and drives row-hoisted,
-    table-addressed inner loops with no per-point closure dispatch;
+    ({!Yasksite_stencil.Lower}) to the grids once and evaluates each row
+    block with one row call, a chunk of points per dispatch;
     [Codegen_backend] runs a natively compiled specialization of the
     plan ({!Yasksite_stencil.Codegen} emitted, {!Native} built and
     cached), falling back to the plan interpreter with a one-line
     warning whenever a kernel cannot be resolved (no toolchain, rejected
     or unsupported plan, failed compile). Both backends produce
     bit-identical output grids, traces and sanitizer verdicts (the plan
-    driver supplies addressing throughout; property-tested against an
-    independent tree-walking evaluator) — including when driven
+    driver supplies addressing throughout, and traced or sanitized runs
+    issue each point's checks and accesses before the row call;
+    property-tested against an independent tree-walking evaluator) — including when driven
     stage-by-stage by the {!Prog} executor over a multi-stage stencil
     program, under every fusion partition. *)
 
@@ -153,7 +154,9 @@ val run_region :
     wavefronts. [check] (default [true]) verifies the region stays
     inside the iteration space and the extents agree, raising
     [Lint.Gate_error] (YS406/YS409) otherwise; [sanitize] is one
-    slice's view of an enclosing sanitizer pass. [extend] widens the
+    slice's view of an enclosing sanitizer pass. Each row block is
+    checked whole before it is evaluated, so a trap leaves that row
+    block of [output] unwritten. [extend] widens the
     legal region to [[-ext, dims+ext)] (see {!run}); a checked
     extended region additionally passes the full grids gate, proving
     the halos can hold the extension.

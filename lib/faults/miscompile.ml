@@ -18,7 +18,6 @@ type cls =
   | Offset_off_by_one  (* nudge one address shift by ±1 *)
   | Drop_term  (* drop the trailing term of a sum *)
   | Wrong_slot  (* read a different data handle or row base *)
-  | Point_row_diverge  (* mutate kern_point only, leave kern_row intact *)
   | Rename_registration  (* register under a non-ABI name *)
 
 let classes =
@@ -27,7 +26,6 @@ let classes =
     Offset_off_by_one;
     Drop_term;
     Wrong_slot;
-    Point_row_diverge;
     Rename_registration ]
 
 let class_name = function
@@ -36,7 +34,6 @@ let class_name = function
   | Offset_off_by_one -> "offset-off-by-one"
   | Drop_term -> "drop-term"
   | Wrong_slot -> "wrong-slot"
-  | Point_row_diverge -> "point-row-diverge"
   | Rename_registration -> "rename-registration"
 
 let class_of_name s =
@@ -51,7 +48,6 @@ let expected_code = function
   | Offset_off_by_one -> "YS604"
   | Drop_term -> "YS603"
   | Wrong_slot -> "YS605"
-  | Point_row_diverge -> "YS609"
   | Rename_registration -> "YS610"
 
 (* ------------------------------------------------------------------ *)
@@ -137,37 +133,24 @@ let slot_site flavor = function
 
 (* ------------------------------------------------------------------ *)
 
-let mutate_exprs rng f (ast : NL.unit_ast) ~both =
+let mutate_expr rng f (ast : NL.unit_ast) =
   let sites = count_sites f ast.NL.row_expr in
   if sites = 0 then None
   else
     let site = Prng.int rng ~bound:sites in
-    if both then
-      Some
-        { ast with
-          NL.row_expr = rewrite_site f ~site ast.NL.row_expr;
-          NL.point_expr = rewrite_site f ~site ast.NL.point_expr }
-    else
-      Some { ast with NL.point_expr = rewrite_site f ~site ast.NL.point_expr }
+    Some { ast with NL.row_expr = rewrite_site f ~site ast.NL.row_expr }
 
 let mutate_ast rng cls (ast : NL.unit_ast) =
   match cls with
-  | Coeff_perturb -> mutate_exprs rng coeff_site ast ~both:true
-  | Swap_assoc -> mutate_exprs rng assoc_site ast ~both:true
+  | Coeff_perturb -> mutate_expr rng coeff_site ast
+  | Swap_assoc -> mutate_expr rng assoc_site ast
   | Offset_off_by_one ->
       let delta = if Prng.bool rng then 1 else -1 in
-      mutate_exprs rng (offset_site delta) ast ~both:true
-  | Drop_term -> mutate_exprs rng drop_site ast ~both:true
+      mutate_expr rng (offset_site delta) ast
+  | Drop_term -> mutate_expr rng drop_site ast
   | Wrong_slot ->
       let flavor = Prng.int rng ~bound:2 in
-      mutate_exprs rng (slot_site flavor) ast ~both:true
-  | Point_row_diverge ->
-      (* a real divergence miscompile: the scalar entry point drifts
-         while the row loop stays correct *)
-      let f e =
-        match coeff_site e with Some _ as r -> r | None -> offset_site 1 e
-      in
-      mutate_exprs rng f ast ~both:false
+      mutate_expr rng (slot_site flavor) ast
   | Rename_registration ->
       Some { ast with NL.reg_name = ast.NL.reg_name ^ "-stale" }
 

@@ -22,8 +22,6 @@ type cls =
   | Offset_off_by_one  (** nudge one address shift by ±1 (YS604) *)
   | Drop_term  (** drop the trailing term of a sum (YS603) *)
   | Wrong_slot  (** read a different data handle or row base (YS605) *)
-  | Point_row_diverge
-      (** mutate [kern_point] only, leave [kern_row] intact (YS609) *)
   | Rename_registration  (** register under a non-ABI name (YS610) *)
 
 val classes : cls list

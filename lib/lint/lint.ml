@@ -103,8 +103,7 @@ let rules =
                                  bounds");
     ("YS608", Diagnostic.Error, "output addressing disagrees with the \
                                  variant (pad or stride mode)");
-    ("YS609", Diagnostic.Error, "kern_point and kern_row compute different \
-                                 expressions");
+    (* YS609 is retired (units hold one kernel); never reuse the code. *)
     ("YS610", Diagnostic.Error, "kernel registration name/ABI mismatch");
     ("YS611", Diagnostic.Error, "prelude binds the wrong source slot");
     ("YS612", Diagnostic.Error, "plan cannot be symbolically evaluated for \

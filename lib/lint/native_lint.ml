@@ -21,9 +21,8 @@
      YS5xx-certified halo of the grid it reads (YS607);
    - the surrounding unit: prelude bindings name the slots the body
      uses (YS611/YS600), the output loop matches the variant's
-     out-pad/unit-stride mode (YS608), [kern_point] and [kern_row]
-     compute the same expression (YS609), and the kernel registers
-     under the ABI-versioned callback name of its own key (YS610).
+     out-pad/unit-stride mode (YS608), and the kernel registers under
+     the ABI-versioned callback name of its own key (YS610).
 
    The validator is pure (no compiler, no execution); Engine.Native
    runs it on every resolution -- memo-cold, store-revived or freshly
@@ -40,8 +39,9 @@ module Grid = Yasksite_grid.Grid
 (* Bump whenever the rules or the accepted grammar change: the native
    certificate embeds this, so stale verdicts are re-proved.
    v2: compare-select ops (Float.min/Float.max/if-select) joined the
-   accepted grammar. *)
-let version = 2
+   accepted grammar.
+   v3: a unit holds and registers its row kernel alone. *)
+let version = 3
 
 let dedup = Schedule_lint.dedup
 
@@ -400,26 +400,6 @@ let check ~(plan : Plan.t) ~(variant : Codegen.variant) ~inputs src =
           in
           let acc = diff_binds ~where:"kern_row" exp_binds ast.row_binds acc in
           let acc = diff_out ~where:"kern_row" exp_out ast.row_out acc in
-          let acc =
-            diff_binds ~where:"kern_point" exp_binds ast.point_binds acc
-          in
-          let acc =
-            if eq_expr ast.point_expr ast.row_expr then acc
-            else
-              err "YS609"
-                "kern_point and kern_row compute different expressions (%s \
-                 vs %s)"
-                (short ast.point_expr) (short ast.row_expr)
-              :: acc
-          in
-          let acc =
-            (* when point and row diverge, row was validated above; give
-               the point body its own verdict too *)
-            if eq_expr ast.point_expr ast.row_expr then acc
-            else
-              halo_bounds ~where:"kern_point body" plan ~inputs ast.point_expr
-                (diff ~where:"kern_point body" exp_expr ast.point_expr acc)
-          in
           let expected_name =
             Codegen.callback_name (Codegen.key ~plan variant)
           in

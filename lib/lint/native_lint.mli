@@ -35,8 +35,6 @@
       outside the YS5xx-certified halo of the grid it reads;
     - [YS608] — output addressing (left pad or unit-stride mode)
       disagrees with the variant;
-    - [YS609] — [kern_point] and [kern_row] compute different
-      expressions;
     - [YS610] — the unit registers under the wrong ABI-versioned
       callback name for its own key;
     - [YS611] — a prelude binding names the wrong source slot;

@@ -173,9 +173,7 @@ let to_ivp t ~t_end =
         r := !r / t.dims.(i)
       done;
       Lower.set_row drv outer;
-      for x = 0 to nx - 1 do
-        dydt.((row * nx) + x) <- Lower.eval drv x
-      done
+      Lower.eval_row drv 0 nx dydt (row * nx)
     done
   in
   let y0 = Array.make points 0.0 in

@@ -5,16 +5,16 @@ module Grid = Yasksite_grid.Grid
    unrolled, with every coefficient, last-dimension shift and pad folded
    into literals — no per-point dispatch, no table indirection on
    unit-stride grids. The unit depends on nothing but the stdlib, so a
-   host can [Dynlink] it without sharing any cmi; the kernel pair is
+   host can [Dynlink] it without sharing any cmi; the row kernel is
    published through [Callback.register] under an ABI-versioned name.
 
    Bit-identity contract: every expression below replays the exact
    IEEE-754 operation sequence of the plan interpreter (Lower):
 
    - a term is [v], [(-. v)] or [(c *. v)] by the same [1.0]/[-1.0]
-     coefficient tests [Lower.term_val] applies;
+     coefficient tests the interpreter applies;
    - group sums and the group chain are emitted as left-associated
-     [+.] chains, the order [Lower.point_groups] folds them in;
+     [+.] chains, the order the interpreter folds them in;
    - a group's scale multiplies {e after} its sum, as the interpreter
      does;
    - a postfix [Program] body is reconstructed into the nested
@@ -45,11 +45,7 @@ type kern_row =
   int ->
   unit
 
-type kern_point = farr array -> int array array -> int array -> int -> float
-
-type kern = { row : kern_row; point : kern_point }
-
-let abi = 1
+let abi = 2
 
 type variant = {
   slot_shift : int array;
@@ -231,12 +227,6 @@ let source ~(plan : Plan.t) v =
       "type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) \
        Bigarray.Array1.t\n\n";
     Buffer.add_string b
-      "let kern_point (slot_data : farr array) (slot_tab : int array array)\n\
-      \    (row : int array) (x : int) : float =\n";
-    prelude b used v;
-    Printf.bprintf b "  ignore slot_data; ignore slot_tab; ignore row; ignore x;\n";
-    Printf.bprintf b "  (%s)\n\n" expr;
-    Buffer.add_string b
       "let kern_row (slot_data : farr array) (slot_tab : int array array)\n\
       \    (out : farr) (out_tab : int array) (row : int array) (out_row : \
        int)\n\
@@ -259,7 +249,7 @@ let source ~(plan : Plan.t) v =
         (int_lit v.out_lp) expr;
       Buffer.add_string b "  done\n\n"
     end;
-    Printf.bprintf b "let () = Callback.register %S (kern_row, kern_point)\n"
+    Printf.bprintf b "let () = Callback.register %S kern_row\n"
       (callback_name k);
     Buffer.contents b
   with

@@ -39,11 +39,11 @@
     {2 ABI}
 
     The generated unit depends only on the stdlib — no cmi of this
-    code base is shared with it — and publishes [(kern_row, kern_point)]
-    through [Callback.register] under {!callback_name}, which embeds
-    {!abi}. The host retrieves the pair through [caml_named_value] and
-    casts to {!kern}; bumping {!abi} whenever {!type-kern_row} or
-    {!type-kern_point} changes is what keeps that cast sound. *)
+    code base is shared with it — and publishes [kern_row] through
+    [Callback.register] under {!callback_name}, which embeds {!abi}.
+    The host retrieves it through [caml_named_value] and casts to
+    {!type-kern_row}; bumping {!abi} whenever what the unit registers
+    changes is what keeps that cast sound. *)
 
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -63,18 +63,15 @@ type kern_row =
     per-slot flat row bases and [out_row] the output's (both computed
     by the caller's {!Lower.driver}); the tables are only read for
     slots the variant marks non-unit-stride. No bounds checks — the
-    caller gates regions exactly as for the interpreter. *)
-
-type kern_point = farr array -> int array array -> int array -> int -> float
-(** [kern_point slot_data slot_tab row x]: one point's value — the
-    generated counterpart of {!Lower.eval}, used on traced and
-    sanitized paths where addressing and checks stay with the driver. *)
-
-type kern = { row : kern_row; point : kern_point }
+    caller gates regions exactly as for the interpreter; traced and
+    sanitized sweeps issue each point's checks and trace events before
+    the call. *)
 
 val abi : int
-(** ABI version of the kernel signatures above, embedded in
-    {!callback_name}. Bump on any signature change. *)
+(** ABI version of what a unit registers, embedded in
+    {!callback_name} and in compiled payloads. Bump on any change to it.
+    Version 2 registers {!type-kern_row} alone; version 1 registered a
+    pair of functions. *)
 
 type variant = {
   slot_shift : int array;
@@ -100,7 +97,7 @@ val key : plan:Plan.t -> variant -> string
 
 val callback_name : string -> string
 (** [callback_name key]: the ABI-versioned [Callback.register] name the
-    generated unit publishes its kernel pair under. *)
+    generated unit publishes its row kernel under. *)
 
 val unit_basename : string -> string
 (** [unit_basename key]: the source/compilation-unit basename

@@ -1,8 +1,8 @@
 (* The checked kernel AST: the concrete syntax of what Codegen emits.
 
-   Codegen's output grammar is tiny -- one type declaration, two
-   functions whose bodies are prelude bindings plus a fully
-   parenthesized float expression over unsafe loads, and one
+   Codegen's output grammar is tiny -- one type declaration, one row
+   function whose body is prelude bindings plus an output loop over a
+   fully parenthesized float expression of unsafe loads, and one
    Callback.register -- and this module is its parser and printer: a
    hand-written lexer (dotted paths lex as single idents, hex-float
    literals round-trip [%h] exactly, [-] glued to a digit starts a
@@ -39,8 +39,6 @@ type bind =
 type out_addr = Out_unit of { lp : int } | Out_tab of { lp : int }
 
 type unit_ast = {
-  point_binds : bind list;
-  point_expr : expr;
   row_binds : bind list;
   row_out : out_addr;
   row_expr : expr;
@@ -519,8 +517,6 @@ let parse_unit_toks p =
   expect_ident p "Bigarray.c_layout";
   expect p RPAREN;
   expect_ident p "Bigarray.Array1.t";
-  (* kern_point *)
-  expect_idents p [ "let"; "kern_point" ];
   let param p name tys =
     expect p LPAREN;
     expect_ident p name;
@@ -528,16 +524,6 @@ let parse_unit_toks p =
     expect_idents p tys;
     expect p RPAREN
   in
-  param p "slot_data" [ "farr"; "array" ];
-  param p "slot_tab" [ "int"; "array"; "array" ];
-  param p "row" [ "int"; "array" ];
-  param p "x" [ "int" ];
-  expect p COLON;
-  expect_ident p "float";
-  expect p EQUAL;
-  let point_binds = parse_binds p in
-  parse_ignores p [ "slot_data"; "slot_tab"; "row"; "x" ];
-  let point_expr = parse_primary p in
   (* kern_row *)
   expect_idents p [ "let"; "kern_row" ];
   param p "slot_data" [ "farr"; "array" ];
@@ -608,7 +594,7 @@ let parse_unit_toks p =
         (Out_tab { lp }, e)
     | t -> fail (line_at p) "expected the output loop, found %s" (tok_str t)
   in
-  (* let () = Callback.register "name" (kern_row, kern_point) *)
+  (* let () = Callback.register "name" kern_row *)
   expect_ident p "let";
   expect p LPAREN;
   expect p RPAREN;
@@ -619,15 +605,11 @@ let parse_unit_toks p =
     | STRING s, _ -> s
     | t, l -> fail l "expected the registration name, found %s" (tok_str t)
   in
-  expect p LPAREN;
   expect_ident p "kern_row";
-  expect p COMMA;
-  expect_ident p "kern_point";
-  expect p RPAREN;
   (match next p with
   | EOF, _ -> ()
   | t, l -> fail l "trailing tokens after the registration: %s" (tok_str t));
-  { point_binds; point_expr; row_binds; row_out; row_expr; reg_name }
+  { row_binds; row_out; row_expr; reg_name }
 
 let parse src =
   match parse_unit_toks { toks = tokenize src; pos = 0 } with
@@ -684,13 +666,6 @@ let print ast =
     "type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) \
      Bigarray.Array1.t\n\n";
   Buffer.add_string b
-    "let kern_point (slot_data : farr array) (slot_tab : int array array)\n\
-    \    (row : int array) (x : int) : float =\n";
-  List.iter (fun bd -> Buffer.add_string b (bind_str bd)) ast.point_binds;
-  Buffer.add_string b
-    "  ignore slot_data; ignore slot_tab; ignore row; ignore x;\n";
-  Printf.bprintf b "  (%s)\n\n" (expr_str ast.point_expr);
-  Buffer.add_string b
     "let kern_row (slot_data : farr array) (slot_tab : int array array)\n\
     \    (out : farr) (out_tab : int array) (row : int array) (out_row : \
      int)\n\
@@ -712,7 +687,6 @@ let print ast =
          out_tab (x + %s)) (%s)\n"
         (int_lit lp) (expr_str ast.row_expr);
       Buffer.add_string b "  done\n\n");
-  Printf.bprintf b "let () = Callback.register %S (kern_row, kern_point)\n"
-    ast.reg_name;
+  Printf.bprintf b "let () = Callback.register %S kern_row\n" ast.reg_name;
   Buffer.contents b
 

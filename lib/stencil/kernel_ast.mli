@@ -2,8 +2,8 @@
     emits, with a parser and printer over exactly that grammar.
 
     {!Codegen.source} produces one small shape — a [farr] type alias,
-    [kern_point]/[kern_row] whose bodies are prelude bindings plus a
-    fully parenthesized float expression over unsafe loads, and a
+    a [kern_row] whose body is prelude bindings plus an output loop over
+    a fully parenthesized float expression of unsafe loads, and a
     [Callback.register] — and this module round-trips it: {!parse}
     accepts precisely the emitted forms (hex-float literals, dotted
     stdlib paths, both output-loop modes) and nothing more, {!print}
@@ -47,8 +47,6 @@ type out_addr =
   | Out_tab of { lp : int }  (** per-point [out_tab] lookup *)
 
 type unit_ast = {
-  point_binds : bind list;
-  point_expr : expr;
   row_binds : bind list;
   row_out : out_addr;
   row_expr : expr;

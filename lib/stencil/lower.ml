@@ -102,6 +102,22 @@ let groups_of slot_of e =
 
 (* ---- postfix fallback ---- *)
 
+(* Postfix code and the stack depth it reaches. *)
+let postfix instrs =
+  let code = Array.of_list instrs in
+  let d = ref 0 and depth = ref 0 in
+  Array.iter
+    (fun (i : Plan.instr) ->
+      match i with
+      | Push _ | Load _ | Sym _ ->
+          incr d;
+          if !d > !depth then depth := !d
+      | Neg -> ()
+      | Add | Sub | Mul | Div | Min | Max -> decr d
+      | Sel -> d := !d - 2)
+    code;
+  (code, !depth)
+
 let program slot_of e =
   let buf = ref [] in
   let push i = buf := i :: !buf in
@@ -144,19 +160,8 @@ let program slot_of e =
         push Plan.Sel
   in
   go e;
-  let code = Array.of_list (List.rev !buf) in
-  let d = ref 0 and depth = ref 0 in
-  Array.iter
-    (fun (i : Plan.instr) ->
-      match i with
-      | Push _ | Load _ | Sym _ ->
-          incr d;
-          if !d > !depth then depth := !d
-      | Neg -> ()
-      | Add | Sub | Mul | Div | Min | Max -> decr d
-      | Sel -> d := !d - 2)
-    code;
-  Plan.Program { code; depth = !depth }
+  let code, depth = postfix (List.rev !buf) in
+  Plan.Program { code; depth }
 
 let make_slot_of accesses =
   let tbl = Hashtbl.create 16 in
@@ -213,16 +218,6 @@ let check (plan : Plan.t) ~inputs ~output =
 
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type bbody =
-  | BGroups of {
-      goff : int array;  (* group g owns terms [goff.(g), goff.(g+1)) *)
-      scaled : bool array;
-      gscale : float array;
-      t_coeff : float array;
-      t_slot : int array;
-    }
-  | BProgram of { code : Plan.instr array; depth : int }
-
 type bound = {
   plan : Plan.t;
   output : Grid.t;
@@ -237,36 +232,38 @@ type bound = {
   out_lp : int;
   out_unit : bool;
   out_base : int;
-  bbody : bbody;
+  code : Plan.instr array;  (* the body as postfix code *)
+  depth : int;
 }
 
-let flatten gs =
-  let ng = Array.length gs in
-  let goff = Array.make (ng + 1) 0 in
-  Array.iteri
-    (fun i (g : Plan.group) -> goff.(i + 1) <- goff.(i) + Array.length g.terms)
-    gs;
-  let nt = goff.(ng) in
-  let t_coeff = Array.make (max 1 nt) 0.0
-  and t_slot = Array.make (max 1 nt) 0 in
-  Array.iteri
-    (fun i (g : Plan.group) ->
-      Array.iteri
-        (fun j (tm : Plan.term) ->
-          t_coeff.(goff.(i) + j) <- tm.coeff;
-          t_slot.(goff.(i) + j) <- tm.slot)
-        g.terms)
-    gs;
-  let scaled = Array.map (fun (g : Plan.group) -> g.scale <> None) gs in
-  let gscale =
-    Array.map
-      (fun (g : Plan.group) -> match g.scale with Some s -> s | None -> 0.0)
-      gs
+(* A Groups body as postfix code with the same operations on the same
+   values in the same order: [c *. v] per term, each group's terms
+   summed left to right, [scale *. sum] per scaled group, the groups
+   summed left to right. *)
+let groups_code gs =
+  let term i (t : Plan.term) =
+    (if t.slot < 0 then [ Plan.Push t.coeff ]
+     else if t.coeff = 1.0 then [ Plan.Load t.slot ]
+     else if t.coeff = -1.0 then [ Plan.Load t.slot; Plan.Neg ]
+     else [ Plan.Push t.coeff; Plan.Load t.slot; Plan.Mul ])
+    @ if i = 0 then [] else [ Plan.Add ]
   in
-  BGroups { goff; scaled; gscale; t_coeff; t_slot }
+  let group i (g : Plan.group) =
+    let sum = List.concat (List.mapi term (Array.to_list g.terms)) in
+    (match g.scale with
+    | Some c -> (Plan.Push c :: sum) @ [ Plan.Mul ]
+    | None -> sum)
+    @ if i = 0 then [] else [ Plan.Add ]
+  in
+  postfix (List.concat (List.mapi group (Array.to_list gs)))
 
 let bind (plan : Plan.t) ~inputs ~output =
   check plan ~inputs ~output;
+  let code, depth =
+    match plan.Plan.body with
+    | Plan.Program { code; depth } -> (code, depth)
+    | Plan.Groups gs -> groups_code gs
+  in
   let r = plan.Plan.rank in
   let field_tab = Array.map Grid.last_dim_offsets inputs in
   let field_lp = Array.map (fun g -> (Grid.left_pad g).(r - 1)) inputs in
@@ -289,10 +286,8 @@ let bind (plan : Plan.t) ~inputs ~output =
     out_lp = (Grid.left_pad output).(r - 1);
     out_unit = Grid.unit_stride output;
     out_base = Grid.base_address output;
-    bbody =
-      (match plan.Plan.body with
-      | Plan.Groups gs -> flatten gs
-      | Plan.Program { code; depth } -> BProgram { code; depth }) }
+    code;
+    depth }
 
 let plan_of b = b.plan
 
@@ -311,6 +306,9 @@ let raw_of b =
     r_out_data = b.out_data;
     r_out_tab = b.out_tab }
 
+(* A row is evaluated [chunk] points at a time. *)
+let chunk = 64
+
 (* Per-region mutable scratch. A bound is immutable and may be shared by
    concurrent pool slices; each slice drives its own driver. *)
 type driver = {
@@ -318,18 +316,15 @@ type driver = {
   row : int array;  (* per-slot row base, set by {!set_row} *)
   mutable out_row : int;
   oc : int array;  (* rank-1 coordinate scratch *)
-  stack : float array;
+  lanes : float array;  (* the row-wide stack: entries of [chunk] lanes *)
 }
 
 let driver b =
-  let depth =
-    match b.bbody with BProgram { depth; _ } -> depth | BGroups _ -> 0
-  in
   { b;
     row = Array.make (max 1 (Array.length b.slot_grid)) 0;
     out_row = 0;
     oc = Array.make (max 0 (b.plan.Plan.rank - 1)) 0;
-    stack = Array.make (max 1 depth) 0.0 }
+    lanes = Array.make (max 1 b.depth * chunk) 0.0 }
 
 let set_row drv outer =
   let b = drv.b in
@@ -347,119 +342,146 @@ let driver_row drv = drv.row
 
 let driver_out_row drv = drv.out_row
 
-(* No bounds checks below: for regions inside the iteration space every
+(* ---- row evaluation ----
+
+   Each postfix instruction of the body (a Groups body as its
+   [groups_code]) runs over all points of a chunk before the next one
+   starts, on a stack whose entries are [chunk] lanes wide. Every point
+   still gets the same operations on the same values in the same order
+   as the expression tree, so the values are bit-identical; the
+   dispatch is paid once per chunk instead of once per point.
+
+   No bounds checks below: for regions inside the iteration space every
    table index [x + shift] lies in [0, padded last extent) because the
    left pad covers the halo — callers gate illegal regions via [check]
    or trap them via the sanitizer before evaluation. *)
 
-let term_val b row t_coeff t_slot t x =
-  let s = Array.unsafe_get t_slot t in
-  if s < 0 then Array.unsafe_get t_coeff t
-  else
-    let v =
-      Bigarray.Array1.unsafe_get
-        (Array.unsafe_get b.slot_data s)
-        (Array.unsafe_get row s
-        + Array.unsafe_get
-            (Array.unsafe_get b.slot_tab s)
-            (x + Array.unsafe_get b.slot_shift s))
-    in
-    let c = Array.unsafe_get t_coeff t in
-    if c = 1.0 then v else if c = -1.0 then -.v else c *. v
+(* Lanes [o, o + n) <- slot [s] at points [x0, x0 + n) of the row. *)
+let load b row lanes s x0 n o =
+  let d = Array.unsafe_get b.slot_data s in
+  let at = Array.unsafe_get row s in
+  let tab = Array.unsafe_get b.slot_tab s in
+  let x = x0 + Array.unsafe_get b.slot_shift s - o in
+  for j = o to o + n - 1 do
+    Array.unsafe_set lanes j
+      (Bigarray.Array1.unsafe_get d (at + Array.unsafe_get tab (x + j)))
+  done
   [@@inline]
 
-let point_groups b row goff scaled gscale t_coeff t_slot x =
-  let group g =
-    let t0 = Array.unsafe_get goff g
-    and t1 = Array.unsafe_get goff (g + 1) in
-    let s = ref (term_val b row t_coeff t_slot t0 x) in
-    for t = t0 + 1 to t1 - 1 do
-      s := !s +. term_val b row t_coeff t_slot t x
-    done;
-    if Array.unsafe_get scaled g then Array.unsafe_get gscale g *. !s
-    else !s
-  in
-  let acc = ref (group 0) in
-  for g = 1 to Array.length scaled - 1 do
-    acc := !acc +. group g
-  done;
-  !acc
-
-(* Host timings of this loop are sensitive to where the linker places
-   it: at offset 48 mod 64 the perfbench [program] workload measured
-   25–38% slower than at offset 0, with byte-identical code. Builds
-   padded to each offset read [mlups_plan] 1.8–2.1 MLUP/s at 0 mod 64,
-   2.0–2.4 at 16, 1.6–2.0 at 32 and 1.2–1.5 at 48. When a change
-   elsewhere moves it, check the placement
-   ([nm _build/default/perfbench/main.exe]) before blaming the change. *)
-let point_program b row stack code x =
-  let sp = ref 0 in
+(* The interpreter's hot loop. Builds padded so that it sat at 0, 16,
+   32 and 48 mod 64 read perfbench [program] [mlups_plan] medians of
+   5.5, 6.4, 6.4 and 5.3 MLUP/s (three 12 s runs each, 4.2–7.3 over all
+   twelve, 2-vCPU KVM host): placement moves it less than the host's
+   run-to-run noise. Still, when a change elsewhere moves host timings,
+   check the placement ([nm _build/default/perfbench/main.exe]) before
+   blaming the change. *)
+let program_lanes b row lanes code x0 n =
+  let sp = ref 0 in  (* first lane of the next free stack entry *)
   for i = 0 to Array.length code - 1 do
+    (* [a] is the entry below the top: a binary operator's left operand
+       and the entry its result replaces *)
+    let a = !sp - (2 * chunk) in
     match Array.unsafe_get code i with
     | Plan.Push c ->
-        Array.unsafe_set stack !sp c;
-        incr sp
+        Array.fill lanes !sp n c;
+        sp := !sp + chunk
     | Plan.Load s ->
-        Array.unsafe_set stack !sp
-          (Bigarray.Array1.unsafe_get
-             (Array.unsafe_get b.slot_data s)
-             (Array.unsafe_get row s
-             + Array.unsafe_get
-                 (Array.unsafe_get b.slot_tab s)
-                 (x + Array.unsafe_get b.slot_shift s)));
-        incr sp
+        load b row lanes s x0 n !sp;
+        sp := !sp + chunk
     | Plan.Sym _ -> assert false (* refused at bind time *)
     | Plan.Neg ->
-        Array.unsafe_set stack (!sp - 1)
-          (-.Array.unsafe_get stack (!sp - 1))
+        for j = a + chunk to a + chunk + n - 1 do
+          Array.unsafe_set lanes j (-.Array.unsafe_get lanes j)
+        done
     | Plan.Add ->
-        decr sp;
-        Array.unsafe_set stack (!sp - 1)
-          (Array.unsafe_get stack (!sp - 1) +. Array.unsafe_get stack !sp)
+        for j = a to a + n - 1 do
+          Array.unsafe_set lanes j
+            (Array.unsafe_get lanes j +. Array.unsafe_get lanes (j + chunk))
+        done;
+        sp := a + chunk
     | Plan.Sub ->
-        decr sp;
-        Array.unsafe_set stack (!sp - 1)
-          (Array.unsafe_get stack (!sp - 1) -. Array.unsafe_get stack !sp)
+        for j = a to a + n - 1 do
+          Array.unsafe_set lanes j
+            (Array.unsafe_get lanes j -. Array.unsafe_get lanes (j + chunk))
+        done;
+        sp := a + chunk
     | Plan.Mul ->
-        decr sp;
-        Array.unsafe_set stack (!sp - 1)
-          (Array.unsafe_get stack (!sp - 1) *. Array.unsafe_get stack !sp)
+        for j = a to a + n - 1 do
+          Array.unsafe_set lanes j
+            (Array.unsafe_get lanes j *. Array.unsafe_get lanes (j + chunk))
+        done;
+        sp := a + chunk
     | Plan.Div ->
-        decr sp;
-        Array.unsafe_set stack (!sp - 1)
-          (Array.unsafe_get stack (!sp - 1) /. Array.unsafe_get stack !sp)
+        for j = a to a + n - 1 do
+          Array.unsafe_set lanes j
+            (Array.unsafe_get lanes j /. Array.unsafe_get lanes (j + chunk))
+        done;
+        sp := a + chunk
     | Plan.Min ->
-        decr sp;
-        Array.unsafe_set stack (!sp - 1)
-          (Float.min
-             (Array.unsafe_get stack (!sp - 1))
-             (Array.unsafe_get stack !sp))
+        for j = a to a + n - 1 do
+          Array.unsafe_set lanes j
+            (Float.min (Array.unsafe_get lanes j)
+               (Array.unsafe_get lanes (j + chunk)))
+        done;
+        sp := a + chunk
     | Plan.Max ->
-        decr sp;
-        Array.unsafe_set stack (!sp - 1)
-          (Float.max
-             (Array.unsafe_get stack (!sp - 1))
-             (Array.unsafe_get stack !sp))
+        for j = a to a + n - 1 do
+          Array.unsafe_set lanes j
+            (Float.max (Array.unsafe_get lanes j)
+               (Array.unsafe_get lanes (j + chunk)))
+        done;
+        sp := a + chunk
     | Plan.Sel ->
-        sp := !sp - 2;
-        Array.unsafe_set stack (!sp - 1)
-          (if Array.unsafe_get stack (!sp - 1) > 0.0 then
-             Array.unsafe_get stack !sp
-           else Array.unsafe_get stack (!sp + 1))
-  done;
-  Array.unsafe_get stack 0
+        (* pops b, a, c; pushes [if c > 0.0 then a else b] *)
+        let c = a - chunk in
+        for j = c to c + n - 1 do
+          Array.unsafe_set lanes j
+            (if Array.unsafe_get lanes j > 0.0 then
+               Array.unsafe_get lanes (j + chunk)
+             else Array.unsafe_get lanes (j + (2 * chunk)))
+        done;
+        sp := a
+  done
 
-let eval drv x =
-  let b = drv.b in
-  match b.bbody with
-  | BGroups { goff; scaled; gscale; t_coeff; t_slot } ->
-      point_groups b drv.row goff scaled gscale t_coeff t_slot x
-  | BProgram { code; _ } -> point_program b drv.row drv.stack code x
+(* Lanes [0, n) <- the values at points [x0, x0 + n) of the row. *)
+let eval_lanes drv x0 n =
+  program_lanes drv.b drv.row drv.lanes drv.b.code x0 n
 
-let out_offset drv x =
-  drv.out_row + Array.unsafe_get drv.b.out_tab (x + drv.b.out_lp)
+let store_row drv xb xe =
+  let b = drv.b and lanes = drv.lanes in
+  let x0 = ref xb in
+  while !x0 < xe do
+    let n = min chunk (xe - !x0) in
+    eval_lanes drv !x0 n;
+    (if b.out_unit then begin
+       let off = drv.out_row + b.out_lp + !x0 in
+       for j = 0 to n - 1 do
+         Bigarray.Array1.unsafe_set b.out_data (off + j)
+           (Array.unsafe_get lanes j)
+       done
+     end
+     else
+       let x = !x0 + b.out_lp in
+       for j = 0 to n - 1 do
+         Bigarray.Array1.unsafe_set b.out_data
+           (drv.out_row + Array.unsafe_get b.out_tab (x + j))
+           (Array.unsafe_get lanes j)
+       done);
+    x0 := !x0 + n
+  done
 
-let out_addr drv x = drv.b.out_base + (8 * out_offset drv x)
+let eval_row drv xb xe dst pos =
+  let x0 = ref xb in
+  while !x0 < xe do
+    let n = min chunk (xe - !x0) in
+    eval_lanes drv !x0 n;
+    Array.blit drv.lanes 0 dst (pos + !x0 - xb) n;
+    x0 := !x0 + n
+  done
+
+let out_addr drv x =
+  drv.b.out_base
+  + (8 * (drv.out_row + Array.unsafe_get drv.b.out_tab (x + drv.b.out_lp)))
 
 let read_addr drv s x =
   let b = drv.b in
@@ -469,44 +491,8 @@ let read_addr drv s x =
       + Array.unsafe_get (Array.unsafe_get b.slot_tab s)
           (x + Array.unsafe_get b.slot_shift s))
 
-let store_row drv xb xe =
-  let b = drv.b in
-  let row = drv.row in
-  match b.bbody with
-  | BGroups { goff; scaled; gscale; t_coeff; t_slot } ->
-      if b.out_unit then begin
-        let off = ref (drv.out_row + b.out_lp + xb) in
-        for x = xb to xe - 1 do
-          Bigarray.Array1.unsafe_set b.out_data !off
-            (point_groups b row goff scaled gscale t_coeff t_slot x);
-          incr off
-        done
-      end
-      else
-        for x = xb to xe - 1 do
-          Bigarray.Array1.unsafe_set b.out_data
-            (drv.out_row + Array.unsafe_get b.out_tab (x + b.out_lp))
-            (point_groups b row goff scaled gscale t_coeff t_slot x)
-        done
-  | BProgram { code; _ } ->
-      let stack = drv.stack in
-      if b.out_unit then begin
-        let off = ref (drv.out_row + b.out_lp + xb) in
-        for x = xb to xe - 1 do
-          Bigarray.Array1.unsafe_set b.out_data !off
-            (point_program b row stack code x);
-          incr off
-        done
-      end
-      else
-        for x = xb to xe - 1 do
-          Bigarray.Array1.unsafe_set b.out_data
-            (drv.out_row + Array.unsafe_get b.out_tab (x + b.out_lp))
-            (point_program b row stack code x)
-        done
-
 (* Defined after the hot functions above so that it does not shift their
-   code placement (see [point_program]). *)
+   code placement (see [program_lanes]). *)
 let bound_to b ~inputs ~output =
   b.output == output
   && Array.length inputs = b.plan.Plan.n_fields

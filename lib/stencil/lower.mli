@@ -4,10 +4,10 @@
     (constant folding, FMA-chain detection, postfix fallback — all
     value-preserving down to the bit for the engine's finite data).
     [bind] specialises a plan to concrete grids: per-access row-base
-    tables and last-dimension offset tables, so the engine's inner loop
-    runs without per-point closure dispatch. A [bound] is immutable and
-    can be shared across pool slices; each slice allocates its own
-    {!driver} for mutable scratch. *)
+    tables and last-dimension offset tables, so the engine evaluates a
+    row a chunk of points at a time without per-point dispatch. A
+    [bound] is immutable and can be shared across pool slices; each
+    slice allocates its own {!driver} for mutable scratch. *)
 
 val lower : Spec.t -> Plan.t
 (** Lower a spec (resolved or not — unresolved coefficients become
@@ -64,8 +64,8 @@ val raw_of : bound -> raw
 
 type driver
 (** Per-region mutable scratch over a shared {!bound} (slot row bases,
-    coordinate scratch, the postfix stack). Not thread-safe; allocate
-    one per concurrent region. *)
+    coordinate scratch, the row-wide evaluation stack). Not
+    thread-safe; allocate one per concurrent region. *)
 
 val driver : bound -> driver
 
@@ -81,13 +81,6 @@ val driver_row : driver -> int array
 val driver_out_row : driver -> int
 (** The output row base of the row selected by the last {!set_row}. *)
 
-val eval : driver -> int -> float
-(** Value at last-dimension coordinate [x] of the current row. No
-    bounds checks — see {!store_row}. *)
-
-val out_offset : driver -> int -> int
-(** Flat element offset of the output point at [x]. *)
-
 val out_addr : driver -> int -> int
 (** Virtual byte address of the output point at [x] (for tracing). *)
 
@@ -97,8 +90,18 @@ val read_addr : driver -> int -> int -> int
 
 val store_row : driver -> int -> int -> unit
 (** [store_row drv xb xe]: evaluate and store every point of the
-    current row with [xb <= x < xe] — the untraced hot path: one
-    monomorphic loop, row bases hoisted, the output index advanced
-    incrementally on unit-stride layouts. No bounds checks: the caller
-    must have gated the region (legal interior regions are always safe
-    because grid left padding covers the halo). *)
+    current row with [xb <= x < xe]. The row is evaluated a chunk of
+    points at a time: each postfix instruction (a Groups body is bound
+    as postfix code) runs over the whole chunk before the next, and
+    every point gets the same operations on the same values in the
+    same order as the expression tree, so the stored values are
+    bit-identical to it. No bounds
+    checks: the caller must have gated the region (legal interior
+    regions are always safe because grid left padding covers the
+    halo), and an instrumented caller issues each point's checks and
+    trace events before the call. *)
+
+val eval_row : driver -> int -> int -> float array -> int -> unit
+(** [eval_row drv xb xe dst pos]: the values {!store_row} would store
+    at [xb <= x < xe], written to [dst.(pos + x - xb)] instead of the
+    output grid. *)

@@ -21,6 +21,8 @@ module Expr = Yasksite_stencil.Expr
 module Lower = Yasksite_stencil.Lower
 module Codegen = Yasksite_stencil.Codegen
 module Config = Yasksite_ecm.Config
+module Machine = Yasksite_arch.Machine
+module Hierarchy = Yasksite_cachesim.Hierarchy
 module Sweep = Yasksite_engine.Sweep
 module Wavefront = Yasksite_engine.Wavefront
 module Sanitizer = Yasksite_engine.Sanitizer
@@ -121,10 +123,8 @@ let test_source_shape () =
         (fun needle ->
           if not (contains ~needle src) then
             Alcotest.failf "generated source lacks %S:\n%s" needle src)
-        [ "Callback.register";
-          Codegen.callback_name (Codegen.key ~plan v);
-          "kern_row";
-          "kern_point";
+        [ Printf.sprintf "Callback.register %S kern_row\n"
+            (Codegen.callback_name (Codegen.key ~plan v));
           "0x1p-2" (* 0.25, as an exact hex-float literal *) ]
 
 let test_source_refuses_unresolved () =
@@ -229,8 +229,8 @@ let codegen_three_way_wavefront =
     ~count:10 QCheck.small_int (fun seed -> wavefront_three_way ~seed)
 
 (* A sanitized, gate-checked sweep must agree bit-for-bit with the plan
-   backend and the oracle too (the sanitizer routes codegen through the
-   generated point evaluator). *)
+   backend and the oracle too (the sanitizer checks each row's points
+   before the compiled row kernel runs). *)
 let sanitized_three_way ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:2 in
@@ -275,6 +275,90 @@ let test_sanitizer_verdict_parity () =
   List.iter
     (fun c -> Alcotest.(check (option string)) "same verdict" (Some "YS452") c)
     codes
+
+(* The one in-place pattern YS403 admits: the output grid is also input
+   field 0, read only at radius 0. Row evaluation loads a chunk before it
+   stores it, and the compiled row loop loads each point before storing
+   it; either way a point reads its own cell before writing it and no
+   other point reads that cell. Rows of 200 points span four chunks of
+   the interpreter. The oracle reads a copy of the original field 0. *)
+let in_place_specs =
+  [ Spec.v ~name:"in-place-groups" ~rank:2 ~n_fields:2
+      Dsl.(
+        c 0.5 *: fld [ 0; 0 ]
+        +: (c 0.25 *: (fld ~field:1 [ 0; -1 ] +: fld ~field:1 [ 0; 1 ])));
+    Spec.v ~name:"in-place-program" ~rank:2 ~n_fields:2
+      Dsl.(
+        select (fld [ 0; 0 ])
+          (fmax (fld [ 0; 0 ]) (fld ~field:1 [ 0; -1 ]))
+          (fld [ 0; 0 ] *: fld ~field:1 [ -1; 1 ])
+        /: c 3.0) ]
+
+let test_in_place_rows_match_oracle () =
+  let dims = [| 3; 200 |] and halo = [| 1; 1 |] in
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun backend ->
+          List.iter
+            (fun traced ->
+              let io = make_grid ~halo ~dims 31 and f1 = make_grid ~halo ~dims 32 in
+              let expected = Grid.create ~halo ~dims () in
+              Oracle.sweep spec ~inputs:[| make_grid ~halo ~dims 31; f1 |]
+                ~output:expected;
+              let trace =
+                if traced then Some (Hierarchy.create Machine.test_chip) else None
+              in
+              ignore (Sweep.run ~backend ?trace spec ~inputs:[| io; f1 |] ~output:io);
+              Alcotest.(check (float 0.0))
+                (Printf.sprintf "%s on %s%s" spec.Spec.name
+                   (Sweep.backend_name backend)
+                   (if traced then ", traced" else ""))
+                0.0
+                (Grid.max_abs_diff io expected))
+            [ false; true ])
+        all_backends)
+    in_place_specs;
+  Alcotest.(check (list bool))
+    "one Groups body, one Program body" [ true; false ]
+    (List.map
+       (fun spec ->
+         match (Lower.lower spec).Plan.body with
+         | Plan.Groups _ -> true
+         | Plan.Program _ -> false)
+       in_place_specs)
+
+(* A sanitized row with an out-of-bounds point traps before the row call:
+   no point of that row is written, not even the legal ones before it.
+   The region [1, 201) is one row block (the block extent is the
+   200-point interior) and overhangs the interior by one point, whose
+   x+1 read leaves the allocation. *)
+let test_sanitized_row_traps_before_writing () =
+  List.iter
+    (fun backend ->
+      let a = make_grid ~halo:[| 1 |] ~dims:[| 200 |] 41 in
+      let o = make_grid ~halo:[| 1 |] ~dims:[| 200 |] 42 in
+      let before = Grid.create ~halo:[| 1 |] ~dims:[| 200 |] () in
+      Grid.copy_interior ~src:o ~dst:before;
+      let san = Sanitizer.create () in
+      Sanitizer.register san a;
+      Sanitizer.register san o;
+      let pass = Sanitizer.begin_sweep san ~inputs:[| a |] ~output:o in
+      let name = Sweep.backend_name backend in
+      (match
+         Sweep.run_region ~backend ~check:false
+           ~sanitize:(Sanitizer.slice pass 0) heat1 ~inputs:[| a |] ~output:o
+           ~lo:[| 1 |] ~hi:[| 201 |]
+       with
+      | _ -> Alcotest.failf "%s: the overhanging point must trap" name
+      | exception Sanitizer.Trap t ->
+          Alcotest.(check string)
+            (name ^ " traps out of bounds") "YS453"
+            (Sanitizer.code_of_kind t.Sanitizer.kind));
+      Alcotest.(check (float 0.0))
+        (name ^ ": the trapped row is unchanged") 0.0
+        (Grid.max_abs_diff o before))
+    all_backends
 
 let test_pool_parallel_codegen () =
   let spec = Gen.spec (Prng.create ~seed:42) ~rank:2 () in
@@ -459,6 +543,10 @@ let suite =
     qt codegen_three_way_sanitized;
     Alcotest.test_case "sanitizer verdict identical on codegen" `Quick
       test_sanitizer_verdict_parity;
+    Alcotest.test_case "in-place radius-0 rows match the oracle" `Quick
+      test_in_place_rows_match_oracle;
+    Alcotest.test_case "sanitized row traps before writing" `Quick
+      test_sanitized_row_traps_before_writing;
     Alcotest.test_case "pool-parallel codegen sweep" `Quick
       test_pool_parallel_codegen;
     qt codegen_corruption_recompiles;

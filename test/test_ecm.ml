@@ -353,4 +353,118 @@ let more_suite =
     Alcotest.test_case "roofline upper bound" `Quick
       test_roofline_vs_ecm_ordering ]
 
-let suite = base_suite @ extra_suite @ more_suite
+(* ------------------------------------------------------------------ *)
+(* Properties of the model over five machines x the suite, and the two
+   ways it is deliberately not monotone in the core count.             *)
+
+module Prng = Yasksite_util.Prng
+
+let machines =
+  [| clx;
+     Machine.rome;
+     Machine.test_chip;
+     Machine.scaled Machine.cascade_lake;
+     Machine.scaled Machine.rome |]
+
+let analyses =
+  Array.of_list
+    (List.map
+       (fun s -> Analysis.of_spec (Suite.resolve_defaults s))
+       Suite.all)
+
+let pick rng a = a.(Prng.int rng ~bound:(Array.length a))
+
+(* A random machine, suite kernel, grid and configuration. *)
+let random_case rng =
+  let m = pick rng machines and a = pick rng analyses in
+  let rank = a.Analysis.spec.Yasksite_stencil.Spec.rank in
+  let dims = Array.init rank (fun _ -> 16 * (1 + Prng.int rng ~bound:32)) in
+  let block =
+    Array.map (fun d -> if Prng.bool rng then 0 else 1 + Prng.int rng ~bound:d)
+      dims
+  in
+  let fold = Array.init rank (fun _ -> pick rng [| 1; 1; 2; 4 |]) in
+  let config =
+    Config.v ~block ~fold
+      ~threads:(1 + Prng.int rng ~bound:m.Machine.cores)
+      ~wavefront:(pick rng [| 1; 1; 2; 4 |])
+      ~streaming_stores:(Prng.int rng ~bound:4 = 0)
+      ()
+  in
+  (m, a, dims, config)
+
+(* Growing one block extent only grows the working sets the layer
+   conditions compare against a level's share, so no level's traffic
+   may fall. Each case steps one extent from 1 up to the grid. *)
+let lc_monotone_in_block =
+  QCheck.Test.make ~name:"LC lines/CL non-decreasing as a block extent grows"
+    ~count:200 QCheck.small_int (fun seed ->
+      let rng = Prng.create ~seed in
+      let m, a, dims, config = random_case rng in
+      let d = Prng.int rng ~bound:(Array.length dims) in
+      let lines e =
+        let block = Array.copy (Option.get config.Config.block) in
+        block.(d) <- e;
+        Array.map
+          (fun (b : Lc.boundary) -> b.Lc.lines_per_cl)
+          (Lc.boundaries m a ~dims ~config:{ config with Config.block = Some block })
+      in
+      let rec steps prev e =
+        e > dims.(d)
+        ||
+        let cur = lines e in
+        Array.for_all2 ( <= ) prev cur && steps cur (e + 1 + (e / 3))
+      in
+      steps (lines 1) 2)
+
+(* Chip bandwidth only raises the saturation ceiling; the single-core
+   terms do not read it. *)
+let more_bandwidth_never_slower =
+  QCheck.Test.make ~name:"doubling chip memory bandwidth never lowers lups_chip"
+    ~count:300 QCheck.small_int (fun seed ->
+      let rng = Prng.create ~seed in
+      let m, a, dims, config = random_case rng in
+      let m2 = { m with Machine.mem_bw_chip_gbs = 2.0 *. m.Machine.mem_bw_chip_gbs } in
+      (Model.predict m2 a ~dims ~config).Model.lups_chip
+      >= (Model.predict m a ~dims ~config).Model.lups_chip)
+
+let clx8 = Machine.scaled Machine.cascade_lake
+
+let heat2d = Analysis.of_spec (Suite.resolve_defaults Suite.heat_2d_5pt)
+
+(* Residency is decided per core (slice footprint against the cache
+   share), so adding a thread can make every core's slice fit and the
+   single-core T_ECM drop. *)
+let test_t_ecm_drops_when_slices_fit () =
+  let t_ecm threads =
+    (Model.predict clx8 heat2d ~dims:[| 256; 256 |]
+       ~config:(Config.v ~threads ()))
+      .Model.t_ecm
+  in
+  Alcotest.(check (float 1e-9)) "7 threads" 19.5 (t_ecm 7);
+  Alcotest.(check (float 1e-9)) "8 threads: the slices fit" 7.5 (t_ecm 8)
+
+(* A wavefront's traffic reduction holds only while its window fits the
+   last-level share; one more thread shrinks the share below the window
+   and the chip prediction falls. *)
+let test_wavefront_window_leaves_l3_share () =
+  let chip threads =
+    let config = Config.v ~threads ~wavefront:2 () in
+    ( (Model.predict clx8 heat2d ~dims:[| 2048; 2048 |] ~config).Model.lups_chip,
+      Lc.wavefront_fits clx8 heat2d ~dims:[| 2048; 2048 |] ~config )
+  in
+  let l15, fits15 = chip 15 and l16, fits16 = chip 16 in
+  Alcotest.(check bool) "window fits at 15 threads" true fits15;
+  Alcotest.(check bool) "window leaves the share at 16" false fits16;
+  Alcotest.(check (float 0.005)) "15 threads GLUP/s" 8.19 (l15 /. 1e9);
+  Alcotest.(check (float 0.005)) "16 threads GLUP/s" 4.38 (l16 /. 1e9)
+
+let property_suite =
+  [ QCheck_alcotest.to_alcotest lc_monotone_in_block;
+    QCheck_alcotest.to_alcotest more_bandwidth_never_slower;
+    Alcotest.test_case "T_ECM drops when per-core slices fit" `Quick
+      test_t_ecm_drops_when_slices_fit;
+    Alcotest.test_case "wavefront window leaving the L3 share" `Quick
+      test_wavefront_window_leaves_l3_share ]
+
+let suite = base_suite @ extra_suite @ more_suite @ property_suite

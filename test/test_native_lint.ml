@@ -151,11 +151,7 @@ let test_mutation_deterministic () =
 (* Hex-float literals round-trip bit-exactly through the grammar.      *)
 
 let lit_roundtrip_ast f =
-  { Ast.point_binds = [ Ast.Bind_data { name = 0; src = 0 };
-                        Ast.Bind_row { name = 0; src = 0 } ];
-    point_expr = Ast.Bin (Ast.Mul, Ast.Lit f,
-                          Ast.Get (Ast.Unit_addr { data = 0; row = 0; shift = 0 }));
-    row_binds = [ Ast.Bind_data { name = 0; src = 0 };
+  { Ast.row_binds = [ Ast.Bind_data { name = 0; src = 0 };
                   Ast.Bind_row { name = 0; src = 0 } ];
     row_out = Ast.Out_unit { lp = 1 };
     row_expr = Ast.Bin (Ast.Mul, Ast.Lit f,
@@ -190,7 +186,7 @@ let test_rules_enumerate_ys6xx () =
       if not (List.mem c codes) then
         Alcotest.failf "rule table lacks %s" c)
     [ "YS600"; "YS601"; "YS602"; "YS603"; "YS604"; "YS605"; "YS606";
-      "YS607"; "YS608"; "YS609"; "YS610"; "YS611"; "YS612" ];
+      "YS607"; "YS608"; "YS610"; "YS611"; "YS612" ];
   let json = D.rules_to_json Lint.rules in
   Alcotest.(check bool)
     "JSON rule dump names YS612" true
@@ -351,12 +347,21 @@ let test_payload_staleness () =
   Alcotest.(check bool)
     "header with another compiler version is stale" true
     (Native.payload_stale ~toolchain:tc
-       "yasksite-kern-payload v1\n1\nocamlfind version 1.0.0\n-shared -w -a\nbytes");
+       (Printf.sprintf "yasksite-kern-payload v1\n%d\nocamlfind version 1.0.0\n-shared -w -a\nbytes"
+          Codegen.abi));
   Alcotest.(check bool)
     "matching header is fresh" false
     (Native.payload_stale ~toolchain:tc
        (Printf.sprintf "yasksite-kern-payload v1\n%d\nocamlfind version 9.99.9\n-shared -w -a\nbytes"
           Codegen.abi));
+  (* ABI 1 units registered a pair of functions; the loader casts what
+     it finds to one row kernel, so such a payload must never load, even
+     when the toolchain matches. *)
+  Alcotest.(check int) "codegen ABI" 2 Codegen.abi;
+  Alcotest.(check bool)
+    "ABI 1 payload with a matching toolchain is stale" true
+    (Native.payload_stale ~toolchain:tc
+       "yasksite-kern-payload v1\n1\nocamlfind version 9.99.9\n-shared -w -a\nbytes");
   Alcotest.(check bool)
     "old codegen ABI is stale even without a toolchain" true
     (Native.payload_stale ~toolchain:None

@@ -43,15 +43,21 @@ let force_program spec =
 (* One sweep of a random stencil on the plan backend: the output must
    be bit-identical to the oracle's and every interior point counted.
    Exercised over ranks 1..3, both body shapes, folded layouts and
-   spatial blocking. *)
-let sweep_matches_oracle ~seed =
+   spatial blocking; [long_rows] makes the last extent 65..204, so rows
+   (and row blocks) span several of the interpreter's 64-point
+   chunks. *)
+let sweep_matches_oracle ?(long_rows = false) ~seed () =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
   let spec = Gen.spec rng ~rank () in
   let spec = if Prng.int rng ~bound:2 = 0 then force_program spec else spec in
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
-  let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:10) in
+  let dims =
+    Array.init rank (fun i ->
+        if long_rows && i = rank - 1 then 65 + Prng.int rng ~bound:140
+        else 6 + Prng.int rng ~bound:10)
+  in
   let layout =
     if Prng.int rng ~bound:2 = 0 then Grid.Linear
     else begin
@@ -86,7 +92,12 @@ let sweep_matches_oracle ~seed =
 
 let plan_backend_matches_oracle =
   QCheck.Test.make ~name:"plan backend bit-reproduces the oracle"
-    ~count:120 QCheck.small_int (fun seed -> sweep_matches_oracle ~seed)
+    ~count:120 QCheck.small_int (fun seed -> sweep_matches_oracle ~seed ())
+
+let long_rows_match_oracle =
+  QCheck.Test.make ~name:"rows longer than a chunk bit-reproduce the oracle"
+    ~count:30 QCheck.small_int (fun seed ->
+      sweep_matches_oracle ~long_rows:true ~seed ())
 
 (* The same contract through the temporal-blocking path, against the
    oracle's plain ping-pong sweeps: random wavefront depth and (legal)
@@ -164,6 +175,42 @@ let test_program_fallback () =
   match (Lower.lower spec).Plan.body with
   | Plan.Program _ -> ()
   | Plan.Groups _ -> Alcotest.fail "division should fall back to Program"
+
+(* The interpreter runs a Groups body as postfix code, so every term and
+   group shape must keep the tree's operations: a constant group, a
+   negated one, a scaled one, a scaled group with [+1], [-1], constant
+   and [c *. v] terms, and a negatively scaled group led by a [-1] term.
+   Rows of 200 points span four chunks; the folded layout loads through
+   the offset table. *)
+let test_groups_term_kinds () =
+  let spec =
+    Spec.v ~name:"groups-term-kinds" ~rank:2
+      Dsl.(
+        c 0.3 -: fld [ 0; -1 ]
+        +: (c 1.5 *: fld [ 0; 0 ])
+        +: (c 0.25
+           *: (fld [ 0; 1 ] -: fld [ -1; 0 ] +: c 0.125
+              +: (c 3.0 *: fld [ 1; 1 ])))
+        -: (c 0.5 *: (neg (fld [ 1; 0 ]) +: (c 2.0 *: fld [ 0; -1 ]))))
+  in
+  (match (Lower.lower spec).Plan.body with
+  | Plan.Groups gs -> Alcotest.(check int) "five groups" 5 (Array.length gs)
+  | Plan.Program _ -> Alcotest.fail "should lower to a Groups body");
+  let halo = [| 1; 1 |] and dims = [| 4; 200 |] in
+  List.iter
+    (fun layout ->
+      let a = make_grid ~layout ~halo ~dims 41 in
+      let o = Grid.create ~halo ~layout ~dims () in
+      ignore
+        (Sweep.run ~backend:Sweep.Plan_backend spec ~inputs:[| a |] ~output:o
+          : Sweep.stats);
+      let expected = Grid.create ~halo ~layout ~dims () in
+      Oracle.sweep spec ~inputs:[| a |] ~output:expected;
+      Alcotest.(check (float 0.0))
+        (match layout with Grid.Linear -> "linear" | Grid.Folded _ -> "folded")
+        0.0
+        (Grid.max_abs_diff o expected))
+    [ Grid.Linear; Grid.Folded [| 2; 2 |] ]
 
 let test_fingerprint_ignores_name () =
   let e = Dsl.(c 0.5 *: (fld [ -1 ] +: fld [ 1 ])) in
@@ -303,11 +350,14 @@ let test_backend_selection () =
 
 let suite =
   [ qt plan_backend_matches_oracle;
+    qt long_rows_match_oracle;
     qt wavefront_backend_parity;
     qt traced_backend_parity;
     Alcotest.test_case "heat 5pt lowers to Groups" `Quick test_groups_detected;
     Alcotest.test_case "division falls back to Program" `Quick
       test_program_fallback;
+    Alcotest.test_case "every Groups term kind bit-reproduces the oracle"
+      `Quick test_groups_term_kinds;
     Alcotest.test_case "fingerprint ignores the kernel name" `Quick
       test_fingerprint_ignores_name;
     Alcotest.test_case "Lower.fingerprint matches the plan" `Quick

@@ -67,13 +67,17 @@ let test_to_c () =
   Alcotest.(check bool) "access" true (Astring_contains.contains s "f0(y-1,x)")
 
 (* A rank-1 kernel compiled for [g] — lowered, bound, and positioned on
-   its one row — as the plan driver's point evaluator [fun x -> value]. *)
+   its one row — as [fun x -> value], a one-point row of the plan
+   driver. *)
 let compile1 spec g =
   let drv =
     Lower.driver (Lower.bind (Lower.lower spec) ~inputs:[| g |] ~output:g)
   in
   Lower.set_row drv [||];
-  Lower.eval drv
+  fun x ->
+    let v = [| 0.0 |] in
+    Lower.eval_row drv x (x + 1) v 0;
+    v.(0)
 
 let test_compile_heat1d () =
   let spec = Spec.resolve Suite.heat_1d_3pt [ ("r", 0.25); ("c", 0.5) ] in
