@@ -82,10 +82,10 @@ let space m ~dims ~threads ~rank =
     blocks
 
 let rank_space ?cache ?pool m (a : Analysis.t) ~dims configs =
-  let predict c =
+  let predict =
     match cache with
-    | Some cache -> Cache.predict cache m a ~dims ~config:c
-    | None -> Model.predict m a ~dims ~config:c
+    | Some cache -> Cache.predictor cache m a ~dims
+    | None -> fun c -> Model.predict m a ~dims ~config:c
   in
   let score c = (c, predict c) in
   let scored =

@@ -91,11 +91,12 @@ let kernel_signature (a : Analysis.t) = Lower.fingerprint a.Analysis.spec
 let dims_str dims =
   String.concat "x" (Array.to_list (Array.map string_of_int dims))
 
-let key m a ~dims ~config =
-  (* [Config.describe] covers block, fold, wavefront, threads and
-     streaming stores — the full config. *)
-  Printf.sprintf "%s|%s|%s|%s" (machine_fingerprint m) (kernel_signature a)
-    (dims_str dims) (Config.describe config)
+(* A key is this prefix followed by [Config.describe config], which
+   covers block, fold, wavefront, threads and streaming stores — the
+   full config. *)
+let key_prefix m a ~dims =
+  Printf.sprintf "%s|%s|%s|" (machine_fingerprint m) (kernel_signature a)
+    (dims_str dims)
 
 (* Exact text codec for predictions, so spilled entries survive the
    process. Line-oriented; floats render as %h hex (lossless, and
@@ -270,8 +271,8 @@ let insert t k p tick =
   Hashtbl.replace t.table k { prediction = p; last_use = tick };
   Mutex.unlock t.mutex
 
-let predict t m a ~dims ~config =
-  let k = key m a ~dims ~config in
+(* The memoized prediction under key [k]. *)
+let lookup t k m a ~dims ~config =
   Mutex.lock t.mutex;
   t.tick <- t.tick + 1;
   let tick = t.tick in
@@ -324,6 +325,12 @@ let predict t m a ~dims ~config =
           | None -> ()
           | Some s -> Store.put s ~ns:store_ns ~key:k (prediction_to_string p));
           p)
+
+let predictor t m a ~dims =
+  let prefix = key_prefix m a ~dims in
+  fun config -> lookup t (prefix ^ Config.describe config) m a ~dims ~config
+
+let predict t m a ~dims ~config = predictor t m a ~dims config
 
 let stats t =
   Mutex.lock t.mutex;

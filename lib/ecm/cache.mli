@@ -6,7 +6,9 @@
     parallel sweep's domains evaluate overlapping spaces. Entries are
     keyed by {e content} — machine fingerprint x kernel signature x
     grid dims x full configuration (threads included) — so structurally
-    equal inputs hit regardless of physical identity.
+    equal inputs hit regardless of physical identity. A ranking digests
+    the machine and the kernel once for its whole space ({!predictor});
+    the per-config part of a key is [Config.describe].
 
     The cache is a bounded LRU and is safe to share between domains
     (lookups and inserts are mutex-protected; model evaluation happens
@@ -37,6 +39,20 @@ val create : ?capacity:int -> unit -> t
     entries beyond [capacity] (default 65536). [capacity] must be
     >= 1. *)
 
+val predictor :
+  t ->
+  Yasksite_arch.Machine.t ->
+  Yasksite_stencil.Analysis.t ->
+  dims:int array ->
+  Config.t ->
+  Model.prediction
+(** [predictor cache m a ~dims] digests the machine and lowers the
+    kernel once, and returns the memoized [Model.predict] for one
+    config: the cached prediction when the (machine, kernel, dims,
+    config) content key was seen before, else the model's, which is
+    cached. A ranking builds one predictor for its whole space. Each
+    lookup counts one hit or one miss, as {!predict} does. *)
+
 val predict :
   t ->
   Yasksite_arch.Machine.t ->
@@ -44,9 +60,8 @@ val predict :
   dims:int array ->
   config:Config.t ->
   Model.prediction
-(** Memoized [Model.predict]: returns the cached prediction when the
-    (machine, kernel, dims, config) content key was seen before, else
-    evaluates the model and caches the result. *)
+(** [predictor t m a ~dims config]: one memoized lookup, digesting the
+    machine and the kernel for it alone. *)
 
 val stats : t -> stats
 

@@ -31,15 +31,42 @@ val safety : float
 (** Fraction of a cache level the layer condition may occupy (0.5, the
     standard LC safety factor). *)
 
+type stage
+(** Everything the layer conditions read except the thread count: each
+    read field's offset spans and fold-group counts, the working sets
+    the 3D and 2D conditions compare against a level's budget, the read
+    lines each condition implies, the footprint and the bytes of the
+    wavefront's moving window. Only a level's per-core share of its
+    capacity depends on the thread count, so one stage serves every
+    core count exactly. *)
+
+val stage :
+  Yasksite_arch.Machine.t ->
+  Yasksite_stencil.Analysis.t ->
+  dims:int array ->
+  config:Config.t ->
+  stage
+(** Reads every field of [config] except [threads]. Raises
+    [Invalid_argument] when [dims], the block or the fold does not match
+    the kernel's rank. *)
+
+val at : stage -> threads:int -> boundary array * float
+(** The boundaries at [threads] cores, innermost (L1 <-> L2) first and
+    the memory boundary last, and the memory traffic per lattice update
+    after the wavefront reduction, which applies while the wavefront's
+    window fits the last-level share. Each shared level's capacity
+    divides among [min threads shared_by] cores. *)
+
 val boundaries :
   Yasksite_arch.Machine.t ->
   Yasksite_stencil.Analysis.t ->
   dims:int array ->
   config:Config.t ->
   boundary array
-(** One entry per cache boundary, innermost (L1 <-> L2) first; the last
-    entry is the memory boundary. The configured thread count determines
-    each shared level's effective per-core capacity. *)
+(** [fst (at (stage m a ~dims ~config) ~threads:config.threads)]: one
+    entry per cache boundary, innermost (L1 <-> L2) first; the last
+    entry is the memory boundary. The configured thread count
+    determines each shared level's effective per-core capacity. *)
 
 val mem_bytes_per_lup :
   Yasksite_arch.Machine.t ->
@@ -47,10 +74,11 @@ val mem_bytes_per_lup :
   dims:int array ->
   config:Config.t ->
   float
-(** Memory-boundary traffic per lattice update, after applying the
-    temporal-blocking reduction of the configured wavefront depth (if its
-    working set fits the last-level cache; otherwise the wavefront brings
-    no reduction). *)
+(** [snd (at (stage m a ~dims ~config) ~threads:config.threads)]:
+    memory-boundary traffic per lattice update, after applying the
+    temporal-blocking reduction of the configured wavefront depth (if
+    its working set fits the last-level cache; otherwise the wavefront
+    brings no reduction). *)
 
 val wavefront_fits :
   Yasksite_arch.Machine.t ->
@@ -58,6 +86,8 @@ val wavefront_fits :
   dims:int array ->
   config:Config.t ->
   bool
-(** Whether the configured wavefront's working set fits the last-level
-    cache share — the validity condition for the temporal-blocking
-    traffic reduction. Always true for [wavefront = 1]. *)
+(** Whether the configured wavefront's moving window fits 70% of the
+    last-level cache share at [config.threads] cores — the validity
+    condition for the temporal-blocking traffic reduction, evaluated on
+    [stage m a ~dims ~config]. Always true for [wavefront = 1], without
+    staging (so without checking [dims]). *)

@@ -16,7 +16,9 @@ type prediction = {
   flops_chip : float;
 }
 
-let single_core_t_ecm (m : Machine.t) (a : Analysis.t) ~dims ~config =
+(* Everything in the model that does not read the thread count: the
+   in-core terms and the layer-condition stage. *)
+let stage (m : Machine.t) (a : Analysis.t) ~dims ~config =
   let fold = Config.fold_extents config ~rank:a.spec.rank in
   let incore = Incore.analyze m a ~fold in
   (* A wavefront schedule processes single planes of the streamed
@@ -29,17 +31,20 @@ let single_core_t_ecm (m : Machine.t) (a : Analysis.t) ~dims ~config =
       Incore.t_ol = incore.Incore.t_ol *. lane_waste;
       t_nol = incore.Incore.t_nol *. lane_waste }
   in
-  let boundaries = Lc.boundaries m a ~dims ~config in
+  (incore, Lc.stage m a ~dims ~config)
+
+(* The single-core model at [n] threads: the boundaries, the memory
+   traffic per update, the per-boundary transfer times and T_ECM. *)
+let single_at (m : Machine.t) (incore : Incore.t) lc n =
+  let boundaries, mem_bytes = Lc.at lc ~threads:n in
   let lups = Incore.lups_per_cl m in
-  let n = Array.length boundaries in
+  let last = Array.length boundaries - 1 in
   (* The memory boundary carries the temporal-blocking and streaming-
-     store adjustments; Lc.mem_bytes_per_lup is the single source of
-     truth for them. *)
-  let mem_bytes = Lc.mem_bytes_per_lup m a ~dims ~config in
+     store adjustments of [Lc.at]. *)
   let t_data =
     Array.mapi
       (fun k (b : Lc.boundary) ->
-        let bytes_per_lup = if k = n - 1 then mem_bytes else b.bytes_per_lup in
+        let bytes_per_lup = if k = last then mem_bytes else b.bytes_per_lup in
         bytes_per_lup *. float_of_int lups
         /. m.caches.(k).Yasksite_arch.Cache_level.bytes_per_cycle)
       boundaries
@@ -52,36 +57,41 @@ let single_core_t_ecm (m : Machine.t) (a : Analysis.t) ~dims ~config =
     | Machine.Overlapping ->
         Array.fold_left max (max incore.t_ol incore.t_nol) t_data
   in
-  (incore, boundaries, t_data, t_ecm)
+  (boundaries, mem_bytes, t_data, t_ecm)
+
+let ceiling (m : Machine.t) mem_bytes_per_lup =
+  if mem_bytes_per_lup <= 0.0 then infinity
+  else m.mem_bw_chip_gbs *. 1e9 /. mem_bytes_per_lup
 
 let predict (m : Machine.t) (a : Analysis.t) ~dims ~config =
-  let incore, boundaries, t_data, t_ecm =
-    single_core_t_ecm m a ~dims ~config
+  let incore, lc = stage m a ~dims ~config in
+  let threads = config.Config.threads in
+  let boundaries, mem_bytes_per_lup, t_data, t_ecm =
+    single_at m incore lc threads
   in
   let lups = float_of_int (Incore.lups_per_cl m) in
   let hz = Machine.cycles_per_second m in
   let lups_single = hz *. lups /. t_ecm in
-  let mem_bytes_per_lup = Lc.mem_bytes_per_lup m a ~dims ~config in
-  let lups_saturated =
-    if mem_bytes_per_lup <= 0.0 then infinity
-    else m.mem_bw_chip_gbs *. 1e9 /. mem_bytes_per_lup
-  in
+  let lups_saturated = ceiling m mem_bytes_per_lup in
   (* Per-core performance at n threads (shared caches divide up). *)
-  let single_at n =
-    let cfg = { config with Config.threads = n } in
-    let _, _, _, t = single_core_t_ecm m a ~dims ~config:cfg in
-    hz *. lups /. t
+  let lups_single_at n =
+    if n = threads then lups_single
+    else
+      let _, _, _, t = single_at m incore lc n in
+      hz *. lups /. t
   in
-  let chip_at n = min (float_of_int n *. single_at n) lups_saturated in
+  (* The first core count whose chip performance reaches the ceiling.
+     [n * lups_single_at n] is not monotone in n: a shrinking L3 share
+     can break a layer condition, so the search is linear. *)
   let saturation_cores =
     let rec find n =
       if n >= m.cores then m.cores
-      else if float_of_int n *. single_at n >= lups_saturated then n
+      else if float_of_int n *. lups_single_at n >= lups_saturated then n
       else find (n + 1)
     in
     if lups_saturated = infinity then m.cores else find 1
   in
-  let lups_chip = chip_at config.Config.threads in
+  let lups_chip = min (float_of_int threads *. lups_single) lups_saturated in
   { config; incore; boundaries; t_data; t_ecm;
     cy_per_lup = t_ecm /. lups;
     lups_single; mem_bytes_per_lup; lups_saturated; saturation_cores;
@@ -89,10 +99,15 @@ let predict (m : Machine.t) (a : Analysis.t) ~dims ~config =
     flops_chip = lups_chip *. float_of_int a.flops }
 
 let chip_scaling m a ~dims ~config ~max_threads =
+  (* Staged on first use, so [max_threads <= 0] evaluates nothing. *)
+  let staged = lazy (stage m a ~dims ~config) in
+  let lups = float_of_int (Incore.lups_per_cl m) in
+  let hz = Machine.cycles_per_second m in
   Array.init max_threads (fun i ->
       let n = i + 1 in
-      let p = predict m a ~dims ~config:{ config with Config.threads = n } in
-      (n, p.lups_chip))
+      let incore, lc = Lazy.force staged in
+      let _, mem_bytes, _, t_ecm = single_at m incore lc n in
+      (n, min (float_of_int n *. (hz *. lups /. t_ecm)) (ceiling m mem_bytes)))
 
 let summary p =
   let data =

@@ -30,7 +30,13 @@ val predict :
   dims:int array ->
   config:Config.t ->
   prediction
-(** Evaluate the full model for one configuration. *)
+(** Evaluate the full model for one configuration. The in-core terms
+    and the layer-condition stage ({!Lc.stage}) are computed once; the
+    saturation search then evaluates only the boundaries at each core
+    count n = 1, 2, ... until n times the per-core performance reaches
+    the memory ceiling. That product is not monotone in n (a shrinking
+    shared-cache share can break a layer condition), so the search is
+    linear and finds the first crossing. *)
 
 val chip_scaling :
   Yasksite_arch.Machine.t ->
@@ -39,9 +45,11 @@ val chip_scaling :
   config:Config.t ->
   max_threads:int ->
   (int * float) array
-(** Predicted chip performance (LUP/s) for 1..[max_threads] cores; the
-    per-core model is re-evaluated at every count because shared-cache
-    capacity per core shrinks as threads are added. *)
+(** Predicted chip performance (LUP/s) for 1..[max_threads] cores: at
+    each count n, the [lups_chip] that {!predict} gives for the config
+    at n threads. One stage serves every count; only the boundaries are
+    re-evaluated, because shared-cache capacity per core shrinks as
+    threads are added. *)
 
 val summary : prediction -> string
 (** One-line rendering: ECM decomposition and headline numbers. *)

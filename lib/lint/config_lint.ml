@@ -73,7 +73,8 @@ let rule_fold_lanes (m : Machine.t) (c : Config.t) =
    exceeds even the largest per-thread cache share. Such a block
    restricts the sweep (costing loop overhead and halo traffic) without
    establishing reuse in any level — strictly worse than not blocking.
-   The working-set formula mirrors Lc.field_multiplicities. *)
+   The working-set formula mirrors the outer layer condition's in
+   Lc.stage. *)
 
 let span offsets ~dim =
   match List.map (fun o -> o.(dim)) offsets with

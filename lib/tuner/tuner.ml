@@ -409,7 +409,8 @@ let tune_empirical ?space ?(faults = Plan.none) ?(policy = Policy.default)
     (* Graceful degradation: too many candidates died empirically, so
        fall back to the analytic ranking of the same space (the paper's
        point — the model needs no runs at all). *)
-    let predict c = (Cache.predict cache m info ~dims ~config:c).Model.lups_chip in
+    let lookup = Cache.predictor cache m info ~dims in
+    let predict c = (lookup c).Model.lups_chip in
     let lups =
       (* Pure model, so the parallel map equals the sequential one. *)
       match pool with

@@ -432,6 +432,9 @@ let clx8 = Machine.scaled Machine.cascade_lake
 
 let heat2d = Analysis.of_spec (Suite.resolve_defaults Suite.heat_2d_5pt)
 
+let heat3d_resolved =
+  Analysis.of_spec (Suite.resolve_defaults Suite.heat_3d_7pt)
+
 (* Residency is decided per core (slice footprint against the cache
    share), so adding a thread can make every core's slice fit and the
    single-core T_ECM drop. *)
@@ -459,12 +462,221 @@ let test_wavefront_window_leaves_l3_share () =
   Alcotest.(check (float 0.005)) "15 threads GLUP/s" 8.19 (l15 /. 1e9);
   Alcotest.(check (float 0.005)) "16 threads GLUP/s" 4.38 (l16 /. 1e9)
 
+(* The saturation search looks for the first core count whose chip
+   performance reaches the memory ceiling. On clx/8 that is 15 cores
+   for heat-3d-7pt at 64^3; at 19 cores the L3 share has broken a layer
+   condition and the per-core performance has dropped so far that the
+   chip falls below the ceiling again. A search that assumed
+   [n * P1(n)] monotone (bisection, a closed form) could miss the first
+   crossing. *)
+let test_first_crossing_not_monotone () =
+  let dims = [| 64; 64; 64 |] in
+  let p1 n =
+    (Model.predict clx8 heat3d_resolved ~dims
+       ~config:(Config.v ~threads:n ()))
+      .Model.lups_single
+  in
+  let chip n = float_of_int n *. p1 n /. 1e9 in
+  let p = Model.predict clx8 heat3d_resolved ~dims ~config:Config.default in
+  Alcotest.(check (float 1e-9)) "ceiling GLUP/s" 4.375
+    (p.Model.lups_saturated /. 1e9);
+  Alcotest.(check int) "first crossing" 15 p.Model.saturation_cores;
+  Alcotest.(check (float 0.005)) "15 P1(15) GLUP/s" 4.63 (chip 15);
+  Alcotest.(check bool) "14 cores stay below the ceiling" true
+    (chip 14 < 4.375);
+  Alcotest.(check (float 0.005)) "19 P1(19) GLUP/s" 4.34 (chip 19);
+  Alcotest.(check bool) "19 cores fall below the ceiling again" true
+    (chip 19 < 4.375)
+
 let property_suite =
   [ QCheck_alcotest.to_alcotest lc_monotone_in_block;
     QCheck_alcotest.to_alcotest more_bandwidth_never_slower;
     Alcotest.test_case "T_ECM drops when per-core slices fit" `Quick
       test_t_ecm_drops_when_slices_fit;
     Alcotest.test_case "wavefront window leaving the L3 share" `Quick
-      test_wavefront_window_leaves_l3_share ]
+      test_wavefront_window_leaves_l3_share;
+    Alcotest.test_case "first saturation crossing is not monotone" `Quick
+      test_first_crossing_not_monotone ]
 
-let suite = base_suite @ extra_suite @ more_suite @ property_suite
+(* ------------------------------------------------------------------ *)
+(* The staged model against [Ecm_reference], bit for bit. Predictions
+   compare as [Cache.prediction_to_string] renders them: every field,
+   floats in hex.                                                       *)
+
+module Ref = Ecm_reference
+
+let hex = Printf.sprintf "%h"
+
+let render_boundary (b : Lc.boundary) =
+  Printf.sprintf "%s %s %s %s" b.Lc.level_name
+    (match b.Lc.condition with
+    | Lc.All_fits -> "allfits"
+    | Lc.Outer_reuse -> "outer"
+    | Lc.Row_reuse -> "row"
+    | Lc.No_reuse -> "none")
+    (hex b.Lc.lines_per_cl) (hex b.Lc.bytes_per_lup)
+
+let render_boundaries bs =
+  String.concat "; " (Array.to_list (Array.map render_boundary bs))
+
+(* [None] when [m], [a], [dims] and [config] get the same prediction and
+   the same layer-condition results from both; else what differs. *)
+let disagreement m a ~dims ~config =
+  let what = ref [] in
+  let check name ours theirs =
+    if ours <> theirs then
+      what :=
+        Printf.sprintf "%s:\n  staged    %s\n  reference %s" name ours theirs
+        :: !what
+  in
+  check "predict"
+    (Cache.prediction_to_string (Model.predict m a ~dims ~config))
+    (Cache.prediction_to_string (Ref.Model.predict m a ~dims ~config));
+  check "Lc.boundaries"
+    (render_boundaries (Lc.boundaries m a ~dims ~config))
+    (render_boundaries (Ref.Lc.boundaries m a ~dims ~config));
+  check "Lc.mem_bytes_per_lup"
+    (hex (Lc.mem_bytes_per_lup m a ~dims ~config))
+    (hex (Ref.Lc.mem_bytes_per_lup m a ~dims ~config));
+  check "Lc.wavefront_fits"
+    (string_of_bool (Lc.wavefront_fits m a ~dims ~config))
+    (string_of_bool (Ref.Lc.wavefront_fits m a ~dims ~config));
+  match !what with
+  | [] -> None
+  | l ->
+      Some
+        (Printf.sprintf "%s, %s, %s, %s:\n%s" m.Machine.name
+           a.Analysis.spec.Yasksite_stencil.Spec.name
+           (String.concat "x" (Array.to_list (Array.map string_of_int dims)))
+           (Config.describe config)
+           (String.concat "\n" (List.rev l)))
+
+let check_agrees m a ~dims ~config =
+  match disagreement m a ~dims ~config with
+  | None -> ()
+  | Some d -> Alcotest.fail d
+
+let all_machines =
+  lazy
+    (Array.append machines (Array.of_list (Test_schedule.shipped_machines ())))
+
+let staged_equals_reference =
+  QCheck.Test.make
+    ~name:"staged model = reference, every field, seven machines x the suite"
+    ~count:1000 QCheck.small_int (fun seed ->
+      let rng = Prng.create ~seed in
+      let m = pick rng (Lazy.force all_machines) and a = pick rng analyses in
+      let rank = a.Analysis.spec.Yasksite_stencil.Spec.rank in
+      let dims = Array.init rank (fun _ -> 8 * (1 + Prng.int rng ~bound:64)) in
+      let block =
+        if Prng.int rng ~bound:4 = 0 then None
+        else
+          Some
+            (Array.map
+               (fun d -> if Prng.bool rng then 0 else 1 + Prng.int rng ~bound:d)
+               dims)
+      in
+      let fold =
+        if Prng.int rng ~bound:4 = 0 then None
+        else Some (Array.init rank (fun _ -> pick rng [| 1; 1; 2; 4; 8 |]))
+      in
+      let config =
+        Config.v ?block ?fold
+          ~threads:(1 + Prng.int rng ~bound:m.Machine.cores)
+          ~wavefront:(pick rng [| 1; 1; 2; 4; 8 |])
+          ~streaming_stores:(Prng.int rng ~bound:4 = 0)
+          ()
+      in
+      match disagreement m a ~dims ~config with
+      | None -> true
+      | Some d -> QCheck.Test.fail_report d)
+
+(* perfbench's [rank] spaces: the legal heat-3d-7pt configs at 64^3 on
+   clx/8 and rome/8, at 1 thread and at every core. *)
+let test_rank_spaces_equal_reference () =
+  let dims = [| 64; 64; 64 |] in
+  let legal = Yasksite_lint.Schedule_lint.legal heat3d_resolved ~dims in
+  List.iter
+    (fun (m, size) ->
+      let space =
+        List.filter legal (Advisor.space m ~dims ~threads:1 ~rank:3)
+      in
+      Alcotest.(check int) (m.Machine.name ^ " legal configs") size
+        (List.length space);
+      List.iter
+        (fun c ->
+          List.iter
+            (fun threads ->
+              check_agrees m heat3d_resolved ~dims
+                ~config:{ c with Config.threads })
+            [ 1; m.Machine.cores ])
+        space)
+    [ (clx8, 550); (Machine.scaled Machine.rome, 330) ]
+
+(* E5's three scaling cases: [chip_scaling] against the reference's
+   [lups_chip] at every core count, and each count's full prediction. *)
+let test_e5_scaling_equals_reference () =
+  let heat2d_384 = ([| 384; 384 |], heat2d) in
+  let heat3d_64 = ([| 64; 64; 64 |], heat3d_resolved) in
+  List.iter
+    (fun (m, (dims, a)) ->
+      let scaling =
+        Model.chip_scaling m a ~dims ~config:Config.default
+          ~max_threads:m.Machine.cores
+      in
+      Alcotest.(check int) "one entry per core" m.Machine.cores
+        (Array.length scaling);
+      Array.iter
+        (fun (n, lups) ->
+          let config = Config.v ~threads:n () in
+          let r = Ref.Model.predict m a ~dims ~config in
+          Alcotest.(check string)
+            (Printf.sprintf "%s %d cores" m.Machine.name n)
+            (hex r.Ref.Model.lups_chip) (hex lups);
+          check_agrees m a ~dims ~config)
+        scaling)
+    [ (clx8, heat3d_64); (clx8, heat2d_384);
+      (Machine.scaled Machine.rome, heat3d_64) ]
+
+(* Bad input raises what the reference raises. *)
+let test_bad_input_raises_as_reference () =
+  let outcome f =
+    match f () with
+    | _ -> "returned"
+    | exception e -> Printexc.to_string e
+  in
+  let dims = [| 64; 64; 64 |] in
+  List.iter
+    (fun (what, dims, config) ->
+      let same name ours theirs =
+        Alcotest.(check string) (what ^ ": " ^ name) (outcome theirs)
+          (outcome ours)
+      in
+      same "predict"
+        (fun () -> ignore (Model.predict clx heat3d ~dims ~config))
+        (fun () -> ignore (Ref.Model.predict clx heat3d ~dims ~config));
+      same "boundaries"
+        (fun () -> ignore (Lc.boundaries clx heat3d ~dims ~config))
+        (fun () -> ignore (Ref.Lc.boundaries clx heat3d ~dims ~config));
+      same "mem_bytes_per_lup"
+        (fun () -> ignore (Lc.mem_bytes_per_lup clx heat3d ~dims ~config))
+        (fun () -> ignore (Ref.Lc.mem_bytes_per_lup clx heat3d ~dims ~config)))
+    [ ("dims rank", [| 64; 64 |], Config.default);
+      ("block rank", dims, Config.v ~block:[| 0; 8 |] ());
+      ("fold rank", dims, Config.v ~fold:[| 2; 4 |] ());
+      ("fold and dims rank", [| 64; 64 |], Config.v ~fold:[| 2; 4 |] ());
+      ("no threads", dims, { Config.default with Config.threads = 0 }) ];
+  Alcotest.(check bool) "no wavefront: fits without staging" true
+    (Lc.wavefront_fits clx heat3d ~dims:[| 64 |] ~config:Config.default)
+
+let reference_suite =
+  [ QCheck_alcotest.to_alcotest staged_equals_reference;
+    Alcotest.test_case "rank spaces equal the reference" `Quick
+      test_rank_spaces_equal_reference;
+    Alcotest.test_case "E5 scaling equals the reference" `Quick
+      test_e5_scaling_equals_reference;
+    Alcotest.test_case "bad input raises as the reference" `Quick
+      test_bad_input_raises_as_reference ]
+
+let suite =
+  base_suite @ extra_suite @ more_suite @ property_suite @ reference_suite

@@ -7,6 +7,7 @@ module Analysis = Yasksite_stencil.Analysis
 module Config = Yasksite_ecm.Config
 module Model = Yasksite_ecm.Model
 module Cache = Yasksite_ecm.Cache
+module Advisor = Yasksite_ecm.Advisor
 module Cert = Yasksite_engine.Cert
 module Tuner = Yasksite_tuner.Tuner
 
@@ -365,6 +366,42 @@ let test_cache_spill_and_warm_start () =
   Alcotest.(check int) "detached: no store traffic" 0
     (Cache.stats c2).Cache.store_hits
 
+(* Store keys are a contract with every store already on disk: a
+   ranking's predictor, which digests the machine and the kernel once,
+   must hit every entry that one-config lookups wrote, under keys laid
+   out as machine fingerprint | kernel signature | dims | config. *)
+let test_ranking_keys_match_single_lookups () =
+  with_root @@ fun root ->
+  let threads = 2 in
+  let space = Advisor.space machine ~dims ~threads ~rank:2 in
+  let c1 = Cache.create () in
+  Cache.attach_store c1 (Store.open_root root);
+  List.iter
+    (fun config -> ignore (Cache.predict c1 machine info ~dims ~config))
+    space;
+  let store = Store.open_root root in
+  List.iter
+    (fun config ->
+      let key =
+        String.concat "|"
+          [ Cache.machine_fingerprint machine;
+            Yasksite_stencil.Lower.fingerprint info.Analysis.spec;
+            "48x48";
+            Config.describe config ]
+      in
+      Alcotest.(check bool) ("stored under " ^ key) true
+        (Store.get store ~ns:"ecm-v1" ~key <> None))
+    space;
+  let c2 = Cache.create () in
+  Cache.attach_store c2 (Store.open_root root);
+  let ranked = Advisor.rank_all ~cache:c2 machine info ~dims ~threads in
+  let s = Cache.stats c2 in
+  Alcotest.(check int) "every config served by the store" (List.length space)
+    s.Cache.store_hits;
+  Alcotest.(check int) "no store miss" 0 s.Cache.store_misses;
+  Alcotest.(check bool) "same ranking as the model's" true
+    (ranked = Advisor.rank_all machine info ~dims ~threads)
+
 let test_prediction_codec_roundtrip () =
   let config = Config.v ~threads:2 ~block:[| 0; 16 |] ~fold:[| 1; 4 |] () in
   let p = Model.predict machine info ~dims ~config in
@@ -551,6 +588,8 @@ let suite =
     Alcotest.test_case "default resolution" `Quick test_default_env;
     Alcotest.test_case "cache spill and warm start" `Quick
       test_cache_spill_and_warm_start;
+    Alcotest.test_case "ranking keys match single lookups" `Quick
+      test_ranking_keys_match_single_lookups;
     Alcotest.test_case "prediction codec round trip" `Quick
       test_prediction_codec_roundtrip;
     Alcotest.test_case "degraded store leaves cache identical" `Quick
