@@ -2,7 +2,7 @@
 
     Mutates the OCaml source {!Yasksite_stencil.Codegen} emits in ways
     a real code-generation bug would — a coefficient off by one ulp, a
-    reassociated sum, an off-by-one address shift, a dropped FMA term,
+    reassociated sum, an off-by-one address shift, a dropped summand,
     a wrong-slot read — and hands the mutant back as source. Every
     mutation is structural (parse into the validator's checked AST,
     rewrite one node, print back), so the mutant is always well-formed

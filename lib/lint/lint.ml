@@ -81,8 +81,8 @@ let rules =
     ("YS506", Diagnostic.Error, "plan references an unresolved symbolic \
                                  coefficient");
     ("YS507", Diagnostic.Error, "plan divides by a provably zero operand");
-    ("YS508", Diagnostic.Warning, "provably-zero plan arithmetic (dead \
-                                   term or group)");
+    ("YS508", Diagnostic.Warning, "plan multiplies by a provably zero \
+                                   operand (dead arithmetic)");
     ("YS510", Diagnostic.Error, "plan FLOP/byte counts disagree with the \
                                  kernel analysis");
     ("YS511", Diagnostic.Error, "certification: traced traffic disagrees \

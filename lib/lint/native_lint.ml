@@ -10,11 +10,10 @@
    *requires* under the same specialization variant, and proves the
    two identical:
 
-   - op-for-op IEEE-754 equivalence: the same left-associated [+.]
-     chains, the same [1.0]/[-1.0] coefficient specializations, the
-     same postfix reconstruction order, every hex-float literal
-     round-tripping bit-exactly to the plan's coefficient
-     (YS601/YS602/YS603);
+   - op-for-op IEEE-754 equivalence: the expression the postfix code
+     builds, operation for operation and association for association,
+     every hex-float literal round-tripping bit-exactly to the plan's
+     coefficient (YS601/YS602/YS603);
    - address arithmetic: every load's base/table/shift matches the
      variant's per-slot last-dimension shift and unit-stride flag
      (YS604/YS605/YS606), and the shift implies an offset inside the
@@ -40,8 +39,10 @@ module Grid = Yasksite_grid.Grid
    certificate embeds this, so stale verdicts are re-proved.
    v2: compare-select ops (Float.min/Float.max/if-select) joined the
    accepted grammar.
-   v3: a unit holds and registers its row kernel alone. *)
-let version = 3
+   v3: a unit holds and registers its row kernel alone.
+   v4: every operation is parenthesized on its own; unparenthesized
+   chains such as [a +. b +. c] no longer parse. *)
+let version = 4
 
 let dedup = Schedule_lint.dedup
 
@@ -62,24 +63,9 @@ let lit_e c =
     raise (Refused "NaN coefficient (payload bits not emittable)")
   else Lit c
 
-let term_e v (t : Plan.term) =
-  if t.Plan.slot < 0 then lit_e t.Plan.coeff
-  else if t.Plan.coeff = 1.0 then load_e v t.Plan.slot
-  else if t.Plan.coeff = -1.0 then Neg (load_e v t.Plan.slot)
-  else Bin (Mul, lit_e t.Plan.coeff, load_e v t.Plan.slot)
-
-let chain_add = function
-  | [] -> raise (Refused "empty sum")
-  | e :: tl -> List.fold_left (fun acc x -> Bin (Add, acc, x)) e tl
-
-let group_e v (g : Plan.group) =
-  if Array.length g.Plan.terms = 0 then raise (Refused "empty group");
-  let sum = chain_add (Array.to_list (Array.map (term_e v) g.Plan.terms)) in
-  match g.Plan.scale with
-  | None -> sum
-  | Some s -> Bin (Mul, lit_e s, sum)
-
-let program_e v (code : Plan.instr array) =
+(* The validator's own walk of the postfix code, deliberately not
+   Codegen's: sharing it would check the code against itself. *)
+let expected_expr (plan : Plan.t) v =
   let stack = ref [] in
   let push e = stack := e :: !stack in
   let pop () =
@@ -118,32 +104,18 @@ let program_e v (code : Plan.instr array) =
           let a = pop () in
           let c = pop () in
           push (Sel (c, a, b)))
-    code;
+    plan.Plan.code;
   match !stack with
   | [ e ] -> e
   | _ -> raise (Refused "malformed postfix program (leftover operands)")
 
-let expected_expr (plan : Plan.t) v =
-  match plan.Plan.body with
-  | Plan.Groups gs ->
-      if Array.length gs = 0 then raise (Refused "empty plan body");
-      chain_add (Array.to_list (Array.map (group_e v) gs))
-  | Plan.Program { code; _ } -> program_e v code
-
 let expected_binds (plan : Plan.t) (v : Codegen.variant) =
   let used = Array.make (max 1 (Plan.n_slots plan)) false in
-  let mark s = if s >= 0 && s < Array.length used then used.(s) <- true in
-  (match plan.Plan.body with
-  | Plan.Groups gs ->
-      Array.iter
-        (fun (g : Plan.group) ->
-          Array.iter (fun (t : Plan.term) -> mark t.Plan.slot) g.Plan.terms)
-        gs
-  | Plan.Program { code; _ } ->
-      Array.iter
-        (fun (i : Plan.instr) ->
-          match i with Plan.Load s -> mark s | _ -> ())
-        code);
+  Array.iter
+    (function
+      | Plan.Load s when s >= 0 && s < Array.length used -> used.(s) <- true
+      | _ -> ())
+    plan.Plan.code;
   let binds = ref [] in
   Array.iteri
     (fun s u ->

@@ -9,10 +9,9 @@
     - it parses the source back into the checked AST
       ({!Yasksite_stencil.Kernel_ast}), whose grammar covers exactly
       the shapes the generator produces;
-    - it rebuilds the expression the plan IR {e requires} under the
-      same variant — the same [1.0]/[-1.0] coefficient
-      specializations, left-associated [+.] chains, scale-after-sum,
-      postfix reconstruction;
+    - it rebuilds the expression the plan's postfix code {e requires}
+      under the same variant, with its own walk of the code (not the
+      generator's, which would check the code against itself);
     - it compares the two op for op, every divergence classified under
       a stable [YS6xx] code.
 

@@ -190,95 +190,54 @@ let structure (plan : Plan.t) =
     done
   done;
   let used = Array.make (max 1 n) false in
-  (match plan.Plan.body with
-  | Plan.Groups gs ->
-      if Array.length gs = 0 then
+  let code = plan.Plan.code and depth = plan.Plan.depth in
+  Array.iteri
+    (fun i (ins : Plan.instr) ->
+      match ins with
+      | Plan.Sym name ->
+          add
+            (D.errorf ~code:"YS506"
+               "instruction %d references unresolved coefficient %S: \
+                the plan cannot be bound for execution"
+               i name)
+      | Plan.Load s ->
+          if s < 0 || s >= n then
+            add
+              (D.errorf ~code:"YS500"
+                 "instruction %d loads slot %d outside the access \
+                  table (size %d)"
+                 i s n)
+          else used.(s) <- true
+      | _ -> ())
+    code;
+  let r = simulate code in
+  (match r.underflow_at with
+  | Some i ->
+      add
+        (D.errorf ~code:"YS502"
+           "instruction %d pops an empty stack (underflow): the \
+            driver's unchecked stack would read garbage"
+           i)
+  | None ->
+      if r.final = 0 then
         add
           (D.errorf ~code:"YS505"
-             "the body has no groups: it computes no value");
-      Array.iteri
-        (fun g (grp : Plan.group) ->
-          if Array.length grp.terms = 0 then
-            add
-              (D.errorf ~code:"YS505"
-                 "group %d has no terms: evaluating it would read an \
-                  empty chain"
-                 g);
-          (match grp.scale with
-          | Some s when s = 0.0 ->
-              add
-                (D.warningf ~code:"YS508"
-                   "group %d is scaled by zero: the whole group is dead \
-                    arithmetic"
-                   g)
-          | _ -> ());
-          Array.iteri
-            (fun t (tm : Plan.term) ->
-              if tm.slot < -1 || tm.slot >= n then
-                add
-                  (D.errorf ~code:"YS500"
-                     "group %d term %d references slot %d outside the \
-                      access table (size %d)"
-                     g t tm.slot n)
-              else if tm.slot >= 0 then begin
-                used.(tm.slot) <- true;
-                if tm.coeff = 0.0 then
-                  add
-                    (D.warningf ~code:"YS508"
-                       "group %d term %d multiplies slot %d by zero \
-                        (dead arithmetic)"
-                       g t tm.slot)
-              end)
-            grp.terms)
-        gs
-  | Plan.Program { code; depth } ->
-      Array.iteri
-        (fun i (ins : Plan.instr) ->
-          match ins with
-          | Plan.Sym name ->
-              add
-                (D.errorf ~code:"YS506"
-                   "instruction %d references unresolved coefficient %S: \
-                    the plan cannot be bound for execution"
-                   i name)
-          | Plan.Load s ->
-              if s < 0 || s >= n then
-                add
-                  (D.errorf ~code:"YS500"
-                     "instruction %d loads slot %d outside the access \
-                      table (size %d)"
-                     i s n)
-              else used.(s) <- true
-          | _ -> ())
-        code;
-      let r = simulate code in
-      (match r.underflow_at with
-      | Some i ->
-          add
-            (D.errorf ~code:"YS502"
-               "instruction %d pops an empty stack (underflow): the \
-                driver's unchecked stack would read garbage"
-               i)
-      | None ->
-          if r.final = 0 then
-            add
-              (D.errorf ~code:"YS505"
-                 "the program leaves no value on the stack: there is no \
-                  result to store")
-          else if r.final > 1 then
-            add
-              (D.errorf ~code:"YS505"
-                 "%d values are left on the stack after the final \
-                  instruction: all but the result are dead computation"
-                 r.final);
-          if r.max_depth <> depth then
-            add
-              (D.errorf ~code:"YS502"
-                 "declared stack depth %d but the program's measured \
-                  maximum is %d: the driver sizes its unchecked stack \
-                  from the declaration"
-                 depth r.max_depth);
-          ds := List.rev_append (const_rules code) !ds));
+             "the program leaves no value on the stack: there is no \
+              result to store")
+      else if r.final > 1 then
+        add
+          (D.errorf ~code:"YS505"
+             "%d values are left on the stack after the final \
+              instruction: all but the result are dead computation"
+             r.final);
+      if r.max_depth <> depth then
+        add
+          (D.errorf ~code:"YS502"
+             "declared stack depth %d but the program's measured \
+              maximum is %d: the driver sizes its unchecked stack \
+              from the declaration"
+             depth r.max_depth);
+      ds := List.rev_append (const_rules code) !ds);
   for s = 0 to n - 1 do
     if not used.(s) then
       add
@@ -359,35 +318,18 @@ type counts = {
 }
 
 let counts (plan : Plan.t) =
-  let adds, muls, divs =
-    match plan.Plan.body with
-    | Plan.Groups gs ->
-        let adds = ref (max 0 (Array.length gs - 1)) and muls = ref 0 in
-        Array.iter
-          (fun (g : Plan.group) ->
-            adds := !adds + max 0 (Array.length g.terms - 1);
-            if g.scale <> None then incr muls;
-            Array.iter
-              (fun (tm : Plan.term) ->
-                if tm.slot >= 0 && tm.coeff <> 1.0 && tm.coeff <> -1.0 then
-                  incr muls)
-              g.terms)
-          gs;
-        (!adds, !muls, 0)
-    | Plan.Program { code; _ } ->
-        let a = ref 0 and m = ref 0 and d = ref 0 in
-        Array.iter
-          (fun (ins : Plan.instr) ->
-            match ins with
-            (* Min/Max/Sel are billed as additive work, matching
-               Analysis.count_ops. *)
-            | Plan.Add | Plan.Sub | Plan.Min | Plan.Max | Plan.Sel -> incr a
-            | Plan.Mul -> incr m
-            | Plan.Div -> incr d
-            | _ -> ())
-          code;
-        (!a, !m, !d)
-  in
+  let adds = ref 0 and muls = ref 0 and divs = ref 0 in
+  Array.iter
+    (fun (ins : Plan.instr) ->
+      match ins with
+      (* Min/Max/Sel are billed as additive work, matching
+         Analysis.count_ops. *)
+      | Plan.Add | Plan.Sub | Plan.Min | Plan.Max | Plan.Sel -> incr adds
+      | Plan.Mul -> incr muls
+      | Plan.Div -> incr divs
+      | _ -> ())
+    plan.Plan.code;
+  let adds = !adds and muls = !muls and divs = !divs in
   { adds;
     muls;
     divs;

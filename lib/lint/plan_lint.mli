@@ -11,7 +11,7 @@
       iteration space of the given grids (|offset| ≤ halo per
       dimension; extent-independent, so the verdict transfers across
       problem sizes);
-    - YS502 postfix programs are stack-safe: no underflow, and the
+    - YS502 the postfix code is stack-safe: no underflow, and the
       declared depth (which sizes the driver's unchecked stack) equals
       the measured maximum;
     - YS503 dead loads, YS504 duplicate access-table entries;
@@ -49,8 +49,7 @@ val simulate : Plan.instr array -> stack_report
 val measured_depth : Plan.instr array -> int option
 (** The interpreter-measured maximum stack depth, when the program is
     well-formed ([Some max_depth] iff there is no underflow and exactly
-    one value remains); the reference {!Plan.Program} [depth] must
-    equal. *)
+    one value remains); the plan's declared [depth] must equal it. *)
 
 val structure : Plan.t -> Diagnostic.t list
 (** The grid-free rules: YS500 (dangling slots), YS502 (stack safety),

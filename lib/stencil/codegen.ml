@@ -1,26 +1,20 @@
 module Grid = Yasksite_grid.Grid
 
 (* Source-level specialization of a kernel plan: emit a self-contained
-   OCaml compilation unit whose inner loop is the plan's FMA chain fully
+   OCaml compilation unit whose inner loop is the plan's expression fully
    unrolled, with every coefficient, last-dimension shift and pad folded
    into literals — no per-point dispatch, no table indirection on
    unit-stride grids. The unit depends on nothing but the stdlib, so a
    host can [Dynlink] it without sharing any cmi; the row kernel is
    published through [Callback.register] under an ABI-versioned name.
 
-   Bit-identity contract: every expression below replays the exact
+   Bit-identity contract: the emitted expression replays the exact
    IEEE-754 operation sequence of the plan interpreter (Lower):
 
-   - a term is [v], [(-. v)] or [(c *. v)] by the same [1.0]/[-1.0]
-     coefficient tests the interpreter applies;
-   - group sums and the group chain are emitted as left-associated
-     [+.] chains, the order the interpreter folds them in;
-   - a group's scale multiplies {e after} its sum, as the interpreter
-     does;
-   - a postfix [Program] body is reconstructed into the nested
-     expression whose evaluation replays the program verbatim (the
-     operands are pure loads and literals, so operand evaluation order
-     cannot matter);
+   - the postfix body is reconstructed into the nested expression whose
+     evaluation replays the code verbatim, every operation in its own
+     parentheses (the operands are pure loads and literals, so operand
+     evaluation order cannot matter);
    - coefficients render as hex-float literals ([%h]), which
      round-trip every finite double exactly; [nan] coefficients are
      refused (an emitted [nan] literal could lose the payload).
@@ -105,24 +99,6 @@ let load v s =
       s s s
       (int_lit v.slot_shift.(s))
 
-let term_expr v (t : Plan.term) =
-  if t.Plan.slot < 0 then float_lit t.Plan.coeff
-  else if t.Plan.coeff = 1.0 then load v t.Plan.slot
-  else if t.Plan.coeff = -1.0 then Printf.sprintf "(-. %s)" (load v t.Plan.slot)
-  else Printf.sprintf "(%s *. %s)" (float_lit t.Plan.coeff) (load v t.Plan.slot)
-
-let group_expr v (g : Plan.group) =
-  if Array.length g.Plan.terms = 0 then raise (Unsupported "empty group");
-  let sum =
-    "("
-    ^ String.concat " +. "
-        (Array.to_list (Array.map (term_expr v) g.Plan.terms))
-    ^ ")"
-  in
-  match g.Plan.scale with
-  | None -> sum
-  | Some s -> Printf.sprintf "(%s *. %s)" (float_lit s) sum
-
 let program_expr v (code : Plan.instr array) =
   let stack = ref [] in
   let push e = stack := e :: !stack in
@@ -169,29 +145,13 @@ let program_expr v (code : Plan.instr array) =
   | [ e ] -> e
   | _ -> raise (Unsupported "malformed postfix program (leftover operands)")
 
-let body_expr (plan : Plan.t) v =
-  match plan.Plan.body with
-  | Plan.Groups gs ->
-      if Array.length gs = 0 then raise (Unsupported "empty plan body");
-      (* parenthesized groups joined by +. parse left-associated — the
-         interpreter's accumulation order *)
-      String.concat " +. " (Array.to_list (Array.map (group_expr v) gs))
-  | Plan.Program { code; _ } -> program_expr v code
-
 let used_slots (plan : Plan.t) =
   let used = Array.make (max 1 (Plan.n_slots plan)) false in
-  let mark s = if s >= 0 && s < Array.length used then used.(s) <- true in
-  (match plan.Plan.body with
-  | Plan.Groups gs ->
-      Array.iter
-        (fun (g : Plan.group) ->
-          Array.iter (fun (t : Plan.term) -> mark t.Plan.slot) g.Plan.terms)
-        gs
-  | Plan.Program { code; _ } ->
-      Array.iter
-        (fun (i : Plan.instr) ->
-          match i with Plan.Load s -> mark s | _ -> ())
-        code);
+  Array.iter
+    (function
+      | Plan.Load s when s >= 0 && s < Array.length used -> used.(s) <- true
+      | _ -> ())
+    plan.Plan.code;
   used
 
 (* Per-slot hoisted bindings: data handle, row base, and (only on
@@ -214,7 +174,7 @@ let source ~(plan : Plan.t) v =
   match
     let k = key ~plan v in
     let used = used_slots plan in
-    let expr = body_expr plan v in
+    let expr = program_expr v plan.Plan.code in
     let b = Buffer.create 2048 in
     Printf.bprintf b
       "(* yasksite generated kernel (abi v%d) -- machine-written, do not \
@@ -258,11 +218,12 @@ let source ~(plan : Plan.t) v =
 
 let supported plan =
   match
-    body_expr plan
+    program_expr
       { slot_shift = Array.make (Plan.n_slots plan) 0;
         slot_unit = Array.make (Plan.n_slots plan) true;
         out_lp = 0;
         out_unit = true }
+      plan.Plan.code
   with
   | (_ : string) -> Ok ()
   | exception Unsupported reason -> Error reason

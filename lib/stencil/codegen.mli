@@ -6,7 +6,7 @@
     fully unrolled — every coefficient a literal, every last-dimension
     shift and pad constant-folded into the address arithmetic, table
     indirection dropped entirely on unit-stride grids — so the native
-    compiler sees one straight-line FMA chain per point with no
+    compiler sees one straight-line expression per point with no
     dispatch of any kind. The engine's [Codegen_backend]
     ({!Yasksite_engine.Sweep}) compiles the emitted source out of
     process with [ocamlfind ocamlopt -shared], loads the resulting
@@ -27,10 +27,9 @@
     {2 Bit-identity}
 
     The emitted expression replays the plan interpreter's exact
-    IEEE-754 operation sequence: the same [1.0]/[-1.0] coefficient
-    specializations, the same left-associated [+.] chains, scales
-    applied after group sums, postfix programs reconstructed into the
-    nested expression whose evaluation order is the program's own.
+    IEEE-754 operation sequence: the postfix body is reconstructed into
+    the nested expression whose evaluation order is the code's own,
+    every operation in its own parentheses.
     Coefficients render as hex-float literals (round-trip exact for
     every finite double); plans with [NaN] coefficients or unresolved
     {!Plan.Sym}s are refused ({!source} returns [Error]) and the caller

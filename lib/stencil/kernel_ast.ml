@@ -2,16 +2,17 @@
 
    Codegen's output grammar is tiny -- one type declaration, one row
    function whose body is prelude bindings plus an output loop over a
-   fully parenthesized float expression of unsafe loads, and one
-   Callback.register -- and this module is its parser and printer: a
-   hand-written lexer (dotted paths lex as single idents, hex-float
-   literals round-trip [%h] exactly, [-] glued to a digit starts a
-   negative numeral) and a recursive-descent parser accepting exactly
-   the emitted shapes, nothing more. The YS6xx translation validator
-   (Lint.Native) compares parsed ASTs against the plan IR; the seeded
-   miscompile injector (Faults.Miscompile) mutates them and prints
-   them back. Keeping syntax here and judgment in the lint layer is
-   what lets both ends share one grammar without a dependency cycle. *)
+   float expression of unsafe loads with every operation in its own
+   parentheses, and one Callback.register -- and this module is its
+   parser and printer: a hand-written lexer (dotted paths lex as single
+   idents, hex-float literals round-trip [%h] exactly, [-] glued to a
+   digit starts a negative numeral) and a recursive-descent parser
+   accepting exactly the emitted shapes, nothing more. The YS6xx
+   translation validator (Lint.Native) compares parsed ASTs against the
+   plan IR; the seeded miscompile injector (Faults.Miscompile) mutates
+   them and prints them back. Keeping syntax here and judgment in the
+   lint layer is what lets both ends share one grammar without a
+   dependency cycle. *)
 
 (* ------------------------------------------------------------------ *)
 (* The checked AST                                                     *)
@@ -367,41 +368,10 @@ let parse_load p =
       Tab_addr { data; row; tab; shift }
   | t -> fail (line_at p) "expected x or a table access, found %s" (tok_str t)
 
-(* expressions, with OCaml's float-operator precedence: [*.]/[/.] bind
-   tighter than [+.]/[-.], all left-associated *)
-let rec parse_expr p = parse_add p
-
-and parse_add p =
-  let lhs = ref (parse_mul p) in
-  let continue = ref true in
-  while !continue do
-    match peek p with
-    | OP "+." ->
-        ignore (next p);
-        lhs := Bin (Add, !lhs, parse_mul p)
-    | OP "-." ->
-        ignore (next p);
-        lhs := Bin (Sub, !lhs, parse_mul p)
-    | _ -> continue := false
-  done;
-  !lhs
-
-and parse_mul p =
-  let lhs = ref (parse_primary p) in
-  let continue = ref true in
-  while !continue do
-    match peek p with
-    | OP "*." ->
-        ignore (next p);
-        lhs := Bin (Mul, !lhs, parse_primary p)
-    | OP "/." ->
-        ignore (next p);
-        lhs := Bin (Div, !lhs, parse_primary p)
-    | _ -> continue := false
-  done;
-  !lhs
-
-and parse_primary p =
+(* expressions: Codegen parenthesizes every operation on its own, so a
+   binary operation is exactly [(a op b)] over two primaries — there is
+   no precedence to resolve and an unparenthesized chain is refused *)
+let rec parse_primary p =
   match next p with
   | FLOAT f, _ -> Lit f
   | IDENT "infinity", _ -> Lit infinity
@@ -413,7 +383,7 @@ and parse_primary p =
       match peek p with
       | OP "-." ->
           ignore (next p);
-          let e = parse_expr p in
+          let e = parse_primary p in
           expect p RPAREN;
           Neg e
       | IDENT "Bigarray.Array1.unsafe_get" ->
@@ -454,10 +424,26 @@ and parse_primary p =
           ignore (next p);
           Lit f
       | _ ->
-          let e = parse_expr p in
+          let a = parse_primary p in
+          let op =
+            match next p with
+            | OP "+.", _ -> Add
+            | OP "-.", _ -> Sub
+            | OP "*.", _ -> Mul
+            | OP "/.", _ -> Div
+            | t, l -> fail l "expected a float operator, found %s" (tok_str t)
+          in
+          let b = parse_primary p in
           expect p RPAREN;
-          e)
+          Bin (op, a, b))
   | t, l -> fail l "expected an expression, found %s" (tok_str t)
+
+(* the row expression as the output store passes it: [(e)] *)
+let parse_stored p =
+  expect p LPAREN;
+  let e = parse_primary p in
+  expect p RPAREN;
+  e
 
 (* prelude bindings: [let dN = Array.unsafe_get slot_data N in] etc. *)
 let parse_binds p =
@@ -564,7 +550,7 @@ let parse_unit_toks p =
         expect_ident p "out";
         expect p BANG;
         expect_ident p "off";
-        let e = parse_primary p in
+        let e = parse_stored p in
         expect p SEMI;
         expect_idents p [ "incr"; "off"; "done" ];
         (Out_unit { lp }, e)
@@ -589,7 +575,7 @@ let parse_unit_toks p =
         let lp = parse_int_lit p in
         expect p RPAREN;
         expect p RPAREN;
-        let e = parse_primary p in
+        let e = parse_stored p in
         expect_ident p "done";
         (Out_tab { lp }, e)
     | t -> fail (line_at p) "expected the output loop, found %s" (tok_str t)

@@ -3,7 +3,8 @@
 
     {!Codegen.source} produces one small shape — a [farr] type alias,
     a [kern_row] whose body is prelude bindings plus an output loop over
-    a fully parenthesized float expression of unsafe loads, and a
+    a float expression of unsafe loads with every operation in its own
+    parentheses, and a
     [Callback.register] — and this module round-trips it: {!parse}
     accepts precisely the emitted forms (hex-float literals, dotted
     stdlib paths, both output-loop modes) and nothing more, {!print}

@@ -2,23 +2,11 @@ module Grid = Yasksite_grid.Grid
 
 (* Lowering: Spec.t -> Plan.t, and binding a plan to concrete grids.
 
-   Every rewrite used below is exact in IEEE-754 double arithmetic for
-   the finite data the engine operates on, so plan execution is
-   bit-identical to walking the expression tree point by point:
-
-   - constant subtrees are folded with the very operation the tree would
-     have applied at run time;
-   - [a -. b] is emitted as the chain element [+ (negated b)] — IEEE
-     defines subtraction as addition of the negated operand;
-   - negation distributes exactly over addition and over multiplication
-     by a constant (rounding is sign-symmetric);
-   - [1.0 *. v = v], [-1.0 *. v = -.v] and [c *. v = v *. c] hold
-     exactly.
-
-   Only left-spine additive chains are linearised (the shape [Dsl.sum]
-   and the random generator produce); right-nested sums keep their
-   grouping by falling back to the postfix [Program] body, which
-   replays the tree's own operation order verbatim. *)
+   [lower] folds constant subtrees with the very operation the tree
+   would have applied at run time, then flattens the folded tree to
+   postfix code in its own operation order. Both steps are exact in
+   IEEE-754 double arithmetic, so plan execution is bit-identical to
+   walking the expression tree point by point. *)
 
 (* ---- constant folding (exact: same ops the tree would execute) ---- *)
 
@@ -58,63 +46,23 @@ let rec cfold (e : Expr.t) : Expr.t =
       | Const vc, Const va, Const vb -> Const (if vc > 0.0 then va else vb)
       | c', a', b' -> Select (c', a', b'))
 
-(* ---- linear-combination (Groups) detection ---- *)
+(* ---- postfix code ---- *)
 
-exception Not_linear
-
-(* The left-spine additive chain of [e], in evaluation order: the right
-   operand of each Add/Sub is NOT recursed into, so a right-nested sum
-   stays a single (non-linear) element and forces the Program fallback —
-   flattening it would change the rounding order. *)
-let spine e =
-  let rec go acc (e : Expr.t) =
-    match e with
-    | Add (a, b) -> go ((1, b) :: acc) a
-    | Sub (a, b) -> go ((-1, b) :: acc) a
-    | _ -> (1, e) :: acc
-  in
-  go [] e
-
-let rec term_of slot_of sign (e : Expr.t) : Plan.term =
-  match e with
-  | Const c -> { Plan.coeff = (if sign < 0 then -.c else c); slot = -1 }
-  | Ref a -> { Plan.coeff = (if sign < 0 then -1.0 else 1.0); slot = slot_of a }
-  | Mul (Const c, Ref a) | Mul (Ref a, Const c) ->
-      { Plan.coeff = (if sign < 0 then -.c else c); slot = slot_of a }
-  | Neg t -> term_of slot_of (-sign) t
-  | _ -> raise Not_linear
-
-let terms_of slot_of sign e =
-  List.map (fun (s, t) -> term_of slot_of (sign * s) t) (spine e)
-
-let rec group_of slot_of sign (e : Expr.t) : Plan.group =
-  match e with
-  | Neg inner -> group_of slot_of (-sign) inner
-  | Mul (Const c, inner) | Mul (inner, Const c) ->
-      { Plan.scale = Some (if sign < 0 then -.c else c);
-        terms = Array.of_list (terms_of slot_of 1 inner) }
-  | _ -> { Plan.scale = None; terms = Array.of_list (terms_of slot_of sign e) }
-
-let groups_of slot_of e =
-  match List.map (fun (s, g) -> group_of slot_of s g) (spine e) with
-  | gs -> Some (Array.of_list gs)
-  | exception Not_linear -> None
-
-(* ---- postfix fallback ---- *)
+(* Values an instruction pops; each pushes one. *)
+let pops : Plan.instr -> int = function
+  | Push _ | Load _ | Sym _ -> 0
+  | Neg -> 1
+  | Add | Sub | Mul | Div | Min | Max -> 2
+  | Sel -> 3
 
 (* Postfix code and the stack depth it reaches. *)
 let postfix instrs =
   let code = Array.of_list instrs in
   let d = ref 0 and depth = ref 0 in
   Array.iter
-    (fun (i : Plan.instr) ->
-      match i with
-      | Push _ | Load _ | Sym _ ->
-          incr d;
-          if !d > !depth then depth := !d
-      | Neg -> ()
-      | Add | Sub | Mul | Div | Min | Max -> decr d
-      | Sel -> d := !d - 2)
+    (fun i ->
+      d := !d - pops i + 1;
+      depth := max !depth !d)
     code;
   (code, !depth)
 
@@ -160,8 +108,7 @@ let program slot_of e =
         push Plan.Sel
   in
   go e;
-  let code, depth = postfix (List.rev !buf) in
-  Plan.Program { code; depth }
+  postfix (List.rev !buf)
 
 let make_slot_of accesses =
   let tbl = Hashtbl.create 16 in
@@ -172,14 +119,9 @@ let lower (spec : Spec.t) : Plan.t =
   let info = Analysis.of_spec spec in
   let accesses = Array.of_list info.Analysis.accesses in
   let slot_of = make_slot_of accesses in
-  let e = cfold spec.Spec.expr in
-  let body =
-    match groups_of slot_of e with
-    | Some gs -> Plan.Groups gs
-    | None -> program slot_of e
-  in
+  let code, depth = program slot_of (cfold spec.Spec.expr) in
   Plan.v ~name:spec.Spec.name ~rank:spec.Spec.rank
-    ~n_fields:spec.Spec.n_fields ~accesses ~body
+    ~n_fields:spec.Spec.n_fields ~accesses ~code ~depth
 
 let fingerprint spec = (lower spec).Plan.fingerprint
 
@@ -207,14 +149,31 @@ let check (plan : Plan.t) ~inputs ~output =
                  h.(i) d))
         a.offsets)
     plan.Plan.accesses;
-  match plan.Plan.body with
-  | Plan.Program { code; _ } ->
-      Array.iter
-        (function
-          | Plan.Sym n -> invalid_arg ("Lower: unresolved coefficient " ^ n)
-          | _ -> ())
-        code
-  | Plan.Groups _ -> ()
+  (* The driver runs the code on an unchecked stack of [depth] entries
+     and stores the one value left, so code that underflows, outgrows
+     [depth], leaves other than one value or loads outside the access
+     table is refused here rather than run. *)
+  let sp =
+    Array.fold_left
+      (fun sp (i : Plan.instr) ->
+        (match i with
+        | Plan.Sym n -> invalid_arg ("Lower: unresolved coefficient " ^ n)
+        | Plan.Load s when s < 0 || s >= Plan.n_slots plan ->
+            invalid_arg
+              (Printf.sprintf "Lower: load of slot %d outside the access table"
+                 s)
+        | _ -> ());
+        if sp < pops i then invalid_arg "Lower: code pops an empty stack";
+        let sp = sp - pops i + 1 in
+        if sp > plan.Plan.depth then
+          invalid_arg
+            (Printf.sprintf "Lower: code outgrows its declared depth %d"
+               plan.Plan.depth);
+        sp)
+      0 plan.Plan.code
+  in
+  if sp <> 1 then
+    invalid_arg (Printf.sprintf "Lower: code leaves %d values, not one" sp)
 
 type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -232,38 +191,10 @@ type bound = {
   out_lp : int;
   out_unit : bool;
   out_base : int;
-  code : Plan.instr array;  (* the body as postfix code *)
-  depth : int;
 }
-
-(* A Groups body as postfix code with the same operations on the same
-   values in the same order: [c *. v] per term, each group's terms
-   summed left to right, [scale *. sum] per scaled group, the groups
-   summed left to right. *)
-let groups_code gs =
-  let term i (t : Plan.term) =
-    (if t.slot < 0 then [ Plan.Push t.coeff ]
-     else if t.coeff = 1.0 then [ Plan.Load t.slot ]
-     else if t.coeff = -1.0 then [ Plan.Load t.slot; Plan.Neg ]
-     else [ Plan.Push t.coeff; Plan.Load t.slot; Plan.Mul ])
-    @ if i = 0 then [] else [ Plan.Add ]
-  in
-  let group i (g : Plan.group) =
-    let sum = List.concat (List.mapi term (Array.to_list g.terms)) in
-    (match g.scale with
-    | Some c -> (Plan.Push c :: sum) @ [ Plan.Mul ]
-    | None -> sum)
-    @ if i = 0 then [] else [ Plan.Add ]
-  in
-  postfix (List.concat (List.mapi group (Array.to_list gs)))
 
 let bind (plan : Plan.t) ~inputs ~output =
   check plan ~inputs ~output;
-  let code, depth =
-    match plan.Plan.body with
-    | Plan.Program { code; depth } -> (code, depth)
-    | Plan.Groups gs -> groups_code gs
-  in
   let r = plan.Plan.rank in
   let field_tab = Array.map Grid.last_dim_offsets inputs in
   let field_lp = Array.map (fun g -> (Grid.left_pad g).(r - 1)) inputs in
@@ -285,9 +216,7 @@ let bind (plan : Plan.t) ~inputs ~output =
     out_tab = Grid.last_dim_offsets output;
     out_lp = (Grid.left_pad output).(r - 1);
     out_unit = Grid.unit_stride output;
-    out_base = Grid.base_address output;
-    code;
-    depth }
+    out_base = Grid.base_address output }
 
 let plan_of b = b.plan
 
@@ -324,7 +253,7 @@ let driver b =
     row = Array.make (max 1 (Array.length b.slot_grid)) 0;
     out_row = 0;
     oc = Array.make (max 0 (b.plan.Plan.rank - 1)) 0;
-    lanes = Array.make (max 1 b.depth * chunk) 0.0 }
+    lanes = Array.make (max 1 b.plan.Plan.depth * chunk) 0.0 }
 
 let set_row drv outer =
   let b = drv.b in
@@ -344,12 +273,12 @@ let driver_out_row drv = drv.out_row
 
 (* ---- row evaluation ----
 
-   Each postfix instruction of the body (a Groups body as its
-   [groups_code]) runs over all points of a chunk before the next one
-   starts, on a stack whose entries are [chunk] lanes wide. Every point
-   still gets the same operations on the same values in the same order
-   as the expression tree, so the values are bit-identical; the
-   dispatch is paid once per chunk instead of once per point.
+   Each postfix instruction of the body runs over all points of a chunk
+   before the next one starts, on a stack whose entries are [chunk]
+   lanes wide. Every point still gets the same operations on the same
+   values in the same order as the expression tree, so the values are
+   bit-identical; the dispatch is paid once per chunk instead of once
+   per point.
 
    No bounds checks below: for regions inside the iteration space every
    table index [x + shift] lies in [0, padded last extent) because the
@@ -445,7 +374,7 @@ let program_lanes b row lanes code x0 n =
 
 (* Lanes [0, n) <- the values at points [x0, x0 + n) of the row. *)
 let eval_lanes drv x0 n =
-  program_lanes drv.b drv.row drv.lanes drv.b.code x0 n
+  program_lanes drv.b drv.row drv.lanes drv.b.plan.Plan.code x0 n
 
 let store_row drv xb xe =
   let b = drv.b and lanes = drv.lanes in

@@ -1,8 +1,8 @@
 (** Lowering stencils to kernel plans and binding plans to grids.
 
-    [lower] turns a [Spec.t] into a layout-independent {!Plan.t}
-    (constant folding, FMA-chain detection, postfix fallback — all
-    value-preserving down to the bit for the engine's finite data).
+    [lower] turns a [Spec.t] into a layout-independent {!Plan.t}:
+    constant folding, then the folded tree as postfix code in its own
+    operation order — value-preserving down to the bit.
     [bind] specialises a plan to concrete grids: per-access row-base
     tables and last-dimension offset tables, so the engine evaluates a
     row a chunk of points at a time without per-point dispatch. A
@@ -24,7 +24,10 @@ val check :
   output:Yasksite_grid.Grid.t -> unit
 (** Structural validation: input count equals [n_fields], every grid
     (and the output) has the plan's rank, each input's halo covers the
-    accesses to it, and no {!Plan.Sym} remains. Raises
+    accesses to it, no {!Plan.Sym} remains, and the code is safe on the
+    driver's unchecked stack: every load names an access-table slot, no
+    instruction pops an empty stack, the stack never grows past the
+    declared [depth], and exactly one value remains. Raises
     [Invalid_argument] with a ["Lower: ..."] message; a symbolic plan
     gets ["Lower: unresolved coefficient <name>"]. *)
 
@@ -91,15 +94,14 @@ val read_addr : driver -> int -> int -> int
 val store_row : driver -> int -> int -> unit
 (** [store_row drv xb xe]: evaluate and store every point of the
     current row with [xb <= x < xe]. The row is evaluated a chunk of
-    points at a time: each postfix instruction (a Groups body is bound
-    as postfix code) runs over the whole chunk before the next, and
-    every point gets the same operations on the same values in the
-    same order as the expression tree, so the stored values are
-    bit-identical to it. No bounds
-    checks: the caller must have gated the region (legal interior
-    regions are always safe because grid left padding covers the
-    halo), and an instrumented caller issues each point's checks and
-    trace events before the call. *)
+    points at a time: each postfix instruction runs over the whole
+    chunk before the next, and every point gets the same operations on
+    the same values in the same order as the expression tree, so the
+    stored values are bit-identical to it. No bounds checks: the
+    caller must have gated the region (legal interior regions are
+    always safe because grid left padding covers the halo), and an
+    instrumented caller issues each point's checks and trace events
+    before the call. *)
 
 val eval_row : driver -> int -> int -> float array -> int -> unit
 (** [eval_row drv xb xe dst pos]: the values {!store_row} would store

@@ -1,24 +1,14 @@
 (** The flat kernel-plan IR.
 
     A plan is the layout-independent compiled form of a resolved stencil
-    expression: constant-folded coefficients, a canonical access table
-    (the distinct reads, in {!Analysis.accesses} order) and a body that
-    is either a detected linear combination ({!Groups}) or a flattened
-    postfix program ({!Program}). Both forms evaluate bit-identically to
-    walking the original expression tree; {!Lower} produces plans and
-    binds them to concrete grids. The {!field-fingerprint} is a stable
-    content-addressed digest (kernel name excluded) used as the
-    memoization key by the ECM cache, the tuner's checkpoints and the
-    Offsite executor. *)
-
-type term = { coeff : float; slot : int }
-(** One FMA-chain element: [coeff *. load slot], or the literal [coeff]
-    when [slot = -1]. [slot] indexes the plan's access table. A coeff of
-    exactly [1.0] or [-1.0] marks an unscaled (or negated) load. *)
-
-type group = { scale : float option; terms : term array }
-(** A left-to-right [+.] chain of terms, optionally multiplied by a
-    constant [scale] (e.g. [r *. (sum of neighbours)] in heat stencils). *)
+    expression: a canonical access table (the distinct reads, in
+    {!Analysis.accesses} order) and a body of postfix code — the
+    constant-folded expression tree in its own operation order, so it
+    evaluates bit-identically to walking the original tree. {!Lower}
+    produces plans and binds them to concrete grids. The
+    {!field-fingerprint} is a stable content-addressed digest (kernel
+    name excluded) used as the memoization key by the ECM cache, the
+    tuner's checkpoints and the Offsite executor. *)
 
 type instr =
   | Push of float
@@ -37,12 +27,6 @@ type instr =
       (** pops b, a, c; pushes [if c > 0.0 then a else b] — the
           branchless compare-select, all operands already evaluated *)
 
-type body =
-  | Groups of group array
-      (** evaluated as the left-to-right [+.] chain of group values *)
-  | Program of { code : instr array; depth : int }
-      (** postfix code; [depth] is the maximum stack depth needed *)
-
 type t = {
   name : string;
   rank : int;
@@ -50,30 +34,28 @@ type t = {
   accesses : Expr.access array;
       (** canonical read set: sorted, deduplicated ({!Analysis.accesses}
           order) — shared by evaluation, tracing and the sanitizer *)
-  body : body;
+  code : instr array;  (** the body, postfix *)
+  depth : int;
+      (** the maximum stack depth [code] reaches; it sizes the driver's
+          unchecked stack, so {!Lower.check} refuses code that exceeds
+          it *)
   fingerprint : string;
   resolved : bool;
-      (** memoized at construction: false iff the body contains a
+      (** memoized at construction: false iff [code] contains a
           {!Sym}. Use the {!val-resolved} accessor. *)
 }
 
 val v :
   name:string -> rank:int -> n_fields:int -> accesses:Expr.access array ->
-  body:body -> t
-(** Assemble a plan, computing its fingerprint. *)
+  code:instr array -> depth:int -> t
+(** Assemble a plan, computing its fingerprint: the MD5 of the rank,
+    field count, access table and one token per instruction. Hex floats
+    ([%h]) render coefficients, so distinct representable values never
+    collide; [name] and [depth] are not part of it. *)
 
 val n_slots : t -> int
 (** Number of access-table entries. *)
 
 val resolved : t -> bool
-(** False iff the body still contains a {!Sym} (unresolved coefficient).
+(** False iff the code still contains a {!Sym} (unresolved coefficient).
     Memoized at construction — O(1), safe on hot paths. *)
-
-val fingerprint_of :
-  name:string -> rank:int -> n_fields:int -> accesses:Expr.access array ->
-  body:body -> string
-(** The digest {!v} would assign. Hex floats ([%h]) render coefficients,
-    so distinct representable values never collide; [name] is ignored. *)
-
-val describe : t -> string
-(** One-line human summary (body shape, sizes, fingerprint prefix). *)

@@ -51,8 +51,9 @@ type result = {
       (** the empirical sweep fell back to analytic ranking because the
           failure rate exceeded the policy's threshold *)
   wall_seconds : float;
-      (** CPU cost of the whole tuning pass, including charged backoff
-          and timeout time *)
+      (** elapsed time of the whole tuning pass on the [?clock] (wall
+          time by default), including charged backoff and timeout
+          time *)
 }
 
 val tune_analytic :

@@ -42,7 +42,9 @@ let make_grid ?(layout = Grid.Linear) ~halo ~dims seed =
   Grid.halo_dirichlet g 0.25;
   g
 
-let force_program spec =
+(* Dividing by 1.0 is exact for every float and puts a division at the
+   root of the body. *)
+let with_division spec =
   Spec.v ~name:spec.Spec.name ~rank:spec.Spec.rank
     ~n_fields:spec.Spec.n_fields
     Dsl.(spec.Spec.expr /: c 1.0)
@@ -129,17 +131,16 @@ let test_source_shape () =
 
 let test_source_refuses_unresolved () =
   let accesses = [| { Expr.field = 0; offsets = [| 0 |] } |] in
-  let body =
-    Plan.Program { code = [| Plan.Load 0; Plan.Sym "r"; Plan.Mul |]; depth = 2 }
+  let plan =
+    Plan.v ~name:"sym" ~rank:1 ~n_fields:1 ~accesses
+      ~code:[| Plan.Load 0; Plan.Sym "r"; Plan.Mul |] ~depth:2
   in
-  let plan = Plan.v ~name:"sym" ~rank:1 ~n_fields:1 ~accesses ~body in
   (match Codegen.supported plan with
   | Ok () -> Alcotest.fail "a Sym-bearing plan must be unsupported"
   | Error _ -> ());
   let nan_plan =
     Plan.v ~name:"nan" ~rank:1 ~n_fields:1 ~accesses
-      ~body:(Plan.Groups [| { Plan.scale = None;
-                              terms = [| { Plan.coeff = Float.nan; slot = 0 } |] } |])
+      ~code:[| Plan.Push Float.nan; Plan.Load 0; Plan.Mul |] ~depth:2
   in
   match Codegen.supported nan_plan with
   | Ok () -> Alcotest.fail "a NaN coefficient must be unsupported"
@@ -155,7 +156,7 @@ let sweep_three_way ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
   let spec = Gen.spec rng ~rank () in
-  let spec = if Prng.int rng ~bound:2 = 0 then force_program spec else spec in
+  let spec = if Prng.int rng ~bound:2 = 0 then with_division spec else spec in
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
   let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:10) in
@@ -202,7 +203,7 @@ let wavefront_three_way ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
   let spec = Gen.spec rng ~rank () in
-  let spec = if Prng.int rng ~bound:2 = 0 then force_program spec else spec in
+  let spec = if Prng.int rng ~bound:2 = 0 then with_division spec else spec in
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
   let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:8) in
@@ -283,11 +284,11 @@ let test_sanitizer_verdict_parity () =
    other point reads that cell. Rows of 200 points span four chunks of
    the interpreter. The oracle reads a copy of the original field 0. *)
 let in_place_specs =
-  [ Spec.v ~name:"in-place-groups" ~rank:2 ~n_fields:2
+  [ Spec.v ~name:"in-place-sum" ~rank:2 ~n_fields:2
       Dsl.(
         c 0.5 *: fld [ 0; 0 ]
         +: (c 0.25 *: (fld ~field:1 [ 0; -1 ] +: fld ~field:1 [ 0; 1 ])));
-    Spec.v ~name:"in-place-program" ~rank:2 ~n_fields:2
+    Spec.v ~name:"in-place-select" ~rank:2 ~n_fields:2
       Dsl.(
         select (fld [ 0; 0 ])
           (fmax (fld [ 0; 0 ]) (fld ~field:1 [ 0; -1 ]))
@@ -318,15 +319,7 @@ let test_in_place_rows_match_oracle () =
                 (Grid.max_abs_diff io expected))
             [ false; true ])
         all_backends)
-    in_place_specs;
-  Alcotest.(check (list bool))
-    "one Groups body, one Program body" [ true; false ]
-    (List.map
-       (fun spec ->
-         match (Lower.lower spec).Plan.body with
-         | Plan.Groups _ -> true
-         | Plan.Program _ -> false)
-       in_place_specs)
+    in_place_specs
 
 (* A sanitized row with an out-of-bounds point traps before the row call:
    no point of that row is written, not even the legal ones before it.

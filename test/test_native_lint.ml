@@ -418,14 +418,49 @@ let test_unparseable_source_is_ys600 () =
       | Ok () -> Alcotest.fail "validate must reject an unparseable unit"
       | Error _ -> ()
 
+let replace_once s ~sub ~by =
+  let n = String.length sub in
+  let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+(* Codegen puts every operation in its own parentheses, so the grammar
+   has no precedence: an unparenthesized [+.] chain, which OCaml would
+   still compile left-associated, does not parse. *)
+let test_unparenthesized_chain_is_ys600 () =
+  let spec =
+    Spec.v ~name:"sum3" ~rank:1
+      Stencil.Dsl.(fld [ -1 ] +: fld [ 0 ] +: fld [ 1 ])
+  in
+  let plan = Lower.lower spec in
+  let inputs = [| Grid.create ~halo:[| 1 |] ~dims:[| 8 |] () |] in
+  let output = Grid.create ~halo:[| 1 |] ~dims:[| 8 |] () in
+  let v = Codegen.variant_of ~plan ~inputs ~output in
+  let src =
+    match Codegen.source ~plan v with Ok s -> s | Error e -> Alcotest.fail e
+  in
+  match Ast.parse src with
+  | Ok { Ast.row_expr = Ast.Bin (Ast.Add, Ast.Bin (Ast.Add, a, b), c) as e; _ }
+    ->
+      let chain =
+        Printf.sprintf "(%s +. %s +. %s)" (Ast.expr_str a) (Ast.expr_str b)
+          (Ast.expr_str c)
+      in
+      let chained = replace_once src ~sub:(Ast.expr_str e) ~by:chain in
+      (match NL.check ~plan ~variant:v ~inputs chained with
+      | [ d ] -> Alcotest.(check string) "YS600" "YS600" d.D.code
+      | ds ->
+          Alcotest.failf "expected exactly one YS600, got [%s]"
+            (String.concat "," (List.map (fun d -> d.D.code) ds)))
+  | _ -> Alcotest.fail "expected a left-associated three-term sum"
+
 let test_unresolved_plan_is_ys612 () =
   let accesses = [| { Stencil.Expr.field = 0; offsets = [| 0 |] } |] in
-  let body =
-    Stencil.Plan.Program
-      { code = [| Stencil.Plan.Load 0; Stencil.Plan.Sym "r"; Stencil.Plan.Mul |];
-        depth = 2 }
+  let plan =
+    Stencil.Plan.v ~name:"sym" ~rank:1 ~n_fields:1 ~accesses
+      ~code:[| Stencil.Plan.Load 0; Stencil.Plan.Sym "r"; Stencil.Plan.Mul |]
+      ~depth:2
   in
-  let plan = Stencil.Plan.v ~name:"sym" ~rank:1 ~n_fields:1 ~accesses ~body in
   match emitted_suite () with
   | [] -> Alcotest.fail "empty suite"
   | (_, _, _, _, src) :: _ -> (
@@ -468,5 +503,7 @@ let suite =
       test_fresh_payload_not_stale_end_to_end;
     Alcotest.test_case "unparseable unit is YS600" `Quick
       test_unparseable_source_is_ys600;
+    Alcotest.test_case "unparenthesized chain is YS600" `Quick
+      test_unparenthesized_chain_is_ys600;
     Alcotest.test_case "unevaluable plan is YS612" `Quick
       test_unresolved_plan_is_ys612 ]

@@ -3,10 +3,9 @@
    The contract under test: lowering a resolved stencil to a flat plan
    and sweeping it with the plan driver is *bit-identical* to the
    tree-walking {!Oracle}, across ranks, layouts, blocking, wavefronts
-   and both body shapes (detected linear combination and postfix
-   fallback). Plus the satellite coverage: the [Lower.check] error
-   paths on both backends, and the fingerprint contract that keys the
-   ECM cache and tuner checkpoints. *)
+   and bodies with and without division. Plus the satellite coverage:
+   the [Lower.check] error paths on both backends, and the fingerprint
+   contract that keys the ECM cache and tuner checkpoints. *)
 
 module Grid = Yasksite_grid.Grid
 module Machine = Yasksite_arch.Machine
@@ -16,6 +15,8 @@ module Analysis = Yasksite_stencil.Analysis
 module Suite = Yasksite_stencil.Suite
 module Gen = Yasksite_stencil.Gen
 module Dsl = Yasksite_stencil.Dsl
+module Expr = Yasksite_stencil.Expr
+module Program = Yasksite_stencil.Program
 module Plan = Yasksite_stencil.Plan
 module Lower = Yasksite_stencil.Lower
 module Config = Yasksite_ecm.Config
@@ -33,16 +34,16 @@ let make_grid ?(layout = Grid.Linear) ~halo ~dims seed =
   Grid.halo_dirichlet g 0.25;
   g
 
-(* Dividing by 1.0 is exact for every float and defeats the
-   linear-combination detector, forcing the postfix-program body. *)
-let force_program spec =
+(* Dividing by 1.0 is exact for every float and puts a division at the
+   root of the body. *)
+let with_division spec =
   Spec.v ~name:spec.Spec.name ~rank:spec.Spec.rank
     ~n_fields:spec.Spec.n_fields
     Dsl.(spec.Spec.expr /: c 1.0)
 
 (* One sweep of a random stencil on the plan backend: the output must
    be bit-identical to the oracle's and every interior point counted.
-   Exercised over ranks 1..3, both body shapes, folded layouts and
+   Exercised over ranks 1..3, with and without division, folded layouts and
    spatial blocking; [long_rows] makes the last extent 65..204, so rows
    (and row blocks) span several of the interpreter's 64-point
    chunks. *)
@@ -50,7 +51,7 @@ let sweep_matches_oracle ?(long_rows = false) ~seed () =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
   let spec = Gen.spec rng ~rank () in
-  let spec = if Prng.int rng ~bound:2 = 0 then force_program spec else spec in
+  let spec = if Prng.int rng ~bound:2 = 0 then with_division spec else spec in
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
   let dims =
@@ -106,7 +107,7 @@ let wavefront_matches_oracle ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
   let spec = Gen.spec rng ~rank () in
-  let spec = if Prng.int rng ~bound:2 = 0 then force_program spec else spec in
+  let spec = if Prng.int rng ~bound:2 = 0 then with_division spec else spec in
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
   let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:8) in
@@ -156,35 +157,37 @@ let traced_backend_parity =
 
 let heat2 = Suite.resolve_defaults Suite.heat_2d_5pt
 
-let test_groups_detected () =
+(* The body is the folded tree as postfix code, in the tree's own
+   order: [r *. (((w +. e) +. s) +. n) +. c *. u]. *)
+let test_postfix_in_tree_order () =
   let plan = Lower.lower heat2 in
-  (match plan.Plan.body with
-  | Plan.Groups _ -> ()
-  | Plan.Program _ ->
-      Alcotest.fail "heat 5pt should lower to an FMA-chain (Groups) body");
   Alcotest.(check bool) "resolved" true (Plan.resolved plan);
   let info = Analysis.of_spec heat2 in
   Alcotest.(check int) "one slot per distinct access"
     (List.length info.Analysis.accesses)
-    (Plan.n_slots plan)
-
-let test_program_fallback () =
-  let spec =
-    Spec.v ~name:"div" ~rank:1 Dsl.(fld [ 0 ] /: (c 2.0 +: fld [ 1 ]))
+    (Plan.n_slots plan);
+  let slot offsets =
+    let rec find i =
+      if plan.Plan.accesses.(i) = { Expr.field = 0; offsets } then i
+      else find (i + 1)
+    in
+    Plan.Load (find 0)
   in
-  match (Lower.lower spec).Plan.body with
-  | Plan.Program _ -> ()
-  | Plan.Groups _ -> Alcotest.fail "division should fall back to Program"
+  Alcotest.(check bool) "code replays the tree" true
+    (plan.Plan.code
+    = [| Plan.Push 0.1; slot [| -1; 0 |]; slot [| 1; 0 |]; Plan.Add;
+         slot [| 0; -1 |]; Plan.Add; slot [| 0; 1 |]; Plan.Add; Plan.Mul;
+         Plan.Push 0.4; slot [| 0; 0 |]; Plan.Mul; Plan.Add |]);
+  Alcotest.(check int) "depth" 3 plan.Plan.depth
 
-(* The interpreter runs a Groups body as postfix code, so every term and
-   group shape must keep the tree's operations: a constant group, a
-   negated one, a scaled one, a scaled group with [+1], [-1], constant
-   and [c *. v] terms, and a negatively scaled group led by a [-1] term.
-   Rows of 200 points span four chunks; the folded layout loads through
-   the offset table. *)
-let test_groups_term_kinds () =
+(* Every sum and scale shape must keep the tree's operations: a constant
+   term, a difference, a scaled sum with a [c *. v] term, a constant and
+   a difference inside, and a scaled sum led by a negation subtracted
+   at the end. Rows of 200 points span four chunks; the folded layout
+   loads through the offset table. *)
+let test_sum_and_scale_shapes () =
   let spec =
-    Spec.v ~name:"groups-term-kinds" ~rank:2
+    Spec.v ~name:"sum-and-scale-shapes" ~rank:2
       Dsl.(
         c 0.3 -: fld [ 0; -1 ]
         +: (c 1.5 *: fld [ 0; 0 ])
@@ -193,9 +196,6 @@ let test_groups_term_kinds () =
               +: (c 3.0 *: fld [ 1; 1 ])))
         -: (c 0.5 *: (neg (fld [ 1; 0 ]) +: (c 2.0 *: fld [ 0; -1 ]))))
   in
-  (match (Lower.lower spec).Plan.body with
-  | Plan.Groups gs -> Alcotest.(check int) "five groups" 5 (Array.length gs)
-  | Plan.Program _ -> Alcotest.fail "should lower to a Groups body");
   let halo = [| 1; 1 |] and dims = [| 4; 200 |] in
   List.iter
     (fun layout ->
@@ -229,6 +229,26 @@ let test_fingerprint_matches_plan () =
     plan.Plan.fingerprint (Lower.fingerprint spec);
   Alcotest.(check bool) "digest is hex of fixed width" true
     (String.length plan.Plan.fingerprint = 32)
+
+(* The fingerprint rendering is a persisted format: these digests key
+   ECM, kernel, certificate, checkpoint and Offsite store entries, so a
+   change to them cold-starts every store and has to be deliberate. *)
+let test_fingerprint_format_pinned () =
+  let stage_fp prog name =
+    match Program.find_stage prog name with
+    | Some st -> Lower.fingerprint (Program.stage_spec prog st)
+    | None -> Alcotest.failf "no stage %s" name
+  in
+  Alcotest.(check string) "varcoef-3d-7pt" "deb05a6e2e68019efa80d033c686a632"
+    (Lower.fingerprint (Suite.resolve_defaults Suite.varcoef_3d_7pt));
+  Alcotest.(check string) "hdiff ufli, unfused"
+    "d05744c09f9852422e9a09f69cf6069f"
+    (stage_fp (Program.fuse Suite.hdiff ~inline:[]) "ufli");
+  Alcotest.(check string) "hdiff uout, all fused"
+    "42bb7659ab78326f30575291351a90ae"
+    (stage_fp
+       (Program.fuse Suite.hdiff ~inline:(Program.inlinable Suite.hdiff))
+       "uout")
 
 let test_unresolved_plan () =
   let spec = Spec.v ~name:"sym" ~rank:1 Dsl.(p "r" *: fld [ 0 ]) in
@@ -301,6 +321,35 @@ let test_check_halo () =
           Sweep.run ~backend ~check:false wide1 ~inputs:[| thin |] ~output:o))
     backends
 
+(* The driver sizes its unchecked stack from the declared depth, loads
+   through unchecked slot tables and stores the one value left: code
+   that outgrows the depth, underflows, leaves two values or loads a
+   slot outside the access table is refused before it runs, on both
+   backends. *)
+let test_stack_unsafe_code () =
+  let spec = Spec.v ~name:"copy" ~rank:1 Dsl.(fld [ 0 ]) in
+  let g = make_grid ~halo:[| 1 |] ~dims:[| 200 |] 8 in
+  let o = Grid.create ~halo:[| 1 |] ~dims:[| 200 |] () in
+  let plan code depth =
+    Plan.v ~name:"unsafe" ~rank:1 ~n_fields:1
+      ~accesses:[| { Expr.field = 0; offsets = [| 0 |] } |]
+      ~code ~depth
+  in
+  List.iter
+    (fun (substr, code, depth) ->
+      raises_invalid ~substr (fun () ->
+          Lower.check (plan code depth) ~inputs:[| g |] ~output:o);
+      List.iter
+        (fun backend ->
+          raises_invalid ~substr (fun () ->
+              Sweep.run ~backend ~plan:(plan code depth) spec ~inputs:[| g |]
+                ~output:o))
+        backends)
+    [ ("declared depth 1", [| Plan.Load 0; Plan.Load 0; Plan.Add |], 1);
+      ("empty stack", [| Plan.Load 0; Plan.Add |], 1);
+      ("2 values", [| Plan.Load 0; Plan.Push 2.0 |], 2);
+      ("slot 1 outside", [| Plan.Load 1 |], 1) ]
+
 let test_unresolved_both_backends () =
   let spec = Spec.v ~name:"sym" ~rank:1 Dsl.(p "r" *: fld [ 0 ]) in
   let g = make_grid ~halo:[| 1 |] ~dims:[| 8 |] 5 in
@@ -353,15 +402,16 @@ let suite =
     qt long_rows_match_oracle;
     qt wavefront_backend_parity;
     qt traced_backend_parity;
-    Alcotest.test_case "heat 5pt lowers to Groups" `Quick test_groups_detected;
-    Alcotest.test_case "division falls back to Program" `Quick
-      test_program_fallback;
-    Alcotest.test_case "every Groups term kind bit-reproduces the oracle"
-      `Quick test_groups_term_kinds;
+    Alcotest.test_case "heat 5pt lowers to tree-order postfix" `Quick
+      test_postfix_in_tree_order;
+    Alcotest.test_case "every sum and scale shape bit-reproduces the oracle"
+      `Quick test_sum_and_scale_shapes;
     Alcotest.test_case "fingerprint ignores the kernel name" `Quick
       test_fingerprint_ignores_name;
     Alcotest.test_case "Lower.fingerprint matches the plan" `Quick
       test_fingerprint_matches_plan;
+    Alcotest.test_case "fingerprint format pinned" `Quick
+      test_fingerprint_format_pinned;
     Alcotest.test_case "symbolic plans fingerprint but refuse to bind" `Quick
       test_unresolved_plan;
     Alcotest.test_case "field-count mismatch rejected everywhere" `Quick
@@ -370,6 +420,8 @@ let suite =
       test_check_rank;
     Alcotest.test_case "insufficient halo rejected everywhere" `Quick
       test_check_halo;
+    Alcotest.test_case "stack-unsafe code rejected everywhere" `Quick
+      test_stack_unsafe_code;
     Alcotest.test_case "unresolved coefficient rejected on both backends"
       `Quick test_unresolved_both_backends;
     Alcotest.test_case "sanitizer verdict identical across backends" `Quick

@@ -50,9 +50,9 @@ let make_grid ?(layout = Grid.Linear) ~halo ~dims seed =
   Grid.halo_dirichlet g 0.25;
   g
 
-(* Dividing by 1.0 is exact for every float and defeats the
-   linear-combination detector, forcing the postfix-program body. *)
-let force_program spec =
+(* Dividing by 1.0 is exact for every float and puts a division at the
+   root of the body. *)
+let with_division spec =
   Spec.v ~name:spec.Spec.name ~rank:spec.Spec.rank
     ~n_fields:spec.Spec.n_fields
     Dsl.(spec.Spec.expr /: c 1.0)
@@ -62,12 +62,8 @@ let acc ?(field = 0) offsets = { Expr.field; offsets }
 (* A syntactically minimal healthy 1D plan to mutate from: one access,
    identity body. *)
 let mk_plan ?(name = "adv") ?(rank = 1) ?(n_fields = 1)
-    ?(accesses = [| acc [| 0 |] |]) body =
-  Plan.v ~name ~rank ~n_fields ~accesses ~body
-
-let groups terms = Plan.Groups [| { Plan.scale = None; terms } |]
-
-let term ?(coeff = 1.0) slot = { Plan.coeff; slot }
+    ?(accesses = [| acc [| 0 |] |]) code ~depth =
+  Plan.v ~name ~rank ~n_fields ~accesses ~code ~depth
 
 (* ------------------------------------------------------------------ *)
 (* Rule-by-rule units on hand-built plans.                             *)
@@ -93,27 +89,29 @@ let test_suite_plans_clean () =
     Suite.all
 
 let test_ys500_dangling_slot () =
-  let p = mk_plan (groups [| term 5 |]) in
+  let p = mk_plan [| Plan.Load 0; Plan.Load 5; Plan.Add |] ~depth:2 in
   let ds = PL.structure p in
   Alcotest.(check bool) "slot outside the table" true (has "YS500" ds);
   Alcotest.(check bool) "is an error" true (D.has_errors ds);
-  let p = mk_plan (Plan.Program { code = [| Plan.Load 3 |]; depth = 1 }) in
-  Alcotest.(check bool) "program load outside the table" true
+  let p = mk_plan [| Plan.Load 3 |] ~depth:1 in
+  Alcotest.(check bool) "lone load outside the table" true
     (has "YS500" (PL.structure p))
 
 let test_ys500_bad_field_and_rank () =
-  let p = mk_plan ~accesses:[| acc ~field:3 [| 0 |] |] (groups [| term 0 |]) in
+  let p =
+    mk_plan ~accesses:[| acc ~field:3 [| 0 |] |] [| Plan.Load 0 |] ~depth:1
+  in
   Alcotest.(check bool) "field outside the declared range" true
     (has "YS500" (PL.structure p));
-  let p = mk_plan ~accesses:[| acc [| 0; 0 |] |] (groups [| term 0 |]) in
+  let p = mk_plan ~accesses:[| acc [| 0; 0 |] |] [| Plan.Load 0 |] ~depth:1 in
   Alcotest.(check bool) "offset arity differs from the plan rank" true
     (has "YS500" (PL.structure p))
 
 let test_ys502_underflow_and_depth () =
-  let p = mk_plan (Plan.Program { code = [| Plan.Add |]; depth = 0 }) in
+  let p = mk_plan [| Plan.Add |] ~depth:0 in
   Alcotest.(check bool) "underflow" true (has "YS502" (PL.structure p));
   let code = [| Plan.Load 0; Plan.Push 2.0; Plan.Add |] in
-  let p = mk_plan (Plan.Program { code; depth = 5 }) in
+  let p = mk_plan code ~depth:5 in
   Alcotest.(check bool) "declared depth differs from measured" true
     (has "YS502" (PL.structure p));
   Alcotest.(check (option int)) "measured depth" (Some 2)
@@ -123,7 +121,7 @@ let test_ys503_dead_load () =
   let p =
     mk_plan
       ~accesses:[| acc [| 0 |]; acc [| 1 |] |]
-      (groups [| term 0 |])
+      [| Plan.Load 0 |] ~depth:1
   in
   let ds = PL.structure p in
   Alcotest.(check bool) "dead load reported" true (has "YS503" ds);
@@ -134,19 +132,16 @@ let test_ys504_duplicate_slots () =
   let p =
     mk_plan
       ~accesses:[| acc [| 1 |]; acc [| 1 |] |]
-      (groups [| term 0; term 1 |])
+      [| Plan.Load 0; Plan.Load 1; Plan.Add |] ~depth:2
   in
   Alcotest.(check bool) "duplicate table entries" true
     (has "YS504" (PL.structure p))
 
 let test_ys505_no_result () =
-  let p = mk_plan (Plan.Groups [||]) in
-  Alcotest.(check bool) "empty groups body" true
+  let p = mk_plan [||] ~depth:0 in
+  Alcotest.(check bool) "empty body" true
     (has "YS505" (PL.structure p));
-  let p =
-    mk_plan
-      (Plan.Program { code = [| Plan.Load 0; Plan.Push 1.0 |]; depth = 2 })
-  in
+  let p = mk_plan [| Plan.Load 0; Plan.Push 1.0 |] ~depth:2 in
   Alcotest.(check bool) "two values left on the stack" true
     (has "YS505" (PL.structure p))
 
@@ -157,18 +152,15 @@ let test_ys506_unresolved_sym () =
 
 let test_ys507_div_by_zero () =
   let code = [| Plan.Load 0; Plan.Push 0.0; Plan.Div |] in
-  let p = mk_plan (Plan.Program { code; depth = 2 }) in
+  let p = mk_plan code ~depth:2 in
   let ds = PL.structure p in
   Alcotest.(check bool) "provable zero divisor" true (has "YS507" ds);
   Alcotest.(check bool) "is an error" true (D.has_errors ds)
 
 let test_ys508_zero_arithmetic () =
   let code = [| Plan.Push 0.0; Plan.Load 0; Plan.Mul |] in
-  let p = mk_plan (Plan.Program { code; depth = 2 }) in
+  let p = mk_plan code ~depth:2 in
   Alcotest.(check bool) "zero multiply flagged" true
-    (has "YS508" (PL.structure p));
-  let p = mk_plan (groups [| term ~coeff:0.0 0 |]) in
-  Alcotest.(check bool) "zero group coefficient flagged" true
     (has "YS508" (PL.structure p))
 
 let wide1 = Spec.v ~name:"wide1" ~rank:1 Dsl.(fld [ -2 ] +: fld [ 2 ])
@@ -203,7 +195,7 @@ let test_ys510_counts_disagree () =
     (List.length (PL.counts_agree (Lower.lower heat1) info))
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: declared Program depth equals the interpreter-measured
+(* Satellite: the declared depth equals the interpreter-measured
    maximum for random plans.                                           *)
 
 let depth_matches_interpreter =
@@ -211,11 +203,8 @@ let depth_matches_interpreter =
     ~count:150 QCheck.small_int (fun seed ->
       let rng = Prng.create ~seed in
       let rank = 1 + Prng.int rng ~bound:3 in
-      let spec = force_program (Gen.spec rng ~rank ()) in
-      match (Lower.lower spec).Plan.body with
-      | Plan.Groups _ -> false (* [force_program] must defeat detection *)
-      | Plan.Program { code; depth } ->
-          PL.measured_depth code = Some depth)
+      let plan = Lower.lower (with_division (Gen.spec rng ~rank ())) in
+      PL.measured_depth plan.Plan.code = Some plan.Plan.depth)
 
 (* ------------------------------------------------------------------ *)
 (* Certificate store.                                                  *)
@@ -376,18 +365,11 @@ let corpus_rejected_never_certified () =
   let spec = Suite.resolve_defaults Suite.copy_1d in
   let a, o = cfg_grids 5 in
   let bad_plans =
-    [ ("dangling slot", mk_plan (groups [| term 7 |]));
-      ( "stack underflow",
-        mk_plan (Plan.Program { code = [| Plan.Mul |]; depth = 0 }) );
+    [ ("dangling slot", mk_plan [| Plan.Load 7 |] ~depth:1);
+      ("stack underflow", mk_plan [| Plan.Mul |] ~depth:0);
       ( "zero divide",
-        mk_plan
-          (Plan.Program
-             { code = [| Plan.Load 0; Plan.Push 0.0; Plan.Div |]; depth = 2 })
-      );
-      ( "wrong depth",
-        mk_plan
-          (Plan.Program { code = [| Plan.Load 0; Plan.Neg |]; depth = 9 }) )
-    ]
+        mk_plan [| Plan.Load 0; Plan.Push 0.0; Plan.Div |] ~depth:2 );
+      ("wrong depth", mk_plan [| Plan.Load 0; Plan.Neg |] ~depth:9) ]
   in
   List.iter
     (fun (name, plan) ->
