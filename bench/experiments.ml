@@ -972,16 +972,19 @@ let e17 () =
                 cases) ) ])
 
 (* ------------------------------------------------------------------ *)
-(* E18 — persistent store: warm starts, corruption, degraded mode.
-   A second process (simulated by a fresh model cache on the same store
-   root) warm-starts the analytic ranking from disk; an adversarially
-   corrupted root is detected by [store verify] and only costs
-   recomputation; an unusable root leaves results bit-identical to a
-   store-less run. Writes bench/BENCH_store.json. *)
+(* E18 — persistent store: what it keeps, corruption, degraded mode.
+   The store keeps only what costs more to recompute than to read
+   back. Offsite's per-kernel config memo is timed cold (the full
+   ranking) against warm (a fresh model cache on the same root, as a
+   second process would start), and the RK4 heat2d Offsite ranking
+   counts its model-cache misses and store hits both ways. An
+   adversarially corrupted root is detected by [store verify] and only
+   costs recomputation; an unusable root leaves results bit-identical
+   to a store-less run. Writes bench/BENCH_store.json. *)
 
 let e18 () =
   header "e18"
-    "Persistent tuning store: warm start, corruption, degraded mode \
+    "Persistent tuning store: Offsite memo, corruption, degraded mode \
      (BENCH_store.json)";
   let entry_files root =
     let acc = ref [] in
@@ -1012,75 +1015,94 @@ let e18 () =
   let dims = [| 64; 64; 64 |] in
   let threads = 8 in
   (* Store-less baseline: what every degraded mode must reproduce. *)
-  let base_cache = Model_cache.create () in
-  let ranked_base =
-    Advisor.rank_all ~cache:base_cache clx info ~dims ~threads
+  let base_config = Offsite.best_static_config clx info ~dims ~threads in
+  (* Cold: an empty root, so the ranking runs and the winner is
+     written; warm: a fresh cache on the same root, served by the
+     memo. Median of [reps], each on a fresh root. *)
+  let reps = 5 in
+  let runs =
+    List.init reps (fun _ ->
+        rm_rf root;
+        let store = Store.open_root root in
+        let cold, cold_s =
+          time (fun () ->
+              Offsite.best_static_config ~store clx info ~dims ~threads)
+        in
+        let store = Store.open_root root in
+        let warm_cache = Model_cache.create () in
+        let warm, warm_s =
+          time (fun () ->
+              Offsite.best_static_config ~cache:warm_cache ~store clx info
+                ~dims ~threads)
+        in
+        let ws = Model_cache.stats warm_cache in
+        (cold, cold_s, warm, warm_s,
+         ws.Model_cache.hits + ws.Model_cache.misses))
   in
-  (* Cold: fresh cache, fresh root — every prediction is computed and
-     spilled through the store. *)
-  let s_cold = Store.open_root root in
-  let cold_cache = Model_cache.create () in
-  Model_cache.attach_store cold_cache s_cold;
-  let ranked_cold, cold_s =
-    time (fun () -> Advisor.rank_all ~cache:cold_cache clx info ~dims ~threads)
+  let median f = Stats.median (Array.of_list (List.map f runs)) in
+  let cold_s = median (fun (_, s, _, _, _) -> s) in
+  let warm_s = median (fun (_, _, _, s, _) -> s) in
+  let warm_lookups =
+    List.fold_left (fun n (_, _, _, _, l) -> n + l) 0 runs
   in
-  let cold_cs = Model_cache.stats cold_cache in
-  (* Warm from disk: a fresh cache on the same root simulates a second
-     process — memory is cold, the store serves every miss. *)
-  let s_warm = Store.open_root root in
-  let warm_cache = Model_cache.create () in
-  Model_cache.attach_store warm_cache s_warm;
-  let ranked_warm, warm_s =
-    time (fun () -> Advisor.rank_all ~cache:warm_cache clx info ~dims ~threads)
-  in
-  let warm_cs = Model_cache.stats warm_cache in
-  let cold_entries = (Store.usage s_cold).Store.entries in
-  let ranking_identical =
-    ranked_base = ranked_cold && ranked_cold = ranked_warm
+  let memo_identical =
+    List.for_all
+      (fun (c, _, w, _, _) ->
+        Config.equal c base_config && Config.equal w base_config)
+      runs
   in
   Printf.printf
-    "analytic ranking (%d candidates):\n\
-    \  cold, empty store   %.4f s  (%d store misses, %d entries spilled)\n\
-    \  warm from disk      %.4f s  (%.2fx, %d store hits / %d misses)\n\
-    \  rankings %s across store-less, cold and warm runs\n"
-    (List.length ranked_cold) cold_s cold_cs.Model_cache.store_misses
-    cold_entries warm_s (cold_s /. warm_s)
-    warm_cs.Model_cache.store_hits warm_cs.Model_cache.store_misses
-    (if ranking_identical then "bit-identical" else "DIFFER");
-  (* Offsite variant ranking: the cold model-cache hit rate is the E15
-     baseline (repeated kernels inside one ranking); warm-from-disk
-     converts the remaining misses into store hits. *)
+    "offsite config memo (heat-3d-7pt 64^3, clx/8, %d threads, median of \
+     %d):\n\
+    \  cold, empty store   %.3f ms (full ranking)\n\
+    \  warm from disk      %.3f ms (%.0fx, %d model-cache lookups)\n\
+    \  config %s across store-less, cold and warm runs\n"
+    threads reps (cold_s *. 1e3) (warm_s *. 1e3) (cold_s /. warm_s)
+    warm_lookups
+    (if memo_identical then "identical" else "DIFFERS");
+  (* The RK4 heat2d Offsite ranking, cold and warm on one root. *)
+  rm_rf root;
   let pde = Ode.Pde.heat ~rank:2 ~n:96 ~alpha:1.0 in
-  let off_cold_cache = Model_cache.create () in
-  Model_cache.attach_store off_cold_cache (Store.open_root root);
-  let _ =
-    (Offsite.evaluate ~cache:off_cold_cache clx pde Ode.Tableau.rk4 ~h:1e-5
-       ~threads:4
-      : Offsite.candidate list)
+  let render cands =
+    List.map
+      (fun (c : Offsite.candidate) ->
+        Printf.sprintf "%s %b %s %h %h" c.Offsite.variant.Offsite.Variant.name
+          c.Offsite.tuned
+          (String.concat ","
+             (List.map
+                (fun (l, cfg) -> l ^ "=" ^ Config.to_string cfg)
+                c.Offsite.configs))
+          c.Offsite.predicted_step_seconds c.Offsite.measured_step_seconds)
+      cands
   in
-  let oc_cold = Model_cache.stats off_cold_cache in
-  let off_warm_cache = Model_cache.create () in
-  Model_cache.attach_store off_warm_cache (Store.open_root root);
-  let _ =
-    (Offsite.evaluate ~cache:off_warm_cache clx pde Ode.Tableau.rk4 ~h:1e-5
-       ~threads:4
-      : Offsite.candidate list)
+  let rank_rk4 ?store () =
+    let cache = Model_cache.create () in
+    let r =
+      Offsite.evaluate ~cache ?store clx pde Ode.Tableau.rk4 ~h:1e-5
+        ~threads:4
+    in
+    (render r, Model_cache.stats cache)
   in
-  let oc_warm = Model_cache.stats off_warm_cache in
-  let rate hits total = if total = 0 then 0.0 else float_of_int hits /. float_of_int total in
-  let cold_rate = rate oc_cold.Model_cache.hits (oc_cold.Model_cache.hits + oc_cold.Model_cache.misses) in
-  let warm_rate =
-    rate
-      (oc_warm.Model_cache.hits + oc_warm.Model_cache.store_hits)
-      (oc_warm.Model_cache.hits + oc_warm.Model_cache.misses)
+  let rk4_base, _ = rank_rk4 () in
+  let rk4_run () =
+    let s = Store.open_root root in
+    let r, cs = rank_rk4 ~store:s () in
+    (r, cs, Store.stats s)
   in
+  let rk4_cold, cold_cs, cold_ss = rk4_run () in
+  let rk4_warm, warm_cs, warm_ss = rk4_run () in
+  let rk4_identical = rk4_cold = rk4_base && rk4_warm = rk4_base in
   Printf.printf
-    "offsite rk4 ranking: cold %.1f%% model-cache hit rate; warm from disk \
-     %.1f%% served without model evaluation (%d memory + %d store hits)\n"
-    (100.0 *. cold_rate) (100.0 *. warm_rate) oc_warm.Model_cache.hits
-    oc_warm.Model_cache.store_hits;
+    "offsite rk4 heat2d ranking:\n\
+    \  cold  %d model-cache misses, %d store hits, %d writes\n\
+    \  warm  %d model-cache misses, %d store hits, %d writes\n\
+    \  rankings %s across store-less, cold and warm runs\n"
+    cold_cs.Model_cache.misses cold_ss.Store.hits cold_ss.Store.writes
+    warm_cs.Model_cache.misses warm_ss.Store.hits warm_ss.Store.writes
+    (if rk4_identical then "bit-identical" else "DIFFER");
   (* Adversarial corruption: truncate, scribble over and mis-file
-     entries, then let [verify] find them and the pipeline recompute. *)
+     offsite-v1 entries, then let [verify] find them and the pipeline
+     recompute. *)
   let files = entry_files root in
   let planted =
     match files with
@@ -1094,60 +1116,50 @@ let e18 () =
         3
     | _ -> 0
   in
-  let s_verify = Store.open_root root in
-  let v1 = Store.verify s_verify in
-  let post_cache = Model_cache.create () in
-  Model_cache.attach_store post_cache (Store.open_root root);
-  let ranked_post =
-    Advisor.rank_all ~cache:post_cache clx info ~dims ~threads
-  in
+  let v1 = Store.verify (Store.open_root root) in
+  let rk4_post, _, _ = rk4_run () in
   let v2 = Store.verify (Store.open_root root) in
   Printf.printf
     "corruption: planted %d bad entries; verify flagged %d/%d, re-ranking \
      stayed %s and repaired the root (rescan: %d bad)\n"
     planted v1.Store.bad v1.Store.scanned
-    (if ranked_post = ranked_base then "bit-identical" else "DIFFERENT")
+    (if rk4_post = rk4_base then "bit-identical" else "DIFFERENT")
     v2.Store.bad;
   (* Degraded mode: an unusable root must cost nothing but the misses. *)
-  let dead_cache = Model_cache.create () in
-  Model_cache.attach_store dead_cache (Store.open_root "/dev/null/nope");
-  let ranked_dead =
-    Advisor.rank_all ~cache:dead_cache clx info ~dims ~threads
-  in
-  let degraded_identical = ranked_dead = ranked_base in
+  let rk4_dead, _ = rank_rk4 ~store:(Store.open_root "/dev/null/nope") () in
+  let degraded_identical = rk4_dead = rk4_base in
   Printf.printf "degraded (unusable root): ranking %s vs store-less run\n"
     (if degraded_identical then "bit-identical" else "DIFFERENT");
+  let counts (cs : Model_cache.stats) (ss : Store.stats) =
+    Json.Obj
+      [ ("cache_misses", Int cs.Model_cache.misses);
+        ("store_hits", Int ss.Store.hits);
+        ("store_writes", Int ss.Store.writes) ]
+  in
   write_json "bench/BENCH_store.json"
     (Obj
-       [ ( "ranking",
+       [ ( "offsite_memo",
            Obj
-             [ ("candidates", Int (List.length ranked_cold));
+             [ ("stencil", String spec.Stencil.Spec.name);
+               ("dims", ints dims);
+               ("threads", Int threads);
+               ("reps", Int reps);
                ("cold_s", Float cold_s);
-               ("warm_from_disk_s", Float warm_s);
+               ("warm_s", Float warm_s);
                ("speedup_warm", Float (cold_s /. warm_s));
-               ("bit_identical", Bool ranking_identical);
-               ( "cold_store",
-                 Obj
-                   [ ("hits", Int cold_cs.Model_cache.store_hits);
-                     ("misses", Int cold_cs.Model_cache.store_misses);
-                     ("entries", Int cold_entries) ] );
-               ( "warm_store",
-                 Obj
-                   [ ("hits", Int warm_cs.Model_cache.store_hits);
-                     ("misses", Int warm_cs.Model_cache.store_misses) ] ) ] );
-         ( "offsite",
+               ("warm_model_lookups", Int warm_lookups);
+               ("same_config", Bool memo_identical) ] );
+         ( "offsite_rk4",
            Obj
-             [ ("cold_hit_rate", Float cold_rate);
-               ("warm_no_eval_rate", Float warm_rate);
-               ("warm_memory_hits", Int oc_warm.Model_cache.hits);
-               ("warm_store_hits", Int oc_warm.Model_cache.store_hits);
-               ("warm_store_misses", Int oc_warm.Model_cache.store_misses) ] );
+             [ ("cold", counts cold_cs cold_ss);
+               ("warm", counts warm_cs warm_ss);
+               ("bit_identical", Bool rk4_identical) ] );
          ( "corruption",
            Obj
              [ ("planted", Int planted);
                ("verify_scanned", Int v1.Store.scanned);
                ("verify_bad", Int v1.Store.bad);
-               ("reranking_bit_identical", Bool (ranked_post = ranked_base));
+               ("reranking_bit_identical", Bool (rk4_post = rk4_base));
                ("rescan_bad", Int v2.Store.bad) ] );
          ("degraded_root_bit_identical", Bool degraded_identical) ])
 
@@ -1303,19 +1315,14 @@ let e19 () =
                  ("warm_store_hits", Int warm_stats.Native.store_hits) ] ) ])
   end
 
-(* E20 — the YS6xx translation validator: cold proof cost per suite
-   kernel (pure static analysis, no toolchain needed), the kill rate of
-   the seeded miscompile corpus, and the warm-path cost of the native
-   certificate relative to kernel resolution (the gate must stay under
-   a few percent of a store-revived resolution). Writes
-   bench/BENCH_validate.json. *)
+(* E20 — the YS6xx translation validator: proof cost per suite kernel
+   (pure static analysis, no toolchain needed) and the kill rate of the
+   seeded miscompile corpus. Writes bench/BENCH_validate.json. *)
 
 let e20 () =
   header "e20"
     "Translation-validator cost and mutation kill rate \
      (BENCH_validate.json)";
-  let module Native = Engine.Native in
-  let module Cert = Engine.Cert in
   let module NL = Lint.Native in
   let module Mis = Faults.Miscompile in
   (* Every suite kernel × both layouts, with its emitted source. *)
@@ -1401,101 +1408,6 @@ let e20 () =
           Printf.printf "  %-20s %d/%d\n" (Mis.class_name cls) k t
       | None -> ())
     Mis.classes;
-  (* Warm-path economics (needs the toolchain): a store-revived
-     resolution with a native certificate pays only digest + lookup;
-     without one it re-runs the full proof. *)
-  let warm =
-    if not (Native.available ()) then None
-    else begin
-      let root =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "yasksite-bench-validate-%d" (Unix.getpid ()))
-      in
-      rm_rf root;
-      Fun.protect
-        ~finally:(fun () ->
-          Native.reset_for_tests ();
-          Cert.clear ();
-          Cert.set_store None;
-          rm_rf root)
-      @@ fun () ->
-      let spec = Stencil.Suite.resolve_defaults Stencil.Suite.heat_2d_5pt in
-      let halo = Stencil.Analysis.halo (Stencil.Analysis.of_spec spec) in
-      let dims = [| 64; 64 |] in
-      let plan = Stencil.Lower.lower spec in
-      let mk () = Grid.create ~halo ~dims () in
-      let inputs = [| mk () |] and output = mk () in
-      let store () = Store.open_root root in
-      let attach ~certs =
-        Native.reset_for_tests ();
-        Cert.clear ();
-        Native.set_store (Some (store ()));
-        Cert.set_store (if certs then Some (store ()) else None)
-      in
-      (* Cold resolution: compile + full validation, certificate
-         written through. *)
-      attach ~certs:true;
-      (match Native.kern_for ~plan ~inputs ~output with
-      | Some _ -> ()
-      | None -> failwith "toolchain probe lied");
-      let resolve_once ~certs =
-        attach ~certs;
-        let r, s = time (fun () -> Native.kern_for ~plan ~inputs ~output) in
-        assert (r <> None);
-        (s, Native.stats ())
-      in
-      let best_of n f =
-        let best = ref infinity and last = ref None in
-        for _ = 1 to n do
-          let s, st = f () in
-          if s < !best then best := s;
-          last := Some st
-        done;
-        (!best, Option.get !last)
-      in
-      let warm_cert_s, cert_stats =
-        best_of 5 (fun () -> resolve_once ~certs:true)
-      in
-      let warm_val_s, val_stats =
-        best_of 5 (fun () -> resolve_once ~certs:false)
-      in
-      (* The gate's own cost on the certified path, measured directly:
-         digest of the source plus the certificate lookup. *)
-      let v = Stencil.Codegen.variant_of ~plan ~inputs ~output in
-      let src =
-        match Stencil.Codegen.source ~plan v with
-        | Ok s -> s
-        | Error e -> failwith e
-      in
-      attach ~certs:true;
-      ignore (Native.kern_for ~plan ~inputs ~output);
-      let ckey = Stencil.Codegen.key ~plan v in
-      let gate_reps = 200 in
-      let (), gate_total =
-        time (fun () ->
-            for _ = 1 to gate_reps do
-              let d = Digest.to_hex (Digest.string src) in
-              let k = Cert.native_key ~ckey ~version:NL.version in
-              match Cert.native_lookup k with
-              | Some d' when d' = d -> ()
-              | _ -> failwith "certificate missing"
-            done)
-      in
-      let gate_s = gate_total /. float_of_int gate_reps in
-      let overhead_pct = 100.0 *. gate_s /. warm_cert_s in
-      Printf.printf
-        "warm resolution (heat-2d-5pt, store-revived):\n\
-        \  with certificate     %.4f ms (validations %d)\n\
-        \  without certificate  %.4f ms (validations %d)\n\
-        \  certificate gate     %.4f ms = %.2f%% of the certified \
-         resolution\n"
-        (warm_cert_s *. 1e3) cert_stats.Native.validations (warm_val_s *. 1e3)
-        val_stats.Native.validations (gate_s *. 1e3) overhead_pct;
-      Some (warm_cert_s, warm_val_s, gate_s, overhead_pct,
-            cert_stats.Native.validations, val_stats.Native.validations)
-    end
-  in
   let class_json cls =
     let k, t =
       match Hashtbl.find_opt by_class cls with
@@ -1509,8 +1421,7 @@ let e20 () =
   in
   write_json "bench/BENCH_validate.json"
     (Obj
-       [ ("validator_version", Int NL.version);
-         ( "kernels",
+       [ ( "kernels",
            List
              (List.map
                 (fun (spec, lname, ms) ->
@@ -1525,19 +1436,7 @@ let e20 () =
                ("total", Int !total);
                ( "kill_rate",
                  Float (float_of_int !killed /. float_of_int (max 1 !total)) );
-               ("by_class", List (List.map class_json Mis.classes)) ] );
-         ( "warm_path",
-           match warm with
-           | None -> Obj [ ("toolchain", Bool false) ]
-           | Some (c, v_, g, pct, cv, vv) ->
-               Obj
-                 [ ("toolchain", Bool true);
-                   ("warm_certified_s", Float c);
-                   ("warm_validated_s", Float v_);
-                   ("gate_s", Float g);
-                   ("gate_overhead_pct", Float pct);
-                   ("certified_validations", Int cv);
-                   ("uncertified_validations", Int vv) ] ) ])
+               ("by_class", List (List.map class_json Mis.classes)) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* E21 — ECM-ranked stage fusion for stencil programs. The 16-stage

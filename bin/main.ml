@@ -155,19 +155,16 @@ let with_domains domains f =
   | None -> f (Pool.shared ())
   | Some d -> Pool.with_pool ~domains:d f
 
-(* Tuning commands persist by default: the command's model cache spills
-   through the default store and safety certificates are written
-   through, so a second invocation warm-starts from disk. [None] when
-   YASKSITE_NO_STORE disables persistence — everything then runs
-   purely in memory, with identical results. *)
-let attach_default_store cache =
-  match Store.default () with
-  | None -> None
-  | Some s ->
-      Model_cache.attach_store cache s;
-      Engine.Cert.set_store (Some s);
-      Engine.Native.set_store (Some s);
-      Some s
+(* Commands persist by default what costs more to recompute than to
+   read back: compiled kernels (attached here), and the tuner's
+   checkpoints and Offsite's per-kernel config memos (the returned
+   store, passed on). Model predictions and certificates stay in
+   memory. [None] when YASKSITE_NO_STORE disables persistence —
+   everything then runs purely in memory, with identical results. *)
+let attach_default_store () =
+  let store = Store.default () in
+  Engine.Native.set_store store;
+  store
 
 let stats_json_arg =
   let doc =
@@ -203,9 +200,7 @@ let stats_json_line ~cache ~store =
            Obj
              [ ("hits", Int cs.Model_cache.hits);
                ("misses", Int cs.Model_cache.misses);
-               ("entries", Int cs.Model_cache.entries);
-               ("store_hits", Int cs.Model_cache.store_hits);
-               ("store_misses", Int cs.Model_cache.store_misses) ] );
+               ("entries", Int cs.Model_cache.entries) ] );
          ("store", store_part);
          ( "kernels",
            Obj
@@ -477,7 +472,7 @@ let run_cmd =
        second run of the same kernel loads the compiled .cmxs instead
        of invoking the compiler (YASKSITE_NO_STORE opts out). *)
     let cache = Model_cache.create () in
-    let store = attach_default_store cache in
+    let store = attach_default_store () in
     let k = or_die (build_kernel ?expr ~machine ~scale ~stencil ~dims ()) in
     let config =
       or_die
@@ -551,7 +546,7 @@ let tune_cmd =
     let k = or_die (build_kernel ?expr ~machine ~scale ~stencil ~dims ()) in
     with_domains domains @@ fun pool ->
     let cache = Model_cache.create () in
-    let store = attach_default_store cache in
+    let store = attach_default_store () in
     let legal = Lint.Schedule.legal k.info ~dims:k.dims in
     let ranked =
       Advisor.rank_all ~cache ~pool ~filter:legal k.machine k.info ~dims:k.dims
@@ -681,7 +676,7 @@ let ode_cmd =
     let h = 1e-5 in
     with_domains domains @@ fun pool ->
     let cache = Model_cache.create () in
-    let store = attach_default_store cache in
+    let store = attach_default_store () in
     let candidates =
       Offsite.evaluate ~cache ?store ~pool m pde tab ~h ~threads
     in
@@ -1117,7 +1112,7 @@ let program_rank_cmd =
     in
     Lint.gate ~context:"program rank" (Lint.Program.program p);
     let cache = Model_cache.create () in
-    let store = attach_default_store cache in
+    let store = attach_default_store () in
     let ranked = Advisor.rank_partitions ~cache m p ~dims ~config in
     let unfused =
       List.find
@@ -1192,7 +1187,7 @@ let program_run_cmd =
            ())
     in
     let cache = Model_cache.create () in
-    let store = attach_default_store cache in
+    let store = attach_default_store () in
     Lint.gate ~context:"program run" (Lint.Program.program p);
     let inline =
       match fuse with

@@ -130,9 +130,9 @@ module Faults : sig
 end
 
 module Store = Yasksite_store.Store
-(** Crash-safe persistent artifact store: ECM predictions, tuner
-    checkpoints, Offsite tuning memos and safety certificates survive
-    the process through it. Degrades, never fails: an absent,
+(** Crash-safe persistent artifact store: compiled kernels, tuner
+    checkpoints and Offsite tuning memos survive the process through
+    it. Degrades, never fails: an absent,
     read-only or corrupted store root leaves every pipeline's results
     bit-identical to a store-less run. *)
 

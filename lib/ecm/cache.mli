@@ -17,11 +17,9 @@
     each (the CLI creates one per command; the tuner and Offsite entry
     points default to a fresh cache per call).
 
-    With a persistent store attached ({!attach_store}), a memory miss
-    consults the store before evaluating the model, and computed
-    predictions are written through — so a later process warm-starts
-    from disk. The store absorbs its own failures; attaching one can
-    change only the cache's speed, never its results. *)
+    The cache lives in memory only. A prediction costs a few
+    microseconds to evaluate, less than reading one back from the
+    persistent store, so none is written to disk. *)
 
 type t
 
@@ -30,8 +28,6 @@ type stats = {
   misses : int;
   entries : int;  (** current resident entries *)
   capacity : int;
-  store_hits : int;  (** memory misses served by the attached store *)
-  store_misses : int;  (** memory misses the store could not serve *)
 }
 
 val create : ?capacity:int -> unit -> t
@@ -69,25 +65,9 @@ val hit_rate : t -> float
 (** [hits / (hits + misses)]; 0 before any lookup. *)
 
 val clear : t -> unit
-(** Drop all entries and zero the counters (the attached store, if any,
-    stays attached and keeps its on-disk entries). *)
-
-(** {1 Persistent spill} *)
-
-val attach_store : t -> Yasksite_store.Store.t -> unit
-(** Route memory misses through [store] (namespace ["ecm-v1"]) and
-    write computed predictions through to it. *)
-
-val detach_store : t -> unit
+(** Drop all entries and zero the counters. *)
 
 val machine_fingerprint : Yasksite_arch.Machine.t -> string
 (** Content digest of a machine description — the machine component of
-    cache and store keys, exposed so other persistent consumers
-    (Offsite memos) key by the same identity. *)
-
-val prediction_to_string : Model.prediction -> string
-(** Exact, versioned text rendering of a prediction (the store payload
-    format; exposed for tests). *)
-
-val prediction_of_string : string -> Model.prediction option
-(** Inverse of {!prediction_to_string}; [None] on malformed input. *)
+    cache keys, exposed so persistent consumers (Offsite's per-kernel
+    config memos) key by the same identity. *)

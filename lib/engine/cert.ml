@@ -13,6 +13,10 @@
    unchecked fast path (per-point shadow checks skipped, shadow state
    bulk-committed); a miss keeps today's fully checked path.
 
+   The table is process-local. A certificate re-derives in a fraction
+   of a millisecond, less than the persistent store takes to write
+   one, so none is kept on disk.
+
    YASKSITE_NO_CERT=1 force-disables the store (lookups miss, inserts
    drop) so CI can keep the checked path exercised end to end. *)
 
@@ -70,112 +74,20 @@ let mutex = Mutex.create ()
 
 let fast_hits = Atomic.make 0
 
-(* Optional persistent backing (namespace "cert-v1"): lookups that miss
-   the process-local table consult it, inserts write through, so a later
-   process starts certified. Certification is re-derivable, so a store
-   that degrades (or was corrupted and quarantined) only costs a re-run
-   of the checked path — never correctness. *)
-
-let persistent : Yasksite_store.Store.t option ref = ref None
-
-let set_store s = Mutex.protect mutex (fun () -> persistent := s)
-
-let store_ns = "cert-v1"
-
-let encode e =
-  Printf.sprintf "%s %d %d %d" e.fingerprint e.loads_per_point
-    e.stores_per_point e.flops_per_point
-
-let decode ~key s =
-  match String.split_on_char ' ' s with
-  | [ fingerprint; l; st; f ] -> (
-      try
-        Some
-          { key;
-            fingerprint;
-            loads_per_point = int_of_string l;
-            stores_per_point = int_of_string st;
-            flops_per_point = int_of_string f }
-      with Failure _ -> None)
-  | _ -> None
-
 let lookup k =
   if not (enabled ()) then None
-  else
-    match Mutex.protect mutex (fun () -> Hashtbl.find_opt store k) with
-    | Some _ as hit -> hit
-    | None -> (
-        match Mutex.protect mutex (fun () -> !persistent) with
-        | None -> None
-        | Some s -> (
-            match Yasksite_store.Store.get s ~ns:store_ns ~key:k with
-            | None -> None
-            | Some payload -> (
-                match decode ~key:k payload with
-                | None -> None
-                | Some e ->
-                    Mutex.protect mutex (fun () ->
-                        Hashtbl.replace store k e);
-                    Some e)))
+  else Mutex.protect mutex (fun () -> Hashtbl.find_opt store k)
 
 let mem k = lookup k <> None
 
 let insert e =
-  if enabled () then begin
-    Mutex.protect mutex (fun () -> Hashtbl.replace store e.key e);
-    match Mutex.protect mutex (fun () -> !persistent) with
-    | None -> ()
-    | Some s -> Yasksite_store.Store.put s ~ns:store_ns ~key:e.key (encode e)
-  end
+  if enabled () then
+    Mutex.protect mutex (fun () -> Hashtbl.replace store e.key e)
 
 let size () = Mutex.protect mutex (fun () -> Hashtbl.length store)
 
-(* ------------------------------------------------------------------ *)
-(* Native translation certificates (YS6xx).
-
-   A native certificate records that one emitted kernel source passed
-   the YS6xx translation validator (Lint.Native) under one validator
-   version. The key is derived from the codegen cache key plus the
-   validator version (so a rule change re-proves everything); the
-   payload is the digest of the exact source that was validated, so a
-   certificate can never bless a source it was not computed from.
-   Shares the "cert-v1" namespace of the persistent backing: one
-   store schema carries both safety and translation proofs. *)
-
-let native_store : (string, string) Hashtbl.t = Hashtbl.create 32
-
-let native_key ~ckey ~version = Printf.sprintf "native:%s:v%d" ckey version
-
-let native_lookup k =
-  if not (enabled ()) then None
-  else
-    match Mutex.protect mutex (fun () -> Hashtbl.find_opt native_store k) with
-    | Some _ as hit -> hit
-    | None -> (
-        match Mutex.protect mutex (fun () -> !persistent) with
-        | None -> None
-        | Some s -> (
-            match Yasksite_store.Store.get s ~ns:store_ns ~key:k with
-            | None -> None
-            | Some digest ->
-                Mutex.protect mutex (fun () ->
-                    Hashtbl.replace native_store k digest);
-                Some digest))
-
-let native_insert k ~digest =
-  if enabled () then begin
-    Mutex.protect mutex (fun () -> Hashtbl.replace native_store k digest);
-    match Mutex.protect mutex (fun () -> !persistent) with
-    | None -> ()
-    | Some s -> Yasksite_store.Store.put s ~ns:store_ns ~key:k digest
-  end
-
-let native_size () = Mutex.protect mutex (fun () -> Hashtbl.length native_store)
-
 let clear () =
-  Mutex.protect mutex (fun () ->
-      Hashtbl.reset store;
-      Hashtbl.reset native_store);
+  Mutex.protect mutex (fun () -> Hashtbl.reset store);
   Atomic.set fast_hits 0
 
 let record_fast_path () = Atomic.incr fast_hits

@@ -11,7 +11,9 @@
     bounds proof is per-dimension |offset| ≤ halo, so one certificate
     covers every problem size with the same layout and halo.
 
-    The store is process-wide and thread-safe. Setting the
+    The store is process-wide, in memory only, and thread-safe.
+    Certification re-derives faster than a persistent store writes a
+    record, so certificates are not kept on disk. Setting the
     [YASKSITE_NO_CERT] environment variable to anything but [""] or
     ["0"] force-disables it (lookups miss, inserts drop), keeping the
     checked path exercised end to end. *)
@@ -38,12 +40,6 @@ val key :
     each grid's (layout, halo) signature, and the config's block/fold —
     grid extents excluded. *)
 
-val set_store : Yasksite_store.Store.t option -> unit
-(** Back the process-local table with a persistent store (namespace
-    ["cert-v1"]): lookups missing in memory consult it, inserts write
-    through. [None] detaches. A degraded store only costs re-running
-    the checked path — certificates are re-derivable. *)
-
 val lookup : string -> entry option
 (** [None] when absent or when the store is disabled. *)
 
@@ -53,28 +49,6 @@ val insert : entry -> unit
 (** No-op when the store is disabled. *)
 
 val size : unit -> int
-
-(** {1 Native translation certificates}
-
-    Records that one emitted kernel source passed the YS6xx translation
-    validator ({!Yasksite_lint.Native_lint}). The payload is the digest
-    of the exact validated source, so a certificate can only bless the
-    bytes it was computed from. Shares the ["cert-v1"] persistent
-    namespace and the [YASKSITE_NO_CERT] kill switch. *)
-
-val native_key : ckey:string -> version:int -> string
-(** Certificate key for one codegen cache key under one validator
-    version — bumping the validator version re-proves everything. *)
-
-val native_lookup : string -> string option
-(** The recorded source digest, or [None] when absent or disabled. *)
-
-val native_insert : string -> digest:string -> unit
-(** Record a passing verdict (write-through when backed). No-op when
-    disabled. *)
-
-val native_size : unit -> int
-(** In-memory native certificates (test observability). *)
 
 val clear : unit -> unit
 (** Drop every certificate and reset the fast-path counter (test

@@ -1,5 +1,6 @@
 (** Certification pipeline: prove one (plan × layout × halo × blocking)
-    tuple safe and record it in the {!Cert} store.
+    tuple safe and record it in the process-local {!Cert} store; a new
+    process certifies again, which costs less than a disk round trip.
 
     Certification has two halves. The {e static} half runs the YS5xx
     plan verifier ({!Yasksite_lint.Plan_lint.check}) against the

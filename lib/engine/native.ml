@@ -72,8 +72,8 @@ let source_transform : (string -> string) option ref = ref None
 
 let set_source_transform f = Mutex.protect mutex (fun () -> source_transform := f)
 
-(* Persistent backing, mirroring Cert: [None] until the CLI (or a
-   bench/test) attaches one — library use stays hermetic by default. *)
+(* Persistent backing: [None] until the CLI (or a bench/test) attaches
+   one — library use stays hermetic by default. *)
 let persistent : Store.t option ref = ref None
 
 let set_store s = Mutex.protect mutex (fun () -> persistent := s)
@@ -208,8 +208,8 @@ let store_key ~ckey ~version ~flags =
    verify], [store gc --stale]) can recognize payloads no toolchain on
    this machine will ever ask for again, without re-deriving every
    specialization key. Headerless payloads from before the header
-   existed are legacy: loaded as-is and upgraded in place on success,
-   but reported stale by the scan. *)
+   existed are stale: resolution recompiles over them, and the scan
+   reports them. *)
 
 let payload_magic = "yasksite-kern-payload v1"
 
@@ -350,38 +350,20 @@ let resolve ~(plan : Plan.t) ~inputs ~output ~v ~ckey =
               in
               (* Translation validation (YS6xx): prove the emitted
                  source IS the plan before anything is compiled,
-                 revived or loaded. A passing verdict earns a native
-                 certificate (cache key × validator version, payload
-                 the digest of the validated bytes), so warm paths —
-                 memo misses re-resolving a store-revived kernel in a
-                 later process — skip the proof. *)
-              let src_digest = Digest.to_hex (Digest.string src) in
-              let nkey =
-                Cert.native_key ~ckey ~version:Lint.Native.version
-              in
-              let verdict =
-                match Cert.native_lookup nkey with
-                | Some d when d = src_digest -> Ok ()
-                | _ -> (
-                    incr validations;
-                    match Lint.Native.validate ~plan ~variant:v ~inputs src with
-                    | Ok () ->
-                        Cert.native_insert nkey ~digest:src_digest;
-                        Ok ()
-                    | Error ds ->
-                        incr validator_rejections;
-                        let first =
-                          match ds with
-                          | d :: _ ->
-                              Printf.sprintf "%s: %s" d.D.code d.D.message
-                          | [] -> "unknown"
-                        in
-                        Error
-                          ("translation validator rejected the emitted \
-                            kernel (" ^ first ^ ")"))
-              in
-              match verdict with
-              | Error msg -> Error msg
+                 revived or loaded. The memo in [kern_for] runs it at
+                 most once per key per process. *)
+              incr validations;
+              match Lint.Native.validate ~plan ~variant:v ~inputs src with
+              | Error ds ->
+                  incr validator_rejections;
+                  let first =
+                    match ds with
+                    | d :: _ -> Printf.sprintf "%s: %s" d.D.code d.D.message
+                    | [] -> "unknown"
+                  in
+                  Error
+                    ("translation validator rejected the emitted kernel ("
+                    ^ first ^ ")")
               | Ok () -> (
                   let name = Codegen.callback_name ckey in
                   let store = !persistent in
@@ -391,54 +373,36 @@ let resolve ~(plan : Plan.t) ~inputs ~output ~v ~ckey =
                     | None -> None
                     | Some s -> Store.get s ~ns:store_ns ~key:skey
                   in
-                  match cached with
-                  | Some raw -> (
-                      (* Strip the payload header; a header naming a
-                         different ABI or toolchain in this slot means
-                         the entry is stale or mis-filed — recompile
-                         and let the write-through repair it. *)
-                      let revived =
-                        match decode_payload raw with
-                        | None -> Some (true, raw)  (* legacy payload *)
-                        | Some (abi, ver, fl, bytes) ->
-                            if
-                              abi = string_of_int Codegen.abi
-                              && ver = version
-                              && fl = String.concat " " flags
-                            then Some (false, bytes)
-                            else None
-                      in
-                      match revived with
-                      | None ->
+                  let recompile () =
+                    compile_fresh ~src ~ckey ~name ~store ~skey ~version
+                      ~flags
+                  in
+                  match Option.map decode_payload cached with
+                  | None -> recompile ()
+                  | Some (Some (abi, ver, fl, bytes))
+                    when abi = string_of_int Codegen.abi
+                         && ver = version
+                         && fl = String.concat " " flags -> (
+                      let cmxs = fresh_base ckey ^ ".cmxs" in
+                      write_file cmxs bytes;
+                      match load_kern ~path:cmxs ~name with
+                      | Ok k ->
+                          incr store_hits;
+                          incr loads;
+                          Ok k
+                      | Error _ ->
+                          (* A stored payload that no longer loads
+                             (corrupt, stale compiler) is recompiled;
+                             the write-through repairs the slot. *)
                           incr load_errors;
-                          compile_fresh ~src ~ckey ~name ~store ~skey
-                            ~version ~flags
-                      | Some (legacy, bytes) -> (
-                          let cmxs = fresh_base ckey ^ ".cmxs" in
-                          write_file cmxs bytes;
-                          match load_kern ~path:cmxs ~name with
-                          | Ok k ->
-                              incr store_hits;
-                              incr loads;
-                              (* A legacy payload that still loads is
-                                 upgraded in place with the header. *)
-                              (if legacy then
-                                 match store with
-                                 | Some s when Store.writable s ->
-                                     Store.put s ~ns:store_ns ~key:skey
-                                       (encode_payload ~version ~flags bytes)
-                                 | _ -> ());
-                              Ok k
-                          | Error _ ->
-                              (* A stored payload that no longer loads
-                                 (corrupt, stale compiler) is recompiled;
-                                 the write-through repairs the slot. *)
-                              incr load_errors;
-                              compile_fresh ~src ~ckey ~name ~store ~skey
-                                ~version ~flags))
-                  | None ->
-                      compile_fresh ~src ~ckey ~name ~store ~skey ~version
-                        ~flags)))
+                          recompile ())
+                  | Some _ ->
+                      (* A headerless payload, or a header naming another
+                         ABI or toolchain in this slot: the entry is
+                         stale or mis-filed. Recompile and let the
+                         write-through repair it. *)
+                      incr load_errors;
+                      recompile ())))
 
 let resolve_safe ~plan ~inputs ~output ~v ~ckey =
   match resolve ~plan ~inputs ~output ~v ~ckey with

@@ -15,12 +15,11 @@
     plan body, compile/load error or read-only store all yield [None]
     (callers fall back to the plan interpreter) after a single
     [stderr] warning line per process. Failures are memoized per key;
-    a corrupt or stale store payload is detected by the failing load
-    and repaired by recompilation.
+    a corrupt or stale store payload is detected by its header or by
+    the failing load and repaired by recompilation.
 
-    Like {!Cert}, the persistent backing is opt-in ([{!set_store}]):
-    library use stays hermetic until the CLI attaches the default
-    store. *)
+    The persistent backing is opt-in ([{!set_store}]): library use
+    stays hermetic until the CLI attaches the default store. *)
 
 type stats = {
   compiles : int;  (** out-of-process compiler invocations *)
@@ -62,10 +61,8 @@ val set_store : Yasksite_store.Store.t option -> unit
     Every resolution — memo miss, store revival, fresh compile — runs
     the emitted source through {!Yasksite_lint.Native_lint} before any
     compiler or [Dynlink] sees it; a rejection degrades to the
-    interpreter like every other failure. A passing verdict earns a
-    native certificate ({!Cert.native_insert}) keyed off the cache key
-    and validator version with the source digest as payload, so warm
-    paths skip re-proving an unchanged kernel. *)
+    interpreter like every other failure. The process-local memo runs
+    the validator at most once per key; no verdict is kept on disk. *)
 
 val set_source_transform : (string -> string) option -> unit
 (** Test hook: rewrite the emitted source before validation (and

@@ -25,8 +25,7 @@
 
    The validator is pure (no compiler, no execution); Engine.Native
    runs it on every resolution -- memo-cold, store-revived or freshly
-   compiled -- and a passing verdict earns a native certificate so
-   warm paths skip re-validation. *)
+   compiled. *)
 
 module D = Diagnostic
 module Plan = Yasksite_stencil.Plan
@@ -34,15 +33,6 @@ module Expr = Yasksite_stencil.Expr
 module Codegen = Yasksite_stencil.Codegen
 module Ast = Yasksite_stencil.Kernel_ast
 module Grid = Yasksite_grid.Grid
-
-(* Bump whenever the rules or the accepted grammar change: the native
-   certificate embeds this, so stale verdicts are re-proved.
-   v2: compare-select ops (Float.min/Float.max/if-select) joined the
-   accepted grammar.
-   v3: a unit holds and registers its row kernel alone.
-   v4: every operation is parenthesized on its own; unparenthesized
-   chains such as [a +. b +. c] no longer parse. *)
-let version = 4
 
 let dedup = Schedule_lint.dedup
 

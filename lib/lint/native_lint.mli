@@ -42,17 +42,11 @@
 
     The validator is pure: no compiler, no execution, no allocation
     beyond the AST. {!Yasksite_engine.Native} runs it on every kernel
-    resolution; a pass earns a native certificate ([cert-v1]) so warm
-    paths skip re-validation. *)
+    resolution, a store revival included. *)
 
 module Plan := Yasksite_stencil.Plan
 module Codegen := Yasksite_stencil.Codegen
 module Grid := Yasksite_grid.Grid
-
-val version : int
-(** Version of the accepted grammar and rule set, embedded in native
-    certificates so stale verdicts are re-proved after a validator
-    change. *)
 
 val check :
   plan:Plan.t ->

@@ -370,13 +370,14 @@ let parse_load p =
 
 (* expressions: Codegen parenthesizes every operation on its own, so a
    binary operation is exactly [(a op b)] over two primaries — there is
-   no precedence to resolve and an unparenthesized chain is refused *)
+   no precedence to resolve and an unparenthesized chain is refused.
+   Literals are only what Codegen writes: [(%h)] for a finite value,
+   [infinity] and [neg_infinity] bare; a bare float and [nan] are
+   refused *)
 let rec parse_primary p =
   match next p with
-  | FLOAT f, _ -> Lit f
   | IDENT "infinity", _ -> Lit infinity
   | IDENT "neg_infinity", _ -> Lit neg_infinity
-  | IDENT "nan", _ -> Lit nan
   | INT v, l ->
       fail l "integer literal %d in a float expression" v
   | LPAREN, _ -> (

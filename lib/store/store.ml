@@ -1,6 +1,6 @@
-(* On-disk, content-addressed artifact store for tuning results: ECM
-   predictions, sweep checkpoints, Offsite per-kernel bounds and plan
-   safety certificates all outlive the process through this module.
+(* On-disk, content-addressed artifact store for what costs more to
+   recompute than to read back: compiled kernels, sweep checkpoints and
+   Offsite per-kernel configs outlive the process through this module.
 
    Engineering invariants, in order of importance:
 

@@ -1,6 +1,7 @@
-(** On-disk, content-addressed artifact store: tuning results — ECM
-    predictions, sweep checkpoints, Offsite per-kernel bounds, plan
-    safety certificates — outlive the process through this module.
+(** On-disk, content-addressed artifact store: what costs more to
+    recompute than to read back — compiled kernels, sweep checkpoints,
+    Offsite per-kernel configs — outlives the process through this
+    module.
 
     {1 Guarantees}
 
@@ -149,7 +150,7 @@ val usage : t -> usage
 (** Committed entries, their total size, and quarantined file count. *)
 
 type ns_usage = {
-  ns : string;  (** schema namespace, e.g. ["ecm-v1"], ["kern-v1"] *)
+  ns : string;  (** schema namespace, e.g. ["offsite-v1"], ["kern-v1"] *)
   ns_entries : int;
   ns_bytes : int;
 }

@@ -500,8 +500,8 @@ let property_suite =
 
 (* ------------------------------------------------------------------ *)
 (* The staged model against [Ecm_reference], bit for bit. Predictions
-   compare as [Cache.prediction_to_string] renders them: every field,
-   floats in hex.                                                       *)
+   compare as [render_prediction] renders them: every field, floats in
+   hex.                                                                 *)
 
 module Ref = Ecm_reference
 
@@ -519,6 +519,22 @@ let render_boundary (b : Lc.boundary) =
 let render_boundaries bs =
   String.concat "; " (Array.to_list (Array.map render_boundary bs))
 
+let render_prediction (p : Model.prediction) =
+  let i = p.Model.incore in
+  String.concat "\n"
+    [ Config.to_string p.Model.config;
+      Printf.sprintf "%s %s %s %s %s %d %d %d" (hex i.Incore.t_ol)
+        (hex i.Incore.t_nol) (hex i.Incore.vector_loads)
+        (hex i.Incore.vector_stores) (hex i.Incore.shuffles) i.Incore.fma
+        i.Incore.adds i.Incore.muls;
+      render_boundaries p.Model.boundaries;
+      String.concat " " (Array.to_list (Array.map hex p.Model.t_data));
+      Printf.sprintf "%s %s %s %s %s %d %s %s" (hex p.Model.t_ecm)
+        (hex p.Model.cy_per_lup) (hex p.Model.lups_single)
+        (hex p.Model.mem_bytes_per_lup) (hex p.Model.lups_saturated)
+        p.Model.saturation_cores (hex p.Model.lups_chip)
+        (hex p.Model.flops_chip) ]
+
 (* [None] when [m], [a], [dims] and [config] get the same prediction and
    the same layer-condition results from both; else what differs. *)
 let disagreement m a ~dims ~config =
@@ -530,8 +546,8 @@ let disagreement m a ~dims ~config =
         :: !what
   in
   check "predict"
-    (Cache.prediction_to_string (Model.predict m a ~dims ~config))
-    (Cache.prediction_to_string (Ref.Model.predict m a ~dims ~config));
+    (render_prediction (Model.predict m a ~dims ~config))
+    (render_prediction (Ref.Model.predict m a ~dims ~config));
   check "Lc.boundaries"
     (render_boundaries (Lc.boundaries m a ~dims ~config))
     (render_boundaries (Ref.Lc.boundaries m a ~dims ~config));

@@ -6,8 +6,8 @@
    every seeded miscompile class is rejected with its expected stable
    code (100% kill rate); the engine refuses to compile, load or run a
    source the validator rejects (falling back bit-identically to the
-   interpreter); and a passing verdict earns a native certificate that
-   lets warm resolutions skip re-validation. *)
+   interpreter); and every resolution validates, a store revival
+   included. *)
 
 module Stencil = Yasksite_stencil
 module Grid = Yasksite_grid.Grid
@@ -19,7 +19,6 @@ module NL = Yasksite_lint.Native_lint
 module D = Yasksite_lint.Diagnostic
 module Mis = Yasksite_faults.Miscompile
 module Native = Yasksite_engine.Native
-module Cert = Yasksite_engine.Cert
 module Sweep = Yasksite_engine.Sweep
 module Store = Yasksite_store.Store
 module Analysis = Stencil.Analysis
@@ -166,7 +165,9 @@ let hex_float_roundtrip =
     (fun (bits, negate) ->
       let f = Int64.float_of_bits bits in
       let f = if negate then -.f else f in
-      if Float.is_nan f then true  (* Codegen refuses NaN; grammar too *)
+      if Float.is_nan f then true
+        (* Codegen refuses NaN coefficients, and the grammar has no
+           [nan] literal (see "bare and nan literals are YS600"). *)
       else
         match Ast.parse (Ast.print (lit_roundtrip_ast f)) with
         | Error _ -> false
@@ -199,21 +200,11 @@ let test_rules_enumerate_ys6xx () =
 (* ------------------------------------------------------------------ *)
 (* The engine gate: a rejected source never runs.                      *)
 
-let with_env name value f =
-  let old = Sys.getenv_opt name in
-  Unix.putenv name value;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv name (match old with Some v -> v | None -> ""))
-    f
-
 let with_tmp_store f =
   let root = Filename.temp_file "yasksite-nl-test" "" in
   Sys.remove root;
   let finally () =
     Native.reset_for_tests ();
-    Cert.clear ();
-    Cert.set_store None;
     let rec rm p =
       if Sys.is_directory p then begin
         Array.iter (fun n -> rm (Filename.concat p n)) (Sys.readdir p);
@@ -225,7 +216,6 @@ let with_tmp_store f =
   in
   Fun.protect ~finally (fun () ->
       Native.reset_for_tests ();
-      Cert.clear ();
       let store = Store.open_root root in
       Native.set_store (Some store);
       f root store)
@@ -256,18 +246,18 @@ let sweep_codegen spec ~seed =
   ignore (Sweep.run ~backend:Sweep.Plan_backend spec ~inputs:[| a' |] ~output:p);
   Grid.max_abs_diff o p = 0.0
 
+let coeff_mutant src =
+  match Mis.mutate ~seed:5 Mis.Coeff_perturb src with
+  | Ok m -> m
+  | Error _ -> src
+
 let test_gate_rejects_miscompile () =
   with_tmp_store @@ fun _root _store ->
   if Native.available () then begin
     (* Inject a real miscompile into the resolution path: the validator
        must reject it, the engine must fall back, and the sweep must
        stay bit-identical via the interpreter. *)
-    Native.set_source_transform
-      (Some
-         (fun src ->
-           match Mis.mutate ~seed:5 Mis.Coeff_perturb src with
-           | Ok m -> m
-           | Error _ -> src));
+    Native.set_source_transform (Some coeff_mutant);
     Alcotest.(check bool)
       "sweep bit-identical via interpreter fallback" true
       (sweep_codegen heat1 ~seed:3);
@@ -279,62 +269,73 @@ let test_gate_rejects_miscompile () =
     Alcotest.(check bool) "fallback counted" true (s.Native.fallbacks > 0)
   end
 
-let test_gate_accepts_and_certifies () =
-  (* Certificate behaviour is under test: pin the kill switch off. *)
-  with_env "YASKSITE_NO_CERT" "" @@ fun () ->
+let test_gate_validates_every_resolution () =
   with_tmp_store @@ fun _root store ->
   if Native.available () then begin
-    Cert.set_store (Some store);
     assert (sweep_codegen heat1 ~seed:4);
     let s1 = Native.stats () in
     Alcotest.(check int) "cold resolution validates once" 1
       s1.Native.validations;
     Alcotest.(check int) "no rejection" 0 s1.Native.validator_rejections;
     Alcotest.(check int) "one compile" 1 s1.Native.compiles;
-    Alcotest.(check bool)
-      "a native certificate was recorded" true (Cert.native_size () > 0);
-    (* Warm: new process-state (memo cleared) revives the kernel from
-       the store; the persistent certificate skips re-validation. *)
+    (* Warm: new process state (memo cleared) revives the kernel from
+       the store, and the validator still runs first. *)
     Native.reset_for_tests ();
-    Cert.clear ();
     Native.set_store (Some store);
-    Cert.set_store (Some store);
     assert (sweep_codegen heat1 ~seed:4);
     let s2 = Native.stats () in
-    Alcotest.(check int) "warm resolution skips the validator" 0
+    Alcotest.(check int) "warm resolution validates too" 1
       s2.Native.validations;
     Alcotest.(check int) "warm comes from the store" 1 s2.Native.store_hits;
-    (* A changed source (same key) must NOT ride the old certificate:
-       the digest in the certificate pins the validated bytes. *)
+    Alcotest.(check int) "warm compiles nothing" 0 s2.Native.compiles;
+    (* A changed source under the same key is refused before the stored
+       kernel loads. *)
     Native.reset_for_tests ();
     Native.set_store (Some store);
-    Cert.set_store (Some store);
-    Native.set_source_transform
-      (Some
-         (fun src ->
-           match Mis.mutate ~seed:5 Mis.Coeff_perturb src with
-           | Ok m -> m
-           | Error _ -> src));
+    Native.set_source_transform (Some coeff_mutant);
     assert (sweep_codegen heat1 ~seed:4);
     let s3 = Native.stats () in
-    Alcotest.(check bool)
-      "digest mismatch re-validates and rejects" true
-      (s3.Native.validator_rejections > 0)
+    Alcotest.(check int) "changed source rejected" 1
+      s3.Native.validator_rejections;
+    Alcotest.(check int) "stored kernel not loaded" 0 s3.Native.loads;
+    Alcotest.(check int) "no store hit" 0 s3.Native.store_hits
   end
 
-let test_no_cert_env_disables_skip () =
+(* A headerless kern-v1 payload is stale like any other: resolution
+   recompiles instead of loading it, and the write-through restores the
+   header. *)
+let test_headerless_payload_recompiles () =
   with_tmp_store @@ fun _root store ->
-  if Native.available () then
-    with_env "YASKSITE_NO_CERT" "1" @@ fun () ->
-    Cert.set_store (Some store);
-    assert (sweep_codegen heat1 ~seed:6);
+  if Native.available () then begin
+    assert (sweep_codegen heat1 ~seed:7);
+    Alcotest.(check int) "cold compile" 1 (Native.stats ()).Native.compiles;
+    let strip_header raw =
+      let rec after_lines i n =
+        if n = 0 then i
+        else after_lines (String.index_from raw i '\n' + 1) (n - 1)
+      in
+      let i = after_lines 0 4 in
+      String.sub raw i (String.length raw - i)
+    in
+    (match
+       Store.fold_ns store ~ns:Native.store_ns ~init:[]
+         (fun acc ~key ~payload -> (key, payload) :: acc)
+     with
+    | [ (key, payload) ] ->
+        Store.put store ~ns:Native.store_ns ~key (strip_header payload)
+    | es ->
+        Alcotest.failf "expected one kern-v1 entry, found %d"
+          (List.length es));
     Native.reset_for_tests ();
     Native.set_store (Some store);
-    assert (sweep_codegen heat1 ~seed:6);
+    assert (sweep_codegen heat1 ~seed:7);
     let s = Native.stats () in
-    Alcotest.(check int)
-      "with certificates disabled every resolution validates" 1
-      s.Native.validations
+    Alcotest.(check int) "recompiled once" 1 s.Native.compiles;
+    Alcotest.(check int) "no store hit" 0 s.Native.store_hits;
+    Alcotest.(check int) "counted as a load error" 1 s.Native.load_errors;
+    Alcotest.(check (list string))
+      "slot repaired" [] (Native.stale_kernels store)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Stale kern-v1 payload detection.                                    *)
@@ -454,6 +455,48 @@ let test_unparenthesized_chain_is_ys600 () =
             (String.concat "," (List.map (fun d -> d.D.code) ds)))
   | _ -> Alcotest.fail "expected a left-associated three-term sum"
 
+(* Codegen writes every finite literal as [(%h)] and refuses NaN, so a
+   bare float literal and the identifier [nan] are outside the grammar:
+   both are parse rejections, not coefficient mismatches. *)
+let test_bare_and_nan_literals_are_ys600 () =
+  let spec = Stencil.Suite.resolve_defaults Stencil.Suite.heat_1d_3pt in
+  match
+    List.find_opt
+      (fun (s, _, _, _, _) -> s.Spec.name = spec.Spec.name)
+      (emitted_suite ())
+  with
+  | None -> Alcotest.fail "heat-1d-3pt not emitted"
+  | Some (_, plan, v, inputs, src) ->
+      let rec first_lit = function
+        | Ast.Lit f -> Some f
+        | Ast.Get _ -> None
+        | Ast.Neg e -> first_lit e
+        | Ast.Bin (_, a, b) | Ast.Fmin (a, b) | Ast.Fmax (a, b) -> (
+            match first_lit a with Some _ as l -> l | None -> first_lit b)
+        | Ast.Sel (c, a, b) -> (
+            match first_lit c with
+            | Some _ as l -> l
+            | None -> (
+                match first_lit a with Some _ as l -> l | None -> first_lit b))
+      in
+      let lit =
+        match Ast.parse src with
+        | Ok ast -> (
+            match first_lit ast.Ast.row_expr with
+            | Some f -> Printf.sprintf "%h" f
+            | None -> Alcotest.fail "no literal in heat-1d-3pt")
+        | Error _ -> Alcotest.fail "emitted unit does not parse"
+      in
+      List.iter
+        (fun (what, by) ->
+          let planted = replace_once src ~sub:("(" ^ lit ^ ")") ~by in
+          match NL.check ~plan ~variant:v ~inputs planted with
+          | [ d ] -> Alcotest.(check string) what "YS600" d.D.code
+          | ds ->
+              Alcotest.failf "%s: expected exactly one YS600, got [%s]" what
+                (String.concat "," (List.map (fun d -> d.D.code) ds)))
+        [ ("bare literal", lit); ("nan", "nan") ]
+
 let test_unresolved_plan_is_ys612 () =
   let accesses = [| { Stencil.Expr.field = 0; offsets = [| 0 |] } |] in
   let plan =
@@ -491,10 +534,10 @@ let suite =
       test_rules_enumerate_ys6xx;
     Alcotest.test_case "engine gate rejects an injected miscompile" `Quick
       test_gate_rejects_miscompile;
-    Alcotest.test_case "engine gate certifies and skips warm validation"
-      `Quick test_gate_accepts_and_certifies;
-    Alcotest.test_case "YASKSITE_NO_CERT disables the warm skip" `Quick
-      test_no_cert_env_disables_skip;
+    Alcotest.test_case "engine gate validates every resolution" `Quick
+      test_gate_validates_every_resolution;
+    Alcotest.test_case "headerless payload recompiles" `Quick
+      test_headerless_payload_recompiles;
     Alcotest.test_case "payload staleness predicate" `Quick
       test_payload_staleness;
     Alcotest.test_case "stale kern-v1 scan and gc" `Quick
@@ -505,5 +548,7 @@ let suite =
       test_unparseable_source_is_ys600;
     Alcotest.test_case "unparenthesized chain is YS600" `Quick
       test_unparenthesized_chain_is_ys600;
+    Alcotest.test_case "bare and nan literals are YS600" `Quick
+      test_bare_and_nan_literals_are_ys600;
     Alcotest.test_case "unevaluable plan is YS612" `Quick
       test_unresolved_plan_is_ys612 ]

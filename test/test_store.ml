@@ -5,10 +5,9 @@ module Machine = Yasksite_arch.Machine
 module Suite = Yasksite_stencil.Suite
 module Analysis = Yasksite_stencil.Analysis
 module Config = Yasksite_ecm.Config
-module Model = Yasksite_ecm.Model
 module Cache = Yasksite_ecm.Cache
 module Advisor = Yasksite_ecm.Advisor
-module Cert = Yasksite_engine.Cert
+module Offsite = Yasksite_offsite.Offsite
 module Tuner = Yasksite_tuner.Tuner
 
 (* ------------------------------------------------------------------ *)
@@ -334,135 +333,85 @@ let test_default_env () =
   Alcotest.(check bool) "kill switch" true (Store.default () = None)
 
 (* ------------------------------------------------------------------ *)
-(* ECM cache spill                                                     *)
+(* Model-cache keys and the Offsite config memo                        *)
 
 let machine = Machine.test_chip
 let spec = Suite.resolve_defaults Suite.heat_2d_5pt
 let info = Analysis.of_spec spec
 let dims = [| 48; 48 |]
 
-let test_cache_spill_and_warm_start () =
-  with_root @@ fun root ->
-  let config = Config.v ~threads:2 () in
-  let c1 = Cache.create () in
-  Cache.attach_store c1 (Store.open_root root);
-  let p1 = Cache.predict c1 machine info ~dims ~config in
-  let s1 = Cache.stats c1 in
-  Alcotest.(check int) "cold: store missed" 1 s1.Cache.store_misses;
-  Alcotest.(check int) "cold: no store hit" 0 s1.Cache.store_hits;
-  (* A fresh cache on the same root — a second process — warm-starts. *)
-  let c2 = Cache.create () in
-  Cache.attach_store c2 (Store.open_root root);
-  let p2 = Cache.predict c2 machine info ~dims ~config in
-  let s2 = Cache.stats c2 in
-  Alcotest.(check int) "warm: store hit" 1 s2.Cache.store_hits;
-  Alcotest.(check int) "warm: no store miss" 0 s2.Cache.store_misses;
-  Alcotest.(check bool) "prediction bit-identical through disk" true
-    (p1 = p2);
-  (* Detached, the cache never consults the store again. *)
-  Cache.detach_store c2;
-  Cache.clear c2;
-  let _ = Cache.predict c2 machine info ~dims ~config in
-  Alcotest.(check int) "detached: no store traffic" 0
-    (Cache.stats c2).Cache.store_hits
-
-(* Store keys are a contract with every store already on disk: a
-   ranking's predictor, which digests the machine and the kernel once,
-   must hit every entry that one-config lookups wrote, under keys laid
-   out as machine fingerprint | kernel signature | dims | config. *)
+(* Model predictions stay in memory, but Offsite's memo keys share their
+   machine component, and a ranking's predictor, which digests the
+   machine and the kernel once, must hit every entry that one-config
+   lookups made — including lookups through a structurally equal copy
+   of the machine. *)
 let test_ranking_keys_match_single_lookups () =
-  with_root @@ fun root ->
   let threads = 2 in
   let space = Advisor.space machine ~dims ~threads ~rank:2 in
-  let c1 = Cache.create () in
-  Cache.attach_store c1 (Store.open_root root);
+  let n = List.length space in
+  let c = Cache.create () in
+  let copy = { machine with Machine.cores = machine.Machine.cores } in
   List.iter
-    (fun config -> ignore (Cache.predict c1 machine info ~dims ~config))
+    (fun config -> ignore (Cache.predict c copy info ~dims ~config))
     space;
-  let store = Store.open_root root in
-  List.iter
-    (fun config ->
-      let key =
-        String.concat "|"
-          [ Cache.machine_fingerprint machine;
-            Yasksite_stencil.Lower.fingerprint info.Analysis.spec;
-            "48x48";
-            Config.describe config ]
-      in
-      Alcotest.(check bool) ("stored under " ^ key) true
-        (Store.get store ~ns:"ecm-v1" ~key <> None))
-    space;
-  let c2 = Cache.create () in
-  Cache.attach_store c2 (Store.open_root root);
-  let ranked = Advisor.rank_all ~cache:c2 machine info ~dims ~threads in
-  let s = Cache.stats c2 in
-  Alcotest.(check int) "every config served by the store" (List.length space)
-    s.Cache.store_hits;
-  Alcotest.(check int) "no store miss" 0 s.Cache.store_misses;
+  Alcotest.(check int) "one entry per config" n (Cache.stats c).Cache.entries;
+  let ranked = Advisor.rank_all ~cache:c machine info ~dims ~threads in
+  let s = Cache.stats c in
+  Alcotest.(check int) "every config served by the memo" n s.Cache.hits;
+  Alcotest.(check int) "no miss beyond the single lookups" n s.Cache.misses;
   Alcotest.(check bool) "same ranking as the model's" true
     (ranked = Advisor.rank_all machine info ~dims ~threads)
 
-let test_prediction_codec_roundtrip () =
-  let config = Config.v ~threads:2 ~block:[| 0; 16 |] ~fold:[| 1; 4 |] () in
-  let p = Model.predict machine info ~dims ~config in
-  (match Cache.prediction_of_string (Cache.prediction_to_string p) with
-  | Some p' -> Alcotest.(check bool) "exact round trip" true (p = p')
-  | None -> Alcotest.fail "codec failed to parse its own rendering");
-  (* lups_saturated can be infinity (working set fits cache). *)
-  let p_inf = { p with Model.lups_saturated = infinity } in
-  (match Cache.prediction_of_string (Cache.prediction_to_string p_inf) with
-  | Some p' ->
-      Alcotest.(check bool) "infinity survives" true
-        (p'.Model.lups_saturated = infinity)
-  | None -> Alcotest.fail "codec rejected infinity");
-  Alcotest.(check bool) "garbage rejected" true
-    (Cache.prediction_of_string "ecm-pred v1\nconfig nonsense" = None);
-  Alcotest.(check bool) "wrong magic rejected" true
-    (Cache.prediction_of_string "ecm-pred v0\n" = None)
-
-let test_cache_with_degraded_store_identical () =
-  (* Attaching a dead store changes nothing but the counters. *)
-  let config = Config.v ~threads:2 () in
-  let plain = Cache.create () in
-  let p_ref = Cache.predict plain machine info ~dims ~config in
-  let degraded = Cache.create () in
-  Cache.attach_store degraded (Store.open_root "/dev/null/nope");
-  let p = Cache.predict degraded machine info ~dims ~config in
-  Alcotest.(check bool) "bit-identical prediction" true (p = p_ref)
-
-(* ------------------------------------------------------------------ *)
-(* Certificate persistence                                             *)
-
-let test_cert_persistence () =
-  (* Certificate behaviour is under test: pin the kill switch off. *)
-  Test_native_lint.with_env "YASKSITE_NO_CERT" "" @@ fun () ->
+(* [offsite-v1] is the one tuning memo kept on disk: a warm call skips
+   the ranking, and a memo that does not decode, names a wavefront or
+   fails the schedule analyzer is re-ranked and repaired. *)
+let test_offsite_memo () =
   with_root @@ fun root ->
-  let finally () =
-    Cert.set_store None;
-    Cert.clear ()
+  let threads = 2 in
+  let best ?cache ?store () =
+    Offsite.best_static_config ?cache ?store machine info ~dims ~threads
   in
-  Fun.protect ~finally @@ fun () ->
-  Cert.clear ();
-  Cert.set_store (Some (Store.open_root root));
-  Cert.insert
-    { Cert.key = "cert-key-1"; fingerprint = "fp-abc"; loads_per_point = 3;
-      stores_per_point = 1; flops_per_point = 7 };
-  (* Clearing the in-memory table simulates a new process; the lookup
-     must restore the certificate from disk. *)
-  Cert.clear ();
-  Alcotest.(check int) "memory table empty" 0 (Cert.size ());
-  (match Cert.lookup "cert-key-1" with
-  | Some e ->
-      Alcotest.(check string) "fingerprint" "fp-abc" e.Cert.fingerprint;
-      Alcotest.(check int) "loads" 3 e.Cert.loads_per_point;
-      Alcotest.(check int) "stores" 1 e.Cert.stores_per_point;
-      Alcotest.(check int) "flops" 7 e.Cert.flops_per_point
-  | None -> Alcotest.fail "certificate lost across clear");
-  (* Detached again, a fresh clear really is empty. *)
-  Cert.set_store None;
-  Cert.clear ();
-  Alcotest.(check bool) "no store, no resurrection" true
-    (Cert.lookup "cert-key-1" = None)
+  let base = best () in
+  let store = Store.open_root root in
+  Alcotest.(check bool) "cold: store-less config" true
+    (Config.equal (best ~store ()) base);
+  Alcotest.(check int) "cold: one entry written" 1
+    (Store.usage store).Store.entries;
+  let c = Cache.create () in
+  Alcotest.(check bool) "warm: same config" true
+    (Config.equal (best ~cache:c ~store:(Store.open_root root) ()) base);
+  let s = Cache.stats c in
+  Alcotest.(check int) "warm: no model-cache lookup" 0
+    (s.Cache.hits + s.Cache.misses);
+  let key =
+    match
+      Store.fold_ns store ~ns:"offsite-v1" ~init:[] (fun acc ~key ~payload:_ ->
+          key :: acc)
+    with
+    | [ k ] -> k
+    | ks ->
+        Alcotest.failf "expected one offsite-v1 entry, found %d"
+          (List.length ks)
+  in
+  let refuted = Config.v ~threads ~fold:[| 1; 64 |] () in
+  Alcotest.(check bool) "the analyzer refutes the planted config" false
+    (Yasksite_lint.Lint.Schedule.legal info ~dims refuted);
+  List.iter
+    (fun (what, payload) ->
+      Store.put store ~ns:"offsite-v1" ~key payload;
+      let c = Cache.create () in
+      Alcotest.(check bool) (what ^ ": same config") true
+        (Config.equal (best ~cache:c ~store:(Store.open_root root) ()) base);
+      Alcotest.(check bool) (what ^ ": re-ranked") true
+        ((Cache.stats c).Cache.misses > 0);
+      Alcotest.(check (option string)) (what ^ ": slot repaired")
+        (Some (Config.to_string base))
+        (Store.get (Store.open_root root) ~ns:"offsite-v1" ~key))
+    [ ("undecodable", "not a config");
+      ("wavefront", Config.to_string (Config.v ~threads ~wavefront:2 ()));
+      ("refuted", Config.to_string refuted) ];
+  Alcotest.(check bool) "unusable root: store-less config" true
+    (Config.equal (best ~store:(Store.open_root "/dev/null/nope") ()) base)
 
 (* ------------------------------------------------------------------ *)
 (* Tuner checkpoints through the store                                 *)
@@ -586,16 +535,10 @@ let suite =
       test_verify_rejects_moved_entry;
     Alcotest.test_case "gc age and size" `Quick test_gc_age_and_size;
     Alcotest.test_case "default resolution" `Quick test_default_env;
-    Alcotest.test_case "cache spill and warm start" `Quick
-      test_cache_spill_and_warm_start;
     Alcotest.test_case "ranking keys match single lookups" `Quick
       test_ranking_keys_match_single_lookups;
-    Alcotest.test_case "prediction codec round trip" `Quick
-      test_prediction_codec_roundtrip;
-    Alcotest.test_case "degraded store leaves cache identical" `Quick
-      test_cache_with_degraded_store_identical;
-    Alcotest.test_case "certificate persistence" `Quick
-      test_cert_persistence;
+    Alcotest.test_case "offsite memo warm start and repair" `Quick
+      test_offsite_memo;
     Alcotest.test_case "tuner checkpoint via store" `Quick
       test_tuner_checkpoint_via_store;
     Alcotest.test_case "tuner degraded-store identity" `Quick
