@@ -76,7 +76,8 @@ let machine_fingerprint (m : Machine.t) =
    the constant-folded body — so the plan fingerprint is the signature.
    Unlike the old [Spec.to_c] digest it is content-addressed: renaming a
    kernel or rewriting its expression into a bit-identical plan shares
-   cache entries. *)
+   cache entries. Sharing is exact because [Analysis] counts ops on that
+   same folded body, so specs with one plan get one prediction. *)
 let kernel_signature (a : Analysis.t) = Lower.fingerprint a.Analysis.spec
 
 let dims_str dims =

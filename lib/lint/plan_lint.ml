@@ -359,9 +359,9 @@ let counts_agree (plan : Plan.t) (info : Analysis.t) =
       (D.errorf ~code:"YS510"
          "the plan stores %d value(s) per update but the analysis bills %d"
          c.stores info.Analysis.stores);
-  (* Constant folding may legitimately *remove* arithmetic relative to
-     the expression tree, so the plan may execute fewer flops than the
-     analysis bills — never more. *)
+  (* The analysis counts the constant-folded tree the plan executes,
+     so the counts agree; a plan that executes more than is billed
+     means the model's in-core input undercounts the kernel. *)
   if c.flops > info.Analysis.flops then
     add
       (D.errorf ~code:"YS510"

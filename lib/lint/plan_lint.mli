@@ -77,8 +77,8 @@ val counts : Plan.t -> counts
 
 val counts_agree : Plan.t -> Analysis.t -> Diagnostic.t list
 (** YS510: loads/stores and the access set must match {!Analysis}
-    exactly; flops and divisions may be lower (constant folding) but
-    never higher. *)
+    exactly; flops and divisions must not exceed what it bills (it
+    counts the same constant-folded tree, so they agree). *)
 
 val check :
   ?info:Analysis.t -> Plan.t -> inputs:Grid.t array -> output:Grid.t ->

@@ -1,6 +1,8 @@
 module Machine = Yasksite_arch.Machine
 module Analysis = Yasksite_stencil.Analysis
+module Expr = Yasksite_stencil.Expr
 module Lower = Yasksite_stencil.Lower
+module Spec = Yasksite_stencil.Spec
 module Config = Yasksite_ecm.Config
 module Store = Yasksite_store.Store
 module Model = Yasksite_ecm.Model
@@ -77,8 +79,46 @@ let best_static_config ?(cache = Cache.create ()) ?store ?pool m info ~dims
             (Config.to_string best));
       best
 
-let score ?(cache = Cache.create ()) ?store ?pool m (pde : Pde.t)
-    (variant : Variant.t) ~threads ~tuned =
+(* One ranking call's measurements, each distinct (kernel, config) pair
+   simulated once. [Measure.stencil_sweep] is a pure function of the
+   kernel's rank, field count and expression — not its name — and the
+   config: every run builds a fresh address space, PRNG and hierarchy.
+   Machine and dims are fixed within one call, so they are not in the
+   key. The table lives no longer than the call, so a later call
+   measures cold again. Pool slices share it under the lock; a miss is
+   measured outside it, and two slices racing on one key both measure
+   it and store bit-identical results. *)
+module Sweep_key = struct
+  type t = { rank : int; n_fields : int; expr : Expr.t; config : Config.t }
+
+  let equal a b =
+    a.rank = b.rank && a.n_fields = b.n_fields
+    && Config.equal a.config b.config
+    && Expr.equal a.expr b.expr
+
+  let hash = Hashtbl.hash
+end
+
+module Sweeps = Hashtbl.Make (Sweep_key)
+
+let sweep_memo m ~dims =
+  let table = Sweeps.create 16 and lock = Mutex.create () in
+  fun (spec : Spec.t) config ->
+    let key =
+      { Sweep_key.rank = spec.rank; n_fields = spec.n_fields;
+        expr = spec.expr; config }
+    in
+    match Mutex.protect lock (fun () -> Sweeps.find_opt table key) with
+    | Some lups -> lups
+    | None ->
+        let lups =
+          (Measure.stencil_sweep m spec ~dims ~config).Measure.lups_chip
+        in
+        Mutex.protect lock (fun () -> Sweeps.replace table key lups);
+        lups
+
+let score ~cache ?store ?pool ~measure m (pde : Pde.t) (variant : Variant.t)
+    ~threads ~tuned =
   let dims = pde.Pde.dims in
   let points = float_of_int (Array.fold_left ( * ) 1 dims) in
   let per_kernel =
@@ -91,11 +131,10 @@ let score ?(cache = Cache.create ()) ?store ?pool m (pde : Pde.t)
           else Config.v ~threads ()
         in
         let prediction = Cache.predict cache m info ~dims ~config in
-        let measured = Measure.stencil_sweep m k.Variant.spec ~dims ~config in
         ( k.Variant.label,
           config,
           points /. prediction.Model.lups_chip,
-          points /. measured.Measure.lups_chip ))
+          points /. measure k.Variant.spec config ))
       variant.Variant.kernels
   in
   { variant;
@@ -106,17 +145,18 @@ let score ?(cache = Cache.create ()) ?store ?pool m (pde : Pde.t)
     measured_step_seconds =
       List.fold_left (fun acc (_, _, _, s) -> acc +. s) 0.0 per_kernel }
 
-let evaluate_variants ?(cache = Cache.create ()) ?store ?pool m pde variants
-    ~threads =
+let evaluate_variants ?(cache = Cache.create ()) ?store ?pool ~measure m pde
+    variants ~threads =
   let jobs =
     List.concat_map (fun v -> [ (v, false); (v, true) ]) variants
   in
   let score_one (v, tuned) =
-    score ~cache ?store ?pool m pde v ~threads ~tuned
+    score ~cache ?store ?pool ~measure m pde v ~threads ~tuned
   in
   let candidates =
     (* Scoring is deterministic per candidate (each measurement owns its
-       address space), so the parallel map equals the sequential one. *)
+       address space, and a shared one is bit-identical), so the
+       parallel map equals the sequential one. *)
     match pool with
     | Some pool when Pool.size pool > 1 ->
         Pool.parallel_map ~chunk:1 pool jobs ~f:score_one
@@ -126,11 +166,15 @@ let evaluate_variants ?(cache = Cache.create ()) ?store ?pool m pde variants
     (fun a b -> compare a.predicted_step_seconds b.predicted_step_seconds)
     candidates
 
-let evaluate_mixed m pde tab ~h ~threads =
-  evaluate_variants m pde (Variant.all_mixed tab pde ~h) ~threads
+let evaluate_mixed m (pde : Pde.t) tab ~h ~threads =
+  evaluate_variants
+    ~measure:(sweep_memo m ~dims:pde.dims)
+    m pde (Variant.all_mixed tab pde ~h) ~threads
 
-let evaluate ?cache ?store ?pool m pde tab ~h ~threads =
-  evaluate_variants ?cache ?store ?pool m pde (Variant.all tab pde ~h) ~threads
+let evaluate ?cache ?store ?pool m (pde : Pde.t) tab ~h ~threads =
+  evaluate_variants ?cache ?store ?pool
+    ~measure:(sweep_memo m ~dims:pde.dims)
+    m pde (Variant.all tab pde ~h) ~threads
 
 type quality = {
   kendall : float;
@@ -214,13 +258,15 @@ let spectral_radius (pde : Pde.t) =
 
 let rank_methods m (pde : Pde.t) tableaux ~threads =
   let rho = spectral_radius pde in
+  let measure = sweep_memo m ~dims:pde.dims in
   let choices =
     List.map
       (fun (tab : Tableau.t) ->
         (* Step just inside the stability boundary. *)
         let h_stable = 0.9 *. Tableau.real_stability_interval tab /. rho in
         let candidates =
-          evaluate_variants m pde (Variant.all tab pde ~h:h_stable) ~threads
+          evaluate_variants ~measure m pde (Variant.all tab pde ~h:h_stable)
+            ~threads
         in
         let candidate = List.hd candidates in
         let steps_per_unit = 1.0 /. h_stable in
@@ -257,6 +303,7 @@ let rank_methods_at_accuracy m (pde : Pde.t) tableaux ~t_end ~tol ~threads =
     invalid_arg "Offsite.rank_methods_at_accuracy: tol must be positive";
   let ivp = Yasksite_ode.Pde.to_ivp pde ~t_end in
   let rho = spectral_radius pde in
+  let measure = sweep_memo m ~dims:pde.dims in
   (* One fine reference for all methods: DOPRI5 at 4x the steps the most
      stability-constrained candidate needs. *)
   let min_interval =
@@ -288,7 +335,8 @@ let rank_methods_at_accuracy m (pde : Pde.t) tableaux ~t_end ~tol ~threads =
         let steps, achieved_error = search stability_steps 10 in
         let h_used = t_end /. float_of_int steps in
         let candidates =
-          evaluate_variants m pde (Variant.all tab pde ~h:h_used) ~threads
+          evaluate_variants ~measure m pde (Variant.all tab pde ~h:h_used)
+            ~threads
         in
         let candidate_a = List.hd candidates in
         { tableau_a = tab;

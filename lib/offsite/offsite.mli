@@ -13,22 +13,6 @@ type candidate = {
   measured_step_seconds : float;
 }
 
-val score :
-  ?cache:Yasksite_ecm.Cache.t ->
-  ?store:Yasksite_store.Store.t ->
-  ?pool:Yasksite_util.Pool.t ->
-  Yasksite_arch.Machine.t ->
-  Yasksite_ode.Pde.t ->
-  Variant.t ->
-  threads:int ->
-  tuned:bool ->
-  candidate
-(** Predict and measure one variant's per-step time: the sum over its
-    kernels of grid points divided by (predicted resp. measured) chip
-    LUP/s. When [tuned], each kernel's configuration is the best
-    wavefront-free configuration of the analytic advisor; otherwise the
-    default (unblocked, linear) configuration. *)
-
 val evaluate :
   ?cache:Yasksite_ecm.Cache.t ->
   ?store:Yasksite_store.Store.t ->
@@ -40,13 +24,28 @@ val evaluate :
   threads:int ->
   candidate list
 (** All four candidates ({unfused, fused} x {naive, tuned}), sorted by
-    predicted time, fastest first. ECM model evaluations are memoized
-    in [cache] (default: a fresh cache for this call) — variants share
-    kernels, so repeated rankings hit, and a cache passed to several
-    calls carries its entries across them; candidates are scored on
-    [pool]'s domains when given; [store] additionally persists
-    per-kernel tuning memos (see {!best_static_config}). None of the
-    three changes the result. *)
+    predicted time, fastest first. A candidate's per-step time is the
+    sum over its kernels of grid points divided by (predicted resp.
+    measured) chip LUP/s. A tuned candidate runs each kernel at the
+    best wavefront-free configuration of the analytic advisor
+    ({!best_static_config}); a naive one at the default (unblocked,
+    linear) configuration.
+
+    Measurement reuse: within one call, each distinct pair of a kernel
+    (its rank, field count and expression; not its name) and a
+    configuration is measured once, and every candidate that runs it
+    reuses that measurement. The reuse is scoped to the call: no
+    measurement outlives it, so a second call measures afresh. The
+    measurement is a pure function of that pair, so reuse never
+    changes a result.
+
+    ECM model evaluations are memoized in [cache] (default: a fresh
+    cache for this call) — variants share kernels, so repeated rankings
+    hit, and a cache passed to several calls carries its entries across
+    them; candidates are scored on [pool]'s domains when given, sharing
+    the call's measurements; [store] additionally persists per-kernel
+    tuning memos (see {!best_static_config}). None of the three changes
+    the result. *)
 
 val evaluate_mixed :
   Yasksite_arch.Machine.t ->
@@ -58,7 +57,9 @@ val evaluate_mixed :
 (** Like {!evaluate} but over the full per-stage fusion-mask space
     ({!Variant.all_mixed}) x {naive, tuned} — the richer variant set the
     real Offsite enumerates (2^s x 2 candidates for an s-stage
-    method), on a fresh model cache, one domain and no store. *)
+    method), on a fresh model cache, one domain and no store. The
+    measurement reuse of {!evaluate} spans all of the call's
+    candidates. *)
 
 type quality = {
   kendall : float;  (** rank correlation predicted vs measured times *)
@@ -100,7 +101,9 @@ val rank_methods :
     stability interval over the discrete Laplacian's spectral radius),
     pick its best implementation variant by prediction, and rank the
     methods by predicted compute time per simulated second. Sorted by
-    prediction, best first. *)
+    prediction, best first. The measurement reuse of {!evaluate} spans
+    all of the call's methods (every method applies the same
+    right-hand-side kernel), and ends with the call. *)
 
 type accuracy_choice = {
   tableau_a : Yasksite_ode.Tableau.t;
@@ -128,7 +131,8 @@ val rank_methods_at_accuracy :
     error cancels) meets the tolerance; the cost is steps times the best
     variant's per-step time. Sorted by predicted cost, best first.
     Intended for moderate grids (the calibration integrates the real
-    problem). *)
+    problem). Measurements are reused across the call's methods, as in
+    {!rank_methods}. *)
 
 val best_static_config :
   ?cache:Yasksite_ecm.Cache.t ->

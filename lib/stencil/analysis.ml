@@ -48,7 +48,9 @@ let of_spec (spec : Spec.t) =
     (fun (a : Expr.access) ->
       Array.iteri (fun i d -> radius.(i) <- max radius.(i) (abs d)) a.offsets)
     accesses;
-  let adds, muls, divs = count_ops (0, 0, 0) spec.expr in
+  (* Ops are counted on the folded tree, the code a plan executes: two
+     specs that lower to one plan bill the same work. *)
+  let adds, muls, divs = count_ops (0, 0, 0) (Expr.cfold spec.expr) in
   let read_fields =
     List.sort_uniq compare (List.map (fun (a : Expr.access) -> a.field) all)
   in

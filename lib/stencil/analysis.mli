@@ -16,7 +16,10 @@ type t = {
   adds : int;  (** additive operations (Add/Sub) per LUP *)
   muls : int;
   divs : int;
-  flops : int;  (** adds + muls + divs *)
+  flops : int;
+      (** adds + muls + divs. All four are counted on the
+          constant-folded tree ({!Expr.cfold}), the code a lowered plan
+          executes. *)
   loads : int;  (** [List.length accesses] *)
   stores : int;  (** always 1: the output write *)
   read_fields : int list;  (** distinct fields read, ascending *)

@@ -13,7 +13,22 @@ type t =
   | Max of t * t
   | Select of t * t * t
 
-let equal = ( = )
+let rec equal a b =
+  match (a, b) with
+  | Const x, Const y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Coeff x, Coeff y -> String.equal x y
+  | Ref x, Ref y -> x = y
+  | Neg x, Neg y -> equal x y
+  | Add (a, b), Add (c, d)
+  | Sub (a, b), Sub (c, d)
+  | Mul (a, b), Mul (c, d)
+  | Div (a, b), Div (c, d)
+  | Min (a, b), Min (c, d)
+  | Max (a, b), Max (c, d) ->
+      equal a c && equal b d
+  | Select (a, b, c), Select (d, e, f) -> equal a d && equal b e && equal c f
+  | _ -> false
 
 let rec fold_accesses e ~init ~f =
   match e with
@@ -81,6 +96,44 @@ let rec subst_accesses f = function
   | Max (a, b) -> Max (subst_accesses f a, subst_accesses f b)
   | Select (c, a, b) ->
       Select (subst_accesses f c, subst_accesses f a, subst_accesses f b)
+
+(* Exact: each folded node applies the very operation the tree would
+   have applied at run time. *)
+let rec cfold e =
+  match e with
+  | Const _ | Coeff _ | Ref _ -> e
+  | Neg a -> ( match cfold a with Const x -> Const (-.x) | a' -> Neg a')
+  | Add (a, b) -> (
+      match (cfold a, cfold b) with
+      | Const x, Const y -> Const (x +. y)
+      | a', b' -> Add (a', b'))
+  | Sub (a, b) -> (
+      match (cfold a, cfold b) with
+      | Const x, Const y -> Const (x -. y)
+      | a', b' -> Sub (a', b'))
+  | Mul (a, b) -> (
+      match (cfold a, cfold b) with
+      | Const x, Const y -> Const (x *. y)
+      | a', b' -> Mul (a', b'))
+  | Div (a, b) -> (
+      match (cfold a, cfold b) with
+      | Const x, Const y -> Const (x /. y)
+      | a', b' -> Div (a', b'))
+  | Min (a, b) -> (
+      match (cfold a, cfold b) with
+      | Const x, Const y -> Const (Float.min x y)
+      | a', b' -> Min (a', b'))
+  | Max (a, b) -> (
+      match (cfold a, cfold b) with
+      | Const x, Const y -> Const (Float.max x y)
+      | a', b' -> Max (a', b'))
+  | Select (c, a, b) -> (
+      (* Folded only when ALL operands are constant: folding just the
+         condition would drop the untaken branch's loads from the access
+         table and change the kernel's read set. *)
+      match (cfold c, cfold a, cfold b) with
+      | Const vc, Const va, Const vb -> Const (if vc > 0.0 then va else vb)
+      | c', a', b' -> Select (c', a', b'))
 
 let axis_names = [| "z"; "y"; "x" |]
 

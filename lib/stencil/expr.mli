@@ -29,6 +29,9 @@ type t =
           than control flow. *)
 
 val equal : t -> t -> bool
+(** Structural equality with constants compared bit for bit:
+    [Const 0.0] and [Const (-0.0)] differ, and a NaN constant equals
+    itself. *)
 
 val fold_accesses : t -> init:'a -> f:('a -> access -> 'a) -> 'a
 (** Left fold over every [Ref] node (with repetitions, in evaluation
@@ -48,6 +51,12 @@ val subst_accesses : (access -> t) -> t -> t
 (** Replace every [Ref] node by an arbitrary expression — the stage-fusion
     primitive: substituting "y + h * sum a_ij k_j" for each input access
     folds a Runge–Kutta stage's linear combination into the stencil. *)
+
+val cfold : t -> t
+(** Fold every all-constant subtree to the [Const] the tree would have
+    computed at run time — exact in IEEE-754 double arithmetic. No
+    [Ref] is ever dropped, so the read set is unchanged. This folded
+    tree is what a lowered plan executes and what {!Analysis} counts. *)
 
 val access_to_c : ?field_name:(int -> string) -> access -> string
 (** Render one field access in the textual syntax, e.g. ["f0(z,y-1,x)"]

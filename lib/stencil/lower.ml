@@ -2,49 +2,10 @@ module Grid = Yasksite_grid.Grid
 
 (* Lowering: Spec.t -> Plan.t, and binding a plan to concrete grids.
 
-   [lower] folds constant subtrees with the very operation the tree
-   would have applied at run time, then flattens the folded tree to
-   postfix code in its own operation order. Both steps are exact in
-   IEEE-754 double arithmetic, so plan execution is bit-identical to
-   walking the expression tree point by point. *)
-
-(* ---- constant folding (exact: same ops the tree would execute) ---- *)
-
-let rec cfold (e : Expr.t) : Expr.t =
-  match e with
-  | Const _ | Coeff _ | Ref _ -> e
-  | Neg a -> ( match cfold a with Const x -> Const (-.x) | a' -> Neg a')
-  | Add (a, b) -> (
-      match (cfold a, cfold b) with
-      | Const x, Const y -> Const (x +. y)
-      | a', b' -> Add (a', b'))
-  | Sub (a, b) -> (
-      match (cfold a, cfold b) with
-      | Const x, Const y -> Const (x -. y)
-      | a', b' -> Sub (a', b'))
-  | Mul (a, b) -> (
-      match (cfold a, cfold b) with
-      | Const x, Const y -> Const (x *. y)
-      | a', b' -> Mul (a', b'))
-  | Div (a, b) -> (
-      match (cfold a, cfold b) with
-      | Const x, Const y -> Const (x /. y)
-      | a', b' -> Div (a', b'))
-  | Min (a, b) -> (
-      match (cfold a, cfold b) with
-      | Const x, Const y -> Const (Float.min x y)
-      | a', b' -> Min (a', b'))
-  | Max (a, b) -> (
-      match (cfold a, cfold b) with
-      | Const x, Const y -> Const (Float.max x y)
-      | a', b' -> Max (a', b'))
-  | Select (c, a, b) -> (
-      (* Folded only when ALL operands are constant: folding just the
-         condition would drop the untaken branch's loads from the access
-         table and change the kernel's read set. *)
-      match (cfold c, cfold a, cfold b) with
-      | Const vc, Const va, Const vb -> Const (if vc > 0.0 then va else vb)
-      | c', a', b' -> Select (c', a', b'))
+   [lower] folds constant subtrees ({!Expr.cfold}), then flattens the
+   folded tree to postfix code in its own operation order. Both steps
+   are exact in IEEE-754 double arithmetic, so plan execution is
+   bit-identical to walking the expression tree point by point. *)
 
 (* ---- postfix code ---- *)
 
@@ -119,7 +80,7 @@ let lower (spec : Spec.t) : Plan.t =
   let info = Analysis.of_spec spec in
   let accesses = Array.of_list info.Analysis.accesses in
   let slot_of = make_slot_of accesses in
-  let code, depth = program slot_of (cfold spec.Spec.expr) in
+  let code, depth = program slot_of (Expr.cfold spec.Spec.expr) in
   Plan.v ~name:spec.Spec.name ~rank:spec.Spec.rank
     ~n_fields:spec.Spec.n_fields ~accesses ~code ~depth
 

@@ -694,5 +694,73 @@ let reference_suite =
     Alcotest.test_case "bad input raises as the reference" `Quick
       test_bad_input_raises_as_reference ]
 
+(* ------------------------------------------------------------------ *)
+(* Specs whose trees differ only by a foldable constant product lower to
+   one plan, so the model cache gives them one key. Op counts are taken
+   on the folded tree, so the key's prediction is right for both,
+   whichever is looked up first, and they measure alike.               *)
+
+module Expr = Yasksite_stencil.Expr
+module Spec = Yasksite_stencil.Spec
+module Lower = Yasksite_stencil.Lower
+module Measure = Yasksite_engine.Measure
+
+let render_measurement (r : Measure.t) =
+  String.concat " "
+    (Config.to_string r.Measure.config
+    :: string_of_int r.Measure.sim_points
+    :: List.map hex
+         ([ r.Measure.cycles_per_cl; r.Measure.t_incore_ol;
+            r.Measure.t_incore_nol; r.Measure.mem_bytes_per_lup;
+            r.Measure.lups_core; r.Measure.lups_chip; r.Measure.flops_chip ]
+         @ Array.to_list r.Measure.t_data
+         @ Array.to_list r.Measure.lines_per_cl))
+
+let test_folded_constant_one_prediction () =
+  let at dy dx = Expr.Ref { Expr.field = 0; offsets = [| dy; dx |] } in
+  let sum =
+    List.fold_left
+      (fun acc r -> Expr.Add (acc, r))
+      (at 0 0)
+      [ at (-1) 0; at 1 0; at 0 (-1); at 0 1 ]
+  in
+  let product =
+    Spec.v ~name:"half-half" ~rank:2
+      (Expr.Mul (Expr.Mul (Expr.Const 0.5, Expr.Const 0.5), sum))
+  in
+  let quarter =
+    Spec.v ~name:"quarter" ~rank:2 (Expr.Mul (Expr.Const 0.25, sum))
+  in
+  Alcotest.(check string) "one plan" (Lower.fingerprint quarter)
+    (Lower.fingerprint product);
+  let a = Analysis.of_spec product and b = Analysis.of_spec quarter in
+  let ops (i : Analysis.t) =
+    [ i.Analysis.adds; i.Analysis.muls; i.Analysis.divs; i.Analysis.flops ]
+  in
+  Alcotest.(check (list int)) "op counts" [ 4; 1; 0; 5 ] (ops a);
+  Alcotest.(check (list int)) "equal op counts" (ops a) (ops b);
+  let dims = [| 256; 256 |] and config = Config.default in
+  List.iter
+    (fun order ->
+      let cache = Cache.create () in
+      List.iter
+        (fun (i : Analysis.t) ->
+          Alcotest.(check string)
+            (i.Analysis.spec.Spec.name ^ ": cached = direct")
+            (render_prediction (Model.predict clx8 i ~dims ~config))
+            (render_prediction (Cache.predict cache clx8 i ~dims ~config)))
+        order)
+    [ [ a; b ]; [ b; a ] ];
+  let measure spec =
+    render_measurement (Measure.stencil_sweep clx8 spec ~dims ~config)
+  in
+  Alcotest.(check string) "equal measurements" (measure product)
+    (measure quarter)
+
+let fold_suite =
+  [ Alcotest.test_case "folded constant: one plan, one prediction" `Quick
+      test_folded_constant_one_prediction ]
+
 let suite =
   base_suite @ extra_suite @ more_suite @ property_suite @ reference_suite
+  @ fold_suite

@@ -448,7 +448,7 @@ let test_selflint_variants () =
     (Variant.all Tableau.rk4 pde ~h:1e-4)
 
 let test_selflint_machines () =
-  let dir = "../machines" in
+  let dir = Repo_file.path "machines" in
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".machine")

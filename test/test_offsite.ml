@@ -445,6 +445,131 @@ let resilience_suite =
     Alcotest.test_case "run_resilient gives up" `Quick
       test_run_resilient_gives_up ]
 
+(* ------------------------------------------------------------------ *)
+(* A ranking call measures each distinct (kernel, config) pair once and
+   shares it. Every output must equal [Offsite_reference], which
+   measures every kernel of every candidate: field by field, floats in
+   hex.                                                                 *)
+
+module Reference = Offsite_reference
+module Pool = Yasksite_util.Pool
+module Expr = Yasksite_stencil.Expr
+module Spec = Yasksite_stencil.Spec
+
+let candidate_fields (c : Offsite.candidate) =
+  [ c.Offsite.variant.Variant.name;
+    string_of_bool c.Offsite.tuned;
+    String.concat "; "
+      (List.map
+         (fun (label, config) -> label ^ " " ^ Config.to_string config)
+         c.Offsite.configs);
+    Printf.sprintf "%h" c.Offsite.predicted_step_seconds;
+    Printf.sprintf "%h" c.Offsite.measured_step_seconds ]
+
+let check_candidates what ~reference ~got =
+  Alcotest.(check (list (list string)))
+    what
+    (List.map candidate_fields reference)
+    (List.map candidate_fields got)
+
+let choice_fields (c : Offsite.method_choice) =
+  c.Offsite.tableau.Tableau.name
+  :: Printf.sprintf "%h" c.Offsite.h_stable
+  :: Printf.sprintf "%h" c.Offsite.predicted_time_per_unit
+  :: Printf.sprintf "%h" c.Offsite.measured_time_per_unit
+  :: candidate_fields c.Offsite.candidate
+
+(* Equal up to the values of their constants. *)
+let rec same_but_constants (a : Expr.t) (b : Expr.t) =
+  match (a, b) with
+  | Const _, Const _ -> true
+  | Neg x, Neg y -> same_but_constants x y
+  | Add (a, b), Add (c, d)
+  | Sub (a, b), Sub (c, d)
+  | Mul (a, b), Mul (c, d)
+  | Div (a, b), Div (c, d)
+  | Min (a, b), Min (c, d)
+  | Max (a, b), Max (c, d) ->
+      same_but_constants a c && same_but_constants b d
+  | Select (a, b, c), Select (d, e, f) ->
+      same_but_constants a d && same_but_constants b e && same_but_constants c f
+  | _ -> Expr.equal a b
+
+(* The case must hold the two kernel pairs a shared measurement could
+   get wrong: one expression under two names (one measurement), and two
+   expressions that differ only in a coefficient (two). *)
+let check_kernel_pairs variants =
+  let specs =
+    List.concat_map
+      (fun (v : Variant.t) ->
+        List.map (fun (k : Variant.kernel) -> k.Variant.spec) v.Variant.kernels)
+      variants
+  in
+  let exists_pair p =
+    List.exists (fun (a : Spec.t) -> List.exists (fun b -> p a b) specs) specs
+  in
+  Alcotest.(check bool) "one expression under two names" true
+    (exists_pair (fun a b ->
+         a.Spec.name <> b.Spec.name && Expr.equal a.Spec.expr b.Spec.expr));
+  Alcotest.(check bool) "expressions that differ only in a coefficient" true
+    (exists_pair (fun a b ->
+         (not (Expr.equal a.Spec.expr b.Spec.expr))
+         && same_but_constants a.Spec.expr b.Spec.expr))
+
+(* perfbench's ode op (= yasksite ode -m clx --pde heat3d -n 16) and a
+   test-chip case with two threads, so tuned configs are threaded. *)
+let shared_cases =
+  [ ( "clx/8 heat3d n=16 rk4",
+      Machine.scaled ~factor:8 Machine.cascade_lake,
+      Pde.heat ~rank:3 ~n:16 ~alpha:1.0,
+      1e-5,
+      1 );
+    ("test chip heat2d n=32 rk4", Machine.test_chip,
+     Pde.heat ~rank:2 ~n:32 ~alpha:1.0, 1e-4, 2) ]
+
+let test_evaluate_shares_measurements () =
+  List.iter
+    (fun (name, m, pde, h, threads) ->
+      check_kernel_pairs (Variant.all Tableau.rk4 pde ~h);
+      let reference = Reference.evaluate m pde Tableau.rk4 ~h ~threads in
+      check_candidates (name ^ ": evaluate") ~reference
+        ~got:(Offsite.evaluate m pde Tableau.rk4 ~h ~threads);
+      Pool.with_pool ~domains:2 (fun pool ->
+          check_candidates
+            (name ^ ": evaluate on 2 domains")
+            ~reference
+            ~got:(Offsite.evaluate ~pool m pde Tableau.rk4 ~h ~threads)))
+    shared_cases
+
+let test_evaluate_mixed_shares_measurements () =
+  List.iter
+    (fun (name, m, pde, h, threads) ->
+      check_kernel_pairs (Variant.all_mixed Tableau.rk4 pde ~h);
+      check_candidates (name ^ ": evaluate_mixed")
+        ~reference:(Reference.evaluate_mixed m pde Tableau.rk4 ~h ~threads)
+        ~got:(Offsite.evaluate_mixed m pde Tableau.rk4 ~h ~threads))
+    shared_cases
+
+let test_rank_methods_shares_measurements () =
+  let methods = [ Tableau.euler; Tableau.heun2; Tableau.rk4 ] in
+  List.iter
+    (fun (name, m, pde, _, threads) ->
+      Alcotest.(check (list (list string)))
+        (name ^ ": rank_methods")
+        (List.map choice_fields (Reference.rank_methods m pde methods ~threads))
+        (List.map choice_fields (Offsite.rank_methods m pde methods ~threads)))
+    (shared_cases
+    @ [ ("test chip heat1d n=64", Machine.test_chip,
+         Pde.heat ~rank:1 ~n:64 ~alpha:1.0, 0.0, 1) ])
+
+let shared_suite =
+  [ Alcotest.test_case "evaluate = reference, sequential and pooled" `Slow
+      test_evaluate_shares_measurements;
+    Alcotest.test_case "evaluate_mixed = reference" `Slow
+      test_evaluate_mixed_shares_measurements;
+    Alcotest.test_case "rank_methods = reference" `Slow
+      test_rank_methods_shares_measurements ]
+
 let suite =
   base_suite @ extra_suite @ accuracy_suite @ coeff_suite @ mixed_suite
-  @ resilience_suite
+  @ resilience_suite @ shared_suite

@@ -365,7 +365,8 @@ let test_text_round_trip () =
   Alcotest.(check string) "to_text fixpoint" (P.to_text p) (P.to_text p');
   (* The shipped example file is the same program. *)
   let src =
-    In_channel.with_open_text "../examples/hdiff.prog" In_channel.input_all
+    In_channel.with_open_text (Repo_file.path "examples/hdiff.prog")
+      In_channel.input_all
   in
   let shipped = parse_ok src in
   Alcotest.(check string) "examples/hdiff.prog matches the suite"

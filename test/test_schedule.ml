@@ -544,7 +544,10 @@ let sanitizer_is_transparent =
 (* Whole-space checks over the shipped machine files                    *)
 
 let shipped_machines () =
-  let files = [ "../machines/skylake-sp.machine"; "../machines/zen3.machine" ] in
+  let files =
+    List.map Repo_file.path
+      [ "machines/skylake-sp.machine"; "machines/zen3.machine" ]
+  in
   List.map
     (fun f ->
       match Machine_file.load f with
