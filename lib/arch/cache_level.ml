@@ -24,8 +24,6 @@ let v ~name ~size_bytes ~assoc ?(line_bytes = 64) ?(shared_by = 1)
   { name; size_bytes; assoc; line_bytes; shared_by; bytes_per_cycle;
     latency_cycles; fill }
 
-let n_sets t = t.size_bytes / (t.assoc * t.line_bytes)
-
 let lines t = t.size_bytes / t.line_bytes
 
 let scale ~factor t =
@@ -35,8 +33,6 @@ let scale ~factor t =
   let unit = t.assoc * t.line_bytes in
   let size_bytes = size_bytes / unit * unit in
   { t with size_bytes }
-
-let per_core_size t = t.size_bytes / t.shared_by
 
 let pp fmt t =
   Format.fprintf fmt "%s: %s, %d-way, %dB lines, shared by %d, %.0f B/cy, %s"

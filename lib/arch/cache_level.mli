@@ -40,19 +40,13 @@ val v :
 (** Constructor with validation: sizes positive, size divisible by
     [assoc * line_bytes]. Defaults: 64-byte lines, private, inclusive. *)
 
-val n_sets : t -> int
-(** Number of sets ([size / (assoc * line)]). *)
-
 val lines : t -> int
-(** Total number of lines. *)
+(** Total number of lines. Used by tests only: the cache-level tests
+    check geometry with it. *)
 
 val scale : factor:int -> t -> t
 (** [scale ~factor l] divides the capacity by [factor] (keeping line size
     and associativity, reducing the number of sets); used to shrink real
     machines to simulation scale. *)
-
-val per_core_size : t -> int
-(** Capacity divided by the number of sharers — the fair share one core
-    can count on, which is what layer conditions use for shared levels. *)
 
 val pp : Format.formatter -> t -> unit

@@ -99,18 +99,9 @@ let peak_flops_core t =
   in
   flops_per_cycle *. cycles_per_second t
 
-let peak_flops_chip t = peak_flops_core t *. float_of_int t.cores
-
 let mem_bytes_per_cycle_chip t = t.mem_bw_chip_gbs *. 1e9 /. cycles_per_second t
 
 let last_level t = t.caches.(Array.length t.caches - 1)
-
-let levels t = Array.length t.caches
-
-let pp fmt t =
-  Format.fprintf fmt "%s: %d cores @ %.2f GHz, %d-lane DP SIMD, %s mem"
-    t.name t.cores t.freq_ghz t.simd.dp_lanes
-    (Yasksite_util.Units.gbs (t.mem_bw_chip_gbs *. 1e9))
 
 let describe t =
   let open Yasksite_util in

@@ -78,17 +78,10 @@ val cycles_per_second : t -> float
 val peak_flops_core : t -> float
 (** Peak double-precision FLOP/s of one core (FMA counts as 2). *)
 
-val peak_flops_chip : t -> float
-
 val mem_bytes_per_cycle_chip : t -> float
 (** Chip memory bandwidth expressed in bytes per core-clock cycle. *)
 
 val last_level : t -> Cache_level.t
-
-val levels : t -> int
-(** Number of cache levels. *)
-
-val pp : Format.formatter -> t -> unit
 
 val describe : t -> Yasksite_util.Table.t
 (** Table of the machine's characteristics (the paper's testbed table). *)

@@ -52,4 +52,5 @@ val load : string -> (Machine.t, string) result
 
 val render : Machine.t -> string
 (** Render a machine back to the file format ([parse (render m)]
-    reconstructs an equal machine). *)
+    reconstructs an equal machine). Used by tests only: the reference
+    of the machine-file round-trip property. *)

@@ -209,8 +209,6 @@ let traffic_lines t ~level =
   if level < 0 || level >= t.n then invalid_arg "Hierarchy.traffic_lines";
   t.boundary.(level)
 
-let traffic_bytes t ~level = traffic_lines t ~level * t.line_bytes
-
 let line_bytes t = t.line_bytes
 
 let levels t = t.n

@@ -62,11 +62,10 @@ val traffic_lines : t -> level:int -> int
     level out — misses of [level] plus write-backs from [level]. For the
     last level this is memory traffic. *)
 
-val traffic_bytes : t -> level:int -> int
-
 val line_bytes : t -> int
 
 val levels : t -> int
 
 val flush : t -> unit
-(** Invalidate all contents and reset counters. *)
+(** Invalidate all contents and reset counters. Used by tests only: the
+    flush and streaming-store tests restart from a cold hierarchy. *)

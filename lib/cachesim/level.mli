@@ -17,7 +17,8 @@ val probe : t -> line:int -> bool
 (** Lookup; refreshes LRU on hit. Does not fill. *)
 
 val is_present : t -> line:int -> bool
-(** Lookup without touching LRU state (for invariant checks). *)
+(** Lookup without touching LRU state. Used by tests only: the level
+    LRU and extract tests probe residency with it. *)
 
 val insert : t -> line:int -> dirty:bool -> (int * bool) option
 (** Insert (or refresh) a line. If the line was already present its dirty
@@ -33,6 +34,9 @@ val extract : t -> line:int -> bool option
     [None] if absent. *)
 
 val resident_lines : t -> int
-(** Number of currently valid lines (for tests). *)
+(** Number of currently valid lines. Used by tests only: the level
+    basics test checks occupancy with it. *)
 
 val capacity_lines : t -> int
+(** Lines the level holds. Used by tests only: the level basics test
+    checks the capacity of a built level with it. *)

@@ -15,6 +15,8 @@ let dedup_options l =
       end)
     l
 
+(* [None] (unblocked) plus power-of-two blockings of the non-streamed
+   dimensions, clamped to the grid and de-duplicated. *)
 let candidate_blocks ~dims =
   let rank = Array.length dims in
   let clamp v d = min v d in
@@ -49,6 +51,8 @@ let factorizations lanes rank =
   in
   List.map Array.of_list (go rank lanes)
 
+(* [None] (linear layout) plus every factorization of the machine's SIMD
+   width over the grid dimensions (YASK's fold candidates). *)
 let candidate_folds (m : Machine.t) ~rank =
   let lanes = m.simd.dp_lanes in
   let folds =
@@ -59,8 +63,6 @@ let candidate_folds (m : Machine.t) ~rank =
     |> List.filter (fun f -> f.(rank - 1) <> lanes)
   in
   None :: List.map (fun f -> Some f) folds
-
-let candidate_wavefronts = [ 1; 2; 4; 8 ]
 
 (* Streaming stores combine with every spatial option but not with
    wavefronts (intermediate steps must stay cached for temporal reuse). *)
@@ -81,6 +83,7 @@ let space m ~dims ~threads ~rank =
         folds)
     blocks
 
+(* Every candidate with its prediction, best first. *)
 let rank_space ?cache ?pool m (a : Analysis.t) ~dims configs =
   let predict =
     match cache with

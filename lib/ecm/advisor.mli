@@ -5,23 +5,15 @@
     alone — no kernel is ever executed. An external tuner (Offsite) can
     call {!best} per kernel and trust the ranking. *)
 
-val candidate_blocks : dims:int array -> int array option list
-(** Spatial block candidates for a grid: [None] (unblocked) plus
-    power-of-two blockings of the non-streamed dimensions, clamped to the
-    grid and de-duplicated. *)
-
-val candidate_folds :
-  Yasksite_arch.Machine.t -> rank:int -> int array option list
-(** [None] (linear layout) plus every factorization of the machine's
-    SIMD width over the grid dimensions (YASK's fold candidates). *)
-
-val candidate_wavefronts : int list
-(** Temporal block depths explored: [[1; 2; 4; 8]]. *)
-
 val space :
   Yasksite_arch.Machine.t -> dims:int array -> threads:int -> rank:int ->
   Config.t list
-(** Full cross product of the candidates at a fixed thread count. *)
+(** The cross product, at a fixed thread count, of the spatial blocks
+    (unblocked plus power-of-two blockings of the non-streamed
+    dimensions), the vector folds (linear plus every factorization of
+    the machine's SIMD width over the grid dimensions) and the temporal
+    options (wavefront depths 1, 2, 4 and 8; streaming stores at depth
+    1 only). *)
 
 val best :
   ?filter:(Config.t -> bool) ->
@@ -101,14 +93,3 @@ val best_partition :
   config:Config.t ->
   partition
 (** Head of {!rank_partitions}: the predicted-fastest partition. *)
-
-val rank_space :
-  ?cache:Cache.t ->
-  ?pool:Yasksite_util.Pool.t ->
-  Yasksite_arch.Machine.t ->
-  Yasksite_stencil.Analysis.t ->
-  dims:int array ->
-  Config.t list ->
-  (Config.t * Model.prediction) list
-(** {!rank_all} over an explicit candidate list (e.g. one already pruned
-    by the schedule analyzer). *)

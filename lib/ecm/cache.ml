@@ -157,11 +157,3 @@ let hit_rate t =
   let s = stats t in
   let total = s.hits + s.misses in
   if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
-
-let clear t =
-  Mutex.lock t.mutex;
-  Hashtbl.reset t.table;
-  t.tick <- 0;
-  t.hits <- 0;
-  t.misses <- 0;
-  Mutex.unlock t.mutex

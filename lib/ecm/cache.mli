@@ -64,9 +64,6 @@ val stats : t -> stats
 val hit_rate : t -> float
 (** [hits / (hits + misses)]; 0 before any lookup. *)
 
-val clear : t -> unit
-(** Drop all entries and zero the counters. *)
-
 val machine_fingerprint : Yasksite_arch.Machine.t -> string
 (** Content digest of a machine description — the machine component of
     cache keys, exposed so persistent consumers (Offsite's per-kernel

@@ -66,7 +66,8 @@ val boundaries :
 (** [fst (at (stage m a ~dims ~config) ~threads:config.threads)]: one
     entry per cache boundary, innermost (L1 <-> L2) first; the last
     entry is the memory boundary. The configured thread count
-    determines each shared level's effective per-core capacity. *)
+    determines each shared level's effective per-core capacity. Used by
+    tests only: the layer-condition properties read the boundaries. *)
 
 val mem_bytes_per_lup :
   Yasksite_arch.Machine.t ->
@@ -78,7 +79,8 @@ val mem_bytes_per_lup :
     memory-boundary traffic per lattice update, after applying the
     temporal-blocking reduction of the configured wavefront depth (if
     its working set fits the last-level cache; otherwise the wavefront
-    brings no reduction). *)
+    brings no reduction). Used by tests only: the wavefront-reduction
+    properties read it. *)
 
 val wavefront_fits :
   Yasksite_arch.Machine.t ->

@@ -49,6 +49,8 @@ val insert : entry -> unit
 (** No-op when the store is disabled. *)
 
 val size : unit -> int
+(** Certificates held. Used by tests only: the certificate tests count
+    what a sweep certified. *)
 
 val clear : unit -> unit
 (** Drop every certificate and reset the fast-path counter (test

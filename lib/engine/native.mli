@@ -65,11 +65,10 @@ val set_store : Yasksite_store.Store.t option -> unit
     the validator at most once per key; no verdict is kept on disk. *)
 
 val set_source_transform : (string -> string) option -> unit
-(** Test hook: rewrite the emitted source before validation (and
-    compilation). How the suite injects
-    {!Yasksite_faults.Miscompile} mutants into the real resolution
-    path. [None] (the initial state) disables. Cleared by
-    {!reset_for_tests}. *)
+(** Rewrite the emitted source before validation (and compilation).
+    [None] (the initial state) disables. Cleared by {!reset_for_tests}.
+    Used by tests only: the YS6xx tests inject {!Yasksite_faults.Miscompile}
+    mutants into the real resolution path through it. *)
 
 (** {1 Stale-payload maintenance}
 

@@ -32,7 +32,6 @@
    itself introduces are exactly what the checks detect. *)
 
 module Grid = Yasksite_grid.Grid
-module D = Yasksite_lint.Diagnostic
 
 type kind =
   | Overlapping_write
@@ -84,35 +83,20 @@ type shadow = {
 
 type t = {
   registry : (int, shadow) Hashtbl.t;
-  mutex : Mutex.t;
-  mutable trap_list : trap list; (* newest first *)
-  mutable n_traps : int;
-  fail_fast : bool;
   front_counter : int Atomic.t;
 }
 
-(* Traps kept for reporting; the count keeps growing past it. *)
-let trap_limit = 64
-
-let create ?(fail_fast = true) () =
+let create () =
   { registry = Hashtbl.create 8;
-    mutex = Mutex.create ();
-    trap_list = [];
-    n_traps = 0;
-    fail_fast;
     front_counter = Atomic.make 0 }
 
-let record t kind ~grid ~coord detail =
-  let trap =
-    { kind; grid_base = Grid.base_address grid; coord = Array.copy coord;
-      detail }
-  in
-  Mutex.protect t.mutex (fun () ->
-      t.n_traps <- t.n_traps + 1;
-      if t.n_traps <= trap_limit then t.trap_list <- trap :: t.trap_list);
-  (* Out-of-bounds must stop the engine before its unchecked access
-     touches memory outside the allocation, whatever the mode. *)
-  if t.fail_fast || kind = Out_of_bounds then raise (Trap trap)
+(* Every trap stops the engine, before an out-of-bounds access touches
+   memory outside the allocation. *)
+let record kind ~grid ~coord detail =
+  raise
+    (Trap
+       { kind; grid_base = Grid.base_address grid; coord = Array.copy coord;
+         detail })
 
 let register ?(halo = `Static) t g =
   let base = Grid.base_address g in
@@ -137,8 +121,6 @@ let find t g =
   | None ->
       register t g;
       Hashtbl.find t.registry (Grid.base_address g)
-
-let registered t g = Hashtbl.mem t.registry (Grid.base_address g)
 
 let grid_version t g = (find t g).gver
 
@@ -190,7 +172,7 @@ let begin_wavefront_step t ~src ~dst ~read_version ~front =
 
 let slice pass id = { pass; id }
 
-let check_fold t ~fold g =
+let check_fold ~fold g =
   match fold with
   | None -> ()
   | Some f ->
@@ -200,7 +182,7 @@ let check_fold t ~fold g =
         | Grid.Linear -> Array.for_all (fun x -> x = 1) f
       in
       if not ok then
-        record t Fold_mismatch ~grid:g ~coord:[||]
+        record Fold_mismatch ~grid:g ~coord:[||]
           (Printf.sprintf
              "schedule folds %s but the grid is laid out %s"
              (String.concat "x" (Array.to_list (Array.map string_of_int f)))
@@ -237,7 +219,7 @@ let reader sl g =
   fun coord ->
     match classify ~dims ~halo coord with
     | 2 ->
-        record pass.t Out_of_bounds ~grid:g ~coord
+        record Out_of_bounds ~grid:g ~coord
           "read outside the allocation (halo too thin for the stencil \
            radius?)"
     | 1 -> (
@@ -245,37 +227,37 @@ let reader sl g =
         | Halo_static -> ()
         | Halo_snapshot v ->
             if v <> expect then
-              record pass.t Halo_read ~grid:g ~coord
+              record Halo_read ~grid:g ~coord
                 (Printf.sprintf
                    "halo snapshot is of version %d but the pass reads \
                     version %d"
                    v expect)
         | Halo_uninit ->
-            record pass.t Halo_read ~grid:g ~coord
+            record Halo_read ~grid:g ~coord
               "halo cells were never initialised")
     | _ ->
         let off = Grid.offset_of g coord in
         let v = s.version.(off) in
         if v = expect then begin
           if pass.front_id >= 0 && s.front.(off) = pass.front_id then
-            record pass.t Racing_read ~grid:g ~coord
+            record Racing_read ~grid:g ~coord
               (Printf.sprintf
                  "cell was written by an earlier step of the same \
                   wavefront front (stagger too small: order dependence)")
         end
         else if v = pass.write_version && s == pass.out_shadow then begin
           if s.writer.(off) <> sl.id then
-            record pass.t Racing_read ~grid:g ~coord
+            record Racing_read ~grid:g ~coord
               (Printf.sprintf
                  "slice %d read a cell slice %d is writing this pass" sl.id
                  s.writer.(off))
           else
-            record pass.t Stale_read ~grid:g ~coord
+            record Stale_read ~grid:g ~coord
               "in-place read of a cell this sweep already updated (aliased \
                input/output)"
         end
         else
-          record pass.t Stale_read ~grid:g ~coord
+          record Stale_read ~grid:g ~coord
             (Printf.sprintf "expected version %d, found version %d" expect v)
 
 let writer sl =
@@ -292,12 +274,12 @@ let writer sl =
   in
   fun coord ->
     if not (interior coord) then
-      record pass.t Out_of_bounds ~grid:g ~coord
+      record Out_of_bounds ~grid:g ~coord
         "write outside the output interior"
     else begin
       let off = Grid.offset_of g coord in
       if s.version.(off) = pass.write_version then
-        record pass.t Overlapping_write ~grid:g ~coord
+        record Overlapping_write ~grid:g ~coord
           (Printf.sprintf
              "cell already written this pass by slice %d (slice %d \
               rewrites it)"
@@ -349,7 +331,7 @@ let end_sweep pass =
       end);
   (match !first with
   | Some coord ->
-      record pass.t Unwritten_cell ~grid:s.sg ~coord
+      record Unwritten_cell ~grid:s.sg ~coord
         (Printf.sprintf
            "%d output cell%s left unwritten: the slices do not cover the \
             iteration space"
@@ -362,15 +344,3 @@ let end_wavefront t ~final ~other ~final_version =
   (find t final).gver <- final_version;
   if Grid.base_address other <> Grid.base_address final then
     (find t other).gver <- max 0 (final_version - 1)
-
-(* ------------------------------------------------------------------ *)
-
-let trap_count t = Mutex.protect t.mutex (fun () -> t.n_traps)
-
-let traps t = Mutex.protect t.mutex (fun () -> List.rev t.trap_list)
-
-let diagnostics t =
-  List.map
-    (fun trap ->
-      D.errorf ~code:(code_of_kind trap.kind) "%s" (describe_trap trap))
-    (traps t)

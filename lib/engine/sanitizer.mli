@@ -6,15 +6,15 @@
     which version each input holds and which version it produces; every
     engine access is checked against that contract and violations trap
     with the YS45x code mirroring the static rule that should have
-    rejected the schedule:
+    rejected the schedule (the first violation raises {!Trap}):
 
     - YS450 overlapping writes to one cell within a pass;
     - YS451 read racing a write of the same pass (cross-slice), or an
       order dependence within one wavefront front;
     - YS452 read of a stale version (wavefront skew, aliased in-place
       sweeps);
-    - YS453 access outside the allocation (always raises, whatever the
-      mode, before the engine's unchecked access runs);
+    - YS453 access outside the allocation (raised before the engine's
+      unchecked access runs);
     - YS454 output cells left unwritten by a non-covering partition;
     - YS455 read of a stale or uninitialised halo;
     - YS456 executed layout differs from the scheduled fold.
@@ -44,19 +44,13 @@ type trap = {
   detail : string;
 }
 
-val describe_trap : trap -> string
-
 exception Trap of trap
-(** Raised on the first trap in fail-fast mode, and on any
-    out-of-bounds access in every mode. *)
+(** Raised on the first violation. *)
 
 type t
 
-val create : ?fail_fast:bool -> unit -> t
-(** A fresh sanitizer. [fail_fast] (default [true]) raises {!Trap} on
-    the first violation; otherwise traps are collected (up to 64 — the
-    count keeps growing past it) and execution
-    continues, except for out-of-bounds accesses which always raise. *)
+val create : unit -> t
+(** A fresh sanitizer. *)
 
 val register : ?halo:[ `Static | `Snapshot | `Uninit ] -> t -> Grid.t -> unit
 (** Start tracking a grid (idempotent — the first registration wins).
@@ -66,14 +60,13 @@ val register : ?halo:[ `Static | `Snapshot | `Uninit ] -> t -> Grid.t -> unit
     the last {!refresh_halo}; [`Uninit] means never filled — any halo
     read traps. *)
 
-val registered : t -> Grid.t -> bool
-
 val grid_version : t -> Grid.t -> int
 (** The version the grid currently holds (0 until first written). *)
 
 val refresh_halo : t -> Grid.t -> unit
 (** Mark a [`Snapshot] halo as refreshed against the grid's current
-    version. No-op for [`Static] halos. *)
+    version. No-op for [`Static] halos. Used by tests only: the schedule
+    corpus's periodic-wavefront case models copied halos with it. *)
 
 val fresh_front : t -> int
 (** A process-unique wavefront-front id (for {!begin_wavefront_step}). *)
@@ -105,7 +98,7 @@ val reader : slice -> Grid.t -> int array -> unit
 val writer : slice -> int array -> unit
 (** Checker for writes of the pass's output grid. *)
 
-val check_fold : t -> fold:int array option -> Grid.t -> unit
+val check_fold : fold:int array option -> Grid.t -> unit
 (** Trap (YS456) if the schedule's claimed fold does not match the
     grid's layout. *)
 
@@ -126,11 +119,3 @@ val end_sweep : pass -> unit
 val end_wavefront : t -> final:Grid.t -> other:Grid.t -> final_version:int -> unit
 (** Commit the versions the ping-pong pair holds after a wavefront:
     [final] at [final_version], [other] one step behind. *)
-
-val trap_count : t -> int
-
-val traps : t -> trap list
-(** Collected traps, oldest first (at most 64). *)
-
-val diagnostics : t -> Yasksite_lint.Diagnostic.t list
-(** The collected traps as YS45x error diagnostics. *)

@@ -372,8 +372,8 @@ let run ?pool ?backend ?plan ?trace ?sanitize ?(check = true) ?config
     | Some san ->
         Array.iter (fun g -> Sanitizer.register san g) inputs;
         Sanitizer.register san output;
-        Sanitizer.check_fold san ~fold:cfg.Config.fold output;
-        Array.iter (Sanitizer.check_fold san ~fold:cfg.Config.fold) inputs;
+        Sanitizer.check_fold ~fold:cfg.Config.fold output;
+        Array.iter (Sanitizer.check_fold ~fold:cfg.Config.fold) inputs;
         Some (Sanitizer.begin_sweep san ~inputs ~output)
   in
   (* Bind once, to the grids the gate checked; the bound is immutable and

@@ -59,9 +59,11 @@ val set_default_backend : backend -> unit
 
 val clear_default_backend : unit -> unit
 (** Drop the {!set_default_backend} override, restoring environment
-    precedence — for tests exercising the precedence chain. *)
+    precedence. Used by tests only: the backend precedence tests. *)
 
 val backend_name : backend -> string
+(** ["plan"] or ["codegen"]. Used by tests only: the backend tests
+    label and compare backends by name. *)
 
 val run :
   ?pool:Yasksite_util.Pool.t ->

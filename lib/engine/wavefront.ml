@@ -63,8 +63,8 @@ let steps ?backend ?plan ?trace ?sanitize ?(check = true)
     | Some san ->
         Sanitizer.register san a;
         Sanitizer.register san b;
-        Sanitizer.check_fold san ~fold:config.Config.fold a;
-        Sanitizer.check_fold san ~fold:config.Config.fold b;
+        Sanitizer.check_fold ~fold:config.Config.fold a;
+        Sanitizer.check_fold ~fold:config.Config.fold b;
         Sanitizer.grid_version san a
   in
   (* Update plane [z] of timestep [t] -> [t+1] (absolute step index

@@ -29,8 +29,6 @@ let op_name = function
 
 type failure = Enospc | Eio
 
-let failure_name = function Enospc -> "ENOSPC" | Eio -> "EIO"
-
 type outcome =
   | Proceed
   | Torn of float
@@ -75,29 +73,17 @@ let is_benign p =
   p.enospc_rate = 0.0 && p.eio_rate = 0.0 && p.torn_rate = 0.0
   && p.crash_at = None
 
-let describe p =
-  if is_benign p then "io: benign"
-  else
-    Printf.sprintf "io: seed=%d enospc=%.2f eio=%.2f torn=%.2f%s" p.seed
-      p.enospc_rate p.eio_rate p.torn_rate
-      (match p.crash_at with
-      | None -> ""
-      | Some n -> Printf.sprintf " crash@%d" n)
-
 type t = {
   plan : plan;
   rng : Yasksite_util.Prng.t;
   mutable ops : int;
-  mutable faults : int;
 }
 
-let injector p = { plan = p; rng = Yasksite_util.Prng.create ~seed:p.seed; ops = 0; faults = 0 }
+let injector p = { plan = p; rng = Yasksite_util.Prng.create ~seed:p.seed; ops = 0 }
 
 let real () = injector none
 
 let ops t = t.ops
-
-let faults t = t.faults
 
 (* Which failure modes apply to which syscalls: allocation-backed writes
    can hit ENOSPC; every medium access can hit EIO; only writes tear. *)
@@ -112,9 +98,7 @@ let can_tear = function Write -> true | _ -> false
 let draw t op =
   t.ops <- t.ops + 1;
   match t.plan.crash_at with
-  | Some n when t.ops >= n ->
-      t.faults <- t.faults + 1;
-      Crash
+  | Some n when t.ops >= n -> Crash
   | _ ->
       if is_benign t.plan then Proceed
       else begin
@@ -124,23 +108,8 @@ let draw t op =
         let u_eio = Yasksite_util.Prng.float t.rng in
         let u_torn = Yasksite_util.Prng.float t.rng in
         let u_frac = Yasksite_util.Prng.float t.rng in
-        if can_enospc op && u_enospc < t.plan.enospc_rate then begin
-          t.faults <- t.faults + 1;
-          Fail Enospc
-        end
-        else if can_eio op && u_eio < t.plan.eio_rate then begin
-          t.faults <- t.faults + 1;
-          Fail Eio
-        end
-        else if can_tear op && u_torn < t.plan.torn_rate then begin
-          t.faults <- t.faults + 1;
-          Torn u_frac
-        end
+        if can_enospc op && u_enospc < t.plan.enospc_rate then Fail Enospc
+        else if can_eio op && u_eio < t.plan.eio_rate then Fail Eio
+        else if can_tear op && u_torn < t.plan.torn_rate then Torn u_frac
         else Proceed
       end
-
-let guard t op =
-  match draw t op with
-  | Proceed | Torn _ -> ()
-  | Fail f -> failwith (Printf.sprintf "io fault: %s on %s" (failure_name f) (op_name op))
-  | Crash -> raise (Crashed { op; at = t.ops })

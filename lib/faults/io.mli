@@ -27,8 +27,6 @@ val op_name : op -> string
 
 type failure = Enospc | Eio
 
-val failure_name : failure -> string
-
 (** What happens to one guarded syscall. *)
 type outcome =
   | Proceed  (** the syscall executes normally *)
@@ -36,7 +34,7 @@ type outcome =
       (** a write lands only this fraction of its buffer but reports
           success (the classic torn-write hazard) *)
   | Fail of failure  (** the syscall fails with this error *)
-  | Crash  (** the process dies here: {!guard} raises {!Crashed} *)
+  | Crash  (** the process dies here: the caller raises {!Crashed} *)
 
 exception Crashed of { op : op; at : int }
 (** Simulated process death. Deliberately NOT absorbed by the store's
@@ -64,31 +62,16 @@ val plan :
 (** Constructor with validation: rates in [0, 1], [crash_at >= 1].
     Defaults are all-zero (no faults, seed 42). *)
 
-val none : plan
-(** The all-zero plan: every syscall proceeds. *)
-
-val is_benign : plan -> bool
-
-val describe : plan -> string
-
 type t
 (** Mutable injector: plan, seeded stream, op counter. *)
 
 val injector : plan -> t
 
 val real : unit -> t
-(** A pass-through injector (the {!none} plan): real I/O, no faults. *)
+(** A pass-through injector (the all-zero plan): real I/O, no faults. *)
 
 val draw : t -> op -> outcome
 (** Outcome of the next guarded syscall of class [op]. *)
 
-val guard : t -> op -> unit
-(** [draw] specialised for callers that need no torn-write handling:
-    [Proceed]/[Torn] return unit, [Fail] raises [Failure], [Crash]
-    raises {!Crashed}. *)
-
 val ops : t -> int
 (** Guarded syscalls so far. *)
-
-val faults : t -> int
-(** Drawn outcomes that were faults (fail, torn or crash). *)

@@ -165,7 +165,11 @@ let mutate ~seed cls src =
           Error
             (Printf.sprintf "no %s mutation site in this kernel"
                (class_name cls))
-      | Some ast' -> Ok (NL.print ast'))
+      | Some ast' ->
+          Ok
+            (NL.print
+               ~header:"yasksite kernel unit reprinted from the checked AST"
+               ast'))
 
 let corpus ~seed ~per_class src =
   List.concat_map

@@ -64,7 +64,8 @@ val draw : injector -> outcome
 (** Next outcome of the fault stream. *)
 
 val draws : injector -> int
-(** Total outcomes drawn. *)
+(** Total outcomes drawn. Used by tests only: the fault-rate tests. *)
 
 val faults : injector -> int
-(** Drawn outcomes that were failures or timeouts. *)
+(** Drawn outcomes that were failures or timeouts. Used by tests only:
+    the fault-rate tests. *)

@@ -29,10 +29,6 @@ let fresh_space () =
 
 let global_space = fresh_space ()
 
-let reset_address_space () =
-  Atomic.set global_space.next_base first_base;
-  Atomic.set global_space.alloc_count 0
-
 let page = 4096
 
 (* Page-aligned consecutive allocations plus a per-allocation stagger of
@@ -125,8 +121,6 @@ let offset_of t idx =
       let o = Array.mapi (fun i ci -> ci mod t.fold.(i)) c in
       (row_major t.blocks b * t.lanes) + row_major t.fold o
 
-let byte_address t idx = t.base + (8 * offset_of t idx)
-
 let get t idx = Bigarray.Array1.get t.data (offset_of t idx)
 
 let set t idx v = Bigarray.Array1.set t.data (offset_of t idx) v
@@ -134,8 +128,6 @@ let set t idx v = Bigarray.Array1.set t.data (offset_of t idx) v
 let raw t = t.data
 
 let unsafe_get_flat t off = Bigarray.Array1.unsafe_get t.data off
-
-let unsafe_set_flat t off v = Bigarray.Array1.unsafe_set t.data off v
 
 let left_pad t = Array.copy t.left_pad
 

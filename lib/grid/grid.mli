@@ -38,18 +38,14 @@ val fresh_space : unit -> space
     fresh spaces hand out identical address sequences, which is what
     per-measurement determinism under domain parallelism relies on. *)
 
-val global_space : space
-(** The process-wide default space used when {!create} is not given an
-    explicit one. *)
-
 val create :
   ?space:space -> ?halo:int array -> ?layout:layout -> dims:int array ->
   unit -> t
 (** [create ~dims ()] allocates a zero-filled grid. [dims] must have rank
     1..3 with positive extents; [halo] defaults to all zeros and must
     match the rank; a [Folded] layout must match the rank with positive
-    fold extents. Virtual addresses come from [space] (default
-    {!global_space}). *)
+    fold extents. Virtual addresses come from [space] (default: one
+    process-wide space). *)
 
 val rank : t -> int
 
@@ -71,9 +67,6 @@ val offset_of : t -> int array -> int
     [\[-halo, dim+halo)]) to the flat element offset. Raises
     [Invalid_argument] out of range. *)
 
-val byte_address : t -> int array -> int
-(** [base_address + 8 * offset_of]. *)
-
 val get : t -> int array -> float
 
 val set : t -> int array -> float -> unit
@@ -85,8 +78,6 @@ val raw : t -> (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.
 
 val unsafe_get_flat : t -> int -> float
 (** Direct flat access by element offset; no bounds check. *)
-
-val unsafe_set_flat : t -> int -> float -> unit
 
 val left_pad : t -> int array
 (** Per-dimension left padding (the halo rounded up to a fold boundary):
@@ -136,13 +127,8 @@ val max_abs_diff : t -> t -> float
 (** Max absolute interior difference; dims must match. *)
 
 val l2_norm : t -> float
-(** Euclidean norm over the interior. *)
+(** Euclidean norm over the interior. Used by tests only: the l2 norm
+    test. *)
 
 val footprint_bytes : t -> int
 (** Allocated bytes (8 * {!length}). *)
-
-val reset_address_space : unit -> unit
-(** Restart {!global_space} (for test isolation). Prefer passing a
-    {!fresh_space} to {!create}: resetting the shared allocator while
-    another domain allocates is atomically safe but can still interleave
-    address sequences. *)

@@ -145,8 +145,6 @@ let finding_to_json ?src ?(origin = "input") d =
       ("message", String d.message);
       ("loc", loc_to_json ?src d.loc) ]
 
-let to_json ?src ?origin d = Json.to_string (finding_to_json ?src ?origin d)
-
 (* The rule table, rendered once for every subcommand: [yasksite lint
    --rules] in both text and JSON uses this, so the families can never
    drift apart across entry points. *)

@@ -33,11 +33,6 @@ val warningf : ?loc:loc -> code:string -> ('a, unit, string, t) format4 -> 'a
 
 val hintf : ?loc:loc -> code:string -> ('a, unit, string, t) format4 -> 'a
 
-val severity_label : severity -> string
-(** ["error"], ["warning"] or ["hint"]. *)
-
-val is_error : t -> bool
-
 val errors : t list -> t list
 (** Only the [Error]-severity findings. *)
 
@@ -46,9 +41,6 @@ val has_errors : t list -> bool
 val exit_code : t list -> int
 (** [1] if any finding is an [Error], else [0] — the process exit
     policy of [yasksite lint]. *)
-
-val by_severity : t list -> t list
-(** Stable-sort errors first, then warnings, then hints. *)
 
 val summary : t list -> string
 (** E.g. ["1 error, 2 warnings, 0 hints"]. *)
@@ -60,14 +52,7 @@ val render : ?src:string -> ?origin:string -> t -> string
     span. [origin] defaults to ["input"]. *)
 
 val render_list : ?src:string -> ?origin:string -> t list -> string
-(** Render a batch, ordered {!by_severity}. *)
-
-val to_json : ?src:string -> ?origin:string -> t -> string
-(** One finding as a single-line JSON object with the stable schema
-    [{"origin","code","severity","message","loc"}]. [loc] is a tagged
-    object: [{"kind":"none"}], [{"kind":"field","field":...}],
-    [{"kind":"line","line":...}] or [{"kind":"span","pos","stop"}] —
-    span locations gain 1-based ["line"]/["col"] when [src] is given. *)
+(** Render a batch: errors first, then warnings, then hints (stable). *)
 
 val rules_to_text : (string * severity * string) list -> string
 (** Render a rule table (code, severity, summary — see {!Lint.rules})
@@ -82,4 +67,9 @@ val report_to_json : (string * string option * t) list -> string
 (** Render a whole lint run as one JSON document:
     [{"version":1,"findings":[...],"summary":{"errors","warnings",
     "hints"}}]. Each item is [(origin, src, diagnostic)] so findings
-    from different inputs can share one report. *)
+    from different inputs can share one report. A finding has the
+    stable schema [{"origin","code","severity","message","loc"}];
+    [loc] is a tagged object: [{"kind":"none"}],
+    [{"kind":"field","field":...}], [{"kind":"line","line":...}] or
+    [{"kind":"span","pos","stop"}] — span locations gain 1-based
+    ["line"]/["col"] when [src] is given. *)

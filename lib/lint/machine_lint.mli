@@ -35,4 +35,5 @@ val machine : Yasksite_arch.Machine.t -> Diagnostic.t list
 (** Lint an already-constructed machine (presets, DSL-built values).
     Only the rules not already enforced by the validating constructors
     remain observable: [YS203], [YS204] and [YS206], with
-    {!Diagnostic.Field} locations. *)
+    {!Diagnostic.Field} locations. Used by tests only: the built-in
+    presets must lint clean. *)

@@ -25,7 +25,12 @@
 
    The validator is pure (no compiler, no execution); Engine.Native
    runs it on every resolution -- memo-cold, store-revived or freshly
-   compiled. *)
+   compiled.
+
+   Codegen builds its AST with a postfix walk of its own, and so does
+   this pass: sharing one walk would let a bug in it build the same
+   wrong tree on both sides, which the comparison could then never
+   see. *)
 
 module D = Diagnostic
 module Plan = Yasksite_stencil.Plan

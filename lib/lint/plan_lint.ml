@@ -386,6 +386,3 @@ let check ?info (plan : Plan.t) ~inputs ~output =
     | Some info -> ds @ counts_agree plan info
   in
   dedup ds
-
-let safe ?info plan ~inputs ~output =
-  not (D.has_errors (check ?info plan ~inputs ~output))

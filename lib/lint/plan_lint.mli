@@ -34,22 +34,12 @@ module Plan := Yasksite_stencil.Plan
 module Analysis := Yasksite_stencil.Analysis
 module Grid := Yasksite_grid.Grid
 
-type stack_report = {
-  max_depth : int;
-      (** highest stack occupancy reached before any fault *)
-  final : int;
-      (** values left after the last instruction; [-1] on underflow *)
-  underflow_at : int option;
-      (** first instruction index popping an empty stack *)
-}
-
-val simulate : Plan.instr array -> stack_report
-(** Abstract stack interpretation of a postfix body. *)
-
 val measured_depth : Plan.instr array -> int option
 (** The interpreter-measured maximum stack depth, when the program is
     well-formed ([Some max_depth] iff there is no underflow and exactly
-    one value remains); the plan's declared [depth] must equal it. *)
+    one value remains); the plan's declared [depth] must equal it. Used
+    by tests only: the lowering properties check declared depths
+    against it. *)
 
 val structure : Plan.t -> Diagnostic.t list
 (** The grid-free rules: YS500 (dangling slots), YS502 (stack safety),
@@ -85,12 +75,3 @@ val check :
   Diagnostic.t list
 (** The full static pass: {!structure} @ {!bounds} (@ {!counts_agree}
     when [info] is given), deduplicated. *)
-
-val safe :
-  ?info:Analysis.t -> Plan.t -> inputs:Grid.t array -> output:Grid.t ->
-  bool
-(** [true] iff {!check} reports no errors — the predicate certification
-    starts from. *)
-
-val dedup : Diagnostic.t list -> Diagnostic.t list
-(** Drop findings whose (code, message) repeats an earlier one. *)

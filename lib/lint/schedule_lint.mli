@@ -60,7 +60,9 @@ val grids :
 val partition :
   dims:int array -> (int array * int array) list -> Diagnostic.t list
 (** Check that [[lo, hi)] boxes partition the iteration space [dims]:
-    in bounds, pairwise disjoint, and jointly covering (YS406). *)
+    in bounds, pairwise disjoint, and jointly covering (YS406). Used by
+    tests only: the static side of the schedule corpus's partition
+    cases. *)
 
 val legal :
   ?pool_width:int -> ?boundary:boundary -> Analysis.t -> dims:int array ->

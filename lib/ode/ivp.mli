@@ -27,18 +27,23 @@ val v :
     [t_end > t0]). *)
 
 val exp_decay : lambda:float -> t
-(** y' = -lambda y, y(0) = 1, exact [exp (-lambda t)]. *)
+(** y' = -lambda y, y(0) = 1, exact [exp (-lambda t)]. Used by tests
+    only: a reference problem of the integrator accuracy tests. *)
 
 val harmonic : omega:float -> t
-(** Harmonic oscillator as a 2-system; exact (cos, -omega sin). *)
+(** Harmonic oscillator as a 2-system; exact (cos, -omega sin). Used by
+    tests only: a reference problem of the observed-order tests. *)
 
 val diagonal : lambdas:float array -> t
-(** Decoupled linear system y_i' = -lambda_i y_i with exact solution. *)
+(** Decoupled linear system y_i' = -lambda_i y_i with exact solution.
+    Used by tests only: a reference problem of the IVP library test. *)
 
 val brusselator : t
 (** The (non-stiff parameterisation of the) Brusselator: a nonlinear
-    2-system without closed-form solution; exercises nonlinear RHS. *)
+    2-system without closed-form solution; exercises nonlinear RHS.
+    Used by tests only: the nonlinear problem of the IVP library test. *)
 
 val error_vs_exact : t -> y:float array -> float
 (** Max-norm error of [y] against the exact solution at [t_end]; raises
-    [Invalid_argument] if the problem has no exact solution. *)
+    [Invalid_argument] if the problem has no exact solution. Used by
+    tests only: the integrator accuracy tests measure with it. *)

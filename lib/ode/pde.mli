@@ -37,17 +37,16 @@ val advection_1d : n:int -> velocity:float -> t
     numerical diffusion). *)
 
 val advection_2d : n:int -> velocity:float * float -> t
-(** 2D upwind advection, periodic, both velocity components positive. *)
+(** 2D upwind advection, periodic, both velocity components positive.
+    Used by tests only: the 2D periodic problem of the advection tests. *)
 
 val fisher_kpp : rank:int -> n:int -> diffusion:float -> rate:float -> t
 (** Fisher–KPP reaction–diffusion, u' = D lap u + r u (1 - u), with
     homogeneous Dirichlet boundaries and a central bump initial
     condition. Nonlinear (the stencil expression contains u*u), no
     closed-form solution — exercises the nonlinear-RHS path of the
-    variant machinery. *)
-
-val apply_boundary : t -> Yasksite_grid.Grid.t -> unit
-(** Fill a grid's halo according to the problem's boundary condition. *)
+    variant machinery. Used by tests only: the nonlinear problem of the
+    Offsite variant-equivalence tests. *)
 
 val halo : t -> int array
 (** Halo width the RHS stencil requires. *)

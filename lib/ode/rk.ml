@@ -47,113 +47,6 @@ let integrate tab (ivp : Ivp.t) ~steps =
   done;
   y
 
-type adaptive_stats = {
-  accepted : int;
-  rejected : int;
-  h_min : float;
-  h_max : float;
-}
-
-let integrate_adaptive (tab : Tableau.t) (ivp : Ivp.t) ~rtol ~atol =
-  let b_err =
-    match tab.Tableau.b_err with
-    | Some b -> b
-    | None -> invalid_arg "Rk.integrate_adaptive: tableau has no embedded pair"
-  in
-  let dim = ivp.Ivp.dim in
-  let ws = make_workspace tab ~dim in
-  let y = Array.copy ivp.Ivp.y0 in
-  let out = Array.make dim 0.0 and out_low = Array.make dim 0.0 in
-  let tm = ref ivp.Ivp.t0 in
-  let h = ref ((ivp.Ivp.t_end -. ivp.Ivp.t0) /. 100.0) in
-  let accepted = ref 0 and rejected = ref 0 in
-  let h_min = ref infinity and h_max = ref 0.0 in
-  let low_tab = { tab with Tableau.b = b_err } in
-  let exponent = 1.0 /. float_of_int tab.Tableau.order in
-  while !tm < ivp.Ivp.t_end -. 1e-14 do
-    let h_now = min !h (ivp.Ivp.t_end -. !tm) in
-    step ws tab ivp ~tm:!tm ~h:h_now ~y ~out;
-    (* Reuse the same stage values for the embedded solution. *)
-    Array.blit y 0 out_low 0 dim;
-    for i = 0 to tab.Tableau.s - 1 do
-      let bi = low_tab.Tableau.b.(i) in
-      if bi <> 0.0 then begin
-        let ki = ws.k.(i) in
-        for d = 0 to dim - 1 do
-          out_low.(d) <- out_low.(d) +. (h_now *. bi *. ki.(d))
-        done
-      end
-    done;
-    let err = ref 0.0 in
-    for d = 0 to dim - 1 do
-      let sc = atol +. (rtol *. max (abs_float y.(d)) (abs_float out.(d))) in
-      let e = (out.(d) -. out_low.(d)) /. sc in
-      err := !err +. (e *. e)
-    done;
-    let err = sqrt (!err /. float_of_int dim) in
-    if err <= 1.0 then begin
-      incr accepted;
-      Array.blit out 0 y 0 dim;
-      tm := !tm +. h_now;
-      h_min := min !h_min h_now;
-      h_max := max !h_max h_now
-    end
-    else incr rejected;
-    let factor = 0.9 *. (max err 1e-10 ** -.exponent) in
-    h := h_now *. min 5.0 (max 0.2 factor)
-  done;
-  ( y,
-    { accepted = !accepted;
-      rejected = !rejected;
-      h_min = !h_min;
-      h_max = !h_max } )
-
-let ab_coeffs = function
-  | 2 -> [| 1.5; -0.5 |]
-  | 3 -> [| 23.0 /. 12.0; -16.0 /. 12.0; 5.0 /. 12.0 |]
-  | 4 -> [| 55.0 /. 24.0; -59.0 /. 24.0; 37.0 /. 24.0; -9.0 /. 24.0 |]
-  | _ -> invalid_arg "Rk.adams_bashforth: orders 2..4 supported"
-
-let adams_bashforth ~order (ivp : Ivp.t) ~steps =
-  let coeffs = ab_coeffs order in
-  let k = Array.length coeffs in
-  if steps < k then invalid_arg "Rk.adams_bashforth: too few steps";
-  let dim = ivp.Ivp.dim in
-  let h = (ivp.Ivp.t_end -. ivp.Ivp.t0) /. float_of_int steps in
-  (* History of f evaluations, newest first. *)
-  let history = Array.init k (fun _ -> Array.make dim 0.0) in
-  let y = Array.copy ivp.Ivp.y0 in
-  let out = Array.make dim 0.0 in
-  let ws = make_workspace Tableau.rk4 ~dim in
-  let tm = ref ivp.Ivp.t0 in
-  ivp.Ivp.rhs ~tm:!tm ~y ~dydt:history.(k - 1);
-  (* Bootstrap the first k-1 points with RK4. *)
-  for i = 1 to k - 1 do
-    step ws Tableau.rk4 ivp ~tm:!tm ~h ~y ~out;
-    Array.blit out 0 y 0 dim;
-    tm := !tm +. h;
-    ivp.Ivp.rhs ~tm:!tm ~y ~dydt:history.(k - 1 - i)
-  done;
-  for _ = k to steps do
-    for d = 0 to dim - 1 do
-      let acc = ref y.(d) in
-      for j = 0 to k - 1 do
-        acc := !acc +. (h *. coeffs.(j) *. history.(j).(d))
-      done;
-      out.(d) <- !acc
-    done;
-    Array.blit out 0 y 0 dim;
-    tm := !tm +. h;
-    (* Rotate history: drop the oldest, evaluate at the new point. *)
-    let oldest = history.(k - 1) in
-    for j = k - 1 downto 1 do
-      history.(j) <- history.(j - 1)
-    done;
-    history.(0) <- oldest;
-    ivp.Ivp.rhs ~tm:!tm ~y ~dydt:history.(0)
-  done;
-  y
-
 let max_norm_diff a b =
   let err = ref 0.0 in
   Array.iteri (fun i v -> err := max !err (abs_float (v -. b.(i)))) a;

@@ -24,26 +24,8 @@ val integrate : Tableau.t -> Ivp.t -> steps:int -> float array
 (** Fixed-step integration from [t0] to [t_end] in [steps] equal steps;
     returns the final state. *)
 
-type adaptive_stats = {
-  accepted : int;
-  rejected : int;
-  h_min : float;
-  h_max : float;
-}
-
-val integrate_adaptive :
-  Tableau.t ->
-  Ivp.t ->
-  rtol:float ->
-  atol:float ->
-  float array * adaptive_stats
-(** Embedded-pair integration with a standard I-controller; the tableau
-    must provide [b_err]. Raises [Invalid_argument] otherwise. *)
-
-val adams_bashforth : order:int -> Ivp.t -> steps:int -> float array
-(** Fixed-step Adams–Bashforth of order 2..4, bootstrapped with RK4. *)
-
 val observed_order : Tableau.t -> Ivp.t -> float
 (** Convergence order estimated by Richardson comparison of fixed-step
-    runs against a fine-step reference on the same problem — used by the
-    tests to confirm each tableau delivers its design order. *)
+    runs against a fine-step reference on the same problem. Used by
+    tests only: the observed-orders test confirms each tableau delivers
+    its design order. *)

@@ -5,10 +5,9 @@ type t = {
   b : float array;
   c : float array;
   order : int;
-  b_err : float array option;
 }
 
-let v ~name ~a ~b ~c ~order ?b_err () =
+let v ~name ~a ~b ~c ~order () =
   let s = Array.length b in
   if s = 0 then invalid_arg "Tableau.v: no stages";
   if Array.length a <> s || Array.length c <> s then
@@ -22,11 +21,7 @@ let v ~name ~a ~b ~c ~order ?b_err () =
             invalid_arg "Tableau.v: method is not explicit")
         row)
     a;
-  (match b_err with
-  | Some be when Array.length be <> s ->
-      invalid_arg "Tableau.v: embedded weights dimension mismatch"
-  | _ -> ());
-  { name; s; a; b; c; order; b_err }
+  { name; s; a; b; c; order }
 
 (* Build a full s x s matrix from ragged strictly-lower rows. *)
 let lower s rows =
@@ -85,10 +80,7 @@ let rkf45 =
       [| 16.0 /. 135.0; 0.0; 6656.0 /. 12825.0; 28561.0 /. 56430.0;
          -9.0 /. 50.0; 2.0 /. 55.0 |]
     ~c:[| 0.0; 0.25; 0.375; 12.0 /. 13.0; 1.0; 0.5 |]
-    ~order:5
-    ~b_err:
-      [| 25.0 /. 216.0; 0.0; 1408.0 /. 2565.0; 2197.0 /. 4104.0; -0.2; 0.0 |]
-    ()
+    ~order:5 ()
 
 let cash_karp =
   v ~name:"cash-karp"
@@ -104,11 +96,7 @@ let cash_karp =
       [| 37.0 /. 378.0; 0.0; 250.0 /. 621.0; 125.0 /. 594.0; 0.0;
          512.0 /. 1771.0 |]
     ~c:[| 0.0; 0.2; 0.3; 0.6; 1.0; 0.875 |]
-    ~order:5
-    ~b_err:
-      [| 2825.0 /. 27648.0; 0.0; 18575.0 /. 48384.0; 13525.0 /. 55296.0;
-         277.0 /. 14336.0; 0.25 |]
-    ()
+    ~order:5 ()
 
 let dopri5 =
   v ~name:"dopri5"
@@ -127,11 +115,7 @@ let dopri5 =
       [| 35.0 /. 384.0; 0.0; 500.0 /. 1113.0; 125.0 /. 192.0;
          -2187.0 /. 6784.0; 11.0 /. 84.0; 0.0 |]
     ~c:[| 0.0; 0.2; 0.3; 0.8; 8.0 /. 9.0; 1.0; 1.0 |]
-    ~order:5
-    ~b_err:
-      [| 5179.0 /. 57600.0; 0.0; 7571.0 /. 16695.0; 393.0 /. 640.0;
-         -92097.0 /. 339200.0; 187.0 /. 2100.0; 0.025 |]
-    ()
+    ~order:5 ()
 
 let all =
   [ euler; heun2; ralston2; kutta3; rk4; kutta38; rkf45; cash_karp; dopri5 ]

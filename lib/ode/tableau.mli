@@ -1,6 +1,6 @@
 (** Butcher tableaux of explicit Runge–Kutta methods, including the
-    explicit schemes Offsite tunes (classic RK families, embedded pairs
-    for adaptive stepping, and PIRK — fixed-point iterated implicit RK,
+    explicit schemes Offsite tunes (classic RK families, the high-order
+    weights of embedded pairs, and PIRK — fixed-point iterated implicit RK,
     which yields an explicit method with many structurally similar
     stages, the workload class the paper's ODE experiments target). *)
 
@@ -14,8 +14,6 @@ type t = {
   b : float array;  (** output weights, length s *)
   c : float array;  (** stage abscissae, length s *)
   order : int;
-  b_err : float array option;
-      (** embedded lower-order weights for adaptive step-size control *)
 }
 
 val v :
@@ -24,7 +22,6 @@ val v :
   b:float array ->
   c:float array ->
   order:int ->
-  ?b_err:float array ->
   unit ->
   t
 (** Validating constructor: square [a], matching lengths, explicitness
@@ -34,8 +31,6 @@ val euler : t
 
 val heun2 : t
 
-val ralston2 : t
-
 val kutta3 : t
 
 val rk4 : t
@@ -43,16 +38,13 @@ val rk4 : t
 
 val kutta38 : t
 
-val rkf45 : t
-(** Fehlberg 4(5) embedded pair. *)
-
-val cash_karp : t
-
 val dopri5 : t
 (** Dormand–Prince 5(4), 7 stages (FSAL not exploited). *)
 
 val all : t list
-(** All classic explicit methods above (not the PIRK constructions). *)
+(** All classic explicit methods (not the PIRK constructions): the ones
+    above plus ["ralston2"], ["rkf45"] (Fehlberg 4(5)) and
+    ["cash-karp"], each advanced with its higher-order weights. *)
 
 val find : string -> t
 (** Lookup in {!all} by name; raises [Not_found]. *)
@@ -64,11 +56,14 @@ val pirk : stages:int -> iterations:int -> t
     [min (2*stages) (iterations)]. Supports 1 or 2 base stages. *)
 
 val weight_check : t -> float
-(** |sum b - 1|: the zeroth-order consistency residual. *)
+(** |sum b - 1|: the zeroth-order consistency residual. Used by tests
+    only: the order-conditions tests check every tableau with it. *)
 
 val order_residual : t -> int -> float
 (** Maximum residual of the order conditions up to the given order
-    (supported up to 4); ~0 for a method of at least that order. *)
+    (supported up to 4); ~0 for a method of at least that order. Used by
+    tests only: the order-conditions tests check every tableau with
+    it. *)
 
 val stability_polynomial : t -> float array
 (** Coefficients [c_0 .. c_s] of the linear stability function

@@ -148,65 +148,6 @@ let run t ~steps =
     step t
   done
 
-type run_report = {
-  steps_requested : int;
-  steps_completed : int;
-  step_attempts : int;
-  retries : int;
-  gave_up : bool;
-  charged_seconds : float;
-}
-
-let run_resilient ?(faults = Yasksite_faults.Plan.none)
-    ?(policy = Yasksite_faults.Policy.default) t ~steps =
-  let module Plan = Yasksite_faults.Plan in
-  let module Policy = Yasksite_faults.Policy in
-  let module Retry = Yasksite_faults.Retry in
-  let module Clock = Yasksite_util.Clock in
-  let t0 = Clock.now Clock.system in
-  let charged = ref 0.0 in
-  let vnow () = Clock.now Clock.system +. !charged in
-  let sleep d = charged := !charged +. d in
-  let deadline = t0 +. policy.Policy.pass_budget_s in
-  let inj = Plan.injector faults in
-  let jitter_rng =
-    Yasksite_util.Prng.create ~seed:(faults.Plan.seed lxor 0x5DEECE66)
-  in
-  let attempts = ref 0 in
-  let completed = ref 0 in
-  let gave_up = ref false in
-  (* A step is only retried if the fault fired *before* the kernels ran,
-     so a retry never double-applies the variant's state update. *)
-  let attempt_step () =
-    incr attempts;
-    match Plan.draw inj with
-    | Plan.Transient_failure -> Error "transient failure"
-    | Plan.Timeout d ->
-        sleep d;
-        Error "timeout"
-    | Plan.Run _ ->
-        step t;
-        Ok ()
-  in
-  (try
-     for _ = 1 to steps do
-       match
-         Retry.run ~policy ~rng:jitter_rng ~now:vnow ~sleep ~deadline
-           attempt_step
-       with
-       | Retry.Success ((), _) -> incr completed
-       | Retry.Gave_up _ ->
-           gave_up := true;
-           raise Exit
-     done
-   with Exit -> ());
-  { steps_requested = steps;
-    steps_completed = !completed;
-    step_attempts = !attempts;
-    retries = !attempts - !completed;
-    gave_up = !gave_up;
-    charged_seconds = !charged }
-
 let state t = t.state
 
 let steps_done t = t.steps_done

@@ -38,8 +38,5 @@ val min_code_balance : t -> float
     stream per distinct read field plus write-allocate + write-back for
     the output — the paper's "optimal code balance" B_c in bytes/LUP. *)
 
-val arithmetic_intensity : t -> float
-(** flops / {!min_code_balance} — FLOP per byte at optimal traffic. *)
-
 val describe : t -> string list
 (** One table row: name, rank, shape, radius, flops, loads, balance. *)

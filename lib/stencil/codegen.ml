@@ -76,30 +76,21 @@ let unit_basename k = "yk_" ^ k
 
 (* ---- emission ---- *)
 
+module Ast = Kernel_ast
+
 exception Unsupported of string
-
-let float_lit c =
-  if c <> c then raise (Unsupported "NaN coefficient (payload bits not emittable)")
-  else if c = infinity then "infinity"
-  else if c = neg_infinity then "neg_infinity"
-  else Printf.sprintf "(%h)" c
-
-let int_lit n = if n < 0 then Printf.sprintf "(%d)" n else string_of_int n
 
 (* The value of access-table slot [s] at the current point [x]. *)
 let load v s =
   if s < 0 || s >= Array.length v.slot_shift then
     raise (Unsupported (Printf.sprintf "load of slot %d outside the access table" s));
-  if v.slot_unit.(s) then
-    Printf.sprintf "(Bigarray.Array1.unsafe_get d%d (r%d + x + %s))" s s
-      (int_lit v.slot_shift.(s))
-  else
-    Printf.sprintf
-      "(Bigarray.Array1.unsafe_get d%d (r%d + Array.unsafe_get t%d (x + %s)))"
-      s s s
-      (int_lit v.slot_shift.(s))
+  let shift = v.slot_shift.(s) in
+  if v.slot_unit.(s) then Ast.Unit_addr { data = s; row = s; shift }
+  else Ast.Tab_addr { data = s; row = s; tab = s; shift }
 
-let program_expr v (code : Plan.instr array) =
+(* The postfix body rebuilt as the nested expression whose evaluation
+   replays it verbatim. *)
+let row_expr v (code : Plan.instr array) =
   let stack = ref [] in
   let push e = stack := e :: !stack in
   let pop () =
@@ -109,121 +100,77 @@ let program_expr v (code : Plan.instr array) =
         e
     | [] -> raise (Unsupported "malformed postfix program (stack underflow)")
   in
-  let binop op =
+  let binop f =
     let b = pop () in
     let a = pop () in
-    push (Printf.sprintf "(%s %s %s)" a op b)
+    push (f a b)
   in
   Array.iter
     (fun (i : Plan.instr) ->
       match i with
-      | Plan.Push c -> push (float_lit c)
-      | Plan.Load s -> push (load v s)
+      | Plan.Push c when Float.is_nan c ->
+          raise (Unsupported "NaN coefficient (payload bits not emittable)")
+      | Plan.Push c -> push (Ast.Lit c)
+      | Plan.Load s -> push (Ast.Get (load v s))
       | Plan.Sym n -> raise (Unsupported ("unresolved coefficient " ^ n))
-      | Plan.Neg -> push (Printf.sprintf "(-. %s)" (pop ()))
-      | Plan.Add -> binop "+."
-      | Plan.Sub -> binop "-."
-      | Plan.Mul -> binop "*."
-      | Plan.Div -> binop "/."
-      | Plan.Min ->
-          let b = pop () in
-          let a = pop () in
-          push (Printf.sprintf "(Float.min %s %s)" a b)
-      | Plan.Max ->
-          let b = pop () in
-          let a = pop () in
-          push (Printf.sprintf "(Float.max %s %s)" a b)
+      | Plan.Neg -> push (Ast.Neg (pop ()))
+      | Plan.Add -> binop (fun a b -> Ast.Bin (Ast.Add, a, b))
+      | Plan.Sub -> binop (fun a b -> Ast.Bin (Ast.Sub, a, b))
+      | Plan.Mul -> binop (fun a b -> Ast.Bin (Ast.Mul, a, b))
+      | Plan.Div -> binop (fun a b -> Ast.Bin (Ast.Div, a, b))
+      | Plan.Min -> binop (fun a b -> Ast.Fmin (a, b))
+      | Plan.Max -> binop (fun a b -> Ast.Fmax (a, b))
       | Plan.Sel ->
           (* operands are pure (loads/literals), so materializing all
              three and blending is the interpreter's exact semantics *)
           let b = pop () in
           let a = pop () in
           let c = pop () in
-          push (Printf.sprintf "(if %s > 0.0 then %s else %s)" c a b))
+          push (Ast.Sel (c, a, b)))
     code;
   match !stack with
   | [ e ] -> e
   | _ -> raise (Unsupported "malformed postfix program (leftover operands)")
 
-let used_slots (plan : Plan.t) =
-  let used = Array.make (max 1 (Plan.n_slots plan)) false in
+(* Per used slot, the hoisted bindings: data handle, offset table (only
+   on non-unit-stride grids) and row base. *)
+let row_binds (plan : Plan.t) v =
+  let used = Array.make (Plan.n_slots plan) false in
   Array.iter
     (function
       | Plan.Load s when s >= 0 && s < Array.length used -> used.(s) <- true
       | _ -> ())
     plan.Plan.code;
-  used
-
-(* Per-slot hoisted bindings: data handle, row base, and (only on
-   non-unit-stride grids) the offset table. *)
-let prelude b used v =
-  Array.iteri
-    (fun s u ->
-      if u then begin
-        Printf.bprintf b "  let d%d = Array.unsafe_get slot_data %d in\n" s s;
-        if not v.slot_unit.(s) then
-          Printf.bprintf b "  let t%d = Array.unsafe_get slot_tab %d in\n" s s;
-        Printf.bprintf b "  let r%d = Array.unsafe_get row %d in\n" s s
-      end)
-    used
+  List.init (Array.length used) Fun.id
+  |> List.concat_map (fun s ->
+         let data = Ast.Bind_data { name = s; src = s }
+         and row = Ast.Bind_row { name = s; src = s } in
+         if not used.(s) then []
+         else if v.slot_unit.(s) then [ data; row ]
+         else [ data; Ast.Bind_tab { name = s; src = s }; row ])
 
 let source ~(plan : Plan.t) v =
   if Array.length v.slot_shift <> Plan.n_slots plan
      || Array.length v.slot_unit <> Plan.n_slots plan
   then invalid_arg "Codegen.source: variant arity does not match the plan";
-  match
-    let k = key ~plan v in
-    let used = used_slots plan in
-    let expr = program_expr v plan.Plan.code in
-    let b = Buffer.create 2048 in
-    Printf.bprintf b
-      "(* yasksite generated kernel (abi v%d) -- machine-written, do not \
-       edit.\n\
-      \   plan: %s\n\
-      \   fingerprint: %s\n\
-      \   key: %s *)\n\n"
-      abi plan.Plan.name plan.Plan.fingerprint k;
-    Buffer.add_string b
-      "type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) \
-       Bigarray.Array1.t\n\n";
-    Buffer.add_string b
-      "let kern_row (slot_data : farr array) (slot_tab : int array array)\n\
-      \    (out : farr) (out_tab : int array) (row : int array) (out_row : \
-       int)\n\
-      \    (xb : int) (xe : int) : unit =\n";
-    Buffer.add_string b
-      "  ignore slot_data; ignore slot_tab; ignore out_tab; ignore row;\n";
-    prelude b used v;
-    if v.out_unit then begin
-      Printf.bprintf b "  let off = ref (out_row + %s + xb) in\n"
-        (int_lit v.out_lp);
-      Buffer.add_string b "  for x = xb to xe - 1 do\n";
-      Printf.bprintf b "    Bigarray.Array1.unsafe_set out !off (%s);\n" expr;
-      Buffer.add_string b "    incr off\n  done\n\n"
-    end
-    else begin
-      Buffer.add_string b "  for x = xb to xe - 1 do\n";
-      Printf.bprintf b
-        "    Bigarray.Array1.unsafe_set out (out_row + Array.unsafe_get \
-         out_tab (x + %s)) (%s)\n"
-        (int_lit v.out_lp) expr;
-      Buffer.add_string b "  done\n\n"
-    end;
-    Printf.bprintf b "let () = Callback.register %S kern_row\n"
-      (callback_name k);
-    Buffer.contents b
-  with
-  | src -> Ok src
+  match row_expr v plan.Plan.code with
   | exception Unsupported reason -> Error reason
-
-let supported plan =
-  match
-    program_expr
-      { slot_shift = Array.make (Plan.n_slots plan) 0;
-        slot_unit = Array.make (Plan.n_slots plan) true;
-        out_lp = 0;
-        out_unit = true }
-      plan.Plan.code
-  with
-  | (_ : string) -> Ok ()
-  | exception Unsupported reason -> Error reason
+  | row_expr ->
+      let k = key ~plan v in
+      let header =
+        Printf.sprintf
+          "yasksite generated kernel (abi v%d) -- machine-written, do not \
+           edit.\n\
+          \   plan: %s\n\
+          \   fingerprint: %s\n\
+          \   key: %s"
+          abi plan.Plan.name plan.Plan.fingerprint k
+      in
+      Ok
+        (Ast.print ~header
+           { Ast.row_binds = row_binds plan v;
+             row_out =
+               (if v.out_unit then Ast.Out_unit { lp = v.out_lp }
+                else Ast.Out_tab { lp = v.out_lp });
+             row_expr;
+             reg_name = callback_name k })

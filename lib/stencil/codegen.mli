@@ -109,7 +109,3 @@ val source : plan:Plan.t -> variant -> (string, string) result
     {!Plan.Sym} coefficients, [NaN] coefficients, malformed body).
     Raises [Invalid_argument] if the variant's arrays do not match the
     plan's access-table arity. *)
-
-val supported : Plan.t -> (unit, string) result
-(** Whether {!source} can succeed for this plan (variant-independent:
-    checks the body only). *)

@@ -15,8 +15,6 @@ let ( /: ) a b = Expr.Div (a, b)
 
 let neg a = Expr.Neg a
 
-let fmin a b = Expr.Min (a, b)
-
 let fmax a b = Expr.Max (a, b)
 
 let select cond a b = Expr.Select (cond, a, b)

@@ -25,18 +25,19 @@ val ( -: ) : Expr.t -> Expr.t -> Expr.t
 val ( *: ) : Expr.t -> Expr.t -> Expr.t
 
 val ( /: ) : Expr.t -> Expr.t -> Expr.t
+(** Used by tests only: builds the division-rooted kernels of the
+    backend bit-identity properties. *)
 
 val neg : Expr.t -> Expr.t
 
-val fmin : Expr.t -> Expr.t -> Expr.t
-(** [Expr.Min]; named to avoid shadowing [Stdlib.min]. *)
-
 val fmax : Expr.t -> Expr.t -> Expr.t
-(** [Expr.Max]; named to avoid shadowing [Stdlib.max]. *)
+(** [Expr.Max]; named to avoid shadowing [Stdlib.max]. Used by tests
+    only: builds the in-place select kernel of the codegen tests. *)
 
 val select : Expr.t -> Expr.t -> Expr.t -> Expr.t
 (** [select cond a b] evaluates all three operands and yields [a] when
-    [cond > 0.0], else [b] — a branchless compare-select. *)
+    [cond > 0.0], else [b] — a branchless compare-select. Used by tests
+    only: builds the in-place select kernel of the codegen tests. *)
 
 val sum : Expr.t list -> Expr.t
 (** Left-associated sum; the list must be non-empty. *)

@@ -162,7 +162,7 @@ let rec render fn prec e =
   | Coeff n -> n
   | Ref a -> access_to_c ~field_name:fn a
   | Neg x -> paren 1 ("-" ^ render fn 2 x)
-  | Add (a, b) -> paren 0 (render fn 0 a ^ " + " ^ render fn 0 b)
+  | Add (a, b) -> paren 0 (render fn 0 a ^ " + " ^ render fn 1 b)
   | Sub (a, b) -> paren 0 (render fn 0 a ^ " - " ^ render fn 1 b)
   | Mul (a, b) -> paren 1 (render fn 1 a ^ " * " ^ render fn 2 b)
   | Div (a, b) -> paren 1 (render fn 1 a ^ " / " ^ render fn 2 b)
@@ -175,5 +175,3 @@ let rec render fn prec e =
         (render fn 0 b)
 
 let to_c ?(field_name = default_field_name) e = render field_name 0 e
-
-let pp fmt e = Format.pp_print_string fmt (to_c e)

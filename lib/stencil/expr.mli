@@ -68,5 +68,3 @@ val to_c : ?field_name:(int -> string) -> t -> string
 (** Render as a C-like expression, with accesses shown as
     [f0(z-1,y,x)]-style calls — the shape of YASK-generated scalar code.
     [field_name] as in {!access_to_c}. *)
-
-val pp : Format.formatter -> t -> unit

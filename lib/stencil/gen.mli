@@ -10,4 +10,5 @@ val spec :
     star or box access pattern of radius 1..[max_radius] (default 2) with
     random subsets of the candidate offsets (always including the
     center) and random coefficients in [\[-1, 1\]]. The result is fully
-    resolved (no symbolic coefficients). *)
+    resolved (no symbolic coefficients). Used by tests only: the random
+    kernels of the backend, lint and schedule properties. *)

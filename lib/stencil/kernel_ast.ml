@@ -604,8 +604,8 @@ let parse src =
   | exception Reject (msg, line) -> Error (msg, line)
 
 (* ------------------------------------------------------------------ *)
-(* Printer: re-emit an AST in Codegen's source shape (the miscompile
-   injector mutates ASTs and prints them back through this)            *)
+(* Printer: the one emitter of kernel units -- Codegen prints the AST
+   it builds, the miscompile injector prints its mutants back          *)
 
 let float_lit c =
   if c <> c then "nan"
@@ -645,10 +645,9 @@ let bind_str = function
   | Bind_row { name; src } ->
       Printf.sprintf "  let r%d = Array.unsafe_get row %d in\n" name src
 
-let print ast =
+let print ~header ast =
   let b = Buffer.create 2048 in
-  Buffer.add_string b
-    "(* yasksite kernel unit reprinted from the checked AST *)\n\n";
+  Printf.bprintf b "(* %s *)\n\n" header;
   Buffer.add_string b
     "type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) \
      Bigarray.Array1.t\n\n";

@@ -5,11 +5,10 @@
     a [kern_row] whose body is prelude bindings plus an output loop over
     a float expression of unsafe loads with every operation in its own
     parentheses, and a
-    [Callback.register] — and this module round-trips it: {!parse}
-    accepts precisely the emitted forms (hex-float literals, dotted
-    stdlib paths, both output-loop modes) and nothing more, {!print}
-    re-emits an AST in the generator's shape such that
-    [parse (print ast) = Ok ast].
+    [Callback.register] — by building an AST and printing it with
+    {!print}; {!parse} accepts precisely the emitted forms (hex-float
+    literals, dotted stdlib paths, both output-loop modes) and nothing
+    more, so [parse (print ~header ast) = Ok ast].
 
     Syntax lives here; judgment lives elsewhere: the YS6xx translation
     validator ({!Yasksite_lint.Native_lint}) compares parsed ASTs
@@ -58,9 +57,11 @@ val parse : string -> (unit_ast, string * int) result
 (** Parse an emitted kernel unit. [Error (reason, line)] when the
     source deviates from the generated grammar in any way. *)
 
-val print : unit_ast -> string
-(** Re-emit an AST in the generator's source shape.
-    [parse (print ast) = Ok ast] for every AST {!parse} returns. *)
+val print : header:string -> unit_ast -> string
+(** Emit an AST as a unit whose leading comment reads [header]: how
+    {!Codegen.source} writes every kernel, and how the miscompile
+    injector writes its mutants. [parse (print ~header ast) = Ok ast]
+    for every AST {!parse} returns. *)
 
 val expr_str : expr -> string
 (** One expression in emitted syntax (diagnostic rendering). *)

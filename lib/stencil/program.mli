@@ -107,9 +107,6 @@ val stage_spec : t -> stage -> Spec.t
 
 val find_stage : t -> string -> stage option
 
-val consumers : t -> string -> string list
-(** Names of stages reading the given field, in definition order. *)
-
 val inlinable : t -> string list
 (** Stages that {!fuse} may inline: non-output stages with at least one
     consuming stage, in definition order. *)
@@ -126,7 +123,8 @@ val partitions : ?limit:int -> t -> string list list
 (** All fuse/materialize partitions — subsets of {!inlinable} — in a
     canonical order starting with [[]] (fully materialized), capped at
     [limit] (default 4096). Every returned value is a legal [~inline]
-    argument to {!fuse}. *)
+    argument to {!fuse}. Used by tests only: the all-partitions
+    bit-identity property enumerates them. *)
 
 val components : t -> string list list
 (** Connected components of the stage dependency graph (stages only;
@@ -156,4 +154,4 @@ val parse : string -> (t, int * string) result
 val to_text : t -> string
 (** Render back to the textual format ({!parse} round-trips it):
     header, inputs, outputs, then stages in definition order with named
-    accesses. *)
+    accesses. Used by tests only: the text round-trip property. *)

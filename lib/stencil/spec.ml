@@ -19,8 +19,6 @@ let v ~name ~rank ?(n_fields = 1) expr =
 
 let with_name t name = { t with name }
 
-let with_expr t expr = validate { t with expr }
-
 let resolve t bindings =
   let env n = List.assoc_opt n bindings in
   { t with expr = Expr.subst_coeffs env t.expr }
@@ -48,5 +46,3 @@ let to_c t =
     (Printf.sprintf "%sout(%s) = %s;\n" indent (String.concat "," vars)
        (Expr.to_c t.expr));
   Buffer.contents buf
-
-let pp fmt t = Format.pp_print_string fmt (to_c t)

@@ -18,14 +18,9 @@ val v : name:string -> rank:int -> ?n_fields:int -> Expr.t -> t
 
 val with_name : t -> string -> t
 
-val with_expr : t -> Expr.t -> t
-(** Replace the expression, re-validating. *)
-
 val resolve : t -> (string * float) list -> t
 (** Substitute named coefficients; remaining names stay symbolic. *)
 
 val to_c : t -> string
 (** Render the kernel as the C loop nest YASK's scalar fallback would
     emit — for display and documentation. *)
-
-val pp : Format.formatter -> t -> unit

@@ -7,9 +7,6 @@
 val copy_1d : Spec.t
 (** [out(x) = f0(x)] — pure stream, calibrates bandwidth terms. *)
 
-val scale_1d : Spec.t
-(** [out(x) = s * f0(x)]. *)
-
 val heat_1d_3pt : Spec.t
 
 val heat_2d_5pt : Spec.t

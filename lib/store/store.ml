@@ -39,6 +39,9 @@
 
 module Io = Yasksite_faults.Io
 
+(* Version of the on-disk layout. A root whose VERSION names any other
+   layout opens fully disabled: old layouts miss cleanly instead of
+   mixing. *)
 let schema_version = 1
 
 let version_magic = Printf.sprintf "yasksite-store v%d" schema_version
@@ -455,8 +458,6 @@ let put t ~ns ~key payload =
         diag t "write of %s/%s failed: %s" (sanitize ns) name
           (Printexc.to_string e)
   end
-
-let mem t ~ns ~key = get t ~ns ~key <> None
 
 let delete t ~ns ~key =
   if t.disabled || not t.writable then false

@@ -39,11 +39,6 @@ type t
 (** A handle on one store root (possibly degraded; see {!active} and
     {!writable}). Handles are domain-safe. *)
 
-val schema_version : int
-(** Version of the on-disk layout. A root whose [VERSION] names any
-    other layout opens fully disabled — old layouts miss cleanly
-    instead of mixing. *)
-
 val open_root : ?io:Yasksite_faults.Io.t -> string -> t
 (** [open_root dir] opens (creating if needed) a store rooted at [dir].
     Never raises: an uncreatable root yields a disabled handle, an
@@ -60,8 +55,8 @@ val default : unit -> t option
     — the kill switch that keeps every consumer purely in-memory. *)
 
 val reset_default_for_tests : unit -> unit
-(** Forget the memoized {!default} so a test can re-resolve it under a
-    different environment. *)
+(** Forget the memoized {!default}. Used by tests only: the environment
+    tests re-resolve the default store under a changed environment. *)
 
 val root : t -> string
 
@@ -85,8 +80,6 @@ val put : t -> ns:string -> key:string -> string -> unit
     committed value is preserved and the error is only counted.
     Namespaces and keys must not contain tabs or newlines (they are
     mapped to spaces). *)
-
-val mem : t -> ns:string -> key:string -> bool
 
 val delete : t -> ns:string -> key:string -> bool
 (** Remove the committed entry under (ns, key), if any. [true] iff an

@@ -66,29 +66,3 @@ let line ~title ~x_label ~y_label series =
         (Printf.sprintf "  %c  %s\n" glyphs.(si mod Array.length glyphs) s.label))
     series;
   Buffer.contents buf
-
-let bars ~title entries =
-  let width = 50 in
-  let vmax =
-    List.fold_left
-      (fun acc (_, v) ->
-        if v < 0.0 then invalid_arg "Chart.bars: negative value";
-        max acc v)
-      0.0 entries
-  in
-  let label_w =
-    List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 entries
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf title;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (l, v) ->
-      let n =
-        if vmax = 0.0 then 0
-        else int_of_float (v /. vmax *. float_of_int width +. 0.5)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  %-*s |%s %.4g\n" label_w l (String.make n '#') v))
-    entries;
-  Buffer.contents buf

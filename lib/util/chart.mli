@@ -12,7 +12,3 @@ val line :
 (** Multi-series scatter/line chart, 64 columns by 18 rows of plot area.
     Each series is drawn with its own glyph; a legend maps glyphs to
     labels. Axes are linear and auto-scaled over all series. *)
-
-val bars : title:string -> (string * float) list -> string
-(** Horizontal bar chart, bars up to 50 columns: one labelled bar per
-    entry, scaled to the maximum value. Values must be non-negative. *)

@@ -15,15 +15,19 @@ val system : t
     only differences between readings are meaningful. *)
 
 val of_fun : (unit -> float) -> t
-(** Arbitrary time source (e.g. a counter that advances on every read). *)
+(** Arbitrary time source (e.g. a counter that advances on every read).
+    Used by tests only: the tuner-budget and pooled-tuner tests drive
+    deadlines with a counting clock. *)
 
 val manual : ?start:float -> unit -> t
 (** A clock that only moves when {!advance} is called; starts at
-    [start] (default 0). *)
+    [start] (default 0). Used by tests only: the clock tests pin its
+    readings. *)
 
 val now : t -> float
 (** Current reading, in seconds. *)
 
 val advance : t -> float -> unit
 (** Advance a {!manual} clock by a non-negative delta. Raises
-    [Invalid_argument] on other clocks or negative deltas. *)
+    [Invalid_argument] on other clocks or negative deltas. Used by
+    tests only, with {!manual}. *)

@@ -6,10 +6,9 @@
     domains. Scheduling is chunked self-service over the index space,
     which load-balances uneven work without per-index synchronisation.
 
-    Determinism: {!parallel_map} and {!parallel_map_array} preserve
-    order — element [i] of the result is [f] of element [i] of the
-    input, whatever domain computed it — so for pure [f] they equal
-    their sequential counterparts exactly.
+    Determinism: {!parallel_map} preserves order — element [i] of the
+    result is [f] of element [i] of the input, whatever domain computed
+    it — so for pure [f] it equals [List.map] exactly.
 
     Exception safety: if [f] raises, the first exception (with its
     backtrace) is re-raised in the caller once every participant has
@@ -18,23 +17,15 @@
 
 type t
 
-val create : ?domains:int -> unit -> t
-(** [create ~domains ()] builds a pool that runs jobs on [domains]
-    domains in total (the caller plus [domains - 1] lazily spawned
-    workers). [domains] must be >= 1; a pool of 1 runs everything
-    inline with no synchronisation. Default: {!default_domains}. *)
-
 val size : t -> int
 (** Total participating domains, including the caller. *)
 
-val default_domains : unit -> int
-(** The [YASKSITE_DOMAINS] environment variable if set (must be a
-    positive integer), else [Domain.recommended_domain_count ()]. *)
-
 val shared : unit -> t
-(** A process-wide pool of {!default_domains} width, created on first
-    use and never shut down. Intended for entry points that do not
-    manage pool lifetime themselves. *)
+(** A process-wide pool, created on first use and never shut down,
+    whose width is the [YASKSITE_DOMAINS] environment variable if set
+    (a positive integer), else [Domain.recommended_domain_count ()].
+    Intended for entry points that do not manage pool lifetime
+    themselves. *)
 
 val parallel_for : ?chunk:int -> t -> n:int -> (int -> unit) -> unit
 (** [parallel_for t ~n f] runs [f i] for every [i] in [[0, n)], in
@@ -51,14 +42,9 @@ val parallel_map : ?chunk:int -> t -> 'a list -> f:('a -> 'b) -> 'b list
 (** Order-preserving parallel map: for pure [f],
     [parallel_map t l ~f = List.map f l]. *)
 
-val parallel_map_array : ?chunk:int -> t -> 'a array -> f:('a -> 'b) -> 'b array
-(** Array analogue of {!parallel_map}. *)
-
-val shutdown : t -> unit
-(** Join the pool's workers. Idempotent; later parallel calls on the
-    pool raise [Invalid_argument]. The shared pool need not be shut
-    down. *)
-
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** [with_pool f] runs [f] with a fresh pool and shuts it down on the
-    way out (exceptions included). *)
+(** [with_pool ~domains f] runs [f] with a fresh pool of [domains]
+    domains in total (the caller plus [domains - 1] lazily spawned
+    workers; default as for {!shared}) and joins its workers on the way
+    out (exceptions included). [domains] must be >= 1; a pool of 1 runs
+    everything inline with no synchronisation. *)

@@ -47,10 +47,6 @@ let gaussian t =
   let u2 = float t in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
-  a.(int t ~bound:(Array.length a))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t ~bound:(i + 1) in

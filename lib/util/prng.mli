@@ -13,7 +13,9 @@ val create : seed:int -> t
     streams. *)
 
 val split : t -> t
-(** [split t] derives an independent generator from [t], advancing [t]. *)
+(** [split t] derives an independent generator from [t], advancing [t].
+    Used by tests only: the reference {!create_indexed} is checked
+    against. *)
 
 val create_indexed : seed:int -> index:int -> t
 (** [create_indexed ~seed ~index] is the generator the [(index+1)]-th
@@ -40,8 +42,6 @@ val bool : t -> bool
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller); consumes two uniform draws. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
+(** In-place Fisher–Yates shuffle. Used by tests only: the permutation
+    property. *)

@@ -5,27 +5,6 @@ let mean a =
   check_nonempty "Stats.mean" a;
   Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
 
-let geomean a =
-  check_nonempty "Stats.geomean" a;
-  let sum_logs =
-    Array.fold_left
-      (fun acc x ->
-        if x <= 0.0 then invalid_arg "Stats.geomean: non-positive entry";
-        acc +. log x)
-      0.0 a
-  in
-  exp (sum_logs /. float_of_int (Array.length a))
-
-let stddev a =
-  check_nonempty "Stats.stddev" a;
-  let n = Array.length a in
-  if n = 1 then 0.0
-  else begin
-    let m = mean a in
-    let ss = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 a in
-    sqrt (ss /. float_of_int (n - 1))
-  end
-
 (* One-pass mean/variance (Welford 1962): numerically stable streaming
    moments, so benchmark loops can fold samples without a second pass. *)
 type welford = { mutable w_n : int; mutable w_mean : float; mutable w_m2 : float }
@@ -38,8 +17,6 @@ let welford_add w x =
   w.w_mean <- w.w_mean +. (delta /. float_of_int w.w_n);
   w.w_m2 <- w.w_m2 +. (delta *. (x -. w.w_mean))
 
-let welford_count w = w.w_n
-
 let welford_mean w =
   if w.w_n = 0 then invalid_arg "Stats.welford_mean: empty accumulator";
   w.w_mean
@@ -49,12 +26,6 @@ let welford_variance w =
   if w.w_n = 1 then 0.0 else w.w_m2 /. float_of_int (w.w_n - 1)
 
 let welford_stddev w = sqrt (welford_variance w)
-
-let mean_variance a =
-  check_nonempty "Stats.mean_variance" a;
-  let w = welford_create () in
-  Array.iter (welford_add w) a;
-  (welford_mean w, welford_variance w)
 
 let sorted_copy a =
   let b = Array.copy a in
@@ -81,15 +52,6 @@ let mad a =
   check_nonempty "Stats.mad" a;
   let m = median a in
   median (Array.map (fun x -> abs_float (x -. m)) a)
-
-let trimmed_mean a ~frac =
-  check_nonempty "Stats.trimmed_mean" a;
-  if frac < 0.0 || frac >= 0.5 then
-    invalid_arg "Stats.trimmed_mean: frac must be in [0, 0.5)";
-  let b = sorted_copy a in
-  let n = Array.length b in
-  let k = int_of_float (floor (frac *. float_of_int n)) in
-  mean (Array.sub b k (n - (2 * k)))
 
 let minimum a =
   check_nonempty "Stats.minimum" a;
@@ -134,8 +96,3 @@ let argbest ~better_is_lower a =
 
 let top1_agrees ~better_is_lower a b =
   argbest ~better_is_lower a = argbest ~better_is_lower b
-
-let linspace ~lo ~hi ~n =
-  if n < 2 then invalid_arg "Stats.linspace: need n >= 2";
-  Array.init n (fun i ->
-      lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))

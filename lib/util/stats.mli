@@ -4,12 +4,6 @@
 
 val mean : float array -> float
 
-val geomean : float array -> float
-(** Geometric mean; requires strictly positive entries. *)
-
-val stddev : float array -> float
-(** Sample standard deviation (n-1 denominator); 0 for singletons. *)
-
 type welford
 (** One-pass (Welford) accumulator for streaming mean and variance.
     Numerically stable: no catastrophic cancellation for samples with a
@@ -18,8 +12,6 @@ type welford
 val welford_create : unit -> welford
 
 val welford_add : welford -> float -> unit
-
-val welford_count : welford -> int
 
 val welford_mean : welford -> float
 (** Raises [Invalid_argument] on an empty accumulator. *)
@@ -30,21 +22,12 @@ val welford_variance : welford -> float
 
 val welford_stddev : welford -> float
 
-val mean_variance : float array -> float * float
-(** One-pass [(mean, sample variance)] of a non-empty array; agrees with
-    [(mean a, stddev a ** 2)] up to rounding while reading the data
-    once. *)
-
 val median : float array -> float
 
 val mad : float array -> float
 (** Median absolute deviation (raw, unscaled): the median of
     [|x - median|]. Multiply by 1.4826 for a normal-consistent scale
     estimate. *)
-
-val trimmed_mean : float array -> frac:float -> float
-(** Mean after discarding [floor (frac * n)] entries from each end of
-    the sorted sample; [frac] in [\[0, 0.5)]. *)
 
 val percentile : float array -> p:float -> float
 (** Linear-interpolation percentile, [p] in [\[0, 100\]]. *)
@@ -67,6 +50,3 @@ val kendall_tau : float array -> float array -> float
 
 val top1_agrees : better_is_lower:bool -> float array -> float array -> bool
 (** Whether both score vectors select the same best index. *)
-
-val linspace : lo:float -> hi:float -> n:int -> float array
-(** [n] evenly spaced points from [lo] to [hi] inclusive; [n >= 2]. *)

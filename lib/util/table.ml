@@ -1,11 +1,9 @@
 type align = Left | Right
 
-type row = Cells of string list | Sep
-
 type t = {
   title : string option;
   columns : (string * align) list;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create ?title ~columns () =
@@ -15,9 +13,7 @@ let create ?title ~columns () =
 let add_row t cells =
   if List.length cells <> List.length t.columns then
     invalid_arg "Table.add_row: cell count mismatch";
-  t.rows <- Cells cells :: t.rows
-
-let add_sep t = t.rows <- Sep :: t.rows
+  t.rows <- cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -34,10 +30,7 @@ let render t =
     List.mapi
       (fun i h ->
         List.fold_left
-          (fun acc row ->
-            match row with
-            | Sep -> acc
-            | Cells cs -> max acc (String.length (List.nth cs i)))
+          (fun acc cs -> max acc (String.length (List.nth cs i)))
           (String.length h) rows)
       headers
   in
@@ -72,9 +65,7 @@ let render t =
   horiz ();
   line (List.map (fun _ -> Left) t.columns) headers;
   horiz ();
-  List.iter
-    (fun row -> match row with Sep -> horiz () | Cells cs -> line aligns cs)
-    rows;
+  List.iter (line aligns) rows;
   horiz ();
   Buffer.contents buf
 

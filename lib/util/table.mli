@@ -14,9 +14,6 @@ val create : ?title:string -> columns:(string * align) list -> unit -> t
 val add_row : t -> string list -> unit
 (** Append a row; must have as many cells as there are columns. *)
 
-val add_sep : t -> unit
-(** Append a horizontal separator row. *)
-
 val render : t -> string
 (** Render with box-drawing in plain ASCII. *)
 

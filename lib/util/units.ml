@@ -6,16 +6,6 @@ let bytes n =
     Printf.sprintf "%.1f MiB" (f /. (1024.0 *. 1024.0))
   else Printf.sprintf "%.1f GiB" (f /. (1024.0 *. 1024.0 *. 1024.0))
 
-let cy_per_cl x = Printf.sprintf "%.1f cy/CL" x
-
-let glups x = Printf.sprintf "%.2f GLUP/s" (x /. 1e9)
-
 let gflops x = Printf.sprintf "%.2f GF/s" (x /. 1e9)
 
 let gbs x = Printf.sprintf "%.1f GB/s" (x /. 1e9)
-
-let seconds x =
-  if x < 1e-6 then Printf.sprintf "%.0f ns" (x *. 1e9)
-  else if x < 1e-3 then Printf.sprintf "%.1f us" (x *. 1e6)
-  else if x < 1.0 then Printf.sprintf "%.1f ms" (x *. 1e3)
-  else Printf.sprintf "%.2f s" x

@@ -1,21 +1,11 @@
 (** Formatting helpers for the units used across the tool chain:
-    cycles per cache line (cy/CL), lattice updates per second (GLUP/s),
     floating-point throughput (GF/s), data volumes and bandwidths. *)
 
 val bytes : int -> string
 (** Human-readable byte count, e.g. [49152 -> "48 KiB"]. *)
-
-val cy_per_cl : float -> string
-(** e.g. ["12.4 cy/CL"]. *)
-
-val glups : float -> string
-(** Lattice updates per second scaled to GLUP/s. Input in LUP/s. *)
 
 val gflops : float -> string
 (** Input in FLOP/s, rendered as GF/s. *)
 
 val gbs : float -> string
 (** Input in bytes/s, rendered as GB/s (decimal GB). *)
-
-val seconds : float -> string
-(** Adaptive time formatting: ns/us/ms/s. *)

@@ -209,7 +209,7 @@ let test_traffic_bytes () =
     Hierarchy.read h ~addr:(i * 64)
   done;
   Alcotest.(check int) "bytes = lines * 64" 640
-    (Hierarchy.traffic_bytes h ~level:2);
+    (Hierarchy.traffic_lines h ~level:2 * Hierarchy.line_bytes h);
   Alcotest.(check int) "line size exposed" 64 (Hierarchy.line_bytes h);
   Alcotest.(check int) "levels" 3 (Hierarchy.levels h)
 

@@ -129,22 +129,55 @@ let test_source_shape () =
             (Codegen.callback_name (Codegen.key ~plan v));
           "0x1p-2" (* 0.25, as an exact hex-float literal *) ]
 
+(* The emitted text of every suite kernel, on linear and folded grids at
+   three halo widths, pinned by digest: emission changes only with the
+   ABI. *)
+let test_suite_sources_pinned () =
+  let module Suite = Yasksite_stencil.Suite in
+  let sources =
+    List.concat_map
+      (fun spec ->
+        let spec = Suite.resolve_defaults spec in
+        let plan = Lower.lower spec in
+        let r = spec.Spec.rank in
+        let radius = Analysis.halo (Analysis.of_spec spec) in
+        List.concat_map
+          (fun layout ->
+            List.map
+              (fun extra ->
+                let halo = Array.map (fun h -> h + extra) radius in
+                let grid () = Grid.create ~halo ~layout ~dims:(Array.make r 8) () in
+                let inputs = Array.init spec.Spec.n_fields (fun _ -> grid ()) in
+                let v = Codegen.variant_of ~plan ~inputs ~output:(grid ()) in
+                match Codegen.source ~plan v with
+                | Ok src -> src
+                | Error e -> Alcotest.failf "%s: %s" spec.Spec.name e)
+              [ 0; 1; 3 ])
+          [ Grid.Linear; Grid.Folded (Array.make r 2) ])
+      Suite.all
+  in
+  Alcotest.(check int) "units" 54 (List.length sources);
+  Alcotest.(check string) "digest of the emitted suite sources"
+    "df9be6df4a48a683fe9326a89d9438cd"
+    (Digest.to_hex (Digest.string (String.concat "" sources)))
+
 let test_source_refuses_unresolved () =
   let accesses = [| { Expr.field = 0; offsets = [| 0 |] } |] in
-  let plan =
-    Plan.v ~name:"sym" ~rank:1 ~n_fields:1 ~accesses
-      ~code:[| Plan.Load 0; Plan.Sym "r"; Plan.Mul |] ~depth:2
+  let v =
+    { Codegen.slot_shift = [| 0 |]; slot_unit = [| true |]; out_lp = 0;
+      out_unit = true }
   in
-  (match Codegen.supported plan with
-  | Ok () -> Alcotest.fail "a Sym-bearing plan must be unsupported"
-  | Error _ -> ());
-  let nan_plan =
-    Plan.v ~name:"nan" ~rank:1 ~n_fields:1 ~accesses
-      ~code:[| Plan.Push Float.nan; Plan.Load 0; Plan.Mul |] ~depth:2
+  let refused plan =
+    match Codegen.source ~plan v with Ok _ -> false | Error _ -> true
   in
-  match Codegen.supported nan_plan with
-  | Ok () -> Alcotest.fail "a NaN coefficient must be unsupported"
-  | Error _ -> ()
+  Alcotest.(check bool) "a Sym-bearing plan is refused" true
+    (refused
+       (Plan.v ~name:"sym" ~rank:1 ~n_fields:1 ~accesses
+          ~code:[| Plan.Load 0; Plan.Sym "r"; Plan.Mul |] ~depth:2));
+  Alcotest.(check bool) "a NaN coefficient is refused" true
+    (refused
+       (Plan.v ~name:"nan" ~rank:1 ~n_fields:1 ~accesses
+          ~code:[| Plan.Push Float.nan; Plan.Load 0; Plan.Mul |] ~depth:2))
 
 (* ------------------------------------------------------------------ *)
 (* Three-way bit-identity (tentpole property).                         *)
@@ -529,6 +562,8 @@ let suite =
     Alcotest.test_case "YASKSITE_BACKEND=codegen" `Quick
       test_env_codegen_selected;
     Alcotest.test_case "generated source shape" `Quick test_source_shape;
+    Alcotest.test_case "emitted suite sources pinned" `Quick
+      test_suite_sources_pinned;
     Alcotest.test_case "unsupported plans refused" `Quick
       test_source_refuses_unresolved;
     qt codegen_three_way_sweep;

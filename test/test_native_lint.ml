@@ -79,7 +79,7 @@ let test_ast_roundtrip () =
           Alcotest.failf "%s: emitted source does not parse (line %d: %s)"
             spec.Spec.name line msg
       | Ok ast -> (
-          match Ast.parse (Ast.print ast) with
+          match Ast.parse (Ast.print ~header:"reprinted" ast) with
           | Error (msg, line) ->
               Alcotest.failf "%s: printed AST does not re-parse (line %d: %s)"
                 spec.Spec.name line msg
@@ -169,7 +169,7 @@ let hex_float_roundtrip =
         (* Codegen refuses NaN coefficients, and the grammar has no
            [nan] literal (see "bare and nan literals are YS600"). *)
       else
-        match Ast.parse (Ast.print (lit_roundtrip_ast f)) with
+        match Ast.parse (Ast.print ~header:"reprinted" (lit_roundtrip_ast f)) with
         | Error _ -> false
         | Ok ast -> (
             match ast.Ast.row_expr with

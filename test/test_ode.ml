@@ -74,33 +74,6 @@ let test_observed_orders () =
   check "kutta38" Tableau.kutta38 4;
   check "pirk-2-3" (Tableau.pirk ~stages:2 ~iterations:3) 4
 
-let test_adaptive () =
-  let ivp = Ivp.harmonic ~omega:3.0 in
-  let y, stats = Rk.integrate_adaptive Tableau.dopri5 ivp ~rtol:1e-8 ~atol:1e-10 in
-  Alcotest.(check bool) "accurate" true (Ivp.error_vs_exact ivp ~y < 1e-6);
-  Alcotest.(check bool) "did steps" true (stats.Rk.accepted > 10);
-  Alcotest.(check bool) "h varied" true (stats.Rk.h_max >= stats.Rk.h_min);
-  Alcotest.(check bool) "needs embedded pair" true
-    (try
-       ignore (Rk.integrate_adaptive Tableau.rk4 ivp ~rtol:1e-6 ~atol:1e-8);
-       false
-     with Invalid_argument _ -> true)
-
-let test_adams_bashforth () =
-  let ivp = Ivp.exp_decay ~lambda:1.5 in
-  let err order steps =
-    Ivp.error_vs_exact ivp ~y:(Rk.adams_bashforth ~order ivp ~steps)
-  in
-  List.iter
-    (fun order ->
-      let ratio = err order 32 /. err order 64 in
-      let got = log ratio /. log 2.0 in
-      Alcotest.(check bool)
-        (Printf.sprintf "AB%d converges at order ~%d (got %.2f)" order order got)
-        true
-        (abs_float (got -. float_of_int order) < 0.6))
-    [ 2; 3; 4 ]
-
 let test_ivp_library () =
   let d = Ivp.diagonal ~lambdas:[| 1.0; 2.0; 3.0 |] in
   let y = Rk.integrate Tableau.rk4 d ~steps:50 in
@@ -172,8 +145,6 @@ let base_suite =
     Alcotest.test_case "pirk construction" `Quick test_pirk;
     Alcotest.test_case "integrate accuracy" `Quick test_integrate_accuracy;
     Alcotest.test_case "observed orders" `Quick test_observed_orders;
-    Alcotest.test_case "adaptive stepping" `Quick test_adaptive;
-    Alcotest.test_case "adams-bashforth" `Quick test_adams_bashforth;
     Alcotest.test_case "ivp library" `Quick test_ivp_library;
     Alcotest.test_case "heat spatial convergence" `Quick
       test_heat_convergence_in_space;
@@ -242,12 +213,6 @@ let test_rk_validation () =
   Alcotest.check_raises "steps positive"
     (Invalid_argument "Rk.integrate: steps must be positive") (fun () ->
       ignore (Rk.integrate Tableau.rk4 ivp ~steps:0));
-  Alcotest.check_raises "ab order"
-    (Invalid_argument "Rk.adams_bashforth: orders 2..4 supported") (fun () ->
-      ignore (Rk.adams_bashforth ~order:7 ivp ~steps:16));
-  Alcotest.check_raises "ab steps"
-    (Invalid_argument "Rk.adams_bashforth: too few steps") (fun () ->
-      ignore (Rk.adams_bashforth ~order:4 ivp ~steps:2));
   Alcotest.check_raises "ivp empty" (Invalid_argument "Ivp.v: empty state")
     (fun () ->
       ignore (Ivp.v ~name:"x" ~rhs:(fun ~tm:_ ~y:_ ~dydt:_ -> ()) ~y0:[||]

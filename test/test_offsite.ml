@@ -375,76 +375,6 @@ let mixed_suite =
   [ Alcotest.test_case "mixed variants" `Quick test_mixed_variants;
     Alcotest.test_case "evaluate mixed" `Slow test_evaluate_mixed ]
 
-module Plan = Yasksite_faults.Plan
-module Policy = Yasksite_faults.Policy
-
-let test_run_resilient_benign () =
-  (* Without faults, run_resilient is exactly run. *)
-  let pde = Pde.heat ~rank:1 ~n:16 ~alpha:1.0 in
-  let h = 1e-4 and steps = 5 in
-  let plain = Executor.create pde (Variant.fused Tableau.rk4 pde ~h) in
-  Executor.run plain ~steps;
-  let resilient = Executor.create pde (Variant.fused Tableau.rk4 pde ~h) in
-  let report = Executor.run_resilient resilient ~steps in
-  Alcotest.(check int) "all steps done" steps report.Executor.steps_completed;
-  Alcotest.(check int) "one attempt per step" steps
-    report.Executor.step_attempts;
-  Alcotest.(check int) "no retries" 0 report.Executor.retries;
-  Alcotest.(check bool) "did not give up" false report.Executor.gave_up;
-  Alcotest.(check (float 0.0)) "nothing charged" 0.0
-    report.Executor.charged_seconds;
-  Alcotest.(check (float 1e-15)) "identical state" 0.0
-    (max_diff
-       (flatten (Executor.state plain))
-       (flatten (Executor.state resilient)))
-
-let test_run_resilient_retries () =
-  (* Half the step attempts fail; with a generous retry cap the run still
-     completes every step — and the state matches a clean run exactly,
-     because faults fire before the kernels execute. *)
-  let pde = Pde.heat ~rank:1 ~n:16 ~alpha:1.0 in
-  let h = 1e-4 and steps = 8 in
-  let clean = Executor.create pde (Variant.fused Tableau.rk4 pde ~h) in
-  Executor.run clean ~steps;
-  let ex = Executor.create pde (Variant.fused Tableau.rk4 pde ~h) in
-  let report =
-    Executor.run_resilient
-      ~faults:(Plan.v ~seed:4 ~fail_rate:0.5 ())
-      ~policy:(Policy.v ~max_attempts:20 ())
-      ex ~steps
-  in
-  Alcotest.(check int) "all steps done" steps report.Executor.steps_completed;
-  Alcotest.(check bool) "did not give up" false report.Executor.gave_up;
-  Alcotest.(check bool) "some retries happened" true
-    (report.Executor.retries > 0);
-  Alcotest.(check int) "attempts = steps + retries"
-    (steps + report.Executor.retries)
-    report.Executor.step_attempts;
-  Alcotest.(check bool) "backoff charged" true
-    (report.Executor.charged_seconds > 0.0);
-  Alcotest.(check (float 1e-15)) "state matches clean run" 0.0
-    (max_diff (flatten (Executor.state clean)) (flatten (Executor.state ex)))
-
-let test_run_resilient_gives_up () =
-  let pde = Pde.heat ~rank:1 ~n:16 ~alpha:1.0 in
-  let ex = Executor.create pde (Variant.fused Tableau.rk4 pde ~h:1e-4) in
-  let report =
-    Executor.run_resilient ~faults:(Plan.v ~seed:2 ~fail_rate:1.0 ()) ex
-      ~steps:5
-  in
-  Alcotest.(check bool) "gave up" true report.Executor.gave_up;
-  Alcotest.(check int) "no step completed" 0 report.Executor.steps_completed;
-  Alcotest.(check int) "executor state agrees" 0 (Executor.steps_done ex);
-  Alcotest.(check int) "stopped at the retry cap" 3
-    report.Executor.step_attempts
-
-let resilience_suite =
-  [ Alcotest.test_case "run_resilient benign" `Quick test_run_resilient_benign;
-    Alcotest.test_case "run_resilient retries" `Quick
-      test_run_resilient_retries;
-    Alcotest.test_case "run_resilient gives up" `Quick
-      test_run_resilient_gives_up ]
-
 (* ------------------------------------------------------------------ *)
 (* A ranking call measures each distinct (kernel, config) pair once and
    shares it. Every output must equal [Offsite_reference], which
@@ -572,4 +502,4 @@ let shared_suite =
 
 let suite =
   base_suite @ extra_suite @ accuracy_suite @ coeff_suite @ mixed_suite
-  @ resilience_suite @ shared_suite
+  @ shared_suite

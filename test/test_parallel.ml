@@ -178,20 +178,19 @@ let test_parallel_sweep_traced () =
 let test_parallel_sweep_sanitized () =
   (* The shadow-memory sanitizer observes every read and write of the
      partitioned sweep without perturbing it: outputs stay bit-identical
-     to the sequential run and a legal schedule records zero traps. *)
+     to the sequential run and a legal schedule raises no trap. *)
   let module Sanitizer = Yasksite_engine.Sanitizer in
   let spec, config, make = sweep_setup (Config.v ~block:[| 0; 8 |] ()) in
   let inputs_s, out_s = make () in
   let _ = Sweep.run ~config spec ~inputs:inputs_s ~output:out_s in
   Pool.with_pool ~domains:4 @@ fun pool ->
   let inputs_p, out_p = make () in
-  let san = Sanitizer.create ~fail_fast:false () in
+  let san = Sanitizer.create () in
   let _ =
     Sweep.run ~pool ~sanitize:san ~config spec ~inputs:inputs_p ~output:out_p
   in
   Alcotest.(check (float 0.0)) "sanitized outputs bit-identical" 0.0
-    (Grid.max_abs_diff out_s out_p);
-  Alcotest.(check int) "zero traps" 0 (Sanitizer.trap_count san)
+    (Grid.max_abs_diff out_s out_p)
 
 let test_unblocked_runs_sequentially () =
   (* One block column: the pool must not change anything at all. *)
@@ -419,7 +418,9 @@ let prop_welford =
     (fun l ->
       let a = Array.of_list l in
       let nm, nv = naive_mean_variance a in
-      let wm, wv = Stats.mean_variance a in
+      let w = Stats.welford_create () in
+      Array.iter (Stats.welford_add w) a;
+      let wm = Stats.welford_mean w and wv = Stats.welford_variance w in
       let close x y = abs_float (x -. y) <= 1e-6 *. (1.0 +. abs_float y) in
       close wm nm && close wv nv)
 
@@ -429,7 +430,6 @@ let test_welford_incremental () =
     (Invalid_argument "Stats.welford_mean: empty accumulator") (fun () ->
       ignore (Stats.welford_mean w));
   List.iter (Stats.welford_add w) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  Alcotest.(check int) "count" 8 (Stats.welford_count w);
   Alcotest.(check (float 1e-12)) "mean" 5.0 (Stats.welford_mean w);
   Alcotest.(check (float 1e-12)) "sample variance" (32.0 /. 7.0)
     (Stats.welford_variance w);

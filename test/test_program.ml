@@ -590,6 +590,43 @@ let test_rank_partitions_exact () =
   Alcotest.(check bool) "best is head" true
     (bp.Advisor.inline = (List.hd ranked).Advisor.inline)
 
+let test_rank_partitions_nested_sums () =
+  (* A right-nested sum and the left-nested sum of the same terms differ
+     in evaluation order and in billed flops (the left-nested constants
+     fold away), so the ranking's per-stage memo must not merge them. *)
+  let consts = List.init 8 (fun i -> Printf.sprintf "%d.0" (i + 1)) in
+  let sq = "a(y,x)*a(y,x)" in
+  (* 1.0 + (2.0 + (... (8.0 + sq))) and (((1.0 + 2.0) + ...) + 8.0) + sq *)
+  let right = List.fold_right (fun c acc -> c ^ " + (" ^ acc ^ ")") consts sq in
+  let left =
+    List.fold_left
+      (fun acc c -> "(" ^ acc ^ " + " ^ c ^ ")")
+      (List.hd consts) (List.tl consts)
+    ^ " + " ^ sq
+  in
+  let p =
+    parse_ok
+      (Printf.sprintf
+         "program sums\nrank 2\ninputs a\noutputs s1 s2\ns1 = %s\ns2 = %s\n"
+         right left)
+  in
+  let m = Machine.scaled ~factor:8 Machine.cascade_lake in
+  let dims = [| 16; 16 |] in
+  let config = Config.v ~threads:1 () in
+  let best = Advisor.best_partition m p ~dims ~config in
+  let direct name =
+    let s = Option.get (P.find_stage p name) in
+    let pred = Model.predict m (Analysis.of_spec (P.stage_spec p s)) ~dims ~config in
+    256.0 /. pred.Model.lups_chip
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check string)
+        (name ^ " gets its own predicted time")
+        (Printf.sprintf "%h" (direct name))
+        (Printf.sprintf "%h" (List.assoc name best.Advisor.stage_times)))
+    [ "s1"; "s2" ]
+
 let test_rank_partitions_hdiff () =
   let p = Suite.hdiff in
   let m = Machine.test_chip in
@@ -662,5 +699,7 @@ let suite =
     qt fusion_bit_identity;
     Alcotest.test_case "rank_partitions exact (2-stage)" `Quick
       test_rank_partitions_exact;
+    Alcotest.test_case "rank_partitions nested sums" `Quick
+      test_rank_partitions_nested_sums;
     Alcotest.test_case "rank_partitions hdiff" `Quick
       test_rank_partitions_hdiff ]

@@ -179,7 +179,7 @@ let test_parser_basic () =
       Grid.halo_dirichlet g 0.0;
       let spec =
         match Parser.parse_spec ~name:"t" ~rank:1 "f0(x)" with
-        | Ok s -> Spec.with_expr s e
+        | Ok s -> Spec.v ~name:s.Spec.name ~rank:s.Spec.rank e
         | Error m -> Alcotest.fail m
       in
       (* at x=2: 0.25*(1+3) + 0.5*2 = 2.0 *)
@@ -215,16 +215,60 @@ let test_parser_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "rank 9 accepted"
 
+(* A random tree over every operator, with named coefficients and
+   finite constants that stress the printer: signed zero, an exponent
+   form, a large negative value. *)
+let random_expr rng ~rank ~depth =
+  let consts = [| 0.0; -0.0; 1.0; 0.5; 1e-5; -3.25e7; 0.1 |] in
+  let leaf () =
+    match Prng.int rng ~bound:3 with
+    | 0 ->
+        Expr.Const
+          (if Prng.bool rng then consts.(Prng.int rng ~bound:(Array.length consts))
+           else Prng.float_range rng ~lo:(-100.0) ~hi:100.0)
+    | 1 -> Expr.Coeff (if Prng.bool rng then "alpha" else "beta")
+    | _ ->
+        Expr.Ref
+          { Expr.field = Prng.int rng ~bound:2;
+            offsets = Array.init rank (fun _ -> Prng.int rng ~bound:5 - 2) }
+  in
+  let rec go depth =
+    if depth = 0 then leaf ()
+    else
+      let sub () = go (depth - 1) in
+      match Prng.int rng ~bound:9 with
+      | 0 -> leaf ()
+      | 1 -> Expr.Neg (sub ())
+      | k ->
+          let a = sub () in
+          let b = sub () in
+          (match k with
+          | 2 -> Expr.Add (a, b)
+          | 3 -> Expr.Sub (a, b)
+          | 4 -> Expr.Mul (a, b)
+          | 5 -> Expr.Div (a, b)
+          | 6 -> Expr.Min (a, b)
+          | 7 -> Expr.Max (a, b)
+          | _ -> Expr.Select (sub (), a, b))
+  in
+  go depth
+
+(* The parser inverts the printer: parsing the printed tree gives the
+   same tree, up to constant folding (a printed negative constant parses
+   back as a negated literal). *)
 let parser_roundtrip =
-  QCheck.Test.make ~name:"to_c / parse round-trip" ~count:200 QCheck.small_int
+  QCheck.Test.make ~name:"to_c / parse round-trip" ~count:1000 QCheck.int
     (fun seed ->
       let rng = Prng.create ~seed in
       let rank = 1 + Prng.int rng ~bound:3 in
-      let spec = Gen.spec rng ~rank () in
-      let printed = Expr.to_c spec.Spec.expr in
+      let e = random_expr rng ~rank ~depth:4 in
+      let printed = Expr.to_c e in
       match Parser.parse_expr ~rank printed with
-      | Error _ -> false
-      | Ok e -> Expr.to_c e = printed)
+      | Error m -> QCheck.Test.fail_reportf "%s: %s" printed m
+      | Ok e' ->
+          Expr.equal (Expr.cfold e') (Expr.cfold e)
+          || QCheck.Test.fail_reportf "%s parses back as %s" printed
+               (Expr.to_c e'))
 
 let test_parser_suite_roundtrip () =
   List.iter

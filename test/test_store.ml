@@ -66,7 +66,6 @@ let test_roundtrip () =
   Store.put s ~ns:"a" ~key:"k" "hello";
   Alcotest.(check (option string)) "round trip" (Some "hello")
     (Store.get s ~ns:"a" ~key:"k");
-  Alcotest.(check bool) "mem" true (Store.mem s ~ns:"a" ~key:"k");
   (* Same key, different namespace: independent slots. *)
   Alcotest.(check bool) "ns isolation" true
     (Store.get s ~ns:"b" ~key:"k" = None);
