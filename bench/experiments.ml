@@ -826,35 +826,65 @@ let e15 () =
 
 (* ------------------------------------------------------------------ *)
 (* E16 — the plan driver skips per-point bounds checks: a sanitized
-   pass over the legal tuning space of both shipped machine models
-   confirms it traps nowhere the schedule analyzer allows. Writes
-   bench/BENCH_plan.json. *)
+   pass over the legal tuning space of both shipped machine models, on
+   the per-point checked path, confirms it traps nowhere the schedule
+   analyzer allows. No certificate is issued, so no sweep may take the
+   certified fast path; the record counts the checked sweeps against
+   all sweeps. Writes bench/BENCH_plan.json. *)
 
 let e16 () =
   header "e16" "Plan driver over the sanitized legal space (BENCH_plan.json)";
   let module Sanitizer = Engine.Sanitizer in
+  let module Cert = Engine.Cert in
+  let module Prng = Yasksite_util.Prng in
   let spec = Stencil.Suite.resolve_defaults Stencil.Suite.heat_2d_5pt in
   let dims = [| 24; 24 |] in
   let info = Stencil.Analysis.of_spec spec in
+  let halo = Stencil.Analysis.halo info in
+  Cert.clear ();
+  (* One sanitized sweep (one wavefront pass at depth > 1) of [config]
+     over fresh grids in its layout. *)
+  let sweep config =
+    let layout = Grid.layout_of_fold config.Config.fold in
+    let space = Grid.fresh_space () in
+    let prng = Prng.create ~seed:42 in
+    let grid () =
+      let g = Grid.create ~space ~halo ~layout ~dims () in
+      Grid.fill g ~f:(fun _ -> Prng.float_range prng ~lo:(-1.0) ~hi:1.0);
+      Grid.halo_dirichlet g 0.0;
+      g
+    in
+    let a = grid () and b = grid () in
+    let sanitize = Sanitizer.create () in
+    if config.Config.wavefront > 1 then
+      ignore
+        (Engine.Wavefront.steps ~sanitize ~config spec ~a ~b
+           ~steps:config.Config.wavefront
+          : Grid.t * Engine.Sweep.stats)
+    else
+      ignore
+        (Engine.Sweep.run ~sanitize ~config spec ~inputs:[| a |] ~output:b
+          : Engine.Sweep.stats)
+  in
   let legal_rows =
     List.map
       (fun m ->
         let space = Advisor.space m ~dims:dims ~threads:2 ~rank:2 in
         let legal = List.filter (Lint.Schedule.legal info ~dims:dims) space in
         let traps = ref 0 in
+        let fast_before = Cert.fast_path_hits () in
         List.iter
           (fun config ->
-            try
-              ignore
-                (Engine.Measure.stencil_sweep ~sanitize:true m spec
-                   ~dims:dims ~config
-                  : Measure.t)
-            with Sanitizer.Trap _ -> incr traps)
+            try sweep config with Sanitizer.Trap _ -> incr traps)
           legal;
+        let sweeps = List.length legal in
+        let checked = sweeps - (Cert.fast_path_hits () - fast_before) in
         Printf.printf
-          "%s: %d legal candidates of %d swept under the sanitizer, %d traps\n"
-          m.Machine.name (List.length legal) (List.length space) !traps;
-        (m, List.length space, List.length legal, !traps))
+          "%s: %d legal candidates of %d swept under the sanitizer, %d of \
+           %d sweeps checked per point, %d traps\n"
+          m.Machine.name (List.length legal) (List.length space) checked
+          sweeps !traps;
+        (m, List.length space, List.length legal, sweeps, checked, !traps))
       [ clx; rome ]
   in
   write_json "bench/BENCH_plan.json"
@@ -862,11 +892,13 @@ let e16 () =
        [ ( "sanitized_legal_space",
            List
              (List.map
-                (fun (m, space, legal, traps) ->
+                (fun (m, space, legal, sweeps, checked, traps) ->
                   Json.Obj
                     [ ("machine", String m.Machine.name);
                       ("candidates", Int space);
                       ("legal", Int legal);
+                      ("sweeps", Int sweeps);
+                      ("checked_sweeps", Int checked);
                       ("traps", Int traps) ])
                 legal_rows) ) ])
 

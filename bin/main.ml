@@ -352,15 +352,14 @@ let stencils_cmd =
     match show with
     | None -> ()
     | Some name ->
-        let s =
-          or_die (build_kernel ~machine:"test" ~scale:1 ~stencil:name
-                    ~dims:"8x8x8" ())
+        let spec =
+          match Stencil.Suite.find name with
+          | s -> Stencil.Suite.resolve_defaults s
+          | exception Not_found ->
+              or_die (Error (`Msg (Printf.sprintf "unknown stencil %S" name)))
         in
-        ignore s;
         print_newline ();
-        print_string
-          (Stencil.Spec.to_c
-             (Stencil.Suite.resolve_defaults (Stencil.Suite.find name)))
+        print_string (Stencil.Spec.to_c spec)
   in
   Cmd.v (Cmd.info "stencils" ~doc:"List the stencil suite and its analysis")
     Term.(const run $ show)
@@ -527,7 +526,7 @@ let tune_cmd =
   in
   let budget_arg =
     let doc = "Wall budget for the whole empirical sweep, in seconds \
-               (backoff and timeout charges included)." in
+               (backoff charges included)." in
     Arg.(value & opt (some float) None & info [ "budget-s" ] ~docv:"S" ~doc)
   in
   let resume_arg =

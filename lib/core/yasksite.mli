@@ -73,7 +73,7 @@ module Lc = Yasksite_ecm.Lc
 module Advisor = Yasksite_ecm.Advisor
 
 module Model_cache = Yasksite_ecm.Cache
-(** Memoization of ECM model evaluations (bounded, domain-safe LRU). *)
+(** Memoization of ECM model evaluations (domain-safe, never evicts). *)
 
 module Cachesim = Yasksite_cachesim.Hierarchy
 

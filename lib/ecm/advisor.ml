@@ -155,7 +155,11 @@ let stage_time ?cache ~memo m ~dims ~config fp (s : Program.stage) ext =
       Hashtbl.add memo key t;
       t
 
-let rank_partitions ?cache ?(limit = 4096) m (p : Program.t) ~dims ~config =
+(* The ranking keeps at most this many partitions: the full 2^12 space
+   of the 16-stage hdiff. *)
+let partition_limit = 4096
+
+let rank_partitions ?cache m (p : Program.t) ~dims ~config =
   if Array.length dims <> p.Program.rank then
     invalid_arg "Advisor.rank_partitions: dims rank mismatch";
   let memo = Hashtbl.create 64 in
@@ -212,9 +216,9 @@ let rank_partitions ?cache ?(limit = 4096) m (p : Program.t) ~dims ~config =
   let sorted =
     List.stable_sort (fun a b -> compare a.time b.time) scored
   in
-  List.filteri (fun i _ -> i < limit) sorted
+  List.filteri (fun i _ -> i < partition_limit) sorted
 
 let best_partition ?cache m p ~dims ~config =
-  match rank_partitions ?cache ~limit:1 m p ~dims ~config with
-  | [ best ] -> best
-  | _ -> invalid_arg "Advisor.best_partition: program has no stages"
+  match rank_partitions ?cache m p ~dims ~config with
+  | best :: _ -> best
+  | [] -> invalid_arg "Advisor.best_partition: program has no stages"

@@ -57,7 +57,6 @@ type partition = {
 
 val rank_partitions :
   ?cache:Cache.t ->
-  ?limit:int ->
   Yasksite_arch.Machine.t ->
   Yasksite_stencil.Program.t ->
   dims:int array ->
@@ -81,8 +80,7 @@ val rank_partitions :
     component, memoized across identical stage expressions) and the
     full product space is composed arithmetically — the ranking over
     all [2^n] partitions is exact while evaluating the model only
-    [sum 2^k_i] times. At most [limit] (default 4096) entries are
-    returned. Raises [Invalid_argument] on a cyclic or non-closed
+    [sum 2^k_i] times. At most 4096 entries are returned. Raises [Invalid_argument] on a cyclic or non-closed
     program, or when [dims] does not match the program rank. *)
 
 val best_partition :

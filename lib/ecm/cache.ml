@@ -12,13 +12,9 @@ module Lower = Yasksite_stencil.Lower
    structurally equal machines hit the same entries, and a machine
    edited between calls misses as it must. *)
 
-type entry = { prediction : Model.prediction; mutable last_use : int }
-
 type t = {
-  capacity : int;
-  table : (string, entry) Hashtbl.t;
+  table : (string, Model.prediction) Hashtbl.t;
   mutex : Mutex.t;
-  mutable tick : int;
   mutable hits : int;
   mutable misses : int;
 }
@@ -27,19 +23,10 @@ type stats = {
   hits : int;
   misses : int;
   entries : int;
-  capacity : int;
 }
 
-let default_capacity = 65536
-
-let create ?(capacity = default_capacity) () =
-  if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
-  { capacity;
-    table = Hashtbl.create (min capacity 1024);
-    mutex = Mutex.create ();
-    tick = 0;
-    hits = 0;
-    misses = 0 }
+let create () =
+  { table = Hashtbl.create 1024; mutex = Mutex.create (); hits = 0; misses = 0 }
 
 (* Canonical machine rendering for fingerprinting. Floats use %h so the
    fingerprint distinguishes every representable value. *)
@@ -90,40 +77,13 @@ let key_prefix m a ~dims =
   Printf.sprintf "%s|%s|%s|" (machine_fingerprint m) (kernel_signature a)
     (dims_str dims)
 
-(* Evict the least-recently-used entry. Linear scan: eviction only runs
-   once the cache is full, and capacity is sized so that is rare. *)
-let evict_lru t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun k e ->
-      match !victim with
-      | Some (_, age) when age <= e.last_use -> ()
-      | _ -> victim := Some (k, e.last_use))
-    t.table;
-  match !victim with None -> () | Some (k, _) -> Hashtbl.remove t.table k
-
-let insert t k p tick =
-  Mutex.lock t.mutex;
-  if not (Hashtbl.mem t.table k) && Hashtbl.length t.table >= t.capacity then
-    evict_lru t;
-  Hashtbl.replace t.table k { prediction = p; last_use = tick };
-  Mutex.unlock t.mutex
-
 (* The memoized prediction under key [k]. *)
 let lookup t k m a ~dims ~config =
   Mutex.lock t.mutex;
-  t.tick <- t.tick + 1;
-  let tick = t.tick in
-  let cached =
-    match Hashtbl.find_opt t.table k with
-    | Some e ->
-        t.hits <- t.hits + 1;
-        e.last_use <- tick;
-        Some e.prediction
-    | None ->
-        t.misses <- t.misses + 1;
-        None
-  in
+  let cached = Hashtbl.find_opt t.table k in
+  (match cached with
+  | Some _ -> t.hits <- t.hits + 1
+  | None -> t.misses <- t.misses + 1);
   Mutex.unlock t.mutex;
   match cached with
   | Some p -> p
@@ -133,7 +93,7 @@ let lookup t k m a ~dims ~config =
          compute — harmless, the model is pure and the second insert
          just refreshes the entry. *)
       let p = Model.predict m a ~dims ~config in
-      insert t k p tick;
+      Mutex.protect t.mutex (fun () -> Hashtbl.replace t.table k p);
       p
 
 let predictor t m a ~dims =
@@ -145,10 +105,7 @@ let predict t m a ~dims ~config = predictor t m a ~dims config
 let stats t =
   Mutex.lock t.mutex;
   let s =
-    { hits = t.hits;
-      misses = t.misses;
-      entries = Hashtbl.length t.table;
-      capacity = t.capacity }
+    { hits = t.hits; misses = t.misses; entries = Hashtbl.length t.table }
   in
   Mutex.unlock t.mutex;
   s

@@ -10,12 +10,14 @@
     the machine and the kernel once for its whole space ({!predictor});
     the per-config part of a key is [Config.describe].
 
-    The cache is a bounded LRU and is safe to share between domains
-    (lookups and inserts are mutex-protected; model evaluation happens
-    outside the lock). There is no process-wide instance: a caller that
-    wants memoization across calls creates one cache and passes it to
-    each (the CLI creates one per command; the tuner and Offsite entry
-    points default to a fresh cache per call).
+    The cache never evicts: it holds one entry per distinct key, at
+    most 1,650 in any shipped experiment or command (E10). It is safe
+    to share between domains (lookups and inserts are mutex-protected;
+    model evaluation happens outside the lock). There is no
+    process-wide instance: a caller that wants memoization across calls
+    creates one cache and passes it to each (the CLI creates one per
+    command; the empirical tuner and Offsite's entry points default to
+    a fresh cache per call).
 
     The cache lives in memory only. A prediction costs a few
     microseconds to evaluate, less than reading one back from the
@@ -27,13 +29,10 @@ type stats = {
   hits : int;
   misses : int;
   entries : int;  (** current resident entries *)
-  capacity : int;
 }
 
-val create : ?capacity:int -> unit -> t
-(** [create ()] builds an empty cache evicting least-recently-used
-    entries beyond [capacity] (default 65536). [capacity] must be
-    >= 1. *)
+val create : unit -> t
+(** An empty cache. *)
 
 val predictor :
   t ->

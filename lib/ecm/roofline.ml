@@ -4,7 +4,6 @@ module Analysis = Yasksite_stencil.Analysis
 type prediction = {
   flops_bound : float;
   memory_bound : float;
-  flops_chip : float;
   lups_chip : float;
   lups_single : float;
 }
@@ -16,8 +15,7 @@ let predict (m : Machine.t) (a : Analysis.t) ~threads =
   let intensity = flops_per_lup /. balance in
   let flops_bound = Machine.peak_flops_core m *. float_of_int threads in
   let memory_bound = m.mem_bw_chip_gbs *. 1e9 *. intensity in
-  let flops_chip = min flops_bound memory_bound in
-  let lups_chip = flops_chip /. flops_per_lup in
+  let lups_chip = min flops_bound memory_bound /. flops_per_lup in
   (* One core can draw at most its own memory-link bandwidth. *)
   let core_mem_flops =
     (Machine.last_level m).Yasksite_arch.Cache_level.bytes_per_cycle
@@ -26,6 +24,5 @@ let predict (m : Machine.t) (a : Analysis.t) ~threads =
   let single = min (Machine.peak_flops_core m) core_mem_flops in
   { flops_bound;
     memory_bound;
-    flops_chip;
     lups_chip;
     lups_single = single /. flops_per_lup }

@@ -12,8 +12,7 @@
 type prediction = {
   flops_bound : float;  (** in-core ceiling, FLOP/s (chip) *)
   memory_bound : float;  (** bandwidth ceiling, FLOP/s (chip) *)
-  flops_chip : float;  (** min of the two *)
-  lups_chip : float;
+  lups_chip : float;  (** min of the two ceilings, in LUP/s *)
   lups_single : float;  (** single-core estimate with one core's share *)
 }
 

@@ -26,8 +26,6 @@ type entry = {
   key : string;
   fingerprint : string;  (** the certified plan's content digest *)
   loads_per_point : int;  (** certified traffic: reads per update *)
-  stores_per_point : int;  (** certified traffic: writes per update *)
-  flops_per_point : int;
 }
 
 val enabled : unit -> bool

@@ -7,8 +7,8 @@
    The dynamic half re-derives the certified traffic counts from an
    actually traced execution: a small proxy sweep — same layout, same
    halo, same blocking config, tiny extents — runs against a cache
-   hierarchy, and the issued loads/stores must equal points x
-   loads_per_point / points x stores_per_point. The simulator counts
+   hierarchy, and the issued loads/stores must equal points x the
+   plan's loads/stores per point. The simulator counts
    issued accesses regardless of hits, so any machine model works;
    the scaled test chip keeps the proxy cheap. This breaks the
    circularity the ECM inputs had: the static counts feeding the model
@@ -91,13 +91,10 @@ let certify ?machine ?plan spec ~inputs ~output ~config =
     let dynamic = validate_traffic ?machine spec ~plan ~config in
     if D.has_errors dynamic then Error (static @ dynamic)
     else begin
-      let c = Plan_lint.counts plan in
       let entry =
         { Cert.key = Cert.key ~plan ~inputs ~output ~config;
           fingerprint = plan.Plan.fingerprint;
-          loads_per_point = c.Plan_lint.loads;
-          stores_per_point = c.Plan_lint.stores;
-          flops_per_point = c.Plan_lint.flops }
+          loads_per_point = (Plan_lint.counts plan).Plan_lint.loads }
       in
       Cert.insert entry;
       Ok entry

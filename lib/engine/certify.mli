@@ -9,8 +9,8 @@
     half (YS511) cross-validates the certified traffic counts against a
     trace-driven execution: a tiny proxy sweep with the same layout,
     halo and blocking runs against a cache hierarchy and the issued
-    loads/stores must equal [points × loads_per_point] /
-    [points × stores_per_point]. Only a plan passing both halves earns
+    loads/stores must equal [points] times the plan's loads/stores per
+    point. Only a plan passing both halves earns
     a certificate; certified plans select the unchecked sanitizer fast
     path in {!Sweep.run} and {!Wavefront.steps}. *)
 

@@ -8,11 +8,9 @@ module Lower = Yasksite_stencil.Lower
 module Config = Yasksite_ecm.Config
 module Incore = Yasksite_ecm.Incore
 module Prng = Yasksite_util.Prng
-module Clock = Yasksite_util.Clock
 
 type t = {
   config : Config.t;
-  dims : int array;
   cycles_per_cl : float;
   t_incore_ol : float;
   t_incore_nol : float;
@@ -23,7 +21,6 @@ type t = {
   lups_chip : float;
   flops_chip : float;
   sim_points : int;
-  wall_seconds : float;
 }
 
 (* Loop-management overheads billed per loop structure event. *)
@@ -107,12 +104,10 @@ let sanitize_default () =
   | None | Some "" | Some "0" -> false
   | Some _ -> true
 
-let stencil_sweep ?(clock = Clock.system) ?sanitize (m : Machine.t) spec ~dims
-    ~config =
+let stencil_sweep ?sanitize (m : Machine.t) spec ~dims ~config =
   let sanitize =
     match sanitize with Some s -> s | None -> sanitize_default ()
   in
-  let t0 = Clock.now clock in
   let rank = spec.Spec.rank in
   if Array.length dims <> rank then
     invalid_arg "Measure.stencil_sweep: dims rank mismatch";
@@ -211,7 +206,6 @@ let stencil_sweep ?(clock = Clock.system) ?sanitize (m : Machine.t) spec ~dims
     float_of_int threads *. hz *. lups_per_cl /. cycles_contended *. balance
   in
   { config;
-    dims = Array.copy dims;
     cycles_per_cl = cycles_single;
     t_incore_ol;
     t_incore_nol;
@@ -221,8 +215,7 @@ let stencil_sweep ?(clock = Clock.system) ?sanitize (m : Machine.t) spec ~dims
     lups_core;
     lups_chip;
     flops_chip = lups_chip *. float_of_int info.Analysis.flops;
-    sim_points = points;
-    wall_seconds = Clock.now clock -. t0 }
+    sim_points = points }
 
 let lups_at_threads m spec ~dims ~config ~threads =
   let c = { config with Config.threads } in

@@ -18,7 +18,6 @@
 
 type t = {
   config : Yasksite_ecm.Config.t;
-  dims : int array;
   cycles_per_cl : float;  (** measured single-core cy/CL *)
   t_incore_ol : float;  (** billed arithmetic cycles per CL *)
   t_incore_nol : float;  (** billed L1 load/store cycles per CL *)
@@ -29,14 +28,9 @@ type t = {
   lups_chip : float;  (** LUP/s at [config.threads] with contention *)
   flops_chip : float;
   sim_points : int;  (** lattice updates actually simulated *)
-  wall_seconds : float;
-      (** seconds the measurement took on [?clock], wall time on the
-          default {!Yasksite_util.Clock.system} (tuning-cost
-          accounting) *)
 }
 
 val stencil_sweep :
-  ?clock:Yasksite_util.Clock.t ->
   ?sanitize:bool ->
   Yasksite_arch.Machine.t ->
   Yasksite_stencil.Spec.t ->

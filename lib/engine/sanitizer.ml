@@ -23,7 +23,9 @@
      (the check runs before the engine's unchecked access would);
    - after the pass, output cells not at the produced version were
      skipped by the partition (YS454);
-   - halo reads are checked against the halo's validity state (YS455);
+   - no pass writes a halo cell (halos hold Dirichlet values, or
+     periodic images refreshed between sweeps, never inside a
+     wavefront), so in-allocation halo reads always pass;
    - a fold/layout mismatch between schedule and grids traps at sweep
      entry (YS456).
 
@@ -39,7 +41,6 @@ type kind =
   | Stale_read
   | Out_of_bounds
   | Unwritten_cell
-  | Halo_read
   | Fold_mismatch
 
 let code_of_kind = function
@@ -48,7 +49,6 @@ let code_of_kind = function
   | Stale_read -> "YS452"
   | Out_of_bounds -> "YS453"
   | Unwritten_cell -> "YS454"
-  | Halo_read -> "YS455"
   | Fold_mismatch -> "YS456"
 
 type trap = {
@@ -70,15 +70,12 @@ let () =
     | Trap t -> Some ("Sanitizer.Trap: " ^ describe_trap t)
     | _ -> None)
 
-type halo_state = Halo_static | Halo_snapshot of int | Halo_uninit
-
 type shadow = {
   sg : Grid.t;
   version : int array;
   writer : int array;
   front : int array;
   mutable gver : int;
-  mutable halo : halo_state;
 }
 
 type t = {
@@ -98,7 +95,7 @@ let record kind ~grid ~coord detail =
        { kind; grid_base = Grid.base_address grid; coord = Array.copy coord;
          detail })
 
-let register ?(halo = `Static) t g =
+let register t g =
   let base = Grid.base_address g in
   if not (Hashtbl.mem t.registry base) then begin
     let len = Grid.length g in
@@ -107,12 +104,7 @@ let register ?(halo = `Static) t g =
         version = Array.make len 0;
         writer = Array.make len (-1);
         front = Array.make len (-1);
-        gver = 0;
-        halo =
-          (match halo with
-          | `Static -> Halo_static
-          | `Snapshot -> Halo_snapshot 0
-          | `Uninit -> Halo_uninit) }
+        gver = 0 }
   end
 
 let find t g =
@@ -123,12 +115,6 @@ let find t g =
       Hashtbl.find t.registry (Grid.base_address g)
 
 let grid_version t g = (find t g).gver
-
-let refresh_halo t g =
-  let s = find t g in
-  match s.halo with
-  | Halo_static -> ()
-  | Halo_snapshot _ | Halo_uninit -> s.halo <- Halo_snapshot s.gver
 
 let fresh_front t = Atomic.fetch_and_add t.front_counter 1
 
@@ -222,19 +208,7 @@ let reader sl g =
         record Out_of_bounds ~grid:g ~coord
           "read outside the allocation (halo too thin for the stencil \
            radius?)"
-    | 1 -> (
-        match s.halo with
-        | Halo_static -> ()
-        | Halo_snapshot v ->
-            if v <> expect then
-              record Halo_read ~grid:g ~coord
-                (Printf.sprintf
-                   "halo snapshot is of version %d but the pass reads \
-                    version %d"
-                   v expect)
-        | Halo_uninit ->
-            record Halo_read ~grid:g ~coord
-              "halo cells were never initialised")
+    | 1 -> ()
     | _ ->
         let off = Grid.offset_of g coord in
         let v = s.version.(off) in

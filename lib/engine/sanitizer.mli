@@ -16,8 +16,12 @@
     - YS453 access outside the allocation (raised before the engine's
       unchecked access runs);
     - YS454 output cells left unwritten by a non-covering partition;
-    - YS455 read of a stale or uninitialised halo;
     - YS456 executed layout differs from the scheduled fold.
+
+    No pass writes a halo cell (halos hold Dirichlet values, or
+    periodic images refreshed between sweeps, never inside a
+    wavefront), so reads of in-allocation halo cells are not
+    checked.
 
     One sanitizer instance covers one virtual address space: grids are
     keyed by base address, so grids from different {!Grid.space}s must
@@ -31,7 +35,6 @@ type kind =
   | Stale_read
   | Out_of_bounds
   | Unwritten_cell
-  | Halo_read
   | Fold_mismatch
 
 val code_of_kind : kind -> string
@@ -52,21 +55,11 @@ type t
 val create : unit -> t
 (** A fresh sanitizer. *)
 
-val register : ?halo:[ `Static | `Snapshot | `Uninit ] -> t -> Grid.t -> unit
-(** Start tracking a grid (idempotent — the first registration wins).
-    [halo] declares how its ghost cells are maintained: [`Static]
-    (default) means time-invariant (Dirichlet) values that any pass may
-    read; [`Snapshot] means copied images valid only for the version at
-    the last {!refresh_halo}; [`Uninit] means never filled — any halo
-    read traps. *)
+val register : t -> Grid.t -> unit
+(** Start tracking a grid (idempotent — the first registration wins). *)
 
 val grid_version : t -> Grid.t -> int
 (** The version the grid currently holds (0 until first written). *)
-
-val refresh_halo : t -> Grid.t -> unit
-(** Mark a [`Snapshot] halo as refreshed against the grid's current
-    version. No-op for [`Static] halos. Used by tests only: the schedule
-    corpus's periodic-wavefront case models copied halos with it. *)
 
 val fresh_front : t -> int
 (** A process-unique wavefront-front id (for {!begin_wavefront_step}). *)

@@ -6,7 +6,7 @@ module Config = Yasksite_ecm.Config
 module Lint = Yasksite_lint.Lint
 module Schedule_lint = Yasksite_lint.Schedule_lint
 
-let steps ?backend ?plan ?trace ?sanitize ?(check = true)
+let steps ?plan ?trace ?sanitize ?(check = true)
     ?(config = Config.default) ?vec_unit (spec : Spec.t) ~a ~b ~steps =
   let dims = Grid.dims a in
   let info = Analysis.of_spec spec in
@@ -24,9 +24,7 @@ let steps ?backend ?plan ?trace ?sanitize ?(check = true)
   let shift = Schedule_lint.effective_stagger info config in
   let n0 = dims.(0) in
   let grids = [| a; b |] in
-  let backend =
-    match backend with Some bk -> bk | None -> Sweep.default_backend ()
-  in
+  let backend = Sweep.default_backend () in
   (* Lower once; a ping-pong pass only ever sees two (src, dst) pairs,
      so the two bounds are built lazily and reused for every plane. *)
   let plan = lazy (match plan with Some p -> p | None -> Lower.lower spec) in

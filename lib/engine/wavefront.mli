@@ -16,7 +16,6 @@
     re-exchange. *)
 
 val steps :
-  ?backend:Sweep.backend ->
   ?plan:Yasksite_stencil.Plan.t ->
   ?trace:Yasksite_cachesim.Hierarchy.t ->
   ?sanitize:Sanitizer.t ->
@@ -35,7 +34,8 @@ val steps :
     accumulated work stats. Every step updates the whole interior,
     plane by plane along the streamed dimension. Both grids must share
     dims and have halos covering the stencil radius; halos of {e both}
-    grids must be pre-filled and are kept static.
+    grids must be pre-filled and are kept static. Every plane runs on
+    {!Sweep.default_backend}.
 
     The per-step plane shift is the config's [wavefront_stagger] when
     set (the engine-safe default is radius+1). [check] (default [true])

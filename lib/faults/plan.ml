@@ -3,8 +3,6 @@ module Prng = Yasksite_util.Prng
 type t = {
   seed : int;
   fail_rate : float;
-  timeout_rate : float;
-  timeout_s : float;
   noise_sigma : float;
   outlier_rate : float;
   outlier_factor : float;
@@ -14,37 +12,30 @@ let check_rate name p =
   if p < 0.0 || p > 1.0 then
     invalid_arg (Printf.sprintf "Faults.Plan.v: %s must be in [0, 1]" name)
 
-let v ?(seed = 42) ?(fail_rate = 0.0) ?(timeout_rate = 0.0) ?(timeout_s = 1.0)
-    ?(noise_sigma = 0.0) ?(outlier_rate = 0.0) ?(outlier_factor = 3.0) () =
+let v ?(seed = 42) ?(fail_rate = 0.0) ?(noise_sigma = 0.0)
+    ?(outlier_rate = 0.0) ?(outlier_factor = 3.0) () =
   check_rate "fail_rate" fail_rate;
-  check_rate "timeout_rate" timeout_rate;
   check_rate "outlier_rate" outlier_rate;
-  if timeout_s < 0.0 then invalid_arg "Faults.Plan.v: timeout_s must be >= 0";
   if noise_sigma < 0.0 then
     invalid_arg "Faults.Plan.v: noise_sigma must be >= 0";
   if outlier_factor < 1.0 then
     invalid_arg "Faults.Plan.v: outlier_factor must be >= 1";
-  { seed; fail_rate; timeout_rate; timeout_s; noise_sigma; outlier_rate;
-    outlier_factor }
+  { seed; fail_rate; noise_sigma; outlier_rate; outlier_factor }
 
 let none = v ()
 
 let is_benign t =
-  t.fail_rate = 0.0 && t.timeout_rate = 0.0 && t.noise_sigma = 0.0
-  && t.outlier_rate = 0.0
+  t.fail_rate = 0.0 && t.noise_sigma = 0.0 && t.outlier_rate = 0.0
 
 let describe t =
   if is_benign t then "no faults"
   else
-    Printf.sprintf
-      "seed=%d fail=%.2f timeout=%.2f(%.1fs) noise=%.3f outlier=%.2f(x%.1f)"
-      t.seed t.fail_rate t.timeout_rate t.timeout_s t.noise_sigma
-      t.outlier_rate t.outlier_factor
+    Printf.sprintf "seed=%d fail=%.2f noise=%.3f outlier=%.2f(x%.1f)" t.seed
+      t.fail_rate t.noise_sigma t.outlier_rate t.outlier_factor
 
 type outcome =
   | Run of float
   | Transient_failure
-  | Timeout of float
 
 type injector = {
   plan : t;
@@ -75,10 +66,6 @@ let draw inj =
     if u < p.fail_rate then begin
       inj.faults <- inj.faults + 1;
       Transient_failure
-    end
-    else if u < p.fail_rate +. p.timeout_rate then begin
-      inj.faults <- inj.faults + 1;
-      Timeout p.timeout_s
     end
     else begin
       let jitter =

@@ -6,8 +6,6 @@
 type t = {
   seed : int;  (** master seed of the fault stream *)
   fail_rate : float;  (** per-run transient-failure probability *)
-  timeout_rate : float;  (** per-run probability of a simulated hang *)
-  timeout_s : float;  (** wall cost charged for a timed-out run *)
   noise_sigma : float;
       (** sigma of the multiplicative lognormal measurement jitter *)
   outlier_rate : float;
@@ -18,16 +16,14 @@ type t = {
 val v :
   ?seed:int ->
   ?fail_rate:float ->
-  ?timeout_rate:float ->
-  ?timeout_s:float ->
   ?noise_sigma:float ->
   ?outlier_rate:float ->
   ?outlier_factor:float ->
   unit ->
   t
-(** Constructor with validation: rates in [0, 1], non-negative sigma and
-    timeout, [outlier_factor >= 1]. Defaults are all-zero (no faults,
-    seed 42). *)
+(** Constructor with validation: rates in [0, 1], non-negative sigma,
+    [outlier_factor >= 1]. Defaults are all-zero (no faults, seed
+    42). *)
 
 val none : t
 (** The all-zero plan: every run succeeds, noise-free. *)
@@ -44,7 +40,6 @@ type outcome =
       (** run succeeds; measured time is multiplied by this slowdown
           factor (1.0 = clean) *)
   | Transient_failure  (** the run crashed; retryable *)
-  | Timeout of float  (** the run hung; charge this many seconds *)
 
 type injector
 (** Mutable fault stream (seeded PRNG plus counters). *)
@@ -67,5 +62,5 @@ val draws : injector -> int
 (** Total outcomes drawn. Used by tests only: the fault-rate tests. *)
 
 val faults : injector -> int
-(** Drawn outcomes that were failures or timeouts. Used by tests only:
-    the fault-rate tests. *)
+(** Drawn outcomes that were failures. Used by tests only: the
+    fault-rate tests. *)

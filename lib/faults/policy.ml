@@ -3,46 +3,35 @@ module Prng = Yasksite_util.Prng
 
 type t = {
   max_attempts : int;
-  base_backoff_s : float;
-  max_backoff_s : float;
-  candidate_budget_s : float;
   pass_budget_s : float;
   repeats : int;
-  mad_threshold : float;
-  degrade_threshold : float;
 }
 
-let v ?(max_attempts = 3) ?(base_backoff_s = 0.05) ?(max_backoff_s = 5.0)
-    ?(candidate_budget_s = infinity) ?(pass_budget_s = infinity)
-    ?(repeats = 1) ?(mad_threshold = 3.5) ?(degrade_threshold = 0.5) () =
+let v ?(max_attempts = 3) ?(pass_budget_s = infinity) ?(repeats = 1) () =
   if max_attempts < 1 then
     invalid_arg "Faults.Policy.v: max_attempts must be >= 1";
-  if base_backoff_s < 0.0 then
-    invalid_arg "Faults.Policy.v: base_backoff_s must be >= 0";
-  if max_backoff_s < base_backoff_s then
-    invalid_arg "Faults.Policy.v: max_backoff_s must be >= base_backoff_s";
-  if candidate_budget_s <= 0.0 then
-    invalid_arg "Faults.Policy.v: candidate_budget_s must be positive";
   if pass_budget_s <= 0.0 then
     invalid_arg "Faults.Policy.v: pass_budget_s must be positive";
   if repeats < 1 then invalid_arg "Faults.Policy.v: repeats must be >= 1";
-  if mad_threshold <= 0.0 then
-    invalid_arg "Faults.Policy.v: mad_threshold must be positive";
-  if degrade_threshold < 0.0 || degrade_threshold > 1.0 then
-    invalid_arg "Faults.Policy.v: degrade_threshold must be in [0, 1]";
-  { max_attempts; base_backoff_s; max_backoff_s; candidate_budget_s;
-    pass_budget_s; repeats; mad_threshold; degrade_threshold }
+  { max_attempts; pass_budget_s; repeats }
 
 let default = v ()
 
+let base_backoff_s = 0.05
+
+let max_backoff_s = 5.0
+
+let mad_threshold = 3.5
+
+let degrade_threshold = 0.5
+
 (* Decorrelated jitter (Brooker, "Exponential Backoff And Jitter"): each
    delay is uniform in [base, 3 * previous], capped. *)
-let backoff t ~rng ~prev =
-  let hi = Float.max t.base_backoff_s (3.0 *. prev) in
-  Float.min t.max_backoff_s
-    (Prng.float_range rng ~lo:t.base_backoff_s ~hi)
+let backoff ~rng ~prev =
+  let hi = Float.max base_backoff_s (3.0 *. prev) in
+  Float.min max_backoff_s (Prng.float_range rng ~lo:base_backoff_s ~hi)
 
-let robust_combine t samples =
+let robust_combine samples =
   let n = Array.length samples in
   if n = 0 then invalid_arg "Faults.Policy.robust_combine: no samples";
   if n = 1 then samples.(0)
@@ -52,7 +41,7 @@ let robust_combine t samples =
     if mad = 0.0 then med
     else begin
       (* 1.4826 rescales the raw MAD to a normal-consistent sigma. *)
-      let cutoff = t.mad_threshold *. 1.4826 *. mad in
+      let cutoff = mad_threshold *. 1.4826 *. mad in
       let kept =
         Array.of_list
           (List.filter

@@ -1,46 +1,35 @@
 (** Resilience policy: how hard the tuner fights back against the fault
-    plan — retry caps, backoff shape, wall budgets, and the robust
-    aggregation of noisy repeated measurements. *)
+    plan — retry caps, the pass budget, and how many noisy measurements
+    are aggregated. The backoff shape, the outlier cut-off and the
+    degradation threshold are fixed constants. *)
 
 type t = {
   max_attempts : int;  (** per-sample retry cap (>= 1; 1 = no retry) *)
-  base_backoff_s : float;  (** first backoff delay *)
-  max_backoff_s : float;  (** backoff cap *)
-  candidate_budget_s : float;
-      (** wall budget for one candidate, including backoff and timeout
-          charges ([infinity] = unbounded) *)
   pass_budget_s : float;  (** wall budget for the whole sweep *)
   repeats : int;  (** measurement repeats per candidate (median-of-k) *)
-  mad_threshold : float;
-      (** reject samples farther than this many (normal-consistent) MADs
-          from the median *)
-  degrade_threshold : float;
-      (** fraction of exhausted candidates above which the tuner falls
-          back to analytic ranking *)
 }
 
-val v :
-  ?max_attempts:int ->
-  ?base_backoff_s:float ->
-  ?max_backoff_s:float ->
-  ?candidate_budget_s:float ->
-  ?pass_budget_s:float ->
-  ?repeats:int ->
-  ?mad_threshold:float ->
-  ?degrade_threshold:float ->
-  unit ->
-  t
-(** Constructor with validation. Defaults: 3 attempts, 0.05 s base /
-    5 s max backoff, unbounded budgets, 1 repeat, 3.5 MADs, degrade at
-    50% exhausted. *)
+val v : ?max_attempts:int -> ?pass_budget_s:float -> ?repeats:int -> unit -> t
+(** Constructor with validation. Defaults: 3 attempts, unbounded pass
+    budget, 1 repeat. *)
 
 val default : t
 
-val backoff : t -> rng:Yasksite_util.Prng.t -> prev:float -> float
-(** Next backoff delay with decorrelated jitter: uniform in
-    [\[base, 3 * prev\]], capped at [max_backoff_s]. *)
+val base_backoff_s : float
+(** First backoff delay and lower bound of every delay: 0.05 s. *)
 
-val robust_combine : t -> float array -> float
-(** Median of the samples that survive MAD-based outlier rejection
-    (singletons pass through; a zero MAD short-circuits to the median).
-    Raises [Invalid_argument] on an empty sample set. *)
+val max_backoff_s : float
+(** Backoff cap: 5 s. *)
+
+val degrade_threshold : float
+(** Fraction of exhausted candidates above which the tuner falls back
+    to analytic ranking: 0.5. *)
+
+val backoff : rng:Yasksite_util.Prng.t -> prev:float -> float
+(** Next backoff delay with decorrelated jitter: uniform in
+    [\[base_backoff_s, 3 * prev\]], capped at {!max_backoff_s}. *)
+
+val robust_combine : float array -> float
+(** Median of the samples within 3.5 (normal-consistent) MADs of the
+    median (singletons pass through; a zero MAD short-circuits to the
+    median). Raises [Invalid_argument] on an empty sample set. *)

@@ -5,14 +5,10 @@ type 'a outcome =
   | Gave_up of { reason : string; attempts : int }
 
 let run ~(policy : Policy.t) ~rng ~now ~sleep ?(deadline = infinity) f =
-  let t_start = now () in
-  let prev = ref policy.Policy.base_backoff_s in
+  let prev = ref Policy.base_backoff_s in
   let rec go attempt =
-    let t = now () in
-    if t > deadline then
+    if now () > deadline then
       Gave_up { reason = "pass budget exhausted"; attempts = attempt - 1 }
-    else if t -. t_start > policy.Policy.candidate_budget_s then
-      Gave_up { reason = "candidate budget exhausted"; attempts = attempt - 1 }
     else begin
       match f () with
       | Ok v -> Success (v, attempt)
@@ -20,7 +16,7 @@ let run ~(policy : Policy.t) ~rng ~now ~sleep ?(deadline = infinity) f =
           if attempt >= policy.Policy.max_attempts then
             Gave_up { reason; attempts = attempt }
           else begin
-            let d = Policy.backoff policy ~rng ~prev:!prev in
+            let d = Policy.backoff ~rng ~prev:!prev in
             prev := d;
             sleep d;
             go (attempt + 1)

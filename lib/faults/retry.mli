@@ -1,4 +1,4 @@
-(** Bounded retry loop with backoff and budget enforcement.
+(** Bounded retry loop with backoff and pass-budget enforcement.
 
     Time flows through the injected [now] / [sleep] pair, so the loop is
     deterministic under a manual clock: [sleep] is expected to {e charge}
@@ -20,7 +20,6 @@ val run :
   'a outcome
 (** Attempt [f] up to [policy.max_attempts] times, sleeping a
     decorrelated-jitter backoff between attempts. Gives up early when
-    [now () > deadline] (the sweep-wide budget) or when the elapsed time
-    since the first attempt exceeds [policy.candidate_budget_s]. Never
-    attempts more than [policy.max_attempts] times, and every backoff
-    delay is at most [policy.max_backoff_s]. *)
+    [now () > deadline] (the sweep-wide budget). Never attempts more
+    than [policy.max_attempts] times, and every backoff delay is at most
+    {!Policy.max_backoff_s}. *)

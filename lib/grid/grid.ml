@@ -243,11 +243,4 @@ let max_abs_diff a b =
       worst := max !worst (abs_float (get a idx -. get b idx)));
   !worst
 
-let l2_norm t =
-  let acc = ref 0.0 in
-  iter_interior t ~f:(fun idx ->
-      let v = get t idx in
-      acc := !acc +. (v *. v));
-  sqrt !acc
-
 let footprint_bytes t = 8 * length t

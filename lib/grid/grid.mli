@@ -126,9 +126,5 @@ val halo_periodic : t -> unit
 val max_abs_diff : t -> t -> float
 (** Max absolute interior difference; dims must match. *)
 
-val l2_norm : t -> float
-(** Euclidean norm over the interior. Used by tests only: the l2 norm
-    test. *)
-
 val footprint_bytes : t -> int
 (** Allocated bytes (8 * {!length}). *)

@@ -149,19 +149,6 @@ let rule_asymmetric ctx =
             !fwd !bwd ]
       else []
 
-(* YS108: references outside the declared field range. *)
-let rule_field_range ctx =
-  if not ctx.declared then []
-  else
-    List.concat_map
-      (fun ((a : Expr.access), loc) ->
-        if a.field < 0 || a.field >= ctx.n_fields then
-          [ D.errorf ~loc ~code:"YS108"
-              "reference %s is outside the declared field range (0..%d)"
-              (Expr.access_to_c a) (ctx.n_fields - 1) ]
-        else [])
-      ctx.refs
-
 let check ctx =
   if ctx.refs = [] then
     [ D.errorf ~code:"YS107"
@@ -169,8 +156,8 @@ let check ctx =
          model has no data traffic to predict" ]
     @ rule_divisions ctx
   else
-    rule_field_range ctx @ rule_unused_fields ctx @ rule_duplicate_refs ctx
-    @ rule_divisions ctx @ rule_degenerate ctx @ rule_asymmetric ctx
+    rule_unused_fields ctx @ rule_duplicate_refs ctx @ rule_divisions ctx
+    @ rule_degenerate ctx @ rule_asymmetric ctx
 
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
@@ -189,25 +176,19 @@ let spec (s : Spec.t) =
       refs;
       divisors = List.rev (collect_divisors [] s.expr) }
 
-let source ?n_fields ~rank src =
+let source ~rank src =
   match Parser.parse_expr_located ~rank src with
   | Error (pos, msg) ->
       [ D.errorf ~loc:(span (pos, pos + 1)) ~code:"YS100" "%s" msg ]
   | Ok located ->
-      let declared, n_fields =
-        match n_fields with
-        | Some n -> (true, n)
-        | None ->
-            ( false,
-              1
-              + List.fold_left
-                  (fun m ((a : Expr.access), _) -> max m a.field)
-                  0 located.Parser.refs )
-      in
       check
         { rank;
-          n_fields;
-          declared;
+          n_fields =
+            1
+            + List.fold_left
+                (fun m ((a : Expr.access), _) -> max m a.field)
+                0 located.Parser.refs;
+          declared = false;
           expr = located.Parser.expr;
           refs =
             List.map (fun (a, sp) -> (a, span sp)) located.Parser.refs;

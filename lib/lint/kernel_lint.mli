@@ -17,17 +17,15 @@
     - [YS106] (warning): asymmetric footprint along the streamed
       dimension, which breaks the symmetric-halo assumption of
       wavefront/temporal blocking;
-    - [YS107] (error): the expression reads no field at all;
-    - [YS108] (error): a reference lies outside the declared field
-      range. *)
+    - [YS107] (error): the expression reads no field at all. *)
 
 val spec : Yasksite_stencil.Spec.t -> Diagnostic.t list
 (** Lint an already-constructed (DSL-built) kernel. Locations are
     {!Diagnostic.No_loc} since there is no source text. *)
 
-val source : ?n_fields:int -> rank:int -> string -> Diagnostic.t list
+val source : rank:int -> string -> Diagnostic.t list
 (** Lint a kernel given in the textual syntax. Parse failures become a
     single [YS100] finding; otherwise the semantic rules run with
-    caret-span locations. [n_fields] defaults to being inferred from
-    the highest referenced field, exactly as
-    {!Yasksite_stencil.Parser.parse_spec} does. Never raises. *)
+    caret-span locations. The field count is inferred from the highest
+    referenced field, exactly as {!Yasksite_stencil.Parser.parse_spec}
+    does. Never raises. *)

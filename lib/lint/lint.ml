@@ -17,7 +17,8 @@ let rules =
     ("YS106", Diagnostic.Warning, "asymmetric footprint along the streamed \
                                    dimension");
     ("YS107", Diagnostic.Error, "expression reads no field");
-    ("YS108", Diagnostic.Error, "reference outside the declared field range");
+    (* YS108 is retired (Spec.v refuses out-of-range fields); never reuse
+       the code. *)
     ("YS200", Diagnostic.Error, "machine file does not parse / bad key");
     ("YS201", Diagnostic.Error, "cache capacities shrink outward");
     ("YS202", Diagnostic.Error, "non-positive bandwidth");
@@ -42,8 +43,8 @@ let rules =
                                  distance (forward reach+1)");
     ("YS401", Diagnostic.Error, "temporal wavefront over a multi-field \
                                  kernel");
-    ("YS402", Diagnostic.Error, "temporal wavefront over periodic \
-                                 boundaries");
+    (* YS402 is retired (no caller declares periodic halos to the
+       schedule analyzer); never reuse the code. *)
     ("YS403", Diagnostic.Error, "input aliases the output under a \
                                  non-pointwise schedule");
     ("YS404", Diagnostic.Error, "input halo thinner than the stencil \
@@ -52,7 +53,8 @@ let rules =
                                  layout");
     ("YS406", Diagnostic.Error, "parallel slices do not partition the \
                                  iteration space");
-    ("YS407", Diagnostic.Hint, "fewer block columns than pool domains");
+    (* YS407 is retired (no caller passed a pool width); never reuse the
+       code. *)
     ("YS408", Diagnostic.Error, "fold extent exceeds the grid extent");
     ("YS409", Diagnostic.Error, "rank/extent mismatch between schedule and \
                                  grids");
@@ -63,8 +65,8 @@ let rules =
     ("YS453", Diagnostic.Error, "sanitizer: access outside the allocation");
     ("YS454", Diagnostic.Error, "sanitizer: output cell left unwritten by \
                                  the sweep");
-    ("YS455", Diagnostic.Error, "sanitizer: read of a stale or \
-                                 uninitialised halo");
+    (* YS455 is retired (no sanitized pass writes a halo cell); never
+       reuse the code. *)
     ("YS456", Diagnostic.Error, "sanitizer: executed layout differs from \
                                  the scheduled fold");
     ("YS500", Diagnostic.Error, "plan references a slot or field outside \

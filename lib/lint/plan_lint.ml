@@ -309,8 +309,6 @@ let bounds (plan : Plan.t) ~inputs ~output =
 (* Counts: the plan's own work, cross-validated against Analysis       *)
 
 type counts = {
-  adds : int;
-  muls : int;
   divs : int;
   flops : int;
   loads : int;
@@ -318,24 +316,20 @@ type counts = {
 }
 
 let counts (plan : Plan.t) =
-  let adds = ref 0 and muls = ref 0 and divs = ref 0 in
+  let flops = ref 0 and divs = ref 0 in
   Array.iter
     (fun (ins : Plan.instr) ->
       match ins with
       (* Min/Max/Sel are billed as additive work, matching
          Analysis.count_ops. *)
-      | Plan.Add | Plan.Sub | Plan.Min | Plan.Max | Plan.Sel -> incr adds
-      | Plan.Mul -> incr muls
-      | Plan.Div -> incr divs
+      | Plan.Add | Plan.Sub | Plan.Min | Plan.Max | Plan.Sel | Plan.Mul ->
+          incr flops
+      | Plan.Div ->
+          incr flops;
+          incr divs
       | _ -> ())
     plan.Plan.code;
-  let adds = !adds and muls = !muls and divs = !divs in
-  { adds;
-    muls;
-    divs;
-    flops = adds + muls + divs;
-    loads = Plan.n_slots plan;
-    stores = 1 }
+  { divs = !divs; flops = !flops; loads = Plan.n_slots plan; stores = 1 }
 
 let counts_agree (plan : Plan.t) (info : Analysis.t) =
   let c = counts plan in

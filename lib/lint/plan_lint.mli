@@ -53,10 +53,8 @@ val bounds :
     allocation-safety proof |offset| ≤ halo per dimension. *)
 
 type counts = {
-  adds : int;
-  muls : int;
   divs : int;
-  flops : int;
+  flops : int;  (** additive, multiplicative and division work *)
   loads : int;  (** access-table slots — distinct reads per update *)
   stores : int;  (** always 1 *)
 }

@@ -15,8 +15,6 @@ module Spec = Yasksite_stencil.Spec
 module Config = Yasksite_ecm.Config
 module Grid = Yasksite_grid.Grid
 
-type boundary = [ `Static | `Periodic ]
-
 let dims_str a =
   String.concat "x" (Array.to_list (Array.map string_of_int a))
 
@@ -108,21 +106,6 @@ let rule_single_field info (config : Config.t) =
         n ]
   else []
 
-(* YS402 — a periodic halo is a copy of the opposite boundary at one
-   time level; inside a wavefront the interior advances several levels
-   between halo refreshes, so periodic images go stale mid-front. Only
-   boundary conditions that are constant in time (Dirichlet) are legal
-   under temporal blocking. *)
-let rule_boundary ~(boundary : boundary) (config : Config.t) =
-  match boundary with
-  | `Static -> []
-  | `Periodic ->
-      if config.Config.wavefront > 1 then
-        [ D.errorf ~loc:(D.Field "wavefront") ~code:"YS402"
-            "temporal wavefront over periodic boundaries reads stale halo \
-             images; only static (Dirichlet) halos are legal" ]
-      else []
-
 (* YS408 — a fold wider than the grid folds ghost cells into every
    vector: the schedule's unit of work does not fit the iteration
    space. *)
@@ -144,27 +127,6 @@ let rule_fold_overflow ~dims (config : Config.t) =
         f;
       List.rev !bad
 
-(* YS407 — the pool slices the blocked dimension at block boundaries;
-   fewer block columns than domains leaves domains idle. A hint, not a
-   legality problem. *)
-let rule_pool_width ?pool_width ~dims (config : Config.t) =
-  match pool_width with
-  | None -> []
-  | Some w when w <= 1 -> []
-  | Some w ->
-      let rank = Array.length dims in
-      let pd = if rank = 1 then 0 else 1 in
-      let bsize = (Config.block_extents config ~dims).(pd) in
-      let nblocks = (dims.(pd) + bsize - 1) / bsize in
-      if nblocks < w then
-        [ D.hintf ~loc:(D.Field "block") ~code:"YS407"
-            "only %d block column%s along dimension %d for %d pool domains; \
-             parallel width is wasted"
-            nblocks
-            (if nblocks = 1 then "" else "s")
-            pd w ]
-      else []
-
 let rule_rank info ~dims =
   let rank = info.Analysis.spec.Spec.rank in
   if Array.length dims <> rank then
@@ -173,13 +135,11 @@ let rule_rank info ~dims =
         (dims_str dims) (Array.length dims) ]
   else []
 
-let schedule ?pool_width ?(boundary = `Static) info ~dims config =
+let schedule info ~dims config =
   rule_rank info ~dims
   @ rule_stagger info ~dims config
   @ rule_single_field info config
-  @ rule_boundary ~boundary config
   @ rule_fold_overflow ~dims config
-  @ rule_pool_width ?pool_width ~dims config
 
 (* Rules for an explicit [Wavefront.steps] invocation: the temporal
    engine structurally needs a single field even at depth 1 (there is
@@ -413,8 +373,8 @@ let partition ~dims slices =
 
 (* ------------------------------------------------------------------ *)
 
-let legal ?pool_width ?boundary info ~dims config =
-  not (D.has_errors (schedule ?pool_width ?boundary info ~dims config))
+let legal info ~dims config =
+  not (D.has_errors (schedule info ~dims config))
 
 let dedup ds =
   let seen = Hashtbl.create 16 in
@@ -428,8 +388,5 @@ let dedup ds =
       end)
     ds
 
-let space ?pool_width ?boundary info ~dims configs =
-  dedup
-    (List.concat_map
-       (fun c -> schedule ?pool_width ?boundary info ~dims c)
-       configs)
+let space info ~dims configs =
+  dedup (List.concat_map (fun c -> schedule info ~dims c) configs)

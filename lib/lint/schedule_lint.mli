@@ -1,18 +1,16 @@
 (** Schedule-legality analysis: the YS4xx rule family.
 
     Dependence-distance reasoning over a kernel's {!Analysis.t} access
-    set that statically proves or refutes, per (spec, config, grids,
-    pool-width) candidate:
+    set that statically proves or refutes, per (spec, config, grids)
+    candidate:
 
     - wavefront legality — stagger vs. the stencil's forward reach
-      along the streamed dimension (YS400), single input field (YS401),
-      static halos (YS402);
+      along the streamed dimension (YS400), single input field (YS401);
     - input/output aliasing under a non-pointwise schedule (YS403);
     - halo sufficiency of the caller's grids (YS404);
     - fold/layout agreement (YS405) and fold overflow (YS408);
     - parallel-slice disjointness and coverage (YS406);
-    - rank/extent agreement between schedule and grids (YS409);
-    - wasted pool width (YS407, hint).
+    - rank/extent agreement between schedule and grids (YS409).
 
     Every rule has a dynamic counterpart in the engine's shadow-memory
     sanitizer (YS45x traps): a schedule judged legal here must run
@@ -23,20 +21,15 @@ module Analysis := Yasksite_stencil.Analysis
 module Config := Yasksite_ecm.Config
 module Grid := Yasksite_grid.Grid
 
-type boundary = [ `Static | `Periodic ]
-(** How the caller maintains the halo between sweeps. *)
-
 val effective_stagger : Analysis.t -> Config.t -> int
 (** The per-step plane shift a wavefront schedule will execute with:
     the config's [wavefront_stagger], or the engine default
     (streamed-dimension radius + 1) when unset. *)
 
-val schedule :
-  ?pool_width:int -> ?boundary:boundary -> Analysis.t -> dims:int array ->
-  Config.t -> Diagnostic.t list
+val schedule : Analysis.t -> dims:int array -> Config.t -> Diagnostic.t list
 (** Judge one candidate config against a kernel and grid extents —
-    the grid-free rules (YS400/401/402/407/408/409). [boundary]
-    defaults to [`Static]; [pool_width] enables the YS407 hint. *)
+    the grid-free rules (YS400/401/408/409). Halos are assumed static
+    (Dirichlet) over a wavefront, as the wavefront engine requires. *)
 
 val wavefront_rules :
   Analysis.t -> dims:int array -> Config.t -> Diagnostic.t list
@@ -64,15 +57,12 @@ val partition :
     tests only: the static side of the schedule corpus's partition
     cases. *)
 
-val legal :
-  ?pool_width:int -> ?boundary:boundary -> Analysis.t -> dims:int array ->
-  Config.t -> bool
+val legal : Analysis.t -> dims:int array -> Config.t -> bool
 (** [true] iff {!schedule} reports no errors — the predicate the tuner
     and advisor use to prune candidates before scoring or execution. *)
 
 val space :
-  ?pool_width:int -> ?boundary:boundary -> Analysis.t -> dims:int array ->
-  Config.t list -> Diagnostic.t list
+  Analysis.t -> dims:int array -> Config.t list -> Diagnostic.t list
 (** Lint a whole search space; findings deduplicated by (code,
     message). *)
 

@@ -1,28 +1,26 @@
 type t = {
-  name : string;
   dim : int;
   rhs : tm:float -> y:float array -> dydt:float array -> unit;
   y0 : float array;
-  t0 : float;
   t_end : float;
   exact : (float -> float array) option;
 }
 
-let v ~name ~rhs ~y0 ?(t0 = 0.0) ~t_end ?exact () =
+let v ~rhs ~y0 ~t_end ?exact () =
   let dim = Array.length y0 in
   if dim = 0 then invalid_arg "Ivp.v: empty state";
-  if t_end <= t0 then invalid_arg "Ivp.v: t_end must exceed t0";
-  { name; dim; rhs; y0 = Array.copy y0; t0; t_end; exact }
+  if t_end <= 0.0 then invalid_arg "Ivp.v: t_end must be positive";
+  { dim; rhs; y0 = Array.copy y0; t_end; exact }
 
 let exp_decay ~lambda =
-  v ~name:"exp-decay"
+  v
     ~rhs:(fun ~tm:_ ~y ~dydt -> dydt.(0) <- -.lambda *. y.(0))
     ~y0:[| 1.0 |] ~t_end:1.0
     ~exact:(fun t -> [| exp (-.lambda *. t) |])
     ()
 
 let harmonic ~omega =
-  v ~name:"harmonic"
+  v
     ~rhs:(fun ~tm:_ ~y ~dydt ->
       dydt.(0) <- y.(1);
       dydt.(1) <- -.(omega *. omega) *. y.(0))
@@ -32,7 +30,7 @@ let harmonic ~omega =
 
 let diagonal ~lambdas =
   let n = Array.length lambdas in
-  v ~name:"diagonal"
+  v
     ~rhs:(fun ~tm:_ ~y ~dydt ->
       for i = 0 to n - 1 do
         dydt.(i) <- -.lambdas.(i) *. y.(i)
@@ -43,7 +41,7 @@ let diagonal ~lambdas =
 
 let brusselator =
   let a = 1.0 and b = 1.7 in
-  v ~name:"brusselator"
+  v
     ~rhs:(fun ~tm:_ ~y ~dydt ->
       let x = y.(0) and z = y.(1) in
       dydt.(0) <- a +. (x *. x *. z) -. ((b +. 1.0) *. x);

@@ -1,30 +1,27 @@
-(** Initial value problems y' = f(t, y), the workload of the explicit
-    methods Offsite tunes. Besides the classic scalar/small-system test
-    problems used to validate the integrators, PDE-derived problems with
-    stencil right-hand sides are built by {!Pde}. *)
+(** Initial value problems y' = f(t, y) on [\[0, t_end\]], the workload
+    of the explicit methods Offsite tunes. Besides the classic
+    scalar/small-system test problems used to validate the integrators,
+    PDE-derived problems with stencil right-hand sides are built by
+    {!Pde}. *)
 
 type t = {
-  name : string;
   dim : int;
   rhs : tm:float -> y:float array -> dydt:float array -> unit;
       (** writes f(tm, y) into [dydt]; must not retain the arrays *)
-  y0 : float array;
-  t0 : float;
+  y0 : float array;  (** state at time 0 *)
   t_end : float;
   exact : (float -> float array) option;  (** analytic solution, if any *)
 }
 
 val v :
-  name:string ->
   rhs:(tm:float -> y:float array -> dydt:float array -> unit) ->
   y0:float array ->
-  ?t0:float ->
   t_end:float ->
   ?exact:(float -> float array) ->
   unit ->
   t
 (** Validating constructor ([dim] is [Array.length y0], positive;
-    [t_end > t0]). *)
+    [t_end > 0]). *)
 
 val exp_decay : lambda:float -> t
 (** y' = -lambda y, y(0) = 1, exact [exp (-lambda t)]. Used by tests

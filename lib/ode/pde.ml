@@ -193,7 +193,7 @@ let to_ivp t ~t_end =
         out)
       t.exact
   in
-  Ivp.v ~name:t.name ~rhs ~y0 ~t_end ?exact ()
+  Ivp.v ~rhs ~y0 ~t_end ?exact ()
 
 let grid_error_vs_exact t ~tm g =
   match t.exact with

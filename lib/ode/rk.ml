@@ -36,10 +36,10 @@ let integrate tab (ivp : Ivp.t) ~steps =
   if steps <= 0 then invalid_arg "Rk.integrate: steps must be positive";
   let dim = ivp.Ivp.dim in
   let ws = make_workspace tab ~dim in
-  let h = (ivp.Ivp.t_end -. ivp.Ivp.t0) /. float_of_int steps in
+  let h = ivp.Ivp.t_end /. float_of_int steps in
   let y = Array.copy ivp.Ivp.y0 in
   let out = Array.make dim 0.0 in
-  let tm = ref ivp.Ivp.t0 in
+  let tm = ref 0.0 in
   for _ = 1 to steps do
     step ws tab ivp ~tm:!tm ~h ~y ~out;
     Array.blit out 0 y 0 dim;

@@ -21,7 +21,7 @@ val step :
     [out] ([out] may not alias [y]). *)
 
 val integrate : Tableau.t -> Ivp.t -> steps:int -> float array
-(** Fixed-step integration from [t0] to [t_end] in [steps] equal steps;
+(** Fixed-step integration from 0 to [t_end] in [steps] equal steps;
     returns the final state. *)
 
 val observed_order : Tableau.t -> Ivp.t -> float

@@ -287,7 +287,6 @@ type accuracy_choice = {
   tableau_a : Tableau.t;
   candidate_a : candidate;
   steps : int;
-  h_used : float;
   achieved_error : float;
   predicted_seconds : float;
   measured_seconds : float;
@@ -342,7 +341,6 @@ let rank_methods_at_accuracy m (pde : Pde.t) tableaux ~t_end ~tol ~threads =
         { tableau_a = tab;
           candidate_a;
           steps;
-          h_used;
           achieved_error;
           predicted_seconds =
             float_of_int steps *. candidate_a.predicted_step_seconds;

@@ -109,7 +109,6 @@ type accuracy_choice = {
   tableau_a : Yasksite_ode.Tableau.t;
   candidate_a : candidate;  (** best implementation variant *)
   steps : int;  (** steps needed to meet the tolerance *)
-  h_used : float;
   achieved_error : float;
       (** max-norm time-integration error vs a fine reference *)
   predicted_seconds : float;  (** predicted compute time for the run *)

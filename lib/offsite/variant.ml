@@ -15,7 +15,6 @@ type kernel = {
 type t = {
   name : string;
   scheme : [ `Unfused | `Fused | `Mixed of bool array ];
-  tableau : Tableau.t;
   kernels : kernel list;
 }
 
@@ -130,7 +129,6 @@ let build (tab : Tableau.t) (pde : Pde.t) ~h ~mask ~scheme ~suffix =
   in
   { name = prefix;
     scheme;
-    tableau = tab;
     kernels = kernels @ [ update_kernel tab pde ~h ~prefix ] }
 
 let with_mask (tab : Tableau.t) (pde : Pde.t) ~h ~mask =

@@ -32,7 +32,6 @@ type kernel = {
 type t = {
   name : string;
   scheme : [ `Unfused | `Fused | `Mixed of bool array ];
-  tableau : Yasksite_ode.Tableau.t;
   kernels : kernel list;  (** executed in order, once per step *)
 }
 

@@ -28,9 +28,9 @@ let box_offsets rank radius =
   in
   go 0 []
 
-let spec rng ~rank ?(max_radius = 2) () =
+let spec rng ~rank =
   if rank < 1 || rank > 3 then invalid_arg "Gen.spec: rank must be 1..3";
-  let radius = 1 + Prng.int rng ~bound:max_radius in
+  let radius = 1 + Prng.int rng ~bound:2 in
   let candidates =
     if Prng.bool rng then star_offsets rank radius
     else box_offsets rank (min radius 1 + if rank < 3 then radius - 1 else 0)

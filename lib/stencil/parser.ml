@@ -336,18 +336,15 @@ let parse_expr ?fields ~rank src =
     | Ok l -> Ok l.expr
     | Error (pos, msg) -> Error (Printf.sprintf "at %d: %s" pos msg)
 
-let parse_spec ~name ~rank ?n_fields src =
+let parse_spec ~name ~rank src =
   match parse_expr ~rank src with
   | Error _ as e -> e
   | Ok expr -> (
+      (* Infer the field count from the highest referenced field. *)
       let n_fields =
-        match n_fields with
-        | Some n -> n
-        | None ->
-            (* Infer from the highest referenced field. *)
-            1
-            + Expr.fold_accesses expr ~init:0 ~f:(fun m (a : Expr.access) ->
-                  max m a.Expr.field)
+        1
+        + Expr.fold_accesses expr ~init:0 ~f:(fun m (a : Expr.access) ->
+              max m a.Expr.field)
       in
       try Ok (Spec.v ~name ~rank ~n_fields expr)
       with Invalid_argument m -> Error m)

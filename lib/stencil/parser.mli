@@ -49,6 +49,7 @@ val parse_expr_located :
     The lint layer builds caret diagnostics from these spans. *)
 
 val parse_spec :
-  name:string -> rank:int -> ?n_fields:int -> string -> (Spec.t, string) result
+  name:string -> rank:int -> string -> (Spec.t, string) result
 (** Parse and validate a whole kernel ([Spec.v] errors are reported as
-    [Error]). *)
+    [Error]). The field count is one more than the highest referenced
+    field. *)

@@ -332,11 +332,11 @@ let fuse t ~inline =
   in
   { t with stages = Array.of_list stages }
 
-let partitions ?(limit = 4096) t =
+let partitions t =
   let names = Array.of_list (inlinable t) in
   let n = Array.length names in
   let total = if n >= 30 then max_int else 1 lsl n in
-  let count = min limit total in
+  let count = min 4096 total in
   List.init count (fun mask ->
       List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list names))
 

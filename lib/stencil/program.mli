@@ -119,10 +119,10 @@ val fuse : t -> inline:string list -> t
     function. Raises [Invalid_argument] if a name is not {!inlinable}
     (unknown, an output, or dead) or the program is cyclic. *)
 
-val partitions : ?limit:int -> t -> string list list
+val partitions : t -> string list list
 (** All fuse/materialize partitions — subsets of {!inlinable} — in a
     canonical order starting with [[]] (fully materialized), capped at
-    [limit] (default 4096). Every returned value is a legal [~inline]
+    4096. Every returned value is a legal [~inline]
     argument to {!fuse}. Used by tests only: the all-partitions
     bit-identity property enumerates them. *)
 

@@ -36,9 +36,8 @@ type result = {
   wall_seconds : float;
 }
 
-let tune_analytic ?(cache = Cache.create ()) ?pool ?(clock = Clock.system)
-    ?(sanitize = false) m spec ~dims ~threads =
-  let t0 = Clock.now clock in
+let tune_analytic m spec ~dims ~threads =
+  let t0 = Clock.now Clock.system in
   Lint.gate ~context:"Tuner.tune_analytic" (Lint.Kernel.spec spec);
   let info = Analysis.of_spec spec in
   (* The lowered plan is what every measurement below executes; a plan
@@ -53,9 +52,8 @@ let tune_analytic ?(cache = Cache.create ()) ?pool ?(clock = Clock.system)
      illegal candidates are never scored, and their count is reported. *)
   let full = Advisor.space m ~dims ~threads ~rank:spec.Spec.rank in
   let ranked =
-    Advisor.rank_all ~cache ?pool
-      ~filter:(Lint.Schedule.legal info ~dims)
-      m info ~dims ~threads
+    Advisor.rank_all ~filter:(Lint.Schedule.legal info ~dims) m info ~dims
+      ~threads
   in
   let pruned = List.length full - List.length ranked in
   if ranked = [] && full <> [] then
@@ -66,9 +64,7 @@ let tune_analytic ?(cache = Cache.create ()) ?pool ?(clock = Clock.system)
     | [] -> invalid_arg "Tuner.tune_analytic: empty space"
     | (c, p) :: _ -> (c, p)
   in
-  let meas =
-    Measure.stencil_sweep ~clock ~sanitize m spec ~dims ~config:chosen
-  in
+  let meas = Measure.stencil_sweep m spec ~dims ~config:chosen in
   { chosen;
     predicted_lups = Some prediction.Model.lups_chip;
     measured_lups = meas.Measure.lups_chip;
@@ -78,7 +74,7 @@ let tune_analytic ?(cache = Cache.create ()) ?pool ?(clock = Clock.system)
     skipped = [];
     pruned;
     degraded = false;
-    wall_seconds = Clock.now clock -. t0 }
+    wall_seconds = Clock.now Clock.system -. t0 }
 
 (* Checkpoints bind to the full identity of a sweep: a file written for a
    different machine, kernel, grid, space or fault seed loads as empty.
@@ -147,8 +143,8 @@ let tune_empirical ?space ?(faults = Plan.none) ?(policy = Policy.default)
       (Lint.Schedule.space info ~dims full_space);
   if space = [] then invalid_arg "Tuner.tune_empirical: empty space";
   (* Virtual time: the injected clock plus every charged backoff delay
-     and simulated timeout — budgets see what a real sweep would pay
-     without the harness actually sleeping. *)
+     — budgets see what a real sweep would pay without the harness
+     actually sleeping. *)
   let charged = ref 0.0 in
   let vnow () = Clock.now clock +. !charged in
   let sleep d = charged := !charged +. d in
@@ -218,13 +214,8 @@ let tune_empirical ?space ?(faults = Plan.none) ?(policy = Policy.default)
     let measure_once () =
       match Plan.draw inj with
       | Plan.Transient_failure -> Error "transient failure"
-      | Plan.Timeout t ->
-          sleep t;
-          Error "timeout"
       | Plan.Run factor ->
-          let meas =
-            Measure.stencil_sweep ~clock ~sanitize m spec ~dims ~config
-          in
+          let meas = Measure.stencil_sweep ~sanitize m spec ~dims ~config in
           Ok (meas.Measure.lups_chip /. factor)
     in
     let samples = ref [] in
@@ -279,7 +270,7 @@ let tune_empirical ?space ?(faults = Plan.none) ?(policy = Policy.default)
           record idx (Checkpoint.Skipped { reason; attempts = cand_attempts })
         end
     | samples, _ ->
-        let lups = Policy.robust_combine policy samples in
+        let lups = Policy.robust_combine samples in
         consider idx config lups;
         record idx
           (Checkpoint.Done
@@ -388,7 +379,7 @@ let tune_empirical ?space ?(faults = Plan.none) ?(policy = Policy.default)
     else float_of_int !exhausted /. float_of_int !visited
   in
   let degraded =
-    !best = None || fail_fraction > policy.Policy.degrade_threshold
+    !best = None || fail_fraction > Policy.degrade_threshold
   in
   if not degraded then begin
     let chosen, measured_lups =
@@ -450,9 +441,9 @@ type comparison = {
   quality : float;
 }
 
-let compare_strategies ?space ?faults ?policy m spec ~dims ~threads =
+let compare_strategies ?space m spec ~dims ~threads =
   let analytic = tune_analytic m spec ~dims ~threads in
-  let empirical = tune_empirical ?space ?faults ?policy m spec ~dims ~threads in
+  let empirical = tune_empirical ?space m spec ~dims ~threads in
   { analytic;
     empirical;
     cost_ratio =

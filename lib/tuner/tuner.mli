@@ -11,8 +11,7 @@
 
     The empirical tuner additionally survives an injected fault plan
     ({!Yasksite_faults.Plan}): failed candidate runs are retried with
-    decorrelated-jitter backoff under per-candidate and per-pass wall
-    budgets, noisy measurements are aggregated by median-of-k with
+    decorrelated-jitter backoff under a per-pass wall budget, noisy measurements are aggregated by median-of-k with
     MAD-based outlier rejection, candidates that exhaust their retries
     are skipped (and recorded), the sweep degrades to analytic ranking
     when too many candidates die, and per-candidate progress can be
@@ -39,8 +38,7 @@ type result = {
           degraded sweep) *)
   model_evaluations : int;  (** analytic work performed *)
   kernel_runs : int;  (** kernels executed (incl. the validation run) *)
-  attempts : int;
-      (** measurement attempts including retried failures and timeouts *)
+  attempts : int;  (** measurement attempts including retried failures *)
   skipped : skipped list;
       (** candidates abandoned after exhausting retries or budgets *)
   pruned : int;
@@ -51,33 +49,26 @@ type result = {
       (** the empirical sweep fell back to analytic ranking because the
           failure rate exceeded the policy's threshold *)
   wall_seconds : float;
-      (** elapsed time of the whole tuning pass on the [?clock] (wall
-          time by default), including charged backoff and timeout
-          time *)
+      (** elapsed time of the whole tuning pass (on the empirical
+          tuner's [?clock], wall time by default), including charged
+          backoff time *)
 }
 
 val tune_analytic :
-  ?cache:Yasksite_ecm.Cache.t ->
-  ?pool:Yasksite_util.Pool.t ->
-  ?clock:Yasksite_util.Clock.t ->
-  ?sanitize:bool ->
   Yasksite_arch.Machine.t ->
   Yasksite_stencil.Spec.t ->
   dims:int array ->
   threads:int ->
   result
 (** Rank the full advisor space with the ECM model, then run one
-    validation measurement of the winner. Model evaluations are
-    memoized in [cache] (default: a fresh cache for this call) and
-    spread over [pool]'s domains when given; neither changes the
-    result.
+    validation measurement of the winner ({!Yasksite_engine.Measure}'s
+    default sanitizer setting applies). Its [wall_seconds] is wall
+    time.
 
     Candidates the schedule-legality analyzer rejects are pruned before
     ranking (reported in [result.pruned]); if the whole space is
     illegal, the analyzer's diagnostics are raised as
-    {!Yasksite_lint.Lint.Gate_error}. [sanitize] (default [false]) runs
-    the validation measurement under the shadow-memory
-    {!Yasksite_engine.Sanitizer}. *)
+    {!Yasksite_lint.Lint.Gate_error}. *)
 
 val tune_empirical :
   ?space:Yasksite_ecm.Config.t list ->
@@ -103,10 +94,10 @@ val tune_empirical :
     under the shadow-memory {!Yasksite_engine.Sanitizer}.
 
     [faults] (default {!Yasksite_faults.Plan.none}) injects seeded
-    transient failures, timeouts, lognormal measurement noise and
-    contention outliers into each run; [policy] (default
-    {!Yasksite_faults.Policy.default}) bounds retries, backoff and
-    budgets and configures robust aggregation. [checkpoint] names a file
+    transient failures, lognormal measurement noise and contention
+    outliers into each run; [policy] (default
+    {!Yasksite_faults.Policy.default}) bounds retries and the pass
+    budget and sets how many repeats are aggregated. [checkpoint] names a file
     that is rewritten after every candidate and, when present and
     matching this sweep's identity, resumed from — completed candidates
     are not re-run. Without an explicit [checkpoint], [store] persists
@@ -148,14 +139,10 @@ type comparison = {
 
 val compare_strategies :
   ?space:Yasksite_ecm.Config.t list ->
-  ?faults:Yasksite_faults.Plan.t ->
-  ?policy:Yasksite_faults.Policy.t ->
   Yasksite_arch.Machine.t ->
   Yasksite_stencil.Spec.t ->
   dims:int array ->
   threads:int ->
   comparison
-(** Run both tuners on the same kernel and summarise the trade-off; the
-    fault plan and policy apply to the empirical side only (the analytic
-    tuner's single validation run is taken as trusted). Both run on one
-    domain. *)
+(** Run both tuners on the same kernel, fault-free, and summarise the
+    trade-off. Both run on one domain. *)

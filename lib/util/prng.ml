@@ -47,10 +47,3 @@ let gaussian t =
   let u2 = float t in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t ~bound:(i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -42,6 +42,3 @@ val bool : t -> bool
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller); consumes two uniform draws. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. Used by tests only: the permutation
-    property. *)

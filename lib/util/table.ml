@@ -73,4 +73,4 @@ let print t = print_string (render t)
 
 let cell_f ?(prec = 2) x = Printf.sprintf "%.*f" prec x
 
-let cell_pct ?(prec = 1) x = Printf.sprintf "%.*f%%" prec (100.0 *. x)
+let cell_pct x = Printf.sprintf "%.1f%%" (100.0 *. x)

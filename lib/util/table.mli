@@ -23,5 +23,5 @@ val print : t -> unit
 val cell_f : ?prec:int -> float -> string
 (** Format a float cell with [prec] decimals (default 2). *)
 
-val cell_pct : ?prec:int -> float -> string
+val cell_pct : float -> string
 (** Format a ratio as a percentage cell, e.g. [0.073 -> "7.3%"]. *)

@@ -188,7 +188,7 @@ let test_source_refuses_unresolved () =
 let sweep_three_way ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
-  let spec = Gen.spec rng ~rank () in
+  let spec = Gen.spec rng ~rank in
   let spec = if Prng.int rng ~bound:2 = 0 then with_division spec else spec in
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
@@ -235,7 +235,7 @@ let codegen_three_way_sweep =
 let wavefront_three_way ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
-  let spec = Gen.spec rng ~rank () in
+  let spec = Gen.spec rng ~rank in
   let spec = if Prng.int rng ~bound:2 = 0 then with_division spec else spec in
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
@@ -247,8 +247,9 @@ let wavefront_three_way ~seed =
   let run backend =
     let a = make_grid ~halo ~dims (seed + 1) in
     let b = make_grid ~halo ~dims (seed + 2) in
-    let final, _ = Wavefront.steps ~backend ~config:cfg spec ~a ~b ~steps in
-    final
+    Sweep.set_default_backend backend;
+    Fun.protect ~finally:Sweep.clear_default_backend @@ fun () ->
+    fst (Wavefront.steps ~config:cfg spec ~a ~b ~steps)
   in
   let f_code = run Sweep.Codegen_backend in
   let f_ref =
@@ -268,7 +269,7 @@ let codegen_three_way_wavefront =
 let sanitized_three_way ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:2 in
-  let spec = Gen.spec rng ~rank () in
+  let spec = Gen.spec rng ~rank in
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
   let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:8) in
@@ -387,7 +388,7 @@ let test_sanitized_row_traps_before_writing () =
     all_backends
 
 let test_pool_parallel_codegen () =
-  let spec = Gen.spec (Prng.create ~seed:42) ~rank:2 () in
+  let spec = Gen.spec (Prng.create ~seed:42) ~rank:2 in
   let halo = Analysis.halo (Analysis.of_spec spec) in
   let dims = [| 24; 33 |] in
   let cfg = Config.v ~block:[| 0; 8 |] () in
@@ -462,7 +463,7 @@ let corrupted_entry_recompiles ~seed =
   if not (Native.available ()) then QCheck.assume_fail ()
   else begin
     let rng = Prng.create ~seed in
-    let spec = Gen.spec rng ~rank:1 () in
+    let spec = Gen.spec rng ~rank:1 in
     assert (sweep_codegen spec ~seed);
     let s1 = Native.stats () in
     (* cold: exactly one compile, nothing from the store *)

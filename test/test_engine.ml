@@ -24,7 +24,7 @@ let make_grid ?(layout = Grid.Linear) ~halo ~dims rng =
 let schedules_agree ~seed ~variant =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
-  let spec = Gen.spec rng ~rank () in
+  let spec = Gen.spec rng ~rank in
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
   let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:12) in
@@ -80,7 +80,7 @@ let wavefront_equals_sweeps =
     QCheck.small_int (fun seed ->
       let rng = Prng.create ~seed in
       let rank = 2 + Prng.int rng ~bound:2 in
-      let spec = Gen.spec rng ~rank () in
+      let spec = Gen.spec rng ~rank in
       let info = Analysis.of_spec spec in
       let halo = Analysis.halo info in
       let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:8) in

@@ -105,11 +105,6 @@ let test_copy_across_layouts () =
   Grid.copy_interior ~src:a ~dst:b;
   Alcotest.(check (float 0.0)) "identical" 0.0 (Grid.max_abs_diff a b)
 
-let test_norm () =
-  let g = Grid.create ~dims:[| 2; 2 |] () in
-  Grid.fill g ~f:(fun _ -> 3.0);
-  Alcotest.(check (float 1e-12)) "l2" 6.0 (Grid.l2_norm g)
-
 let test_addresses_disjoint () =
   let space = Grid.fresh_space () in
   let a = Grid.create ~space ~dims:[| 8; 8 |] () in
@@ -154,7 +149,6 @@ let suite =
     Alcotest.test_case "halo dirichlet" `Quick test_halo_dirichlet;
     Alcotest.test_case "halo periodic" `Quick test_halo_periodic;
     Alcotest.test_case "copy across layouts" `Quick test_copy_across_layouts;
-    Alcotest.test_case "l2 norm" `Quick test_norm;
     Alcotest.test_case "addresses disjoint" `Quick test_addresses_disjoint;
     Alcotest.test_case "accessors" `Quick test_accessors;
     Alcotest.test_case "flat access" `Quick test_flat_access ]

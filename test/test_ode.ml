@@ -215,13 +215,11 @@ let test_rk_validation () =
       ignore (Rk.integrate Tableau.rk4 ivp ~steps:0));
   Alcotest.check_raises "ivp empty" (Invalid_argument "Ivp.v: empty state")
     (fun () ->
-      ignore (Ivp.v ~name:"x" ~rhs:(fun ~tm:_ ~y:_ ~dydt:_ -> ()) ~y0:[||]
-                ~t_end:1.0 ()));
+      ignore (Ivp.v ~rhs:(fun ~tm:_ ~y:_ ~dydt:_ -> ()) ~y0:[||] ~t_end:1.0 ()));
   Alcotest.check_raises "ivp times"
-    (Invalid_argument "Ivp.v: t_end must exceed t0") (fun () ->
+    (Invalid_argument "Ivp.v: t_end must be positive") (fun () ->
       ignore
-        (Ivp.v ~name:"x" ~rhs:(fun ~tm:_ ~y:_ ~dydt:_ -> ()) ~y0:[| 1.0 |]
-           ~t0:2.0 ~t_end:1.0 ()))
+        (Ivp.v ~rhs:(fun ~tm:_ ~y:_ ~dydt:_ -> ()) ~y0:[| 1.0 |] ~t_end:0.0 ()))
 
 let test_workspace_reuse () =
   let ivp = Ivp.harmonic ~omega:1.5 in

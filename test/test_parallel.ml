@@ -369,19 +369,6 @@ let test_cache_distinguishes_configs () =
   Alcotest.(check int) "three distinct keys" 3 s.Cache.misses;
   Alcotest.(check int) "no spurious hits" 0 s.Cache.hits
 
-let test_cache_eviction () =
-  let cache = Cache.create ~capacity:2 () in
-  let config n = Config.v ~block:[| 0; n |] () in
-  let dims = [| 64; 64 |] in
-  List.iter
-    (fun n -> ignore (Cache.predict cache machine info2d ~dims ~config:(config n)))
-    [ 8; 16; 32 ];
-  let s = Cache.stats cache in
-  Alcotest.(check int) "bounded" 2 s.Cache.entries;
-  (* The least-recently-used entry (block 8) was evicted. *)
-  ignore (Cache.predict cache machine info2d ~dims ~config:(config 8));
-  Alcotest.(check int) "evicted entry re-misses" 4 (Cache.stats cache).Cache.misses
-
 let test_cache_shared_across_domains () =
   let cache = Cache.create () in
   let dims = [| 48; 48 |] in
@@ -465,7 +452,6 @@ let suite =
     qt prop_create_indexed;
     Alcotest.test_case "cache hit" `Quick test_cache_hit;
     Alcotest.test_case "cache keying" `Quick test_cache_distinguishes_configs;
-    Alcotest.test_case "cache LRU eviction" `Quick test_cache_eviction;
     Alcotest.test_case "cache shared across domains" `Quick
       test_cache_shared_across_domains;
     qt prop_welford;

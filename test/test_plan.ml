@@ -50,7 +50,7 @@ let with_division spec =
 let sweep_matches_oracle ?(long_rows = false) ~seed () =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
-  let spec = Gen.spec rng ~rank () in
+  let spec = Gen.spec rng ~rank in
   let spec = if Prng.int rng ~bound:2 = 0 then with_division spec else spec in
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
@@ -106,7 +106,7 @@ let long_rows_match_oracle =
 let wavefront_matches_oracle ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
-  let spec = Gen.spec rng ~rank () in
+  let spec = Gen.spec rng ~rank in
   let spec = if Prng.int rng ~bound:2 = 0 then with_division spec else spec in
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
@@ -118,8 +118,9 @@ let wavefront_matches_oracle ~seed =
   let a () = make_grid ~halo ~dims (seed + 1)
   and b () = make_grid ~halo ~dims (seed + 2) in
   let final, _ =
-    Wavefront.steps ~backend:Sweep.Plan_backend ~config:cfg spec ~a:(a ())
-      ~b:(b ()) ~steps
+    Sweep.set_default_backend Sweep.Plan_backend;
+    Fun.protect ~finally:Sweep.clear_default_backend @@ fun () ->
+    Wavefront.steps ~config:cfg spec ~a:(a ()) ~b:(b ()) ~steps
   in
   Grid.max_abs_diff final (Oracle.steps spec ~a:(a ()) ~b:(b ()) ~steps)
   = 0.0
@@ -133,7 +134,7 @@ let wavefront_backend_parity =
 let traced_matches_oracle ~seed =
   let rng = Prng.create ~seed in
   let rank = 1 + Prng.int rng ~bound:3 in
-  let spec = Gen.spec rng ~rank () in
+  let spec = Gen.spec rng ~rank in
   let info = Analysis.of_spec spec in
   let halo = Analysis.halo info in
   let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:8) in

@@ -203,7 +203,7 @@ let depth_matches_interpreter =
     ~count:150 QCheck.small_int (fun seed ->
       let rng = Prng.create ~seed in
       let rank = 1 + Prng.int rng ~bound:3 in
-      let plan = Lower.lower (with_division (Gen.spec rng ~rank ())) in
+      let plan = Lower.lower (with_division (Gen.spec rng ~rank)) in
       PL.measured_depth plan.Plan.code = Some plan.Plan.depth)
 
 (* ------------------------------------------------------------------ *)
@@ -238,9 +238,7 @@ let test_cert_store_roundtrip () =
     let e =
       { Cert.key = "k1";
         fingerprint = "fp";
-        loads_per_point = 3;
-        stores_per_point = 1;
-        flops_per_point = 5 }
+        loads_per_point = 3 }
     in
     Alcotest.(check bool) "miss before insert" false (Cert.mem "k1");
     Cert.insert e;
@@ -267,9 +265,7 @@ let test_cert_disabled_by_env () =
       Cert.insert
         { Cert.key = "k-disabled";
           fingerprint = "fp";
-          loads_per_point = 1;
-          stores_per_point = 1;
-          flops_per_point = 1 };
+          loads_per_point = 1 };
       Alcotest.(check bool) "inserts drop" false (Cert.mem "k-disabled");
       Unix.putenv "YASKSITE_NO_CERT" "0";
       Alcotest.(check bool) "\"0\" means enabled" true (Cert.enabled ()))
@@ -427,7 +423,7 @@ let certified_sweep_matches_checked ~seed =
   else begin
     let rng = Prng.create ~seed in
     let rank = 1 + Prng.int rng ~bound:3 in
-    let spec = Gen.spec rng ~rank () in
+    let spec = Gen.spec rng ~rank in
     let info = Analysis.of_spec spec in
     let halo = Analysis.halo info in
     let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:10) in
@@ -479,7 +475,7 @@ let certified_wavefront_matches_checked ~seed =
   else begin
     let rng = Prng.create ~seed in
     let rank = 1 + Prng.int rng ~bound:3 in
-    let spec = Gen.spec rng ~rank () in
+    let spec = Gen.spec rng ~rank in
     let info = Analysis.of_spec spec in
     let halo = Analysis.halo info in
     let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:8) in

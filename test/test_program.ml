@@ -327,10 +327,8 @@ let test_fuse_substitution () =
 let test_partitions_and_invariance () =
   let p = Suite.hdiff in
   let parts = P.partitions p in
-  Alcotest.(check int) "default limit" 4096 (List.length parts);
+  Alcotest.(check int) "capped at 4096" 4096 (List.length parts);
   Alcotest.(check (list string)) "first is unfused" [] (List.hd parts);
-  Alcotest.(check int) "explicit limit" 10
-    (List.length (P.partitions ~limit:10 p));
   (* Fusion never increases the accumulated input-halo requirement
      (per-stage halo boxes over-approximate anisotropic chains, and
      inlining removes that rounding), so grids sized for the unfused
@@ -661,10 +659,7 @@ let test_rank_partitions_hdiff () =
   in
   let expect = direct_time m p ~dims ~config mixed in
   Alcotest.(check bool) "composition exact" true
-    (Float.abs (entry.Advisor.time -. expect) <= 1e-12 *. expect);
-  (* limit *)
-  Alcotest.(check int) "limit" 7
-    (List.length (Advisor.rank_partitions ~limit:7 m p ~dims ~config))
+    (Float.abs (entry.Advisor.time -. expect) <= 1e-12 *. expect)
 
 let suite =
   [ Alcotest.test_case "select/min/max semantics" `Quick

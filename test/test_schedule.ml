@@ -135,16 +135,6 @@ let test_ys401_single_field () =
   Alcotest.(check bool) "engine gate at depth 1" true
     (has "YS401" (Schedule.wavefront_rules i ~dims Config.default))
 
-let test_ys402_boundary () =
-  let i = info_of heat2 in
-  let dims = [| 16; 16 |] in
-  Alcotest.(check bool) "periodic wavefront rejected" true
-    (has "YS402"
-       (Schedule.schedule ~boundary:`Periodic i ~dims
-          (Config.v ~wavefront:2 ())));
-  Alcotest.(check bool) "periodic spatial ok" false
-    (has "YS402" (Schedule.schedule ~boundary:`Periodic i ~dims Config.default))
-
 let test_ys403_alias () =
   let i = info_of heat1 in
   let g = make_grid ~dims:[| 12 |] ~seed:1 () in
@@ -200,18 +190,6 @@ let test_ys406_partition () =
     (has "YS406" (Schedule.partition ~dims [ ([| 0; 0 |], [| 8; 9 |]) ]));
   Alcotest.(check bool) "rank mismatch detected" true
     (has "YS406" (Schedule.partition ~dims [ ([| 0 |], [| 8 |]) ]))
-
-let test_ys407_pool_width () =
-  let i = info_of heat2 in
-  let dims = [| 32; 32 |] in
-  (* Unblocked = one block column: 4 domains have nothing to slice. *)
-  let ds = Schedule.schedule ~pool_width:4 i ~dims Config.default in
-  Alcotest.(check bool) "wasted width hinted" true (has "YS407" ds);
-  Alcotest.(check bool) "hint is not an error" true
-    (Schedule.legal ~pool_width:4 i ~dims Config.default);
-  let blocked = Config.v ~block:[| 0; 8 |] () in
-  Alcotest.(check bool) "enough columns, no hint" false
-    (has "YS407" (Schedule.schedule ~pool_width:4 i ~dims blocked))
 
 let test_ys408_fold_overflow () =
   let i = info_of heat2 in
@@ -435,30 +413,7 @@ let corpus_fold_mismatch () =
         ~inputs:[| lin |] ~output:out)
     ~trap:"YS456"
 
-(* 11. Temporal wavefront over snapshot (periodic-style) halos: the
-   images go stale mid-front (YS402 / YS455). *)
-let corpus_periodic_wavefront () =
-  let i = info_of heat1 in
-  let dims = [| 12 |] in
-  let cfg = Config.v ~wavefront:2 () in
-  check_corpus "periodic wavefront"
-    ~static:(Schedule.schedule ~boundary:`Periodic i ~dims cfg)
-    ~static_code:"YS402"
-    ~dynamic:(fun () ->
-      let san = Sanitizer.create () in
-      let a = make_grid ~dims ~seed:19 () in
-      let b = make_grid ~dims ~seed:20 () in
-      (* Halos maintained by copy (the periodic mechanism): valid only
-         for the version they were refreshed at. *)
-      Sanitizer.register ~halo:`Snapshot san a;
-      Sanitizer.register ~halo:`Snapshot san b;
-      Sanitizer.refresh_halo san a;
-      Sanitizer.refresh_halo san b;
-      Wavefront.steps ~check:false ~sanitize:san ~config:cfg heat1 ~a ~b
-        ~steps:2)
-    ~trap:"YS455"
-
-(* 12. Anti-dependence: the upwind stencil at stagger 1 lets step t+1
+(* 11. Anti-dependence: the upwind stencil at stagger 1 lets step t+1
    overwrite ping-pong planes later fronts still need to re-read
    (YS400 / YS452). *)
 let corpus_upwind_anti () =
@@ -484,7 +439,7 @@ let verdicts_agree =
     QCheck.small_int (fun seed ->
       let rng = Prng.create ~seed in
       let rank = 1 + Prng.int rng ~bound:2 in
-      let spec = Gen.spec rng ~rank () in
+      let spec = Gen.spec rng ~rank in
       let info = Analysis.of_spec spec in
       let r0 = info.Analysis.radius.(0) in
       let depth = 2 + Prng.int rng ~bound:3 in
@@ -522,7 +477,7 @@ let sanitizer_is_transparent =
     QCheck.small_int (fun seed ->
       let rng = Prng.create ~seed in
       let rank = 1 + Prng.int rng ~bound:3 in
-      let spec = Gen.spec rng ~rank () in
+      let spec = Gen.spec rng ~rank in
       let info = Analysis.of_spec spec in
       let halo = Analysis.halo info in
       let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:8) in
@@ -696,7 +651,7 @@ let test_json_schema () =
       "\"loc\":{\"kind\":\"field\",\"field\":\"wavefront_stagger\"}";
       (* Quotes and newlines are escaped, never raw. *)
       "bad \\\"stagger\\\"\\nsecond line" ];
-  let report = D.report_to_json [ ("k1", None, d); ("k2", None, D.hintf ~code:"YS407" "idle") ] in
+  let report = D.report_to_json [ ("k1", None, d); ("k2", None, D.hintf ~code:"YS105" "pointwise") ] in
   List.iter
     (fun frag ->
       Alcotest.(check bool) ("report has " ^ frag) true
@@ -714,12 +669,10 @@ let test_json_schema () =
 let suite =
   [ Alcotest.test_case "YS400 stagger" `Quick test_ys400_stagger;
     Alcotest.test_case "YS401 single field" `Quick test_ys401_single_field;
-    Alcotest.test_case "YS402 boundary" `Quick test_ys402_boundary;
     Alcotest.test_case "YS403 aliasing" `Quick test_ys403_alias;
     Alcotest.test_case "YS404 halo" `Quick test_ys404_halo;
     Alcotest.test_case "YS405 layout" `Quick test_ys405_layout;
     Alcotest.test_case "YS406 partition" `Quick test_ys406_partition;
-    Alcotest.test_case "YS407 pool width" `Quick test_ys407_pool_width;
     Alcotest.test_case "YS408 fold overflow" `Quick test_ys408_fold_overflow;
     Alcotest.test_case "YS409 rank/extents" `Quick test_ys409_rank;
     Alcotest.test_case "corpus: stagger skew" `Quick corpus_stagger_skew;
@@ -735,8 +688,6 @@ let suite =
     Alcotest.test_case "corpus: region OOB" `Quick corpus_region_oob;
     Alcotest.test_case "corpus: thin halo" `Quick corpus_thin_halo;
     Alcotest.test_case "corpus: fold mismatch" `Quick corpus_fold_mismatch;
-    Alcotest.test_case "corpus: periodic wavefront" `Quick
-      corpus_periodic_wavefront;
     Alcotest.test_case "corpus: upwind anti-dependence" `Quick
       corpus_upwind_anti;
     qt verdicts_agree;

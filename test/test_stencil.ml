@@ -130,7 +130,7 @@ let gen_specs_valid =
     ~count:200 QCheck.small_int (fun seed ->
       let rng = Prng.create ~seed in
       let rank = 1 + Prng.int rng ~bound:3 in
-      let spec = Gen.spec rng ~rank () in
+      let spec = Gen.spec rng ~rank in
       let a = Analysis.of_spec spec in
       a.Analysis.loads >= 1
       && Array.for_all (fun r -> r <= 2) a.Analysis.radius

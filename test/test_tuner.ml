@@ -278,17 +278,6 @@ let test_budget_interruption_and_resume () =
   Alcotest.(check (float 0.0)) "same measurement as the full sweep"
     full.Tuner.measured_lups resumed.Tuner.measured_lups
 
-let test_compare_with_faults () =
-  let c =
-    Tuner.compare_strategies ~space:small_space
-      ~faults:(Plan.v ~seed:9 ~fail_rate:0.2 ())
-      ~policy:(Policy.v ~max_attempts:5 ())
-      machine spec ~dims ~threads:2
-  in
-  Alcotest.(check int) "analytic side untouched" 1
-    c.Tuner.analytic.Tuner.kernel_runs;
-  Alcotest.(check bool) "quality finite" true (Float.is_finite c.Tuner.quality)
-
 let qt = QCheck_alcotest.to_alcotest
 
 let resilience_suite =
@@ -301,7 +290,6 @@ let resilience_suite =
     Alcotest.test_case "checkpoint key mismatch" `Quick
       test_checkpoint_key_mismatch;
     Alcotest.test_case "budget interruption + resume" `Quick
-      test_budget_interruption_and_resume;
-    Alcotest.test_case "compare with faults" `Quick test_compare_with_faults ]
+      test_budget_interruption_and_resume ]
 
 let suite = base_suite @ resilience_suite

@@ -76,15 +76,6 @@ let prng_float_unit =
       let v = Prng.float rng in
       v >= 0.0 && v < 1.0)
 
-let shuffle_is_permutation =
-  QCheck.Test.make ~name:"shuffle is a permutation" ~count:200
-    QCheck.(pair small_int (list small_int))
-    (fun (seed, l) ->
-      let a = Array.of_list l in
-      let rng = Prng.create ~seed in
-      Prng.shuffle rng a;
-      List.sort compare (Array.to_list a) = List.sort compare l)
-
 let test_table () =
   let t =
     Table.create ~title:"T" ~columns:[ ("name", Table.Left); ("v", Table.Right) ] ()
@@ -132,7 +123,6 @@ let base_suite =
     Alcotest.test_case "prng split" `Quick test_prng_split;
     qt prng_bounds;
     qt prng_float_unit;
-    qt shuffle_is_permutation;
     Alcotest.test_case "table render" `Quick test_table;
     Alcotest.test_case "table cells" `Quick test_table_cells;
     Alcotest.test_case "chart line" `Quick test_chart_line;
