@@ -8,28 +8,70 @@ module Ustats = Yasksite_util.Stats
 
 let clx = Exp.clx
 
-let small_kernel spec dims =
+(* Grids laid out as [config]'s fold says, as the sweep's YS405 gate
+   requires. *)
+let small_kernel spec dims config =
   let spec = Stencil.Suite.resolve_defaults spec in
   let info = Stencil.Analysis.of_spec spec in
   let halo = Stencil.Analysis.halo info in
+  let layout = Grid.layout_of_fold config.Config.fold in
   let rng = Yasksite_util.Prng.create ~seed:7 in
-  let input = Grid.create ~halo ~dims () in
+  let input = Grid.create ~halo ~layout ~dims () in
   Grid.fill input ~f:(fun _ -> Yasksite_util.Prng.float rng);
   Grid.halo_dirichlet input 0.0;
-  let output = Grid.create ~halo ~dims () in
+  let output = Grid.create ~halo ~layout ~dims () in
   (spec, input, output)
 
 let sweep_case name ?pool spec dims config =
-  let spec, input, output = small_kernel spec dims in
+  let spec, input, output = small_kernel spec dims config in
   ( name,
     fun () ->
       ignore
         (Engine.Sweep.run ?pool ~config spec ~inputs:[| input |] ~output
           : Engine.Sweep.stats) )
 
+(* The cache simulator alone, the "measured" side of E3-E13: a fixed
+   heat-3d-7pt ping-pong address stream, a sweep a -> b and one b -> a
+   over a 16x32x32 grid with a one-point halo, 7 reads and 1 write per
+   point. An entry is [addr lsl 1 lor is_write]. *)
+let sim_name = "sim-heat3d-pingpong"
+let sim_accesses = 2 * 16 * 32 * 32 * 8
+
+let sim_stream () =
+  let nz = 16 and ny = 32 and nx = 32 in
+  let py = ny + 2 and px = nx + 2 in
+  let grid_bytes = (nz + 2) * py * px * 8 in
+  let addr base z y x = base + ((((z * py) + y) * px) + x) * 8 in
+  let taps =
+    [ (0, 0, 0); (0, 0, -1); (0, 0, 1); (0, -1, 0); (0, 1, 0); (-1, 0, 0);
+      (1, 0, 0) ]
+  in
+  let stream = Array.make sim_accesses 0 and n = ref 0 in
+  let push e =
+    stream.(!n) <- e;
+    incr n
+  in
+  List.iter
+    (fun (src, dst) ->
+      for z = 1 to nz do
+        for y = 1 to ny do
+          for x = 1 to nx do
+            List.iter
+              (fun (dz, dy, dx) ->
+                push (addr src (z + dz) (y + dy) (x + dx) lsl 1))
+              taps;
+            push ((addr dst z y x lsl 1) lor 1)
+          done
+        done
+      done)
+    [ (0, grid_bytes); (grid_bytes, 0) ];
+  stream
+
 (* Each case is a named thunk: the same closure feeds bechamel's OLS
-   estimator and the plain Welford summary below. *)
-let cases =
+   estimator and the plain Welford summary below. Built when the
+   micro-benchmarks run, so that the experiments do not pay for the
+   cases' grids and stream. *)
+let cases () =
   let heat3d = Stencil.Suite.heat_3d_7pt in
   let dims3 = [| 24; 24; 24 |] in
   [ (* e1: machine model construction *)
@@ -89,14 +131,21 @@ let cases =
      ("e10-rk4-fused-step", fun () -> Offsite.Executor.step ex));
     (* e15: the blocked sweep again, split over the shared domain pool *)
     sweep_case "e15-parallel-sweep" ~pool:(Pool.shared ()) heat3d dims3
-      (Config.v ~block:[| 0; 8; 24 |] ()) ]
-
-let tests =
-  List.map (fun (name, fn) -> Test.make ~name (Staged.stage fn)) cases
+      (Config.v ~block:[| 0; 8; 24 |] ());
+    (* sim: the stream through clx/8's hierarchy, which stays warm
+       across runs as it does across a measurement's sweeps *)
+    (let stream = sim_stream () and h = Cachesim.create clx in
+     ( sim_name,
+       fun () ->
+         for i = 0 to Array.length stream - 1 do
+           let e = stream.(i) in
+           if e land 1 = 0 then Cachesim.read h ~addr:(e lsr 1)
+           else Cachesim.write h ~addr:(e lsr 1)
+         done )) ]
 
 (* One-pass Welford summary over raw wall-clock runs: cheaper than a
    two-pass mean-then-variance scan and it never stores the samples. *)
-let welford_summary () =
+let welford_summary cases =
   let runs = 50 in
   Printf.printf "\nwall-clock summary (Welford over %d runs):\n" runs;
   List.iter
@@ -108,10 +157,18 @@ let welford_summary () =
         Ustats.welford_add w (s *. 1e9)
       done;
       Printf.printf "%-24s %12.1f ns/run  (stddev %.1f)\n" name
-        (Ustats.welford_mean w) (Ustats.welford_stddev w))
+        (Ustats.welford_mean w) (Ustats.welford_stddev w);
+      if name = sim_name then
+        Printf.printf "%-24s %12.1f ns/access (%d accesses per run)\n" ""
+          (Ustats.welford_mean w /. float_of_int sim_accesses)
+          sim_accesses)
     cases
 
 let run () =
+  let cases = cases () in
+  let tests =
+    List.map (fun (name, fn) -> Test.make ~name (Staged.stage fn)) cases
+  in
   let benchmark test =
     Benchmark.all
       (Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) ())
@@ -139,4 +196,4 @@ let run () =
           | _ -> ())
         result)
     tests results;
-  welford_summary ()
+  welford_summary cases

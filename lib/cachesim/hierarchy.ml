@@ -64,8 +64,10 @@ let create ?(active_cores = 1) (m : Machine.t) =
     nt_stores = 0;
     nt_bytes = 0 }
 
-(* Handle a line evicted from level [k], cascading outwards. *)
-let rec evicted_from t k line dirty =
+(* Handle an entry ([line lsl 1 lor dirty]) evicted from level [k],
+   cascading outwards. *)
+let rec evicted_from t k entry =
+  let dirty = entry land 1 = 1 in
   if k = t.n - 1 then begin
     (* Last level: dirty lines go to memory, clean lines vanish. *)
     if dirty then begin
@@ -81,73 +83,76 @@ let rec evicted_from t k line dirty =
         (* Victim caches absorb every eviction, clean or dirty. *)
         t.boundary.(k) <- t.boundary.(k) + 1;
         if dirty then t.writebacks.(k) <- t.writebacks.(k) + 1;
-        (match Level.insert t.levels.(next) ~line ~dirty with
-        | None -> ()
-        | Some (el, ed) -> evicted_from t next el ed)
+        let e = Level.insert t.levels.(next) ~line:(entry asr 1) ~dirty in
+        if e >= 0 then evicted_from t next e
     | Cache_level.Inclusive ->
         if dirty then begin
           (* Write-back: the line is normally still present outside. *)
           t.boundary.(k) <- t.boundary.(k) + 1;
           t.writebacks.(k) <- t.writebacks.(k) + 1;
-          match Level.insert t.levels.(next) ~line ~dirty:true with
-          | None -> ()
-          | Some (el, ed) -> evicted_from t next el ed
+          let e =
+            Level.insert t.levels.(next) ~line:(entry asr 1) ~dirty:true
+          in
+          if e >= 0 then evicted_from t next e
         end
   end
+
+(* The source of [line] after an L1 miss, searching outwards from level
+   [k]: the first outer level holding it, else memory ([t.n]). The result
+   is [source lsl 1 lor carried], where [carried] is the dirty bit
+   travelling with the line when a victim level surrenders it. *)
+let rec locate t (line : int) (k : int) =
+  if k = t.n then t.n lsl 1
+  else
+    match t.specs.(k).fill with
+    | Cache_level.Victim ->
+        let d = Level.extract t.levels.(k) ~line in
+        if d >= 0 then begin
+          t.hits.(k) <- t.hits.(k) + 1;
+          (k lsl 1) lor d
+        end
+        else begin
+          t.misses.(k) <- t.misses.(k) + 1;
+          locate t line (k + 1)
+        end
+    | Cache_level.Inclusive ->
+        if Level.probe t.levels.(k) ~line ~dirty:false then begin
+          t.hits.(k) <- t.hits.(k) + 1;
+          k lsl 1
+        end
+        else begin
+          t.misses.(k) <- t.misses.(k) + 1;
+          locate t line (k + 1)
+        end
 
 let access t ~addr ~is_write =
   t.accesses <- t.accesses + 1;
   if is_write then t.stores <- t.stores + 1 else t.loads <- t.loads + 1;
   let line = addr / t.line_bytes in
-  if Level.probe t.levels.(0) ~line then begin
-    t.hits.(0) <- t.hits.(0) + 1;
-    if is_write then Level.mark_dirty t.levels.(0) ~line
-  end
+  if Level.probe t.levels.(0) ~line ~dirty:is_write then
+    t.hits.(0) <- t.hits.(0) + 1
   else begin
     t.misses.(0) <- t.misses.(0) + 1;
-    (* Find the source of the line: first outer level holding it, else
-       memory ([source = t.n]). [carried] is the dirty bit travelling with
-       the line when a victim cache surrenders it. *)
-    let rec locate k =
-      if k = t.n then (t.n, false)
-      else begin
-        match t.specs.(k).fill with
-        | Cache_level.Victim ->
-            (match Level.extract t.levels.(k) ~line with
-            | Some d ->
-                t.hits.(k) <- t.hits.(k) + 1;
-                (k, d)
-            | None ->
-                t.misses.(k) <- t.misses.(k) + 1;
-                locate (k + 1))
-        | Cache_level.Inclusive ->
-            if Level.probe t.levels.(k) ~line then begin
-              t.hits.(k) <- t.hits.(k) + 1;
-              (k, false)
-            end
-            else begin
-              t.misses.(k) <- t.misses.(k) + 1;
-              locate (k + 1)
-            end
-      end
-    in
-    let source, carried = locate 1 in
+    let found = locate t line 1 in
+    let source = found asr 1 in
     if source = t.n then t.mem_loads <- t.mem_loads + 1;
     (* The line crosses every boundary between its source and the core. *)
     for k = 0 to source - 1 do
       t.boundary.(k) <- t.boundary.(k) + 1
     done;
     (* Fill inner levels on the way in; victim levels are bypassed. *)
-    for k = source - 1 downto 0 do
-      let fill_here = k = 0 || t.specs.(k).fill = Cache_level.Inclusive in
-      if fill_here then begin
-        let dirty = k = 0 && carried in
-        match Level.insert t.levels.(k) ~line ~dirty with
-        | None -> ()
-        | Some (el, ed) -> evicted_from t k el ed
-      end
+    for k = source - 1 downto 1 do
+      match t.specs.(k).fill with
+      | Cache_level.Inclusive ->
+          let e = Level.insert t.levels.(k) ~line ~dirty:false in
+          if e >= 0 then evicted_from t k e
+      | Cache_level.Victim -> ()
     done;
-    if is_write then Level.mark_dirty t.levels.(0) ~line
+    (* L1 always fills, dirty if the line arrived dirty or is written. *)
+    let e =
+      Level.insert t.levels.(0) ~line ~dirty:(found land 1 = 1 || is_write)
+    in
+    if e >= 0 then evicted_from t 0 e
   end
 
 let read t ~addr = access t ~addr ~is_write:false
@@ -166,12 +171,11 @@ let write_nt t ~addr =
   t.nt_stores <- t.nt_stores + 1;
   let line = addr / t.line_bytes in
   for k = 0 to t.n - 1 do
-    match Level.extract t.levels.(k) ~line with
-    | Some true ->
-        (* Dirty victim: its data reaches memory before the NT write. *)
-        t.boundary.(t.n - 1) <- t.boundary.(t.n - 1) + 1;
-        t.mem_writebacks <- t.mem_writebacks + 1
-    | Some false | None -> ()
+    if Level.extract t.levels.(k) ~line = 1 then begin
+      (* Dirty copy: its data reaches memory before the NT write. *)
+      t.boundary.(t.n - 1) <- t.boundary.(t.n - 1) + 1;
+      t.mem_writebacks <- t.mem_writebacks + 1
+    end
   done;
   t.nt_bytes <- t.nt_bytes + 8;
   if t.nt_bytes >= t.line_bytes then begin

@@ -45,12 +45,11 @@ val write : t -> addr:int -> unit
 
 val write_nt : t -> addr:int -> unit
 (** Non-temporal (streaming) store: the line bypasses the hierarchy and
-    goes straight to memory, without write-allocate. If the line happens
-    to be resident it is updated in place instead (hardware behaviour of
-    MOVNT on a cached line is implementation-defined; updating in place
-    keeps the simulator's data consistent). Each bypassed line's bytes
-    are accumulated and charged to the memory boundary once per line's
-    worth of stores. *)
+    goes straight to memory, without write-allocate. Following Intel
+    MOVNT semantics, every resident copy of the line is invalidated, and
+    a dirty copy is first written back to memory, so the next load of
+    the line misses. The stored bytes are accumulated and charged to
+    the memory boundary once per line's worth of stores. *)
 
 val counters : t -> counters
 

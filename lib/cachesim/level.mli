@@ -1,9 +1,18 @@
 (** One set-associative cache level with true-LRU replacement.
 
     Lines are identified by their line address (byte address divided by
-    the line size). The level does not know about the rest of the
-    hierarchy; {!Hierarchy} composes levels according to each level's
-    fill policy. *)
+    the line size), a non-negative int. The level does not know about
+    the rest of the hierarchy; {!Hierarchy} composes levels according to
+    each level's fill policy.
+
+    Each set keeps its ways in recency order, most recently used first,
+    in one [int] array. An entry is [line lsl 1 lor dirty], and [-1]
+    marks an invalid way. A set's valid entries always form a prefix of
+    it, so the last entry of a full set is its LRU line. A line's set is
+    [line mod sets].
+
+    Every operation returns a plain [int] or [bool], so the simulator's
+    miss path allocates nothing. *)
 
 type t
 
@@ -13,25 +22,27 @@ val create : Yasksite_arch.Cache_level.t -> effective_size:int -> t
     (the per-core share of a shared level). [effective_size] must be at
     least one set's worth of lines. *)
 
-val probe : t -> line:int -> bool
-(** Lookup; refreshes LRU on hit. Does not fill. *)
+val probe : t -> line:int -> dirty:bool -> bool
+(** Lookup without fill. On a hit the line becomes the most recent of
+    its set and [dirty] is OR-ed into its dirty bit, so a write hit
+    scans the set once. *)
 
 val is_present : t -> line:int -> bool
-(** Lookup without touching LRU state. Used by tests only: the level
-    LRU and extract tests probe residency with it. *)
+(** Lookup without touching the recency order. Used by tests only: the
+    level LRU, extract and reuse tests probe residency with it. *)
 
-val insert : t -> line:int -> dirty:bool -> (int * bool) option
-(** Insert (or refresh) a line. If the line was already present its dirty
-    bit is OR-ed and LRU refreshed, returning [None]. Otherwise the LRU
-    victim of the target set, if any, is returned as
-    [Some (line, was_dirty)]. *)
+val insert : t -> line:int -> dirty:bool -> int
+(** Insert (or refresh) [line] as the most recent line of its set. If
+    the line was already present, its dirty bit is OR-ed with [dirty]
+    and the result is [-1]. Otherwise the set's last entry is dropped
+    and returned: the LRU victim's [line lsl 1 lor dirty] when the set
+    was full, else [-1]. *)
 
-val mark_dirty : t -> line:int -> unit
-(** Set the dirty bit of a resident line; no-op if absent. *)
-
-val extract : t -> line:int -> bool option
-(** Remove a line (victim-cache hit path); returns its dirty bit, or
-    [None] if absent. *)
+val extract : t -> line:int -> int
+(** Remove [line] (a victim-level hit, or a streaming store's
+    invalidation): [1] if it was dirty, [0] if clean, [-1] if absent.
+    The entries after it move one way forward and the set's last way
+    becomes invalid, so the next insert into the set evicts nothing. *)
 
 val resident_lines : t -> int
 (** Number of currently valid lines. Used by tests only: the level

@@ -309,4 +309,6 @@ let suite =
       test_retry_exhausted_deadline_zero_attempts;
     qt retry_never_exceeds_caps;
     Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
-    Alcotest.test_case "checkpoint file" `Quick test_checkpoint_file ]
+    Alcotest.test_case "checkpoint file" `Quick test_checkpoint_file;
+    Alcotest.test_case "checkpoint save atomic replace" `Quick
+      test_checkpoint_save_atomic_replace ]
