@@ -124,6 +124,14 @@ let cases () =
          ignore
            (Advisor.rank_all clx info ~dims:[| 64; 64; 64 |] ~threads:8
              : (Config.t * Model.prediction) list) ));
+    (* e21: ECM ranking of hdiff's 4096 fusion partitions at 256^2, with
+       a fresh model cache per run, as each perfbench [rank] op has *)
+    ( "e21-rank-partitions-hdiff",
+      fun () ->
+        ignore
+          (Advisor.rank_partitions ~cache:(Model_cache.create ()) clx
+             Stencil.Suite.hdiff ~dims:[| 256; 256 |] ~config:Config.default
+            : Advisor.partition list) );
     (* e10: one ODE step of the fused RK4 variant *)
     (let pde = Ode.Pde.heat ~rank:2 ~n:48 ~alpha:1.0 in
      let variant = Offsite.Variant.fused Ode.Tableau.rk4 pde ~h:1e-5 in

@@ -129,96 +129,164 @@ type partition = {
   stage_times : (string * float) list;
 }
 
+(* The per-ranking memo key of a stage: its read table, its expression
+   with constants compared bit for bit, and its extension. Stages with
+   one key lower to one plan swept over one extent, so they share one
+   predicted time. *)
+module Stage_key = struct
+  type t = string array * Expr.t * int array
+
+  let equal (reads, expr, ext) (reads', expr', ext') =
+    reads = reads' && ext = ext' && Expr.equal expr expr'
+
+  let hash = Hashtbl.hash
+end
+
+module Stage_memo = Hashtbl.Make (Stage_key)
+
 (* Predicted wall time of one stage: the extended sweep covers
    [dims + 2*ext] points per dimension, and the model's chip LUP/s for
    the stage's analysis at those extents prices each of them. *)
-let stage_time ?cache ~memo m ~dims ~config fp (s : Program.stage) ext =
-  let key =
-    Expr.to_c ~field_name:(fun i -> s.Program.reads.(i)) s.Program.expr
-    ^ "|"
-    ^ String.concat "," (List.map string_of_int (Array.to_list ext))
-  in
-  match Hashtbl.find_opt memo key with
+let stage_time ~predict ~memo ~dims fp (s : Program.stage) ext =
+  let key = (s.Program.reads, s.Program.expr, ext) in
+  match Stage_memo.find_opt memo key with
   | Some t -> t
   | None ->
       let edims = Array.mapi (fun d e -> dims.(d) + (2 * e)) ext in
-      let a = Analysis.of_spec (Program.stage_spec fp s) in
-      let pred =
-        match cache with
-        | Some cache -> Cache.predict cache m a ~dims:edims ~config
-        | None -> Model.predict m a ~dims:edims ~config
-      in
+      let pred = predict (Analysis.of_spec (Program.stage_spec fp s)) edims in
       let points =
         float_of_int (Array.fold_left (fun acc d -> acc * d) 1 edims)
       in
       let t = points /. pred.Model.lups_chip in
-      Hashtbl.add memo key t;
+      Stage_memo.add memo key t;
       t
+
+(* One option per subset of a component's inlinable stages, the subset's
+   bits in [Program.inlinable] order: the stages it inlines, and the
+   predicted time of each stage it keeps, in definition order. The
+   component is scored as a program of its own stages: components are
+   closed under consumers, so every stage's extension and fused
+   expression are the ones it has in the whole program. *)
+let component_options ~predict ~memo (p : Program.t) ~dims comp =
+  let sub =
+    { p with
+      Program.stages =
+        Array.of_list
+          (List.filter
+             (fun (s : Program.stage) -> List.mem s.name comp)
+             (Array.to_list p.Program.stages)) }
+  in
+  let cand = Program.inlinable sub in
+  Array.init
+    (1 lsl List.length cand)
+    (fun mask ->
+      let inline = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) cand in
+      let fp = Program.fuse sub ~inline in
+      let hp = Program.halo_plan fp in
+      ( inline,
+        Array.to_list fp.Program.stages
+        |> List.map (fun (s : Program.stage) ->
+               let ext = List.assoc s.name hp.Program.stage_ext in
+               (s.name, stage_time ~predict ~memo ~dims fp s ext)) ))
 
 (* The ranking keeps at most this many partitions: the full 2^12 space
    of the 16-stage hdiff. *)
 let partition_limit = 4096
 
-let rank_partitions ?cache m (p : Program.t) ~dims ~config =
+(* Fusion choices never interact across connected components, so the
+   per-partition cost is additive over components: score every subset
+   of each component's inlinable stages once, then compose the product
+   space arithmetically. For the 16-stage hdiff that is 4 components x
+   8 subsets = 32 scored sub-programs standing for all 4096 partitions.
+   Partition [i] takes option [i / stride_c mod size_c] of component c,
+   where [stride_c] is the product of the sizes of the components
+   before c: the first component varies fastest. Its total is the
+   running sum of its stage times in component order, so [totals.(i)]
+   is the left fold of [( +. )] over its stage-time list, bit for
+   bit. *)
+let score ?cache m (p : Program.t) ~dims ~config =
   if Array.length dims <> p.Program.rank then
     invalid_arg "Advisor.rank_partitions: dims rank mismatch";
-  let memo = Hashtbl.create 64 in
-  let inlinable = Program.inlinable p in
-  (* Fusion choices never interact across connected components, so the
-     per-partition cost is additive over components: score every subset
-     of each component's inlinable stages once (2^k model sweeps per
-     component), then compose the full product space arithmetically.
-     For the 16-stage hdiff that is 4 components x 8 subsets = 32
-     scored programs standing for all 4096 partitions. *)
-  let per_component =
-    List.map
-      (fun comp ->
-        let in_comp n = List.mem n comp in
-        let cand = List.filter in_comp inlinable in
-        let n = List.length cand in
-        List.init (1 lsl n) (fun mask ->
-            let inline = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) cand in
-            let fp = Program.fuse p ~inline in
-            let hp = Program.halo_plan fp in
-            let times =
-              Array.to_list fp.Program.stages
-              |> List.filter_map (fun (s : Program.stage) ->
-                     if in_comp s.name then
-                       let ext = List.assoc s.name hp.Program.stage_ext in
-                       Some
-                         ( s.name,
-                           stage_time ?cache ~memo m ~dims ~config fp s ext )
-                     else None)
-            in
-            (inline, times)))
-      (Program.components p)
+  let lookup =
+    match cache with
+    | Some cache -> Cache.on_machine cache m
+    | None -> fun a ~dims config -> Model.predict m a ~dims ~config
   in
-  let combos =
-    List.fold_left
-      (fun acc opts ->
-        List.concat_map
-          (fun (inl, ts) ->
-            List.map (fun (inl0, ts0) -> (inl0 @ inl, ts0 @ ts)) acc)
-          opts)
-      [ ([], []) ] per_component
+  let predict a dims = lookup a ~dims config in
+  let memo = Stage_memo.create 64 in
+  let options =
+    Array.of_list
+      (List.map
+         (component_options ~predict ~memo p ~dims)
+         (Program.components p))
   in
-  let scored =
-    List.map
-      (fun (inline, stage_times) ->
-        {
-          inline;
-          stages = Array.length p.Program.stages - List.length inline;
-          time = List.fold_left (fun a (_, t) -> a +. t) 0.0 stage_times;
-          stage_times;
-        })
-      combos
+  let totals =
+    Array.fold_left
+      (fun prefix opts ->
+        let n = Array.length prefix in
+        let next = Array.make (n * Array.length opts) 0.0 in
+        Array.iteri
+          (fun o (_, times) ->
+            let secs = Array.of_list (List.map snd times) in
+            for j = 0 to n - 1 do
+              let t = ref prefix.(j) in
+              for k = 0 to Array.length secs - 1 do
+                t := !t +. secs.(k)
+              done;
+              next.((o * n) + j) <- !t
+            done)
+          opts;
+        next)
+      [| 0.0 |] options
   in
-  let sorted =
-    List.stable_sort (fun a b -> compare a.time b.time) scored
+  (options, totals)
+
+(* The record of partition [i] for each [i] it is applied to. The lists
+   of components c+1.. are built once per combination of their options
+   and shared, so each record copies only its first component's
+   entries. *)
+let entries (p : Program.t) options totals =
+  let ncomp = Array.length options in
+  let shared = Array.init (ncomp + 1) (fun _ -> Hashtbl.create 64) in
+  (* The lists of components c.. for their combination [i]. *)
+  let rec lists c i =
+    if c = ncomp then ([], [])
+    else
+      let size = Array.length options.(c) in
+      let inline, times = options.(c).(i mod size) in
+      let inline', times' = shared_lists (c + 1) (i / size) in
+      (inline @ inline', times @ times')
+  and shared_lists c i =
+    match Hashtbl.find_opt shared.(c) i with
+    | Some l -> l
+    | None ->
+        let l = lists c i in
+        Hashtbl.add shared.(c) i l;
+        l
   in
-  List.filteri (fun i _ -> i < partition_limit) sorted
+  let n_stages = Array.length p.Program.stages in
+  fun i ->
+    let inline, stage_times = lists 0 i in
+    { inline;
+      stages = n_stages - List.length inline;
+      time = totals.(i);
+      stage_times }
+
+let rank_partitions ?cache m p ~dims ~config =
+  let options, totals = score ?cache m p ~dims ~config in
+  (* A stable sort keeps enumeration order among equal totals, as a
+     stable sort of the enumerated list would. *)
+  let order = Array.init (Array.length totals) Fun.id in
+  Array.stable_sort (fun i j -> Float.compare totals.(i) totals.(j)) order;
+  let entry = entries p options totals in
+  List.init
+    (min partition_limit (Array.length order))
+    (fun r -> entry order.(r))
 
 let best_partition ?cache m p ~dims ~config =
-  match rank_partitions ?cache m p ~dims ~config with
-  | best :: _ -> best
-  | [] -> invalid_arg "Advisor.best_partition: program has no stages"
+  let options, totals = score ?cache m p ~dims ~config in
+  let best = ref 0 in
+  for i = 1 to Array.length totals - 1 do
+    if Float.compare totals.(i) totals.(!best) < 0 then best := i
+  done;
+  entries p options totals !best

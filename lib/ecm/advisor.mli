@@ -76,12 +76,20 @@ val rank_partitions :
     partition and ranking is purely a performance question.
 
     Fusion choices cannot interact across connected components, so
-    costs are scored per component subset (2^k model evaluations per
-    component, memoized across identical stage expressions) and the
-    full product space is composed arithmetically — the ranking over
-    all [2^n] partitions is exact while evaluating the model only
-    [sum 2^k_i] times. At most 4096 entries are returned. Raises [Invalid_argument] on a cyclic or non-closed
-    program, or when [dims] does not match the program rank. *)
+    each component is scored on a program of its own stages, once per
+    subset of its [k] inlinable stages, and the stage predictions are
+    memoized across identical read tables, expressions and extensions.
+    The full product space is composed arithmetically: the ranking over
+    all [2^n] partitions is exact while only [sum 2^k_i] sub-programs
+    are fused and priced.
+
+    Partitions are enumerated with the first component varying
+    fastest; each one's time is the sum of its stage times in
+    component order. A stable sort on those times keeps enumeration
+    order among ties, and at most the first 4096 entries are kept.
+
+    Raises [Invalid_argument] on a cyclic or non-closed program, or
+    when [dims] does not match the program rank. *)
 
 val best_partition :
   ?cache:Cache.t ->
@@ -90,4 +98,6 @@ val best_partition :
   dims:int array ->
   config:Config.t ->
   partition
-(** Head of {!rank_partitions}: the predicted-fastest partition. *)
+(** Head of {!rank_partitions}: the first predicted-fastest partition in
+    enumeration order, scored as {!rank_partitions} scores it but with
+    only its own record built. *)

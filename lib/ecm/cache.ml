@@ -70,13 +70,6 @@ let kernel_signature (a : Analysis.t) = Lower.fingerprint a.Analysis.spec
 let dims_str dims =
   String.concat "x" (Array.to_list (Array.map string_of_int dims))
 
-(* A key is this prefix followed by [Config.describe config], which
-   covers block, fold, wavefront, threads and streaming stores — the
-   full config. *)
-let key_prefix m a ~dims =
-  Printf.sprintf "%s|%s|%s|" (machine_fingerprint m) (kernel_signature a)
-    (dims_str dims)
-
 (* The memoized prediction under key [k]. *)
 let lookup t k m a ~dims ~config =
   Mutex.lock t.mutex;
@@ -96,11 +89,23 @@ let lookup t k m a ~dims ~config =
       Mutex.protect t.mutex (fun () -> Hashtbl.replace t.table k p);
       p
 
-let predictor t m a ~dims =
-  let prefix = key_prefix m a ~dims in
-  fun config -> lookup t (prefix ^ Config.describe config) m a ~dims ~config
+(* A key is the machine digest, the kernel signature and the dims,
+   followed by [Config.describe config], which covers block, fold,
+   wavefront, threads and streaming stores — the full config. The
+   machine is digested once per [on_machine t m], and the kernel and
+   dims once per further application to them, whatever the number of
+   configs looked up after. *)
+let on_machine t m =
+  let machine = machine_fingerprint m in
+  fun a ~dims ->
+    let prefix =
+      Printf.sprintf "%s|%s|%s|" machine (kernel_signature a) (dims_str dims)
+    in
+    fun config -> lookup t (prefix ^ Config.describe config) m a ~dims ~config
 
-let predict t m a ~dims ~config = predictor t m a ~dims config
+let predictor t m a ~dims = on_machine t m a ~dims
+
+let predict t m a ~dims ~config = on_machine t m a ~dims config
 
 let stats t =
   Mutex.lock t.mutex;

@@ -6,9 +6,10 @@
     parallel sweep's domains evaluate overlapping spaces. Entries are
     keyed by {e content} — machine fingerprint x kernel signature x
     grid dims x full configuration (threads included) — so structurally
-    equal inputs hit regardless of physical identity. A ranking digests
-    the machine and the kernel once for its whole space ({!predictor});
-    the per-config part of a key is [Config.describe].
+    equal inputs hit regardless of physical identity. Lookups are staged
+    ({!on_machine}): a ranking digests the machine once, and the kernel
+    once for its whole space ({!predictor}); the per-config part of a
+    key is [Config.describe].
 
     The cache never evicts: it holds one entry per distinct key, at
     most 1,650 in any shipped experiment or command (E10). It is safe
@@ -34,6 +35,21 @@ type stats = {
 val create : unit -> t
 (** An empty cache. *)
 
+val on_machine :
+  t ->
+  Yasksite_arch.Machine.t ->
+  Yasksite_stencil.Analysis.t ->
+  dims:int array ->
+  Config.t ->
+  Model.prediction
+(** The memoized [Model.predict], staged by key part: [on_machine t m]
+    digests the machine once; applied to a kernel and dims, it lowers
+    the kernel once; applied to a config, it returns the cached
+    prediction when the (machine, kernel, dims, config) content key was
+    seen before, else the model's, which is cached. Each lookup counts
+    one hit or one miss. A caller that looks up many kernels on one
+    machine (the fusion-partition ranking) applies the machine once. *)
+
 val predictor :
   t ->
   Yasksite_arch.Machine.t ->
@@ -41,12 +57,10 @@ val predictor :
   dims:int array ->
   Config.t ->
   Model.prediction
-(** [predictor cache m a ~dims] digests the machine and lowers the
-    kernel once, and returns the memoized [Model.predict] for one
-    config: the cached prediction when the (machine, kernel, dims,
-    config) content key was seen before, else the model's, which is
-    cached. A ranking builds one predictor for its whole space. Each
-    lookup counts one hit or one miss, as {!predict} does. *)
+(** [on_machine cache m a ~dims]: the memoized [Model.predict] of one
+    kernel at one size, for a whole space of configs, with the machine
+    digested and the kernel lowered once. A ranking builds one
+    predictor for its whole space. *)
 
 val predict :
   t ->
@@ -55,7 +69,7 @@ val predict :
   dims:int array ->
   config:Config.t ->
   Model.prediction
-(** [predictor t m a ~dims config]: one memoized lookup, digesting the
+(** [on_machine t m a ~dims config]: one memoized lookup, digesting the
     machine and the kernel for it alone. *)
 
 val stats : t -> stats

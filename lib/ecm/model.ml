@@ -82,14 +82,24 @@ let predict (m : Machine.t) (a : Analysis.t) ~dims ~config =
   in
   (* The first core count whose chip performance reaches the ceiling.
      [n * lups_single_at n] is not monotone in n: a shrinking L3 share
-     can break a layer condition, so the search is linear. *)
+     can break a layer condition, so the search is linear. It starts at
+     the in-core bound: under either overlap rule T_ECM(n) is at least
+     max(T_OL, T_nOL), as every data term is at least 0, and IEEE
+     division and multiplication are monotone, so a count whose
+     [n * bound] falls short of the ceiling cannot be the crossing. *)
   let saturation_cores =
+    let bound = hz *. lups /. max incore.t_ol incore.t_nol in
+    let rec start n =
+      if n < m.cores && float_of_int n *. bound < lups_saturated then
+        start (n + 1)
+      else n
+    in
     let rec find n =
       if n >= m.cores then m.cores
       else if float_of_int n *. lups_single_at n >= lups_saturated then n
       else find (n + 1)
     in
-    if lups_saturated = infinity then m.cores else find 1
+    if lups_saturated = infinity then m.cores else find (start 1)
   in
   let lups_chip = min (float_of_int threads *. lups_single) lups_saturated in
   { config; incore; boundaries; t_data; t_ecm;

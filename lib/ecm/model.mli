@@ -33,10 +33,13 @@ val predict :
 (** Evaluate the full model for one configuration. The in-core terms
     and the layer-condition stage ({!Lc.stage}) are computed once; the
     saturation search then evaluates only the boundaries at each core
-    count n = 1, 2, ... until n times the per-core performance reaches
-    the memory ceiling. That product is not monotone in n (a shrinking
+    count n until n times the per-core performance reaches the memory
+    ceiling. That product is not monotone in n (a shrinking
     shared-cache share can break a layer condition), so the search is
-    linear and finds the first crossing. *)
+    linear and finds the first crossing. It starts at the in-core
+    bound: T_ECM is at least max(T_OL, T_nOL) at every n, so the counts
+    below the first n whose in-core performance times n reaches the
+    ceiling are skipped without evaluating their boundaries. *)
 
 val chip_scaling :
   Yasksite_arch.Machine.t ->

@@ -45,32 +45,48 @@ let resolved t = t.resolved
    representable coefficient value is distinguished; the spec's name is
    deliberately excluded — the fingerprint is content-addressed, so two
    identically-shaped kernels share ECM-cache entries. The bytes are a
-   persisted format: they key store entries and checkpoints. *)
+   persisted format: they key store entries and checkpoints. Every ECM
+   cache lookup renders a plan, so ints and fixed tokens go straight
+   into the buffer and only constants go through [Printf]. *)
 let render b ~rank ~n_fields ~accesses ~code =
-  Buffer.add_string b (Printf.sprintf "r%d|f%d|" rank n_fields);
+  let int i = Buffer.add_string b (string_of_int i) in
+  Buffer.add_char b 'r';
+  int rank;
+  Buffer.add_string b "|f";
+  int n_fields;
+  Buffer.add_char b '|';
   Array.iter
     (fun (a : Expr.access) ->
-      Buffer.add_string b (Printf.sprintf "a%d:" a.field);
-      Array.iter (fun d -> Buffer.add_string b (Printf.sprintf "%d," d))
+      Buffer.add_char b 'a';
+      int a.field;
+      Buffer.add_char b ':';
+      Array.iter
+        (fun d ->
+          int d;
+          Buffer.add_char b ',')
         a.offsets;
       Buffer.add_char b ';')
     accesses;
   Buffer.add_string b "|P";
   Array.iter
-    (fun i ->
-      Buffer.add_string b
-        (match i with
-        | Push c -> Printf.sprintf "c%h;" c
-        | Load s -> Printf.sprintf "l%d;" s
-        | Sym n -> Printf.sprintf "y%s;" n
-        | Neg -> "~;"
-        | Add -> "+;"
-        | Sub -> "-;"
-        | Mul -> "*;"
-        | Div -> "/;"
-        | Min -> "m;"
-        | Max -> "M;"
-        | Sel -> "?;"))
+    (function
+      | Push c -> Printf.bprintf b "c%h;" c
+      | Load s ->
+          Buffer.add_char b 'l';
+          int s;
+          Buffer.add_char b ';'
+      | Sym n ->
+          Buffer.add_char b 'y';
+          Buffer.add_string b n;
+          Buffer.add_char b ';'
+      | Neg -> Buffer.add_string b "~;"
+      | Add -> Buffer.add_string b "+;"
+      | Sub -> Buffer.add_string b "-;"
+      | Mul -> Buffer.add_string b "*;"
+      | Div -> Buffer.add_string b "/;"
+      | Min -> Buffer.add_string b "m;"
+      | Max -> Buffer.add_string b "M;"
+      | Sel -> Buffer.add_string b "?;")
     code
 
 let v ~name ~rank ~n_fields ~accesses ~code ~depth =

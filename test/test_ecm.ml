@@ -576,12 +576,26 @@ let all_machines =
   lazy
     (Array.append machines (Array.of_list (Test_schedule.shipped_machines ())))
 
+(* A heat-3d stencil that divides every term: at 128^3 on CLX and Rome
+   its T_OL outweighs the data terms, so T_ECM = T_OL at every core
+   count, and the saturation search's in-core bound starts exactly on
+   the crossing. *)
+let divheavy =
+  match
+    Yasksite_stencil.Parser.parse_spec ~name:"divheavy-3d-7pt" ~rank:3
+      "f0(z,y,x-1)/3.0 + f0(z,y,x+1)/3.0 + f0(z,y-1,x)/3.0 + \
+       f0(z,y+1,x)/3.0 + f0(z-1,y,x)/3.0 + f0(z+1,y,x)/3.0 + f0(z,y,x)/7.0"
+  with
+  | Ok spec -> Analysis.of_spec spec
+  | Error e -> failwith e
+
 let staged_equals_reference =
   QCheck.Test.make
     ~name:"staged model = reference, every field, seven machines x the suite"
     ~count:1000 QCheck.small_int (fun seed ->
       let rng = Prng.create ~seed in
-      let m = pick rng (Lazy.force all_machines) and a = pick rng analyses in
+      let m = pick rng (Lazy.force all_machines)
+      and a = pick rng (Array.append analyses [| divheavy |]) in
       let rank = a.Analysis.spec.Yasksite_stencil.Spec.rank in
       let dims = Array.init rank (fun _ -> 8 * (1 + Prng.int rng ~bound:64)) in
       let block =
@@ -654,6 +668,27 @@ let test_e5_scaling_equals_reference () =
     [ (clx8, heat3d_64); (clx8, heat2d_384);
       (Machine.scaled Machine.rome, heat3d_64) ]
 
+(* Where the saturation search's start binds: the division-heavy kernel
+   is compute-bound (T_ECM = T_OL) and saturates below the core count,
+   so the in-core bound is the first crossing. Every thread count
+   agrees with the reference. *)
+let test_saturation_start_equals_reference () =
+  let dims = [| 128; 128; 128 |] in
+  List.iter
+    (fun m ->
+      let p = Model.predict m divheavy ~dims ~config:Config.default in
+      Alcotest.(check string)
+        (m.Machine.name ^ ": T_ECM = T_OL")
+        (hex p.Model.incore.Incore.t_ol) (hex p.Model.t_ecm);
+      Alcotest.(check bool)
+        (m.Machine.name ^ ": saturates below the core count")
+        true
+        (p.Model.saturation_cores < m.Machine.cores);
+      for threads = 1 to m.Machine.cores do
+        check_agrees m divheavy ~dims ~config:(Config.v ~threads ())
+      done)
+    [ clx; Machine.rome; Machine.scaled Machine.rome ]
+
 (* Bad input raises what the reference raises. *)
 let test_bad_input_raises_as_reference () =
   let outcome f =
@@ -691,6 +726,8 @@ let reference_suite =
       test_rank_spaces_equal_reference;
     Alcotest.test_case "E5 scaling equals the reference" `Quick
       test_e5_scaling_equals_reference;
+    Alcotest.test_case "saturation start equals the reference" `Quick
+      test_saturation_start_equals_reference;
     Alcotest.test_case "bad input raises as the reference" `Quick
       test_bad_input_raises_as_reference ]
 

@@ -251,6 +251,28 @@ let test_fingerprint_format_pinned () =
        (Program.fuse Suite.hdiff ~inline:(Program.inlinable Suite.hdiff))
        "uout")
 
+(* One kernel that reaches every token of the rendering: a symbolic
+   coefficient, negative offsets, a non-integer and a negative constant,
+   and every operator. The resolved variant swaps the symbol for a
+   constant, so a [Push] renders where the [Sym] did. *)
+let test_fingerprint_every_token_pinned () =
+  let r field offsets = Expr.Ref { field; offsets } in
+  let kernel coeff =
+    Spec.v ~name:"every-token" ~rank:3 ~n_fields:2
+      Expr.(
+        Select
+          ( Sub (r 0 [| 0; -1; 2 |], Const 0.1),
+            Neg (Min (r 1 [| -3; 0; 0 |], coeff)),
+            Max
+              ( Div (r 0 [| 0; 0; 0 |], Const 3.25),
+                Add (Mul (Const (-0.5), r 1 [| 0; 0; -1 |]), r 0 [| 1; 0; 0 |])
+              ) ))
+  in
+  Alcotest.(check string) "symbolic" "04d7cf12bb6e7a421f80d230542c80c0"
+    (Lower.fingerprint (kernel (Expr.Coeff "r")));
+  Alcotest.(check string) "resolved" "36b6efaa62680d4aaf4147c8ec6cbd02"
+    (Lower.fingerprint (kernel (Expr.Const 1e-3)))
+
 let test_unresolved_plan () =
   let spec = Spec.v ~name:"sym" ~rank:1 Dsl.(p "r" *: fld [ 0 ]) in
   let plan = Lower.lower spec in
@@ -413,6 +435,8 @@ let suite =
       test_fingerprint_matches_plan;
     Alcotest.test_case "fingerprint format pinned" `Quick
       test_fingerprint_format_pinned;
+    Alcotest.test_case "fingerprint of every token pinned" `Quick
+      test_fingerprint_every_token_pinned;
     Alcotest.test_case "symbolic plans fingerprint but refuse to bind" `Quick
       test_unresolved_plan;
     Alcotest.test_case "field-count mismatch rejected everywhere" `Quick

@@ -557,14 +557,16 @@ let direct_time m p ~dims ~config inline =
          points /. pred.Model.lups_chip)
   |> List.fold_left ( +. ) 0.0
 
+(* Two-stage chain. *)
+let chain_program () =
+  parse_ok
+    "program chain\nrank 1\ninputs in\noutputs out\n\
+     a = in(x-1) + in(x+1)\nout = a(x-1) + a(x+1)\n"
+
 let test_rank_partitions_exact () =
   (* Two-stage chain: the ranking must match hand-computed model times
      for both partitions. *)
-  let p =
-    parse_ok
-      "program chain\nrank 1\ninputs in\noutputs out\n\
-       a = in(x-1) + in(x+1)\nout = a(x-1) + a(x+1)\n"
-  in
+  let p = chain_program () in
   let m = Machine.test_chip in
   let dims = [| 64 |] in
   let config = Config.default in
@@ -588,13 +590,11 @@ let test_rank_partitions_exact () =
   Alcotest.(check bool) "best is head" true
     (bp.Advisor.inline = (List.hd ranked).Advisor.inline)
 
-let test_rank_partitions_nested_sums () =
-  (* A right-nested sum and the left-nested sum of the same terms differ
-     in evaluation order and in billed flops (the left-nested constants
-     fold away), so the ranking's per-stage memo must not merge them. *)
+(* Two output stages: 1.0 + (2.0 + (... (8.0 + sq))) and
+   (((1.0 + 2.0) + ...) + 8.0) + sq, with sq = a(y,x)*a(y,x). *)
+let nested_sums_program () =
   let consts = List.init 8 (fun i -> Printf.sprintf "%d.0" (i + 1)) in
   let sq = "a(y,x)*a(y,x)" in
-  (* 1.0 + (2.0 + (... (8.0 + sq))) and (((1.0 + 2.0) + ...) + 8.0) + sq *)
   let right = List.fold_right (fun c acc -> c ^ " + (" ^ acc ^ ")") consts sq in
   let left =
     List.fold_left
@@ -602,12 +602,16 @@ let test_rank_partitions_nested_sums () =
       (List.hd consts) (List.tl consts)
     ^ " + " ^ sq
   in
-  let p =
-    parse_ok
-      (Printf.sprintf
-         "program sums\nrank 2\ninputs a\noutputs s1 s2\ns1 = %s\ns2 = %s\n"
-         right left)
-  in
+  parse_ok
+    (Printf.sprintf
+       "program sums\nrank 2\ninputs a\noutputs s1 s2\ns1 = %s\ns2 = %s\n"
+       right left)
+
+let test_rank_partitions_nested_sums () =
+  (* A right-nested sum and the left-nested sum of the same terms differ
+     in evaluation order and in billed flops (the left-nested constants
+     fold away), so the ranking's per-stage memo must not merge them. *)
+  let p = nested_sums_program () in
   let m = Machine.scaled ~factor:8 Machine.cascade_lake in
   let dims = [| 16; 16 |] in
   let config = Config.v ~threads:1 () in
@@ -661,6 +665,160 @@ let test_rank_partitions_hdiff () =
   Alcotest.(check bool) "composition exact" true
     (Float.abs (entry.Advisor.time -. expect) <= 1e-12 *. expect)
 
+(* ------------------------------------------------------------------ *)
+(* The partition ranking against [Advisor_reference], bit for bit: each
+   entry's inline list, stage count, time and stage times (floats in
+   hex), and the model cache's hits and misses.                         *)
+
+module Cache = Yasksite_ecm.Cache
+
+let render_partition (pt : Advisor.partition) =
+  Printf.sprintf "[%s] %d stages %h {%s}"
+    (String.concat " " pt.Advisor.inline)
+    pt.Advisor.stages pt.Advisor.time
+    (String.concat "; "
+       (List.map (fun (n, t) -> Printf.sprintf "%s %h" n t)
+          pt.Advisor.stage_times))
+
+(* Equal as [render_partition] renders them, without rendering. *)
+let same_partition (a : Advisor.partition) (b : Advisor.partition) =
+  let bits = Int64.bits_of_float in
+  a.Advisor.inline = b.Advisor.inline
+  && a.Advisor.stages = b.Advisor.stages
+  && bits a.Advisor.time = bits b.Advisor.time
+  && List.equal
+       (fun (n, t) (n', t') -> n = n' && bits t = bits t')
+       a.Advisor.stage_times b.Advisor.stage_times
+
+(* [None] when [p]'s ranking, and its head through [best_partition],
+   equal the reference's entry for entry, with equal cache counts; else
+   the first difference. *)
+let ranking_disagreement m p ~dims ~config =
+  let cache = Cache.create () and ref_cache = Cache.create () in
+  let ours = Advisor.rank_partitions ~cache m p ~dims ~config
+  and theirs =
+    Advisor_reference.rank_partitions ~cache:ref_cache m p ~dims ~config
+  in
+  let counts c =
+    let s = Cache.stats c in
+    Printf.sprintf "%d hits, %d misses" s.Cache.hits s.Cache.misses
+  in
+  let best = Advisor.best_partition m p ~dims ~config in
+  let differ what o t =
+    Some
+      (Printf.sprintf "%s:\n  ours      %s\n  reference %s" what
+         (render_partition o) (render_partition t))
+  in
+  let rec first_diff i = function
+    | o :: os, t :: ts ->
+        if same_partition o t then first_diff (i + 1) (os, ts)
+        else differ (Printf.sprintf "entry %d" i) o t
+    | [], [] -> None
+    | _ ->
+        Some
+          (Printf.sprintf "%d entries, reference %d" (List.length ours)
+             (List.length theirs))
+  in
+  let what =
+    match first_diff 0 (ours, theirs) with
+    | Some d -> Some d
+    | None when counts cache <> counts ref_cache ->
+        Some
+          (Printf.sprintf "cache: ours %s, reference %s" (counts cache)
+             (counts ref_cache))
+    | None when not (same_partition best (List.hd theirs)) ->
+        differ "best_partition against the reference's head" best
+          (List.hd theirs)
+    | None -> None
+  in
+  Option.map
+    (fun d ->
+      Printf.sprintf "%s on %s, %s, %s: %s" p.P.name m.Machine.name
+        (String.concat "x" (Array.to_list (Array.map string_of_int dims)))
+        (Config.describe config) d)
+    what
+
+let partition_machines =
+  lazy
+    (Array.of_list
+       ([ Machine.test_chip;
+          Machine.scaled ~factor:8 Machine.cascade_lake;
+          Machine.scaled ~factor:8 Machine.rome ]
+       @ Test_schedule.shipped_machines ()))
+
+let rank_partitions_equals_reference =
+  QCheck.Test.make ~name:"rank_partitions = reference" ~count:100
+    QCheck.small_int (fun seed ->
+      let rng = Prng.create ~seed in
+      let pick a = a.(Prng.int rng ~bound:(Array.length a)) in
+      let m = pick (Lazy.force partition_machines) in
+      let dims = Array.init 2 (fun _ -> 16 + Prng.int rng ~bound:241) in
+      let threads = 1 + Prng.int rng ~bound:m.Machine.cores in
+      (* linear, or a fold the advisor's space offers *)
+      let folds =
+        Array.of_list
+          (None
+           :: List.sort_uniq compare
+                (List.filter_map
+                   (fun (c : Config.t) -> Option.map Option.some c.Config.fold)
+                   (Advisor.space m ~dims ~threads ~rank:2)))
+      in
+      let config = Config.v ?fold:(pick folds) ~threads () in
+      match ranking_disagreement m Suite.hdiff ~dims ~config with
+      | None -> true
+      | Some d -> QCheck.Test.fail_report d)
+
+(* hdiff with a fifth advected field [q], a copy of [u]'s chain: five
+   components of 8 options, 32,768 partitions cut to 4096. *)
+let hdiff5 () =
+  let h = Suite.hdiff in
+  let q name =
+    if name.[0] = 'u' then "q" ^ String.sub name 1 (String.length name - 1)
+    else name
+  in
+  let copies =
+    Array.to_list h.P.stages
+    |> List.filter (fun (s : P.stage) -> s.P.name.[0] = 'u')
+    |> List.map (fun (s : P.stage) ->
+           { s with P.name = q s.P.name; reads = Array.map q s.P.reads })
+  in
+  { h with
+    P.inputs = Array.append h.P.inputs [| "qin" |];
+    outputs = Array.append h.P.outputs [| "qout" |];
+    stages = Array.append h.P.stages (Array.of_list copies) }
+
+let test_rank_partitions_fixed_equal_reference () =
+  (* [s] forms a component with no inlinable stage, ahead of the
+     two-option component {m, t}. *)
+  let lone =
+    parse_ok
+      "program lone\nrank 2\ninputs a b\noutputs s t\n\
+       s = a(y,x-1) + a(y,x+1)\nm = b(y-1,x) * b(y+1,x)\n\
+       t = m(y,x) + m(y,x+1)\n"
+  in
+  let h5 = hdiff5 () in
+  Alcotest.(check int) "hdiff5 is a clean program" 0 (List.length (P.issues h5));
+  Alcotest.(check int) "hdiff5 components" 5 (List.length (P.components h5));
+  let machines =
+    [ Machine.test_chip; Machine.scaled ~factor:8 Machine.cascade_lake ]
+  in
+  List.iter
+    (fun (p, dims) ->
+      List.iter
+        (fun m ->
+          List.iter
+            (fun threads ->
+              let config = Config.v ~threads () in
+              match ranking_disagreement m p ~dims ~config with
+              | None -> ()
+              | Some d -> Alcotest.fail d)
+            [ 1; m.Machine.cores ])
+        machines)
+    [ (chain_program (), [| 64 |]);
+      (nested_sums_program (), [| 16; 16 |]);
+      (lone, [| 48; 40 |]);
+      (h5, [| 256; 256 |]) ]
+
 let suite =
   [ Alcotest.test_case "select/min/max semantics" `Quick
       test_select_semantics;
@@ -697,4 +855,7 @@ let suite =
     Alcotest.test_case "rank_partitions nested sums" `Quick
       test_rank_partitions_nested_sums;
     Alcotest.test_case "rank_partitions hdiff" `Quick
-      test_rank_partitions_hdiff ]
+      test_rank_partitions_hdiff;
+    qt rank_partitions_equals_reference;
+    Alcotest.test_case "rank_partitions = reference, fixed programs" `Quick
+      test_rank_partitions_fixed_equal_reference ]
