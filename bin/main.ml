@@ -107,16 +107,19 @@ let stagger_arg =
 let domains_arg =
   let doc =
     "Worker domains for parallel ranking, tuning and sweeping (default: \
-     the YASKSITE_DOMAINS environment variable, else the runtime's \
-     recommended domain count). Results are independent of this setting."
+     the runtime's recommended domain count). Results are independent \
+     of this setting."
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
 let sanitize_arg =
   let doc =
-    "Run every measured sweep through the shadow-memory sanitizer: a \
-     legal schedule measures identically, an illegal one aborts with a \
-     YS45x trap instead of silently producing garbage."
+    "Run every measured sweep under the shadow-memory sanitizer: a \
+     legal schedule measures identically. A measurement first tries to \
+     certify its plan, layout and blocking; a certified one skips the \
+     per-point checks, an uncertified one is checked access by access \
+     and aborts with a YS45x trap instead of silently producing \
+     garbage."
   in
   Arg.(value & flag & info [ "sanitize" ] ~doc)
 
@@ -127,29 +130,21 @@ let backend_arg =
         ("codegen", Engine.Sweep.Codegen_backend) ]
   in
   let doc =
-    "Execution backend for sweeps and program stages: $(b,plan) (the \
-     kernel-plan driver — row-hoisted table-addressed loops, the \
-     default) or $(b,codegen) (kernels specialized per plan \
-     fingerprint, compiled out of process and cached; falls back to \
-     plan when no OCaml toolchain is available). Both produce \
-     bit-identical results — including multi-stage program runs. \
-     Default: the YASKSITE_BACKEND environment variable, else plan."
+    "Execution backend for host sweeps: $(b,plan) (the plan \
+     interpreter — row-hoisted table-addressed loops, the default) or \
+     $(b,codegen) (kernels specialized per plan fingerprint, compiled \
+     out of process and cached; falls back to plan when no OCaml \
+     toolchain is available). Both produce bit-identical results. \
+     Simulated measurements always run the plan interpreter, which \
+     issues the same trace."
   in
   Arg.(
     value
-    & opt (some backend) None
+    & opt backend Engine.Sweep.Plan_backend
     & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
-(* Apply --backend, then validate the effective backend eagerly: a bad
-   YASKSITE_BACKEND fails here with the one-line legal-backends message
-   instead of mid-measurement. (--backend, validated by the parser,
-   overrides the variable.) *)
-let apply_backend backend =
-  Option.iter Engine.Sweep.set_default_backend backend;
-  ignore (Engine.Sweep.default_backend () : Engine.Sweep.backend)
-
 (* Explicit --domains gets a private pool (shut down on the way out);
-   otherwise the environment-sized shared pool is used. *)
+   otherwise the shared pool, at the runtime's recommended width. *)
 let with_domains domains f =
   match domains with
   | None -> f (Pool.shared ())
@@ -420,7 +415,7 @@ let predict_cmd =
 (* Untraced wall-clock sweep, sequential and on the pool: exercises the
    domain partitioning end to end and checks the outputs are
    bit-identical. *)
-let parallel_sweep_demo ?(sanitize = false) k ~config pool =
+let parallel_sweep_demo ?(sanitize = false) ~backend k ~config pool =
   (* One sanitizer per run: each [make] call's private address space
      reuses the same virtual bases, so shadow state must not be shared. *)
   let san () = if sanitize then Some (Engine.Sanitizer.create ()) else None in
@@ -445,13 +440,13 @@ let parallel_sweep_demo ?(sanitize = false) k ~config pool =
   let inputs_s, output_s = make () in
   let _, seq_s =
     timed (fun () ->
-        Engine.Sweep.run ?sanitize:(san ()) ~config k.spec ~inputs:inputs_s
-          ~output:output_s)
+        Engine.Sweep.run ~backend ?sanitize:(san ()) ~config k.spec
+          ~inputs:inputs_s ~output:output_s)
   in
   let inputs_p, output_p = make () in
   let _, par_s =
     timed (fun () ->
-        Engine.Sweep.run ~pool ?sanitize:(san ()) ~config k.spec
+        Engine.Sweep.run ~pool ~backend ?sanitize:(san ()) ~config k.spec
           ~inputs:inputs_p ~output:output_p)
   in
   let diff = Grid.max_abs_diff output_s output_p in
@@ -466,7 +461,6 @@ let run_cmd =
   let run machine scale stencil expr dims threads block fold wavefront nt
       stagger domains sanitize backend stats_json =
     protect @@ fun () ->
-    apply_backend backend;
     (* The codegen backend warm-starts from the persistent store: a
        second run of the same kernel loads the compiled .cmxs instead
        of invoking the compiler (YASKSITE_NO_STORE opts out). *)
@@ -481,7 +475,7 @@ let run_cmd =
     print_string (report ~sanitize k ~config);
     if domains <> None then
       with_domains domains (fun pool ->
-          parallel_sweep_demo ~sanitize k ~config pool);
+          parallel_sweep_demo ~sanitize ~backend k ~config pool);
     if stats_json then print_endline (stats_json_line ~cache ~store)
   in
   Cmd.v
@@ -538,10 +532,8 @@ let tune_cmd =
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
   in
   let run machine scale stencil expr dims threads top empirical fault_seed
-      fault_rate noise retries budget resume domains sanitize backend
-      stats_json =
+      fault_rate noise retries budget resume domains sanitize stats_json =
     protect @@ fun () ->
-    apply_backend backend;
     let k = or_die (build_kernel ?expr ~machine ~scale ~stencil ~dims ()) in
     with_domains domains @@ fun pool ->
     let cache = Model_cache.create () in
@@ -633,7 +625,7 @@ let tune_cmd =
       const run $ machine_arg $ scale_arg $ stencil_arg $ expr_arg $ dims_arg
       $ threads_arg $ top $ empirical_arg $ fault_seed_arg $ fault_rate_arg
       $ noise_arg $ retries_arg $ budget_arg $ resume_arg $ domains_arg
-      $ sanitize_arg $ backend_arg $ stats_json_arg)
+      $ sanitize_arg $ stats_json_arg)
 
 let scheme_name = function
   | `Unfused -> "unfused"
@@ -1177,7 +1169,6 @@ let program_run_cmd =
   let run machine scale input dims threads block fold nt fuse domains backend
       stats_json =
     protect @@ fun () ->
-    apply_backend backend;
     let p, _ = or_die (load_program input) in
     let dims = or_die (dims_of_string dims) in
     let config =
@@ -1209,7 +1200,7 @@ let program_run_cmd =
     let space, inputs = program_inputs fused ~dims ~config in
     let exec pool =
       timed (fun () ->
-          Engine.Prog.run ?pool ?backend ~config ~space fused ~inputs)
+          Engine.Prog.run ?pool ~backend ~config ~space fused ~inputs)
     in
     let result, wall =
       match domains with

@@ -21,7 +21,7 @@ type t
 type counters = {
   accesses : int;  (** loads + stores issued by the core *)
   loads : int;
-  stores : int;
+  stores : int;  (** every store issued, streaming ones included *)
   hits : int array;  (** per level *)
   misses : int array;  (** per level, counted only when probed *)
   writebacks : int array;

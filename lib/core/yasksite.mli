@@ -44,7 +44,8 @@ module Stencil : sig
 
   module Lower = Yasksite_stencil.Lower
   (** Lowering to {!Plan} and binding plans to concrete grids (the
-      default execution backend of {!Engine.Sweep}). *)
+      plan interpreter: the default backend of {!Engine.Sweep}, and
+      the only one of {!Engine.Wavefront} and {!Engine.Measure}). *)
 
   module Codegen = Yasksite_stencil.Codegen
   (** Plan→native source emission: the pure front half of
@@ -92,7 +93,8 @@ module Engine : sig
   module Cert = Yasksite_engine.Cert
   (** Safety-certificate store: (plan × layout × halo × blocking)
       tuples proven safe by the YS5xx verifier select the sanitizer's
-      unchecked fast path. *)
+      unchecked fast path. A sanitized {!measure} certifies first, so
+      it usually skips the per-point checks. *)
 
   module Certify = Yasksite_engine.Certify
   (** Certification pipeline: static YS5xx proof plus YS511 traced
@@ -169,9 +171,11 @@ val predict : kernel -> config:Config.t -> Model.prediction
 val measure :
   ?sanitize:bool -> kernel -> config:Config.t -> Yasksite_engine.Measure.t
 (** Execute on the simulated machine and report observed performance.
-    [sanitize] (default [false]) runs every access through the
-    shadow-memory {!Engine.Sanitizer}; an illegal schedule raises
-    {!Engine.Sanitizer.Trap} instead of measuring garbage. *)
+    [sanitize] (default [false]) runs the measurement under the
+    shadow-memory {!Engine.Sanitizer} with the semantics of
+    {!Engine.Measure.stencil_sweep}: a certified tuple skips the
+    per-point checks, an uncertified one is checked access by access
+    and raises {!Engine.Sanitizer.Trap} instead of measuring garbage. *)
 
 val autotune : kernel -> threads:int -> Config.t * Model.prediction
 (** Analytically select the best configuration (the YaskSite pitch:

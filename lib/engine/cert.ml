@@ -15,10 +15,7 @@
 
    The table is process-local. A certificate re-derives in a fraction
    of a millisecond, less than the persistent store takes to write
-   one, so none is kept on disk.
-
-   YASKSITE_NO_CERT=1 force-disables the store (lookups miss, inserts
-   drop) so CI can keep the checked path exercised end to end. *)
+   one, so none is kept on disk. *)
 
 module Grid = Yasksite_grid.Grid
 module Plan = Yasksite_stencil.Plan
@@ -29,11 +26,6 @@ type entry = {
   fingerprint : string;  (* the certified plan's content digest *)
   loads_per_point : int;  (* certified traffic: reads per update *)
 }
-
-let enabled () =
-  match Sys.getenv_opt "YASKSITE_NO_CERT" with
-  | None | Some "" | Some "0" -> true
-  | Some _ -> false
 
 let dims_str a =
   String.concat "x" (Array.to_list (Array.map string_of_int a))
@@ -72,15 +64,11 @@ let mutex = Mutex.create ()
 
 let fast_hits = Atomic.make 0
 
-let lookup k =
-  if not (enabled ()) then None
-  else Mutex.protect mutex (fun () -> Hashtbl.find_opt store k)
+let lookup k = Mutex.protect mutex (fun () -> Hashtbl.find_opt store k)
 
 let mem k = lookup k <> None
 
-let insert e =
-  if enabled () then
-    Mutex.protect mutex (fun () -> Hashtbl.replace store e.key e)
+let insert e = Mutex.protect mutex (fun () -> Hashtbl.replace store e.key e)
 
 let size () = Mutex.protect mutex (fun () -> Hashtbl.length store)
 

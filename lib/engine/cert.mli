@@ -13,10 +13,9 @@
 
     The store is process-wide, in memory only, and thread-safe.
     Certification re-derives faster than a persistent store writes a
-    record, so certificates are not kept on disk. Setting the
-    [YASKSITE_NO_CERT] environment variable to anything but [""] or
-    ["0"] force-disables it (lookups miss, inserts drop), keeping the
-    checked path exercised end to end. *)
+    record, so certificates are not kept on disk. A caller that needs
+    the checked path (the legal-space sweeps of the tests and of E16)
+    starts from an empty store with {!clear} and does not certify. *)
 
 module Grid := Yasksite_grid.Grid
 module Plan := Yasksite_stencil.Plan
@@ -28,9 +27,6 @@ type entry = {
   loads_per_point : int;  (** certified traffic: reads per update *)
 }
 
-val enabled : unit -> bool
-(** [false] iff [YASKSITE_NO_CERT] is set to anything but [""]/["0"]. *)
-
 val key :
   plan:Plan.t -> inputs:Grid.t array -> output:Grid.t ->
   config:Config.t -> string
@@ -39,12 +35,11 @@ val key :
     grid extents excluded. *)
 
 val lookup : string -> entry option
-(** [None] when absent or when the store is disabled. *)
+(** [None] when absent. *)
 
 val mem : string -> bool
 
 val insert : entry -> unit
-(** No-op when the store is disabled. *)
 
 val size : unit -> int
 (** Certificates held. Used by tests only: the certificate tests count

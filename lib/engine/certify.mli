@@ -45,9 +45,7 @@ val certify :
     for callers that already hold it) against the given grids' layouts
     and halos and [config]'s blocking. [Ok entry] means the certificate
     was inserted into the store; [Error ds] carries every static and
-    dynamic diagnostic that blocked it. Inserts are dropped when the
-    store is disabled ([YASKSITE_NO_CERT]), but the verdict is still
-    computed and returned. *)
+    dynamic diagnostic that blocked it. *)
 
 val ensure :
   ?machine:Machine.t ->
@@ -58,5 +56,4 @@ val ensure :
   config:Config.t ->
   bool
 (** [true] iff the tuple's certificate is already in the store or
-    {!certify} just earned one. Returns [false] without any work when
-    the store is disabled. *)
+    {!certify} just earned one. *)

@@ -95,19 +95,7 @@ let execute ~plan spec ~inputs ~output ~config ~vec_unit ~trace ~sanitize =
     Sweep.add_stats s1 s2
   end
 
-(* CI hook, mirroring Pool's YASKSITE_DOMAINS: setting YASKSITE_SANITIZE
-   to anything but "" or "0" turns the sanitizer on for every
-   measurement that does not choose explicitly, so the whole test suite
-   can run shadow-checked without threading a flag through. *)
-let sanitize_default () =
-  match Sys.getenv_opt "YASKSITE_SANITIZE" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
-let stencil_sweep ?sanitize (m : Machine.t) spec ~dims ~config =
-  let sanitize =
-    match sanitize with Some s -> s | None -> sanitize_default ()
-  in
+let stencil_sweep ?(sanitize = false) (m : Machine.t) spec ~dims ~config =
   let rank = spec.Spec.rank in
   if Array.length dims <> rank then
     invalid_arg "Measure.stencil_sweep: dims rank mismatch";
@@ -143,7 +131,7 @@ let stencil_sweep ?sanitize (m : Machine.t) spec ~dims ~config =
      sanitizer's per-point overhead is paid once (on the tiny proxy
      grids) instead of per measurement. An uncertifiable tuple simply
      keeps the checked path — certification never rejects work here. *)
-  if sanitize && Cert.enabled () then
+  if sanitize then
     ignore (Certify.ensure ~machine:m ~plan spec ~inputs ~output ~config);
   let stats =
     execute ~plan spec ~inputs ~output ~config ~vec_unit ~trace

@@ -42,17 +42,22 @@ val stencil_sweep :
     the grids in the configured layout, runs a warm-up pass, then
     measures one ping-pong pass (or one wavefront pass of the configured
     depth). Only the representative core's slice is simulated, so the
-    cost is independent of the thread count. The sweeps run on
-    {!Sweep.default_backend}; both backends trace identically, so the
-    backend changes only the harness's own speed.
+    cost is independent of the thread count. The sweeps run on the
+    plan interpreter: both backends issue the same trace, so a
+    backend would change only the harness's own speed.
 
-    [sanitize] threads every access of the run through a fresh
-    fail-fast shadow-memory {!Sanitizer}: a legal schedule measures
-    identically (the shadow pass never changes values), an illegal one
-    raises {!Sanitizer.Trap} instead of silently measuring garbage.
-    When omitted, the default is taken from the [YASKSITE_SANITIZE]
-    environment variable (unset, [""] or ["0"] mean off), so CI can run
-    an entire suite shadow-checked. *)
+    [sanitize] (default [false]) runs the measurement under a fresh
+    fail-fast shadow-memory {!Sanitizer}, and a legal schedule
+    measures identically (the shadow pass never changes values). It
+    first tries to certify the tuple ({!Certify.ensure}, on tiny proxy
+    grids). A certified measurement, the usual case for a legal
+    schedule, sweeps on the certified fast path: the per-point shadow
+    checks are skipped, and the certificate's static bounds proof and
+    traced cross-validation stand in for them. Only an uncertifiable
+    tuple is checked access by access, where a violation raises
+    {!Sanitizer.Trap} instead of silently measuring garbage. To check
+    every access of a schedule, sweep it directly with {!Sweep.run} or
+    {!Wavefront.steps} and a fresh {!Sanitizer}, without certifying. *)
 
 val lups_at_threads :
   Yasksite_arch.Machine.t ->

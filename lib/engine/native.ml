@@ -92,9 +92,9 @@ let rec waitpid_retry pid =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
 
 (* Run [argv] with stdout+stderr captured to [out_path]. Uses
-   [Unix.create_process] (execvp), so an in-process [PATH] change is
-   honored — which is also what lets tests and the no-toolchain CI leg
-   simulate a missing compiler. *)
+   [Unix.create_process] (execvp), so the tools are found on [PATH] —
+   a process started without them there (the no-toolchain test and
+   CI step) simulates a missing compiler. *)
 let run_tool argv ~out_path =
   match
     let dev_null = Unix.openfile Filename.null [ Unix.O_RDONLY ] 0 in

@@ -100,4 +100,5 @@ val stats : unit -> stats
 val reset_for_tests : unit -> unit
 (** Forget everything: memo, counters, the warning latch, the toolchain
     probe and the attached store — so a test can exercise resolution
-    under a changed environment ([PATH], private store roots). *)
+    against a private store root, and perfbench can compile, validate
+    and load kernels cold in every round. *)

@@ -55,6 +55,6 @@ val run :
     [Invalid_argument] on empty [inputs] for a program that declares
     none.
 
-    [pool], [backend] and [config] are passed through to every stage's
-    {!Sweep.run}; pooled execution keeps the sequential bit-identity
-    guarantee stage by stage. *)
+    [pool], [backend] (default [Plan_backend]) and [config] are passed
+    through to every stage's {!Sweep.run}; pooled execution keeps the
+    sequential bit-identity guarantee stage by stage. *)

@@ -25,41 +25,6 @@ let add_stats a b =
 
 type backend = Plan_backend | Codegen_backend
 
-let backend_override = ref None
-
-let set_default_backend b = backend_override := Some b
-
-let clear_default_backend () = backend_override := None
-
-let legal_backends =
-  [ ("plan", Plan_backend); ("codegen", Codegen_backend) ]
-
-let backend_of_string s =
-  match List.assoc_opt (String.lowercase_ascii (String.trim s)) legal_backends with
-  | Some b -> Ok b
-  | None ->
-      Error
-        (Printf.sprintf "unknown backend %S: legal backends are %s" s
-           (String.concat ", "
-              (List.map (fun (n, _) -> Printf.sprintf "%S" n) legal_backends)))
-
-(* Precedence: a [set_default_backend] override (the CLI applies
-   --backend through it) beats the YASKSITE_BACKEND environment
-   variable, which beats the built-in plan default. An unrecognised
-   environment value fails eagerly here — the first sweep (or the
-   CLI's startup validation) reports the one-line error instead of a
-   late, unhelpful failure mid-run. *)
-let default_backend () =
-  match !backend_override with
-  | Some b -> b
-  | None -> (
-      match Sys.getenv_opt "YASKSITE_BACKEND" with
-      | None | Some "" -> Plan_backend
-      | Some s -> (
-          match backend_of_string s with
-          | Ok b -> b
-          | Error msg -> invalid_arg ("Sweep: YASKSITE_BACKEND: " ^ msg)))
-
 let backend_name = function
   | Plan_backend -> "plan"
   | Codegen_backend -> "codegen"
@@ -127,8 +92,9 @@ let check_region ~extend ~dims ~lo ~hi =
    by the driver before it, which is what keeps the two backends'
    traces and traps identical by construction. *)
 
-let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
-    ?(config = Config.default) ?vec_unit ?extend spec ~inputs ~output ~lo ~hi =
+let run_region ?(backend = Plan_backend) ?bound ?trace ?sanitize
+    ?(check = true) ?(config = Config.default) ?vec_unit ?extend spec ~inputs
+    ~output ~lo ~hi =
   let dims = Grid.dims output in
   check_extend ~rank:(Array.length dims) extend;
   if check then begin
@@ -163,7 +129,6 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
   in
   let block = Config.block_extents config ~dims in
   let nt = config.Config.streaming_stores in
-  let backend = match backend with Some b -> b | None -> default_backend () in
   let bound =
     match bound with
     | Some b ->
@@ -332,8 +297,8 @@ let run_region ?backend ?bound ?trace ?sanitize ?(check = true)
    have a single block column and run sequentially — spatial blocking
    is what creates the parallelism, exactly as it creates the
    per-thread partition on the modelled machine. *)
-let run ?pool ?backend ?plan ?trace ?sanitize ?(check = true) ?config
-    ?vec_unit ?extend spec ~inputs ~output =
+let run ?pool ?(backend = Plan_backend) ?plan ?trace ?sanitize
+    ?(check = true) ?config ?vec_unit ?extend spec ~inputs ~output =
   let cfg = match config with Some c -> c | None -> Config.default in
   check_extend ~rank:(Grid.rank output) extend;
   (* The sanitizer's shadow memory models the interior write set; an
@@ -348,7 +313,6 @@ let run ?pool ?backend ?plan ?trace ?sanitize ?(check = true) ?config
   if check then
     Lint.gate ~context:"Sweep.run"
       (Schedule_lint.grids ?extend (Analysis.of_spec spec) cfg ~inputs ~output);
-  let backend = match backend with Some b -> b | None -> default_backend () in
   (* A passed plan lets callers that sweep repeatedly lower once. *)
   let plan = match plan with Some p -> p | None -> Lower.lower spec in
   (* Certified fast path: a sanitized, gate-checked sweep whose
@@ -360,7 +324,7 @@ let run ?pool ?backend ?plan ?trace ?sanitize ?(check = true) ?config
      adversarial mode) never takes the fast path. *)
   let certified =
     match sanitize with
-    | Some _ when check && Cert.enabled () ->
+    | Some _ when check ->
         let hit = Cert.mem (Cert.key ~plan ~inputs ~output ~config:cfg) in
         if hit then Cert.record_fast_path ();
         hit

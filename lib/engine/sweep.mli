@@ -23,7 +23,13 @@
     issue each point's checks and accesses before the row call;
     property-tested against an independent tree-walking evaluator) — including when driven
     stage-by-stage by the {!Prog} executor over a multi-stage stencil
-    program, under every fusion partition. *)
+    program, under every fusion partition.
+
+    The caller chooses the backend per call ([?backend] of {!run},
+    {!run_region} and {!Prog.run}, default [Plan_backend]).
+    {!Wavefront}, {!Measure} and the Offsite executor always run the
+    plan interpreter: a traced sweep issues the same stream on both
+    backends, so the simulator, not the row call, bounds their cost. *)
 
 type stats = {
   points : int;  (** lattice updates performed *)
@@ -39,27 +45,6 @@ val zero_stats : stats
 val add_stats : stats -> stats -> stats
 
 type backend = Plan_backend | Codegen_backend
-
-val backend_of_string : string -> (backend, string) result
-(** Parse a backend name (case-insensitive, whitespace-trimmed). The
-    error is a one-line message listing the legal backends — used for
-    eager validation of [YASKSITE_BACKEND] and the CLI's [--backend]. *)
-
-val default_backend : unit -> backend
-(** The backend used when none is passed explicitly. Precedence:
-    the {!set_default_backend} override (the CLI applies [--backend]
-    through it) beats the [YASKSITE_BACKEND] environment variable,
-    which beats the built-in plan default. Raises [Invalid_argument]
-    with the {!backend_of_string} message on an unrecognised
-    environment value — eagerly, at the first consultation. *)
-
-val set_default_backend : backend -> unit
-(** Process-wide override of the environment default (the CLI's
-    [--backend] flag). *)
-
-val clear_default_backend : unit -> unit
-(** Drop the {!set_default_backend} override, restoring environment
-    precedence. Used by tests only: the backend precedence tests. *)
 
 val backend_name : backend -> string
 (** ["plan"] or ["codegen"]. Used by tests only: the backend tests
@@ -90,8 +75,8 @@ val run :
     config's fold extents; a linear-layout kernel on an 8-lane machine
     would pass [\[|1;1;8|\]]).
 
-    [backend] selects the execution backend (default
-    {!default_backend}). [plan] supplies an already-lowered kernel plan
+    [backend] selects the execution backend (default [Plan_backend]).
+    [plan] supplies an already-lowered kernel plan
     (callers that sweep repeatedly lower once; lowered on demand when
     absent). The sweep always binds the plan to [inputs] and [output],
     the grids the gate below checks.
@@ -120,8 +105,8 @@ val run :
     checks are skipped and the pass's shadow state is bulk-committed
     ({!Sanitizer.commit_pass}), recovering the sanitizer's overhead at
     zero traps while keeping version bookkeeping composable.
-    Uncertified plans, [~check:false] runs, and runs under
-    [YASKSITE_NO_CERT] keep the fully checked path.
+    Uncertified plans and [~check:false] runs keep the fully checked
+    path.
 
     [extend] runs an {e extended sweep}: the iteration space widens to
     [[-ext.(i), dims.(i)+ext.(i))] per dimension, with the extension

@@ -24,7 +24,6 @@ let steps ?plan ?trace ?sanitize ?(check = true)
   let shift = Schedule_lint.effective_stagger info config in
   let n0 = dims.(0) in
   let grids = [| a; b |] in
-  let backend = Sweep.default_backend () in
   (* Lower once; a ping-pong pass only ever sees two (src, dst) pairs,
      so the two bounds are built lazily and reused for every plane. *)
   let plan = lazy (match plan with Some p -> p | None -> Lower.lower spec) in
@@ -40,7 +39,7 @@ let steps ?plan ?trace ?sanitize ?(check = true)
      and fold legality come from the YS4xx gate above. *)
   let certified =
     match sanitize with
-    | Some _ when check && Cert.enabled () ->
+    | Some _ when check ->
         let p = Lazy.force plan in
         let hit =
           Cert.mem (Cert.key ~plan:p ~inputs:[| a |] ~output:b ~config)
@@ -92,7 +91,7 @@ let steps ?plan ?trace ?sanitize ?(check = true)
     in
     let bound = Lazy.force (if abs_t mod 2 = 0 then bound_ab else bound_ba) in
     let s =
-      Sweep.run_region ~backend ~bound ?trace ?sanitize ~check ~config
+      Sweep.run_region ~bound ?trace ?sanitize ~check ~config
         ?vec_unit spec ~inputs:[| src |] ~output:dst ~lo:plo ~hi:phi
     in
     stats := Sweep.add_stats !stats s

@@ -35,7 +35,7 @@ val steps :
     plane by plane along the streamed dimension. Both grids must share
     dims and have halos covering the stencil radius; halos of {e both}
     grids must be pre-filled and are kept static. Every plane runs on
-    {!Sweep.default_backend}.
+    the plan interpreter.
 
     The per-step plane shift is the config's [wavefront_stagger] when
     set (the engine-safe default is radius+1). [check] (default [true])

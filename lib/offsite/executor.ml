@@ -125,7 +125,6 @@ let refresh_halo t buffer =
   | Pde.Periodic -> Grid.halo_periodic (grid_of t buffer)
 
 let step t =
-  let backend = Sweep.default_backend () in
   List.iter
     (fun c ->
       List.iter (refresh_halo t) c.halo_inputs;
@@ -133,7 +132,7 @@ let step t =
       let output = grid_of t c.kernel.Variant.output in
       (* [create] proved these grids legal once; skip the per-step gate. *)
       ignore
-        (Sweep.run ~backend ~plan:c.plan ~check:false c.kernel.Variant.spec
+        (Sweep.run ~plan:c.plan ~check:false c.kernel.Variant.spec
            ~inputs ~output
           : Sweep.stats))
     t.kernels;

@@ -16,7 +16,8 @@ val create : Yasksite_ode.Pde.t -> Variant.t -> t
     condition is loaded into the state buffer. *)
 
 val step : t -> unit
-(** Advance one time step (the variant's [h]). *)
+(** Advance one time step (the variant's [h]). Every kernel sweeps on
+    the plan interpreter. *)
 
 val run : t -> steps:int -> unit
 

@@ -61,9 +61,8 @@ val tune_analytic :
   threads:int ->
   result
 (** Rank the full advisor space with the ECM model, then run one
-    validation measurement of the winner ({!Yasksite_engine.Measure}'s
-    default sanitizer setting applies). Its [wall_seconds] is wall
-    time.
+    unsanitized validation measurement of the winner. Its
+    [wall_seconds] is wall time.
 
     Candidates the schedule-legality analyzer rejects are pruned before
     ranking (reported in [result.pruned]); if the whole space is
@@ -90,8 +89,10 @@ val tune_empirical :
     Statically illegal candidates are pruned by the schedule-legality
     analyzer before any kernel runs (counted in [result.pruned]; an
     all-illegal space raises {!Yasksite_lint.Lint.Gate_error}), and
-    [sanitize] (default [false]) executes every surviving candidate
-    under the shadow-memory {!Yasksite_engine.Sanitizer}.
+    [sanitize] (default [false]) measures every surviving candidate
+    with [Measure.stencil_sweep ~sanitize:true], which certifies the
+    tuple first and, once certified, skips the per-point shadow
+    checks.
 
     [faults] (default {!Yasksite_faults.Plan.none}) injects seeded
     transient failures, lognormal measurement noise and contention

@@ -33,19 +33,7 @@ type t = {
    job body in [run_job]. *)
 let in_job : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-let default_domains () =
-  match Sys.getenv_opt "YASKSITE_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "YASKSITE_DOMAINS=%S: expected a positive integer"
-               s))
-  | None -> Domain.recommended_domain_count ()
-
-let create ?domains () =
-  let domains = match domains with Some d -> d | None -> default_domains () in
+let create ?(domains = Domain.recommended_domain_count ()) () =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
   { domains;
     submit = Mutex.create ();
@@ -195,9 +183,10 @@ let with_pool ?domains f =
   let t = create ?domains () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* One shared pool for callers that do not manage their own (CLI paths,
-   tests). Created on first use at the environment-selected width; never
-   shut down — parked workers cost nothing and die with the process. *)
+(* One shared pool for callers that do not manage their own (CLI paths
+   without --domains, the micro-benches). Created on first use at the
+   runtime's recommended width; never shut down — parked workers cost
+   nothing and die with the process. *)
 let shared_pool = ref None
 
 let shared_mutex = Mutex.create ()

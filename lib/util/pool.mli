@@ -22,10 +22,8 @@ val size : t -> int
 
 val shared : unit -> t
 (** A process-wide pool, created on first use and never shut down,
-    whose width is the [YASKSITE_DOMAINS] environment variable if set
-    (a positive integer), else [Domain.recommended_domain_count ()].
-    Intended for entry points that do not manage pool lifetime
-    themselves. *)
+    [Domain.recommended_domain_count ()] domains wide. Intended for
+    entry points that do not manage pool lifetime themselves. *)
 
 val parallel_for : ?chunk:int -> t -> n:int -> (int -> unit) -> unit
 (** [parallel_for t ~n f] runs [f i] for every [i] in [[0, n)], in

@@ -3,13 +3,12 @@
    Contract under test: a sweep on [Codegen_backend] — a natively
    compiled, fully unrolled specialization of the kernel plan — is
    bit-identical to the plan interpreter and to the tree-walking
-   {!Oracle} across ranks, layouts, blocking, wavefronts and sanitized
-   runs; the compiled artifact round-trips through the kern-v1 store
+   {!Oracle} across ranks, layouts, blocking, pools, extended and
+   sanitized sweeps; the compiled artifact round-trips through the kern-v1 store
    schema (warm runs skip the compiler entirely); corrupted or garbage
    store entries recompile instead of loading; and a machine without a
    toolchain degrades to the plan interpreter with a warning, never a
-   failure. Plus the satellite coverage: the backend parser and its
-   precedence chain. *)
+   failure. Every property names its backend per call. *)
 
 module Grid = Yasksite_grid.Grid
 module Spec = Yasksite_stencil.Spec
@@ -57,58 +56,6 @@ let contains ~needle hay =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
-
-let with_env name value f =
-  let old = Sys.getenv_opt name in
-  Unix.putenv name value;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv name (match old with Some v -> v | None -> ""))
-    f
-
-(* ------------------------------------------------------------------ *)
-(* Backend parsing and precedence (satellite).                         *)
-
-let test_backend_of_string () =
-  (match Sweep.backend_of_string " CodeGen " with
-  | Ok Sweep.Codegen_backend -> ()
-  | _ -> Alcotest.fail "\" CodeGen \" should parse to Codegen_backend");
-  List.iter
-    (fun bad ->
-      match Sweep.backend_of_string bad with
-      | Ok _ -> Alcotest.failf "%S should be rejected" bad
-      | Error msg ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%S lists exactly plan and codegen" msg)
-            true
-            (String.ends_with
-               ~suffix:{|legal backends are "plan", "codegen"|} msg))
-    [ "jit"; "closure" ]
-
-let test_backend_precedence () =
-  Fun.protect ~finally:Sweep.clear_default_backend @@ fun () ->
-  with_env "YASKSITE_BACKEND" "codegen" @@ fun () ->
-  Sweep.clear_default_backend ();
-  Alcotest.(check string)
-    "env wins over the built-in default" "codegen"
-    (Sweep.backend_name (Sweep.default_backend ()));
-  Sweep.set_default_backend Sweep.Plan_backend;
-  Alcotest.(check string)
-    "explicit override wins over the environment" "plan"
-    (Sweep.backend_name (Sweep.default_backend ()));
-  Sweep.clear_default_backend ();
-  with_env "YASKSITE_BACKEND" "" @@ fun () ->
-  Alcotest.(check string)
-    "plan is the built-in default" "plan"
-    (Sweep.backend_name (Sweep.default_backend ()))
-
-let test_env_codegen_selected () =
-  Fun.protect ~finally:Sweep.clear_default_backend @@ fun () ->
-  with_env "YASKSITE_BACKEND" "codegen" @@ fun () ->
-  Sweep.clear_default_backend ();
-  Alcotest.(check string)
-    "YASKSITE_BACKEND=codegen selects the codegen backend" "codegen"
-    (Sweep.backend_name (Sweep.default_backend ()))
 
 (* ------------------------------------------------------------------ *)
 (* Source emission.                                                    *)
@@ -231,37 +178,6 @@ let sweep_three_way ~seed =
 let codegen_three_way_sweep =
   QCheck.Test.make ~name:"codegen bit-reproduces plan and oracle"
     ~count:20 QCheck.small_int (fun seed -> sweep_three_way ~seed)
-
-let wavefront_three_way ~seed =
-  let rng = Prng.create ~seed in
-  let rank = 1 + Prng.int rng ~bound:3 in
-  let spec = Gen.spec rng ~rank in
-  let spec = if Prng.int rng ~bound:2 = 0 then with_division spec else spec in
-  let info = Analysis.of_spec spec in
-  let halo = Analysis.halo info in
-  let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:8) in
-  let steps = 1 + Prng.int rng ~bound:4 in
-  let wf = 2 + Prng.int rng ~bound:3 in
-  let stagger = halo.(0) + 1 + Prng.int rng ~bound:2 in
-  let cfg = Config.v ~wavefront:wf ~wavefront_stagger:stagger () in
-  let run backend =
-    let a = make_grid ~halo ~dims (seed + 1) in
-    let b = make_grid ~halo ~dims (seed + 2) in
-    Sweep.set_default_backend backend;
-    Fun.protect ~finally:Sweep.clear_default_backend @@ fun () ->
-    fst (Wavefront.steps ~config:cfg spec ~a ~b ~steps)
-  in
-  let f_code = run Sweep.Codegen_backend in
-  let f_ref =
-    Oracle.steps spec ~a:(make_grid ~halo ~dims (seed + 1))
-      ~b:(make_grid ~halo ~dims (seed + 2)) ~steps
-  in
-  Grid.max_abs_diff f_code (run Sweep.Plan_backend) = 0.0
-  && Grid.max_abs_diff f_code f_ref = 0.0
-
-let codegen_three_way_wavefront =
-  QCheck.Test.make ~name:"wavefront agrees across all three backends"
-    ~count:10 QCheck.small_int (fun seed -> wavefront_three_way ~seed)
 
 (* A sanitized, gate-checked sweep must agree bit-for-bit with the plan
    backend and the oracle too (the sanitizer checks each row's points
@@ -387,23 +303,76 @@ let test_sanitized_row_traps_before_writing () =
         (Grid.max_abs_diff o before))
     all_backends
 
+(* A pooled sweep on each backend against the oracle. *)
 let test_pool_parallel_codegen () =
   let spec = Gen.spec (Prng.create ~seed:42) ~rank:2 in
   let halo = Analysis.halo (Analysis.of_spec spec) in
   let dims = [| 24; 33 |] in
   let cfg = Config.v ~block:[| 0; 8 |] () in
-  let run ?pool backend =
-    let a = make_grid ~halo ~dims 99 in
-    let o = Grid.create ~halo ~dims () in
-    ignore (Sweep.run ?pool ~backend ~config:cfg spec ~inputs:[| a |] ~output:o);
-    o
-  in
+  let o_ref = Grid.create ~halo ~dims () in
+  Oracle.sweep spec ~inputs:[| make_grid ~halo ~dims 99 |] ~output:o_ref;
   Pool.with_pool ~domains:3 @@ fun pool ->
-  let o_par = run ~pool Sweep.Codegen_backend in
-  let o_seq = run Sweep.Plan_backend in
-  Alcotest.(check (float 0.0))
-    "pool-parallel codegen sweep is bit-identical" 0.0
-    (Grid.max_abs_diff o_par o_seq)
+  List.iter
+    (fun backend ->
+      let a = make_grid ~halo ~dims 99 in
+      let o = Grid.create ~halo ~dims () in
+      ignore (Sweep.run ~pool ~backend ~config:cfg spec ~inputs:[| a |] ~output:o);
+      Alcotest.(check (float 0.0))
+        ("pool-parallel " ^ Sweep.backend_name backend
+       ^ " sweep bit-reproduces the oracle")
+        0.0 (Grid.max_abs_diff o o_ref))
+    all_backends
+
+(* An extended sweep computes [[-ext, dims+ext)], reading the inputs'
+   halos. Each backend, sequential and pooled, must give the oracle's
+   value at every point of the extended box. *)
+let extended_three_way ~seed =
+  let rng = Prng.create ~seed in
+  let rank = 1 + Prng.int rng ~bound:3 in
+  let spec = Gen.spec rng ~rank in
+  let radius = Analysis.halo (Analysis.of_spec spec) in
+  let dims = Array.init rank (fun _ -> 4 + Prng.int rng ~bound:8) in
+  let ext = Array.init rank (fun _ -> Prng.int rng ~bound:3) in
+  let in_halo = Array.mapi (fun i r -> r + ext.(i)) radius in
+  let cfg =
+    if Prng.int rng ~bound:2 = 0 then Config.default
+    else begin
+      let b = Array.map (fun d -> 1 + Prng.int rng ~bound:d) dims in
+      b.(0) <- 0;
+      Config.v ~block:b ()
+    end
+  in
+  let a = make_grid ~halo:in_halo ~dims (seed + 5) in
+  let matches_oracle o =
+    let ok = ref true in
+    let rec walk i p =
+      if i = rank then
+        ok :=
+          !ok
+          && Float.equal (Grid.get o p)
+               (Oracle.eval (fun _ q -> Grid.get a q) spec.Spec.expr p)
+      else
+        for x = -ext.(i) to dims.(i) + ext.(i) - 1 do
+          p.(i) <- x;
+          walk (i + 1) p
+        done
+    in
+    walk 0 (Array.make rank 0);
+    !ok
+  in
+  let run ?pool backend =
+    let o = Grid.create ~halo:ext ~dims () in
+    ignore
+      (Sweep.run ?pool ~backend ~config:cfg ~extend:ext spec ~inputs:[| a |]
+         ~output:o);
+    matches_oracle o
+  in
+  Pool.with_pool ~domains:2 @@ fun pool ->
+  List.for_all (fun b -> run b && run ~pool b) all_backends
+
+let codegen_three_way_extended =
+  QCheck.Test.make ~name:"extended sweep agrees with the oracle on both backends"
+    ~count:20 QCheck.small_int (fun seed -> extended_three_way ~seed)
 
 (* ------------------------------------------------------------------ *)
 (* Store round-trip, corruption, fallback.                             *)
@@ -524,17 +493,53 @@ let codegen_corruption_recompiles =
     ~name:"corrupted kern-v1 entries recompile instead of loading" ~count:6
     QCheck.small_int (fun seed -> corrupted_entry_recompiles ~seed)
 
+(* No toolchain on PATH: the codegen backend warns once, falls back to
+   the plan interpreter, compiles nothing, and the command still
+   succeeds. PATH is changed for a child process only: the CLI's [run]
+   with [--domains] sweeps untraced on the requested backend, with the
+   persistent store detached. *)
 let test_no_toolchain_fallback () =
-  Fun.protect ~finally:(fun () -> Native.reset_for_tests ()) @@ fun () ->
-  Native.reset_for_tests ();
-  with_env "PATH" "/nonexistent-yasksite-bin" @@ fun () ->
-  Alcotest.(check bool) "toolchain invisible" false (Native.available ());
+  let exe = Repo_file.path "bin/main.exe" in
+  let env =
+    Unix.environment () |> Array.to_list
+    |> List.filter (fun kv ->
+           not
+             (String.starts_with ~prefix:"PATH=" kv
+             || String.starts_with ~prefix:"YASKSITE_NO_STORE=" kv))
+    |> List.append [ "PATH=/nonexistent-yasksite-bin"; "YASKSITE_NO_STORE=1" ]
+    |> Array.of_list
+  in
+  let out = Filename.temp_file "yasksite-no-toolchain" ".out" in
+  let err = Filename.temp_file "yasksite-no-toolchain" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove out; Sys.remove err) @@ fun () ->
+  let status =
+    let fd path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+    let fo = fd out and fe = fd err in
+    let pid =
+      Fun.protect ~finally:(fun () -> Unix.close fo; Unix.close fe)
+      @@ fun () ->
+      Unix.create_process_env exe
+        [| exe; "run"; "-m"; "test"; "-s"; "heat-2d-5pt"; "-d"; "48x48";
+           "--domains"; "2"; "--backend"; "codegen"; "--stats-json" |]
+        env Unix.stdin fo fe
+    in
+    snd (Unix.waitpid [] pid)
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0);
   Alcotest.(check bool)
     "codegen sweep falls back to the plan interpreter" true
-    (sweep_codegen heat1 ~seed:7);
-  let s = Native.stats () in
-  Alcotest.(check bool) "fallbacks counted" true (s.Native.fallbacks > 0);
-  Alcotest.(check int) "no compile attempted" 0 s.Native.compiles
+    (contains ~needle:"falling back to the plan interpreter" (read err));
+  let stats =
+    match List.rev (String.split_on_char '\n' (String.trim (read out))) with
+    | last :: _ -> last
+    | [] -> ""
+  in
+  Alcotest.(check bool) "no compile attempted" true
+    (contains ~needle:{|"compiles":0,|} stats);
+  Alcotest.(check bool) "fallbacks counted" true
+    (contains ~needle:{|"fallbacks":|} stats
+    && not (contains ~needle:{|"fallbacks":0,|} stats))
 
 let test_store_schema_visible () =
   with_tmp_store @@ fun _root store ->
@@ -556,20 +561,14 @@ let test_store_schema_visible () =
   end
 
 let suite =
-  [ Alcotest.test_case "backend_of_string three-way" `Quick
-      test_backend_of_string;
-    Alcotest.test_case "backend precedence chain" `Quick
-      test_backend_precedence;
-    Alcotest.test_case "YASKSITE_BACKEND=codegen" `Quick
-      test_env_codegen_selected;
-    Alcotest.test_case "generated source shape" `Quick test_source_shape;
+  [ Alcotest.test_case "generated source shape" `Quick test_source_shape;
     Alcotest.test_case "emitted suite sources pinned" `Quick
       test_suite_sources_pinned;
     Alcotest.test_case "unsupported plans refused" `Quick
       test_source_refuses_unresolved;
     qt codegen_three_way_sweep;
-    qt codegen_three_way_wavefront;
     qt codegen_three_way_sanitized;
+    qt codegen_three_way_extended;
     Alcotest.test_case "sanitizer verdict identical on codegen" `Quick
       test_sanitizer_verdict_parity;
     Alcotest.test_case "in-place radius-0 rows match the oracle" `Quick

@@ -117,16 +117,12 @@ let wavefront_matches_oracle ~seed =
   let cfg = Config.v ~wavefront:wf ~wavefront_stagger:stagger () in
   let a () = make_grid ~halo ~dims (seed + 1)
   and b () = make_grid ~halo ~dims (seed + 2) in
-  let final, _ =
-    Sweep.set_default_backend Sweep.Plan_backend;
-    Fun.protect ~finally:Sweep.clear_default_backend @@ fun () ->
-    Wavefront.steps ~config:cfg spec ~a:(a ()) ~b:(b ()) ~steps
-  in
+  let final, _ = Wavefront.steps ~config:cfg spec ~a:(a ()) ~b:(b ()) ~steps in
   Grid.max_abs_diff final (Oracle.steps spec ~a:(a ()) ~b:(b ()) ~steps)
   = 0.0
 
-let wavefront_backend_parity =
-  QCheck.Test.make ~name:"wavefront agrees across backends" ~count:60
+let wavefront_oracle =
+  QCheck.Test.make ~name:"wavefront bit-reproduces the oracle" ~count:60
     QCheck.small_int (fun seed -> wavefront_matches_oracle ~seed)
 
 (* Tracing must not perturb results (addresses route through the
@@ -406,24 +402,10 @@ let test_sanitizer_verdict_parity () =
         (Some "YS452") code)
     backends
 
-(* ------------------------------------------------------------------ *)
-(* Backend selection.                                                  *)
-
-let test_backend_selection () =
-  let original = Sweep.default_backend () in
-  Sweep.set_default_backend Sweep.Codegen_backend;
-  Alcotest.(check string) "override to codegen" "codegen"
-    (Sweep.backend_name (Sweep.default_backend ()));
-  Sweep.set_default_backend Sweep.Plan_backend;
-  Alcotest.(check string) "override to plan" "plan"
-    (Sweep.backend_name (Sweep.default_backend ()));
-  (* Restore whatever the environment selected for this test run. *)
-  Sweep.set_default_backend original
-
 let suite =
   [ qt plan_backend_matches_oracle;
     qt long_rows_match_oracle;
-    qt wavefront_backend_parity;
+    qt wavefront_oracle;
     qt traced_backend_parity;
     Alcotest.test_case "heat 5pt lowers to tree-order postfix" `Quick
       test_postfix_in_tree_order;
@@ -450,6 +432,4 @@ let suite =
     Alcotest.test_case "unresolved coefficient rejected on both backends"
       `Quick test_unresolved_both_backends;
     Alcotest.test_case "sanitizer verdict identical across backends" `Quick
-      test_sanitizer_verdict_parity;
-    Alcotest.test_case "backend override and restore" `Quick
-      test_backend_selection ]
+      test_sanitizer_verdict_parity ]

@@ -16,7 +16,8 @@
    3. The certified fast path is *pure optimisation*: sweeps and
       wavefronts with a certificate are bit-identical (outputs and
       stats) to the fully checked path, across random stencils, ranks,
-      layouts and blocking. *)
+      layouts and blocking; and a sanitized measurement certifies and
+      equals the unsanitized one in every field. *)
 
 module Grid = Yasksite_grid.Grid
 module Machine = Yasksite_arch.Machine
@@ -29,6 +30,7 @@ module Expr = Yasksite_stencil.Expr
 module Plan = Yasksite_stencil.Plan
 module Lower = Yasksite_stencil.Lower
 module Config = Yasksite_ecm.Config
+module Advisor = Yasksite_ecm.Advisor
 module Sweep = Yasksite_engine.Sweep
 module Wavefront = Yasksite_engine.Wavefront
 module Sanitizer = Yasksite_engine.Sanitizer
@@ -36,6 +38,7 @@ module Cert = Yasksite_engine.Cert
 module Certify = Yasksite_engine.Certify
 module Measure = Yasksite_engine.Measure
 module PL = Yasksite_lint.Plan_lint
+module Schedule_lint = Yasksite_lint.Schedule_lint
 module D = Yasksite_lint.Diagnostic
 module Prng = Yasksite_util.Prng
 
@@ -233,42 +236,24 @@ let test_cert_key_extent_independent () =
     (k = Cert.key ~plan ~inputs:[| a |] ~output:o ~config:Config.default)
 
 let test_cert_store_roundtrip () =
-  if Cert.enabled () then begin
-    Cert.clear ();
-    let e =
-      { Cert.key = "k1";
-        fingerprint = "fp";
-        loads_per_point = 3 }
-    in
-    Alcotest.(check bool) "miss before insert" false (Cert.mem "k1");
-    Cert.insert e;
-    Alcotest.(check bool) "hit after insert" true (Cert.mem "k1");
-    Alcotest.(check int) "size" 1 (Cert.size ());
-    (match Cert.lookup "k1" with
-    | Some e' -> Alcotest.(check int) "payload survives" 3 e'.Cert.loads_per_point
-    | None -> Alcotest.fail "lookup lost the entry");
-    Cert.record_fast_path ();
-    Alcotest.(check int) "fast-path counter" 1 (Cert.fast_path_hits ());
-    Cert.clear ();
-    Alcotest.(check int) "clear empties the store" 0 (Cert.size ());
-    Alcotest.(check int) "clear resets the counter" 0 (Cert.fast_path_hits ())
-  end
-
-let test_cert_disabled_by_env () =
-  let saved = Sys.getenv_opt "YASKSITE_NO_CERT" in
-  let restore () =
-    Unix.putenv "YASKSITE_NO_CERT" (Option.value saved ~default:"")
+  Cert.clear ();
+  let e =
+    { Cert.key = "k1";
+      fingerprint = "fp";
+      loads_per_point = 3 }
   in
-  Fun.protect ~finally:restore (fun () ->
-      Unix.putenv "YASKSITE_NO_CERT" "1";
-      Alcotest.(check bool) "store disabled" false (Cert.enabled ());
-      Cert.insert
-        { Cert.key = "k-disabled";
-          fingerprint = "fp";
-          loads_per_point = 1 };
-      Alcotest.(check bool) "inserts drop" false (Cert.mem "k-disabled");
-      Unix.putenv "YASKSITE_NO_CERT" "0";
-      Alcotest.(check bool) "\"0\" means enabled" true (Cert.enabled ()))
+  Alcotest.(check bool) "miss before insert" false (Cert.mem "k1");
+  Cert.insert e;
+  Alcotest.(check bool) "hit after insert" true (Cert.mem "k1");
+  Alcotest.(check int) "size" 1 (Cert.size ());
+  (match Cert.lookup "k1" with
+  | Some e' -> Alcotest.(check int) "payload survives" 3 e'.Cert.loads_per_point
+  | None -> Alcotest.fail "lookup lost the entry");
+  Cert.record_fast_path ();
+  Alcotest.(check int) "fast-path counter" 1 (Cert.fast_path_hits ());
+  Cert.clear ();
+  Alcotest.(check int) "clear empties the store" 0 (Cert.size ());
+  Alcotest.(check int) "clear resets the counter" 0 (Cert.fast_path_hits ())
 
 (* ------------------------------------------------------------------ *)
 (* Certification pipeline.                                             *)
@@ -290,10 +275,9 @@ let test_certify_suite () =
           Alcotest.(check string)
             (spec.Spec.name ^ " certificate names the plan")
             (Lower.fingerprint spec) e.Cert.fingerprint;
-          if Cert.enabled () then
-            Alcotest.(check bool)
-              (spec.Spec.name ^ " certificate stored")
-              true (Cert.mem e.Cert.key)
+          Alcotest.(check bool)
+            (spec.Spec.name ^ " certificate stored")
+            true (Cert.mem e.Cert.key)
       | Error ds ->
           Alcotest.failf "%s failed certification: %s" spec.Spec.name
             (D.summary ds))
@@ -385,33 +369,31 @@ let corpus_rejected_never_certified () =
 (* The positive half: every certified suite plan runs a sanitized,
    gate-checked sweep to completion on the fast path — zero traps. *)
 let corpus_certified_never_traps () =
-  if Cert.enabled () then begin
-    Cert.clear ();
-    List.iter
-      (fun s ->
-        let spec = Suite.resolve_defaults s in
-        let info = Analysis.of_spec spec in
-        let halo = Analysis.halo info in
-        let dims = Array.make spec.Spec.rank 8 in
-        let inputs =
-          Array.init spec.Spec.n_fields (fun i ->
-              make_grid ~halo ~dims (400 + i))
-        in
-        let output = Grid.create ~halo ~dims () in
-        Alcotest.(check bool)
-          (spec.Spec.name ^ " certifies")
-          true
-          (Certify.ensure spec ~inputs ~output ~config:Config.default);
-        let before = Cert.fast_path_hits () in
-        let san = Sanitizer.create () in
-        (* Fail-fast sanitizer: any trap raises and fails the test. *)
-        ignore
-          (Sweep.run ~sanitize:san spec ~inputs ~output : Sweep.stats);
-        Alcotest.(check int)
-          (spec.Spec.name ^ " ran the certified fast path")
-          (before + 1) (Cert.fast_path_hits ()))
-      Suite.all
-  end
+  Cert.clear ();
+  List.iter
+    (fun s ->
+      let spec = Suite.resolve_defaults s in
+      let info = Analysis.of_spec spec in
+      let halo = Analysis.halo info in
+      let dims = Array.make spec.Spec.rank 8 in
+      let inputs =
+        Array.init spec.Spec.n_fields (fun i ->
+            make_grid ~halo ~dims (400 + i))
+      in
+      let output = Grid.create ~halo ~dims () in
+      Alcotest.(check bool)
+        (spec.Spec.name ^ " certifies")
+        true
+        (Certify.ensure spec ~inputs ~output ~config:Config.default);
+      let before = Cert.fast_path_hits () in
+      let san = Sanitizer.create () in
+      (* Fail-fast sanitizer: any trap raises and fails the test. *)
+      ignore
+        (Sweep.run ~sanitize:san spec ~inputs ~output : Sweep.stats);
+      Alcotest.(check int)
+        (spec.Spec.name ^ " ran the certified fast path")
+        (before + 1) (Cert.fast_path_hits ()))
+    Suite.all
 
 (* ------------------------------------------------------------------ *)
 (* The fast path is pure optimisation: certified and checked sanitized
@@ -419,51 +401,48 @@ let corpus_certified_never_traps () =
    blocking.                                                           *)
 
 let certified_sweep_matches_checked ~seed =
-  if not (Cert.enabled ()) then true
-  else begin
-    let rng = Prng.create ~seed in
-    let rank = 1 + Prng.int rng ~bound:3 in
-    let spec = Gen.spec rng ~rank in
-    let info = Analysis.of_spec spec in
-    let halo = Analysis.halo info in
-    let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:10) in
-    let layout =
-      if Prng.int rng ~bound:2 = 0 then Grid.Linear
-      else begin
-        let f = Array.make rank 1 in
-        f.(rank - 1) <- 2;
-        if rank > 1 then f.(rank - 2) <- 2;
-        Grid.Folded f
+  let rng = Prng.create ~seed in
+  let rank = 1 + Prng.int rng ~bound:3 in
+  let spec = Gen.spec rng ~rank in
+  let info = Analysis.of_spec spec in
+  let halo = Analysis.halo info in
+  let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:10) in
+  let layout =
+    if Prng.int rng ~bound:2 = 0 then Grid.Linear
+    else begin
+      let f = Array.make rank 1 in
+      f.(rank - 1) <- 2;
+      if rank > 1 then f.(rank - 2) <- 2;
+      Grid.Folded f
+    end
+  in
+  let cfg =
+    let fold = match layout with Grid.Folded f -> Some f | _ -> None in
+    let block =
+      if Prng.int rng ~bound:2 = 0 then begin
+        let b = Array.map (fun d -> 1 + Prng.int rng ~bound:d) dims in
+        b.(0) <- 0;
+        Some b
       end
+      else None
     in
-    let cfg =
-      let fold = match layout with Grid.Folded f -> Some f | _ -> None in
-      let block =
-        if Prng.int rng ~bound:2 = 0 then begin
-          let b = Array.map (fun d -> 1 + Prng.int rng ~bound:d) dims in
-          b.(0) <- 0;
-          Some b
-        end
-        else None
-      in
-      Config.v ?fold ?block ()
-    in
-    let run ~certified =
-      Cert.clear ();
-      let a = make_grid ~layout ~halo ~dims (seed + 1000) in
-      let o = Grid.create ~halo ~layout ~dims () in
-      if certified then
-        ignore
-          (Certify.ensure spec ~inputs:[| a |] ~output:o ~config:cfg : bool);
-      let san = Sanitizer.create () in
-      let s = Sweep.run ~sanitize:san ~config:cfg spec ~inputs:[| a |] ~output:o in
-      (o, s, Cert.fast_path_hits ())
-    in
-    let o_checked, s_checked, h_checked = run ~certified:false in
-    let o_fast, s_fast, h_fast = run ~certified:true in
-    Grid.max_abs_diff o_checked o_fast = 0.0
-    && s_checked = s_fast && h_checked = 0 && h_fast = 1
-  end
+    Config.v ?fold ?block ()
+  in
+  let run ~certified =
+    Cert.clear ();
+    let a = make_grid ~layout ~halo ~dims (seed + 1000) in
+    let o = Grid.create ~halo ~layout ~dims () in
+    if certified then
+      ignore
+        (Certify.ensure spec ~inputs:[| a |] ~output:o ~config:cfg : bool);
+    let san = Sanitizer.create () in
+    let s = Sweep.run ~sanitize:san ~config:cfg spec ~inputs:[| a |] ~output:o in
+    (o, s, Cert.fast_path_hits ())
+  in
+  let o_checked, s_checked, h_checked = run ~certified:false in
+  let o_fast, s_fast, h_fast = run ~certified:true in
+  Grid.max_abs_diff o_checked o_fast = 0.0
+  && s_checked = s_fast && h_checked = 0 && h_fast = 1
 
 let certified_sweep_parity =
   QCheck.Test.make ~name:"certified fast path bit-reproduces checked sweeps"
@@ -471,36 +450,33 @@ let certified_sweep_parity =
       certified_sweep_matches_checked ~seed)
 
 let certified_wavefront_matches_checked ~seed =
-  if not (Cert.enabled ()) then true
-  else begin
-    let rng = Prng.create ~seed in
-    let rank = 1 + Prng.int rng ~bound:3 in
-    let spec = Gen.spec rng ~rank in
-    let info = Analysis.of_spec spec in
-    let halo = Analysis.halo info in
-    let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:8) in
-    let steps = 1 + Prng.int rng ~bound:3 in
-    let wf = 2 + Prng.int rng ~bound:2 in
-    let stagger = halo.(0) + 1 + Prng.int rng ~bound:2 in
-    let cfg = Config.v ~wavefront:wf ~wavefront_stagger:stagger () in
-    let run ~certified =
-      Cert.clear ();
-      let a = make_grid ~halo ~dims (seed + 1) in
-      let b = make_grid ~halo ~dims (seed + 2) in
-      if certified then
-        ignore
-          (Certify.ensure spec ~inputs:[| a |] ~output:b ~config:cfg : bool);
-      let san = Sanitizer.create () in
-      let final, stats =
-        Wavefront.steps ~sanitize:san ~config:cfg spec ~a ~b ~steps
-      in
-      (final, stats, Cert.fast_path_hits ())
+  let rng = Prng.create ~seed in
+  let rank = 1 + Prng.int rng ~bound:3 in
+  let spec = Gen.spec rng ~rank in
+  let info = Analysis.of_spec spec in
+  let halo = Analysis.halo info in
+  let dims = Array.init rank (fun _ -> 6 + Prng.int rng ~bound:8) in
+  let steps = 1 + Prng.int rng ~bound:3 in
+  let wf = 2 + Prng.int rng ~bound:2 in
+  let stagger = halo.(0) + 1 + Prng.int rng ~bound:2 in
+  let cfg = Config.v ~wavefront:wf ~wavefront_stagger:stagger () in
+  let run ~certified =
+    Cert.clear ();
+    let a = make_grid ~halo ~dims (seed + 1) in
+    let b = make_grid ~halo ~dims (seed + 2) in
+    if certified then
+      ignore
+        (Certify.ensure spec ~inputs:[| a |] ~output:b ~config:cfg : bool);
+    let san = Sanitizer.create () in
+    let final, stats =
+      Wavefront.steps ~sanitize:san ~config:cfg spec ~a ~b ~steps
     in
-    let f_checked, s_checked, h_checked = run ~certified:false in
-    let f_fast, s_fast, h_fast = run ~certified:true in
-    Grid.max_abs_diff f_checked f_fast = 0.0
-    && s_checked = s_fast && h_checked = 0 && h_fast = 1
-  end
+    (final, stats, Cert.fast_path_hits ())
+  in
+  let f_checked, s_checked, h_checked = run ~certified:false in
+  let f_fast, s_fast, h_fast = run ~certified:true in
+  Grid.max_abs_diff f_checked f_fast = 0.0
+  && s_checked = s_fast && h_checked = 0 && h_fast = 1
 
 let certified_wavefront_parity =
   QCheck.Test.make
@@ -511,64 +487,110 @@ let certified_wavefront_parity =
 (* Fast-path gating and integration.                                   *)
 
 let test_uncertified_keeps_checked_path () =
-  if Cert.enabled () then begin
-    Cert.clear ();
-    let spec = Suite.resolve_defaults Suite.heat_1d_3pt in
-    let a, o = cfg_grids 6 in
-    let san = Sanitizer.create () in
-    ignore (Sweep.run ~sanitize:san spec ~inputs:[| a |] ~output:o);
-    Alcotest.(check int) "no certificate, no fast path" 0
-      (Cert.fast_path_hits ())
-  end
+  Cert.clear ();
+  let spec = Suite.resolve_defaults Suite.heat_1d_3pt in
+  let a, o = cfg_grids 6 in
+  let san = Sanitizer.create () in
+  ignore (Sweep.run ~sanitize:san spec ~inputs:[| a |] ~output:o);
+  Alcotest.(check int) "no certificate, no fast path" 0
+    (Cert.fast_path_hits ())
 
 (* check:false must never engage the fast path even with a certificate:
    the YS4xx gate is part of what the certificate assumes. The aliased
    in-place sweep still traps. *)
 let test_check_false_never_fast () =
-  if Cert.enabled () then begin
-    Cert.clear ();
-    let spec = Suite.resolve_defaults Suite.heat_1d_3pt in
-    let g = make_grid ~halo:[| 1 |] ~dims:[| 12 |] 7 in
-    let a, o = cfg_grids 8 in
-    Alcotest.(check bool) "certified" true
-      (Certify.ensure spec ~inputs:[| a |] ~output:o ~config:Config.default);
-    let san = Sanitizer.create () in
-    Alcotest.(check (option string)) "aliased sweep still traps"
-      (Some "YS452")
-      (trap_code (fun () ->
-           Sweep.run ~check:false ~sanitize:san spec ~inputs:[| g |]
-             ~output:g))
-  end
+  Cert.clear ();
+  let spec = Suite.resolve_defaults Suite.heat_1d_3pt in
+  let g = make_grid ~halo:[| 1 |] ~dims:[| 12 |] 7 in
+  let a, o = cfg_grids 8 in
+  Alcotest.(check bool) "certified" true
+    (Certify.ensure spec ~inputs:[| a |] ~output:o ~config:Config.default);
+  let san = Sanitizer.create () in
+  Alcotest.(check (option string)) "aliased sweep still traps"
+    (Some "YS452")
+    (trap_code (fun () ->
+         Sweep.run ~check:false ~sanitize:san spec ~inputs:[| g |]
+           ~output:g))
 
+(* Every field of a measurement, floats as exact hex. *)
+let measure_fields (r : Measure.t) =
+  let h = Printf.sprintf "%h" in
+  Config.describe r.Measure.config
+  :: string_of_int r.Measure.sim_points
+  :: List.map h
+       ([ r.Measure.cycles_per_cl; r.Measure.t_incore_ol;
+          r.Measure.t_incore_nol; r.Measure.mem_bytes_per_lup;
+          r.Measure.lups_core; r.Measure.lups_chip; r.Measure.flops_chip ]
+       @ Array.to_list r.Measure.t_data
+       @ Array.to_list r.Measure.lines_per_cl)
+
+(* A sample of the legal space: for each schedule feature, the first
+   and the last legal candidate that has it. The advisor enumerates
+   blocks, then folds, then the temporal options, so the first match is
+   the feature alone and the last one combines it with the largest
+   block and the last fold. *)
+let legal_sample m spec ~dims ~threads =
+  let info = Analysis.of_spec spec in
+  let legal =
+    Advisor.space m ~dims ~threads ~rank:spec.Spec.rank
+    |> List.filter (Schedule_lint.legal info ~dims)
+  in
+  let features =
+    [ (fun (c : Config.t) -> c.Config.wavefront = 1);
+      (fun c -> c.Config.wavefront = 2);
+      (fun c -> c.Config.wavefront = 4);
+      (fun c -> c.Config.streaming_stores);
+      (fun c -> c.Config.fold <> None);
+      (fun c -> c.Config.block <> None) ]
+  in
+  List.concat_map
+    (fun has ->
+      match List.filter has legal with
+      | [] -> []
+      | first :: _ as l -> [ first; List.nth l (List.length l - 1) ])
+    features
+  |> List.sort_uniq compare
+
+(* A sanitized measurement is the unsanitized one, certified: over the
+   suite kernels and a sample of each kernel's legal space on the test
+   chip and clx/8, [~sanitize:true] earns a certificate, sweeps on the
+   certified fast path and returns every field of [~sanitize:false]. *)
 let test_measure_autocertifies () =
-  if Cert.enabled () then begin
-    Cert.clear ();
-    let spec = Suite.resolve_defaults Suite.heat_1d_3pt in
-    let r =
-      Measure.stencil_sweep ~sanitize:true Machine.test_chip spec
-        ~dims:[| 48 |] ~config:Config.default
-    in
-    Alcotest.(check bool) "measurement is sane" true (r.Measure.lups_chip > 0.0);
-    Alcotest.(check bool) "measurement earned a certificate" true
-      (Cert.size () > 0);
-    Alcotest.(check bool) "measured sweeps ran the fast path" true
-      (Cert.fast_path_hits () > 0)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Satellite: backend-name validation.                                 *)
-
-let test_backend_of_string () =
-  Alcotest.(check bool) "plan parses" true
-    (Sweep.backend_of_string "plan" = Ok Sweep.Plan_backend);
-  Alcotest.(check bool) "case and whitespace tolerated" true
-    (Sweep.backend_of_string " Codegen " = Ok Sweep.Codegen_backend);
-  match Sweep.backend_of_string "bogus" with
-  | Ok _ -> Alcotest.fail "bogus backend accepted"
-  | Error msg ->
-      let contains s = Astring_contains.contains msg s in
-      Alcotest.(check bool) "error lists the legal backends" true
-        (contains "plan" && contains "codegen" && contains "bogus")
+  let dims_of = function
+    | 1 -> [| 256 |]
+    | 2 -> [| 32; 32 |]
+    | _ -> [| 16; 16; 16 |]
+  in
+  let cases = ref 0 in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun s ->
+          let spec = Suite.resolve_defaults s in
+          let dims = dims_of spec.Spec.rank in
+          List.iter
+            (fun config ->
+              incr cases;
+              let what =
+                Printf.sprintf "%s %s %s" m.Machine.name spec.Spec.name
+                  (Config.describe config)
+              in
+              let plain = Measure.stencil_sweep m spec ~dims ~config in
+              Cert.clear ();
+              let sanitized =
+                Measure.stencil_sweep ~sanitize:true m spec ~dims ~config
+              in
+              Alcotest.(check (list string))
+                (what ^ ": same measurement") (measure_fields plain)
+                (measure_fields sanitized);
+              Alcotest.(check bool) (what ^ ": earned a certificate") true
+                (Cert.size () > 0);
+              Alcotest.(check bool) (what ^ ": ran the fast path") true
+                (Cert.fast_path_hits () > 0))
+            (legal_sample m spec ~dims ~threads:2))
+        Suite.all)
+    [ Machine.test_chip; Machine.scaled ~factor:8 Machine.cascade_lake ];
+  Alcotest.(check bool) "cases drawn" true (!cases > 100)
 
 let suite =
   [ Alcotest.test_case "suite plans verify clean" `Quick
@@ -598,8 +620,6 @@ let suite =
       test_cert_key_extent_independent;
     Alcotest.test_case "certificate store roundtrip" `Quick
       test_cert_store_roundtrip;
-    Alcotest.test_case "YASKSITE_NO_CERT disables the store" `Quick
-      test_cert_disabled_by_env;
     Alcotest.test_case "whole suite certifies (YS511 included)" `Quick
       test_certify_suite;
     Alcotest.test_case "traced traffic agrees with certified counts" `Quick
@@ -619,6 +639,4 @@ let suite =
     Alcotest.test_case "check:false never takes the fast path" `Quick
       test_check_false_never_fast;
     Alcotest.test_case "sanitized measurements auto-certify" `Quick
-      test_measure_autocertifies;
-    Alcotest.test_case "backend names validate eagerly" `Quick
-      test_backend_of_string ]
+      test_measure_autocertifies ]

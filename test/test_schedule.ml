@@ -18,7 +18,7 @@ module Advisor = Yasksite_ecm.Advisor
 module Sweep = Yasksite_engine.Sweep
 module Wavefront = Yasksite_engine.Wavefront
 module Sanitizer = Yasksite_engine.Sanitizer
-module Measure = Yasksite_engine.Measure
+module Cert = Yasksite_engine.Cert
 module Tuner = Yasksite_tuner.Tuner
 module Lint = Yasksite_lint.Lint
 module Schedule = Yasksite_lint.Schedule_lint
@@ -547,10 +547,44 @@ let test_selflint_spaces () =
     machines
 
 let test_legal_space_zero_traps () =
-  (* E15-style: execute the whole legal tuning space of both shipped
-     machine files under the fail-fast sanitizer — zero traps. *)
+  (* E16-style: sweep the whole legal tuning space of both shipped
+     machine files under the fail-fast sanitizer on the per-point
+     checked path — zero traps. No certificate is issued, so no sweep
+     may take the certified fast path. Each config runs in Measure's
+     order: a warm-up pass, then the measured pass over swapped grids,
+     under one sanitizer. *)
   let dims = [| 12; 12 |] in
   let info = Analysis.of_spec heat2 in
+  let halo = Analysis.halo info in
+  let sweep_checked config =
+    Cert.clear ();
+    let layout = Grid.layout_of_fold config.Config.fold in
+    let space = Grid.fresh_space () in
+    let rng = Prng.create ~seed:42 in
+    let grid () =
+      let g = Grid.create ~space ~halo ~layout ~dims () in
+      Grid.fill g ~f:(fun _ -> Prng.float_range rng ~lo:(-1.0) ~hi:1.0);
+      Grid.halo_dirichlet g 0.0;
+      g
+    in
+    let a = grid () and b = grid () in
+    let sanitize = Sanitizer.create () in
+    let wf = config.Config.wavefront in
+    if wf > 1 then begin
+      let final, _ = Wavefront.steps ~sanitize ~config heat2 ~a ~b ~steps:wf in
+      let a', b' = if final == a then (a, b) else (b, a) in
+      ignore (Wavefront.steps ~sanitize ~config heat2 ~a:a' ~b:b' ~steps:wf)
+    end
+    else begin
+      let run ~src ~dst =
+        ignore (Sweep.run ~sanitize ~config heat2 ~inputs:[| src |] ~output:dst)
+      in
+      run ~src:a ~dst:b;
+      run ~src:b ~dst:a;
+      run ~src:a ~dst:b
+    end;
+    Cert.fast_path_hits ()
+  in
   List.iter
     (fun m ->
       let space = Advisor.space m ~dims ~threads:2 ~rank:2 in
@@ -560,11 +594,10 @@ let test_legal_space_zero_traps () =
         (List.length space) (List.length legal);
       List.iter
         (fun config ->
-          let meas = Measure.stencil_sweep ~sanitize:true m heat2 ~dims ~config in
-          Alcotest.(check bool)
-            (m.Machine.name ^ " " ^ Config.describe config ^ " measured")
-            true
-            (meas.Measure.lups_chip > 0.0))
+          Alcotest.(check int)
+            (m.Machine.name ^ " " ^ Config.describe config
+           ^ " swept on the checked path")
+            0 (sweep_checked config))
         legal)
     (shipped_machines ())
 
