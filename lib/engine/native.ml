@@ -159,21 +159,42 @@ let probe () =
 
 let available () = Mutex.protect mutex (fun () -> probe () <> None)
 
-(* ---- scratch directory for sources and freshly built cmxs ---- *)
+(* ---- scratch directory for sources and freshly built cmxs ----
+
+   One directory per process, removed with everything in it when the
+   process exits. A loaded [.cmxs] stays mapped after its file is
+   unlinked, so the kernels keep running until the very end. Only the
+   process that made the directory removes it: a forked child exits
+   through the same [at_exit] handlers, while its parent may still be
+   compiling into the directory. *)
 
 let workdir = ref None
+
+let remove_workdir ~owner d =
+  if Unix.getpid () = owner then begin
+    (match Sys.readdir d with
+    | files ->
+        Array.iter
+          (fun f ->
+            try Sys.remove (Filename.concat d f) with Sys_error _ -> ())
+          files
+    | exception Sys_error _ -> ());
+    try Unix.rmdir d with Unix.Unix_error _ -> ()
+  end
 
 let get_workdir () =
   match !workdir with
   | Some d -> d
   | None ->
+      let owner = Unix.getpid () in
       let d =
         Filename.concat
           (Filename.get_temp_dir_name ())
-          (Printf.sprintf "yasksite-kern-%d" (Unix.getpid ()))
+          (Printf.sprintf "yasksite-kern-%d" owner)
       in
       (try Unix.mkdir d 0o700
        with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+      at_exit (fun () -> remove_workdir ~owner d);
       workdir := Some d;
       d
 

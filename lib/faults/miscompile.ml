@@ -19,6 +19,7 @@ type cls =
   | Drop_term  (* drop the trailing term of a sum *)
   | Wrong_slot  (* read a different data handle or row base *)
   | Rename_registration  (* register under a non-ABI name *)
+  | Wrong_temp  (* one use of a temporary names another temporary *)
 
 let classes =
   [ Coeff_perturb;
@@ -26,7 +27,8 @@ let classes =
     Offset_off_by_one;
     Drop_term;
     Wrong_slot;
-    Rename_registration ]
+    Rename_registration;
+    Wrong_temp ]
 
 let class_name = function
   | Coeff_perturb -> "coeff-perturb"
@@ -35,6 +37,7 @@ let class_name = function
   | Drop_term -> "drop-term"
   | Wrong_slot -> "wrong-slot"
   | Rename_registration -> "rename-registration"
+  | Wrong_temp -> "wrong-temp"
 
 let class_of_name s =
   List.find_opt (fun c -> String.equal (class_name c) s) classes
@@ -49,35 +52,47 @@ let expected_code = function
   | Drop_term -> "YS603"
   | Wrong_slot -> "YS605"
   | Rename_registration -> "YS610"
+  | Wrong_temp -> "YS613"
 
 (* ------------------------------------------------------------------ *)
 (* Site-indexed rewriting over the checked AST                         *)
 
-let count_sites f e =
+(* Sites are numbered in preorder over the unit's expressions: each
+   [let]-bound temporary's in binding order, then the stored one. [f]
+   sees the temporaries bound where the node is evaluated, most recent
+   first, so a rewrite can keep the mutant well-scoped. *)
+let count_sites f (ast : NL.unit_ast) =
   let n = ref 0 in
-  let rec go e =
-    (match f e with Some _ -> incr n | None -> ());
+  let rec go bound e =
+    (match f bound e with Some _ -> incr n | None -> ());
     match e with
-    | NL.Lit _ | NL.Get _ -> ()
-    | NL.Neg x -> go x
+    | NL.Lit _ | NL.Get _ | NL.Temp _ -> ()
+    | NL.Neg x -> go bound x
     | NL.Bin (_, a, b) | NL.Fmin (a, b) | NL.Fmax (a, b) ->
-        go a;
-        go b
+        go bound a;
+        go bound b
     | NL.Sel (c, a, b) ->
-        go c;
-        go a;
-        go b
+        go bound c;
+        go bound a;
+        go bound b
   in
-  go e;
+  let bound =
+    List.fold_left
+      (fun bound (t, e) ->
+        go bound e;
+        t :: bound)
+      [] ast.NL.row_lets
+  in
+  go bound ast.NL.row_expr;
   !n
 
-(* Replace the [site]-th node (preorder) [f] offers a rewrite for;
-   other matching nodes are left alone. *)
-let rewrite_site f ~site e =
+(* Replace the [site]-th node [f] offers a rewrite for; other matching
+   nodes are left alone. *)
+let rewrite_site f ~site (ast : NL.unit_ast) =
   let n = ref (-1) in
-  let rec go e =
+  let rec go bound e =
     let hit =
-      match f e with
+      match f bound e with
       | Some e' ->
           incr n;
           if !n = site then Some e' else None
@@ -87,40 +102,46 @@ let rewrite_site f ~site e =
     | Some e' -> e'
     | None -> (
         match e with
-        | NL.Lit _ | NL.Get _ -> e
-        | NL.Neg x -> NL.Neg (go x)
-        | NL.Bin (o, a, b) -> NL.Bin (o, go a, go b)
-        | NL.Fmin (a, b) -> NL.Fmin (go a, go b)
-        | NL.Fmax (a, b) -> NL.Fmax (go a, go b)
-        | NL.Sel (c, a, b) -> NL.Sel (go c, go a, go b))
+        | NL.Lit _ | NL.Get _ | NL.Temp _ -> e
+        | NL.Neg x -> NL.Neg (go bound x)
+        | NL.Bin (o, a, b) -> NL.Bin (o, go bound a, go bound b)
+        | NL.Fmin (a, b) -> NL.Fmin (go bound a, go bound b)
+        | NL.Fmax (a, b) -> NL.Fmax (go bound a, go bound b)
+        | NL.Sel (c, a, b) -> NL.Sel (go bound c, go bound a, go bound b))
   in
-  go e
+  let bound, lets =
+    List.fold_left
+      (fun (bound, lets) (t, e) -> (t :: bound, (t, go bound e) :: lets))
+      ([], []) ast.NL.row_lets
+  in
+  let row_expr = go bound ast.NL.row_expr in
+  { ast with NL.row_lets = List.rev lets; row_expr }
 
 let ulp_flip c =
   NL.Lit (Int64.float_of_bits (Int64.add (Int64.bits_of_float c) 1L))
 
-let coeff_site = function
+let coeff_site _ = function
   | NL.Lit c when c = c && c <> infinity && c <> neg_infinity ->
       Some (ulp_flip c)
   | _ -> None
 
-let assoc_site = function
+let assoc_site _ = function
   | NL.Bin (NL.Add, NL.Bin (NL.Add, a, b), c) ->
       Some (NL.Bin (NL.Add, a, NL.Bin (NL.Add, b, c)))
   | _ -> None
 
-let offset_site delta = function
+let offset_site delta _ = function
   | NL.Get (NL.Unit_addr a) ->
       Some (NL.Get (NL.Unit_addr { a with shift = a.shift + delta }))
   | NL.Get (NL.Tab_addr a) ->
       Some (NL.Get (NL.Tab_addr { a with shift = a.shift + delta }))
   | _ -> None
 
-let drop_site = function NL.Bin (NL.Add, a, _) -> Some a | _ -> None
+let drop_site _ = function NL.Bin (NL.Add, a, _) -> Some a | _ -> None
 
 (* [flavor]: 0 rewires the data handle, 1 the row base — both are
    wrong-slot reads the validator must pin as YS605. *)
-let slot_site flavor = function
+let slot_site flavor _ = function
   | NL.Get (NL.Unit_addr a) ->
       Some
         (if flavor = 0 then NL.Get (NL.Unit_addr { a with data = a.data + 1 })
@@ -131,14 +152,20 @@ let slot_site flavor = function
          else NL.Get (NL.Tab_addr { a with row = a.row + 1 }))
   | _ -> None
 
+(* A use of a temporary renamed to the most recently bound other one, so
+   the mutant still compiles. *)
+let temp_site bound = function
+  | NL.Temp a -> Option.map (fun b -> NL.Temp b) (List.find_opt (( <> ) a) bound)
+  | _ -> None
+
 (* ------------------------------------------------------------------ *)
 
 let mutate_expr rng f (ast : NL.unit_ast) =
-  let sites = count_sites f ast.NL.row_expr in
+  let sites = count_sites f ast in
   if sites = 0 then None
   else
     let site = Prng.int rng ~bound:sites in
-    Some { ast with NL.row_expr = rewrite_site f ~site ast.NL.row_expr }
+    Some (rewrite_site f ~site ast)
 
 let mutate_ast rng cls (ast : NL.unit_ast) =
   match cls with
@@ -153,6 +180,7 @@ let mutate_ast rng cls (ast : NL.unit_ast) =
       mutate_expr rng (slot_site flavor) ast
   | Rename_registration ->
       Some { ast with NL.reg_name = ast.NL.reg_name ^ "-stale" }
+  | Wrong_temp -> mutate_expr rng temp_site ast
 
 let mutate ~seed cls src =
   match NL.parse src with

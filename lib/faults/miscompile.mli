@@ -3,9 +3,10 @@
     Mutates the OCaml source {!Yasksite_stencil.Codegen} emits in ways
     a real code-generation bug would — a coefficient off by one ulp, a
     reassociated sum, an off-by-one address shift, a dropped summand,
-    a wrong-slot read — and hands the mutant back as source. Every
-    mutation is structural (parse into the validator's checked AST,
-    rewrite one node, print back), so the mutant is always well-formed
+    a wrong-slot read, a use of the wrong temporary — and hands the
+    mutant back as source. Every mutation is structural (parse into the
+    validator's checked AST, rewrite one node, print back), so the
+    mutant is always well-formed
     OCaml in the generated shape and the {e only} defect is the
     injected miscompile; the adversarial corpus in the test suite and
     CI proves each {!Yasksite_lint.Native_lint} rule actually fires.
@@ -23,6 +24,10 @@ type cls =
   | Drop_term  (** drop the trailing term of a sum (YS603) *)
   | Wrong_slot  (** read a different data handle or row base (YS605) *)
   | Rename_registration  (** register under a non-ABI name (YS610) *)
+  | Wrong_temp
+      (** one use of a [let]-bound temporary names another temporary
+          bound before it (YS613); only kernels with temporaries offer
+          a site *)
 
 val classes : cls list
 (** Every class, in declaration order. *)

@@ -85,6 +85,8 @@ let rules =
     ("YS507", Diagnostic.Error, "plan divides by a provably zero operand");
     ("YS508", Diagnostic.Warning, "plan multiplies by a provably zero \
                                    operand (dead arithmetic)");
+    ("YS509", Diagnostic.Error, "plan temporary out of range, saved twice, \
+                                 recalled before its save or miscounted");
     ("YS510", Diagnostic.Error, "plan FLOP/byte counts disagree with the \
                                  kernel analysis");
     ("YS511", Diagnostic.Error, "certification: traced traffic disagrees \
@@ -110,6 +112,7 @@ let rules =
     ("YS611", Diagnostic.Error, "prelude binds the wrong source slot");
     ("YS612", Diagnostic.Error, "plan cannot be symbolically evaluated for \
                                  validation");
+    ("YS613", Diagnostic.Error, "kernel binds or uses the wrong temporary");
     ("YS700", Diagnostic.Error, "program source does not parse / malformed \
                                  stage");
     ("YS701", Diagnostic.Error, "stage reads a field that is neither an \

@@ -14,6 +14,10 @@
      builds, operation for operation and association for association,
      every hex-float literal round-tripping bit-exactly to the plan's
      coefficient (YS601/YS602/YS603);
+   - temporaries: the output loop let-binds exactly the temporaries the
+     code saves, in order, each to the expression the code had built
+     when it saved it (compared op for op like the body), and every use
+     names the temporary the code recalls there (YS613);
    - address arithmetic: every load's base/table/shift matches the
      variant's per-slot last-dimension shift and unit-stride flag
      (YS604/YS605/YS606), and the shift implies an offset inside the
@@ -59,9 +63,10 @@ let lit_e c =
   else Lit c
 
 (* The validator's own walk of the postfix code, deliberately not
-   Codegen's: sharing it would check the code against itself. *)
+   Codegen's: sharing it would check the code against itself. Returns
+   the temporaries' bindings in save order and the stored expression. *)
 let expected_expr (plan : Plan.t) v =
-  let stack = ref [] in
+  let stack = ref [] and lets = ref [] in
   let push e = stack := e :: !stack in
   let pop () =
     match !stack with
@@ -98,10 +103,15 @@ let expected_expr (plan : Plan.t) v =
           let b = pop () in
           let a = pop () in
           let c = pop () in
-          push (Sel (c, a, b)))
+          push (Sel (c, a, b))
+      | Plan.Save t ->
+          let e = pop () in
+          lets := (t, e) :: !lets;
+          push (Temp t)
+      | Plan.Recall t -> push (Temp t))
     plan.Plan.code;
   match !stack with
-  | [ e ] -> e
+  | [ e ] -> (List.rev !lets, e)
   | _ -> raise (Refused "malformed postfix program (leftover operands)")
 
 let expected_binds (plan : Plan.t) (v : Codegen.variant) =
@@ -145,6 +155,7 @@ let rec eq_expr a b =
       eq_expr a1 a2 && eq_expr b1 b2
   | Sel (c1, a1, b1), Sel (c2, a2, b2) ->
       eq_expr c1 c2 && eq_expr a1 a2 && eq_expr b1 b2
+  | Temp x, Temp y -> x = y
   | _ -> false
 
 (* the left [+.] spine — the associativity-sensitive view *)
@@ -214,6 +225,18 @@ let rec diff ~where exp act acc =
           where y x (bits y) (bits x)
         :: acc
     | Get x, Get y -> diff_addr ~where x y acc
+    | Temp x, Temp y ->
+        err "YS613" "%s: use of temporary v%d where the plan recalls v%d"
+          where y x
+        :: acc
+    | Temp x, act ->
+        err "YS613" "%s: the plan recalls temporary v%d where the kernel has %s"
+          where x (short act)
+        :: acc
+    | exp, Temp y ->
+        err "YS613" "%s: use of temporary v%d where the plan computes %s"
+          where y (short exp)
+        :: acc
     | Neg x, Neg y -> diff ~where x y acc
     | (Bin (Add, _, _), _ | _, Bin (Add, _, _)) when spine_mismatch exp act ->
         let se = add_spine exp and sa = add_spine act in
@@ -258,7 +281,7 @@ let halo_bounds ~where (plan : Plan.t) ~inputs act acc =
   let r = plan.Plan.rank in
   let rec walk e acc =
     match e with
-    | Lit _ -> acc
+    | Lit _ | Temp _ -> acc
     | Neg x -> walk x acc
     | Bin (_, a, b) | Fmin (a, b) | Fmax (a, b) -> walk b (walk a acc)
     | Sel (c, a, b) -> walk b (walk a (walk c acc))
@@ -289,6 +312,22 @@ let halo_bounds ~where (plan : Plan.t) ~inputs act acc =
             else acc
   in
   walk act acc
+
+(* The temporaries: the same names bound in the same order, each to the
+   expression the plan saved, compared like the body. *)
+let diff_lets exp act acc =
+  let names l = List.map (fun (t, _) -> Printf.sprintf "v%d" t) l in
+  if List.map fst exp <> List.map fst act then
+    err "YS613"
+      "the output loop binds temporaries [%s] where the plan saves [%s]"
+      (String.concat " " (names act))
+      (String.concat " " (names exp))
+    :: acc
+  else
+    List.fold_left2
+      (fun acc (t, e) (_, a) ->
+        diff ~where:(Printf.sprintf "let v%d" t) e a acc)
+      acc exp act
 
 let diff_binds ~where exp act acc =
   if List.length exp <> List.length act then
@@ -359,9 +398,16 @@ let check ~(plan : Plan.t) ~(variant : Codegen.variant) ~inputs src =
               (Printf.sprintf
                  "plan cannot be symbolically evaluated for validation: %s"
                  reason) ]
-      | exp_expr, exp_binds, exp_out ->
-          let acc = [] in
+      | (exp_lets, exp_expr), exp_binds, exp_out ->
+          let acc = diff_lets exp_lets ast.row_lets [] in
           let acc = diff ~where:"kern_row body" exp_expr ast.row_expr acc in
+          let acc =
+            List.fold_left
+              (fun acc (t, e) ->
+                halo_bounds ~where:(Printf.sprintf "let v%d" t) plan ~inputs e
+                  acc)
+              acc ast.row_lets
+          in
           let acc =
             halo_bounds ~where:"kern_row body" plan ~inputs ast.row_expr acc
           in

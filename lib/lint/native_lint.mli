@@ -11,7 +11,8 @@
       the shapes the generator produces;
     - it rebuilds the expression the plan's postfix code {e requires}
       under the same variant, with its own walk of the code (not the
-      generator's, which would check the code against itself);
+      generator's, which would check the code against itself), with a
+      [let] per temporary the code saves;
     - it compares the two op for op, every divergence classified under
       a stable [YS6xx] code.
 
@@ -38,7 +39,14 @@
       callback name for its own key;
     - [YS611] — a prelude binding names the wrong source slot;
     - [YS612] — the plan itself cannot be symbolically evaluated
-      (validator refusal — unresolved coefficients, malformed body).
+      (validator refusal — unresolved coefficients, malformed body);
+    - [YS613] — a temporary is wrong: the output loop does not
+      let-bind exactly the temporaries the plan saves, in order, or a
+      use names another temporary than the one the plan recalls there,
+      or stands where the plan computes, or the kernel computes where
+      the plan recalls.
+      Each binding's expression is compared with the plan's saved
+      expression op for op, under the codes above.
 
     The validator is pure: no compiler, no execution, no allocation
     beyond the AST. {!Yasksite_engine.Native} runs it on every kernel

@@ -18,6 +18,10 @@
      declared [depth] (which sizes the driver's unchecked scratch
      stack) is exactly the measured maximum (YS502), and exactly one
      value remains as the result (YS505);
+   - temporaries are sound: every one the code names lies inside the
+     declared count (which sizes the driver's temporary rows), is saved
+     once and recalled only after its save, and the declared count is
+     the number the code saves (YS509);
    - dead loads (YS503), duplicate access-table entries (YS504),
      unresolved symbolic coefficients (YS506), statically reachable
      division by a provably-zero operand (YS507) and provably-zero
@@ -25,7 +29,8 @@
    - the plan's own FLOP/byte counts agree with the expression-level
      {!Analysis} the ECM model is fed, so certified counts are an
      independent check on the model inputs rather than a restatement
-     of them (YS510).
+     of them (YS510). The model bills the folded tree; the plan
+     executes its DAG, so it may execute fewer operations, never more.
 
    The dynamic counterparts are the engine's YS45x sanitizer traps
    (bounds escapes surface as YS453 when an uncertified plan is forced
@@ -56,10 +61,10 @@ let simulate code =
        (fun i (ins : Plan.instr) ->
          let need n = if !sp < n then begin under := Some i; raise Exit end in
          match ins with
-         | Push _ | Load _ | Sym _ ->
+         | Push _ | Load _ | Sym _ | Recall _ ->
              incr sp;
              if !sp > !mx then mx := !sp
-         | Neg -> need 1
+         | Neg | Save _ -> need 1
          | Add | Sub | Mul | Div | Min | Max ->
              need 2;
              decr sp
@@ -83,6 +88,7 @@ type avalue = Known of float | Unknown
 let const_rules code =
   let ds = ref [] in
   let stack = ref [] in
+  let temps = Hashtbl.create 8 in
   let pop () =
     match !stack with
     | v :: rest ->
@@ -95,6 +101,13 @@ let const_rules code =
       match ins with
       | Push c -> stack := Known c :: !stack
       | Load _ | Sym _ -> stack := Unknown :: !stack
+      | Save t -> (
+          match !stack with
+          | v :: _ -> Hashtbl.replace temps t v
+          | [] -> ())
+      | Recall t ->
+          stack :=
+            Option.value (Hashtbl.find_opt temps t) ~default:Unknown :: !stack
       | Neg ->
           let v = pop () in
           stack :=
@@ -155,6 +168,54 @@ let const_rules code =
     code;
   List.rev !ds
 
+(* Temporaries: each one the code names is inside the declared count,
+   saved once, and recalled only after its save; the declared count is
+   the number saved. *)
+let temp_rules (plan : Plan.t) =
+  let declared = plan.Plan.temps in
+  let saved = Hashtbl.create 8 in
+  let ds = ref [] in
+  let add d = ds := d :: !ds in
+  let inside i t =
+    let ok = t >= 0 && t < declared in
+    if not ok then
+      add
+        (D.errorf ~code:"YS509"
+           "instruction %d names temporary %d outside the declared %d: \
+            the driver sizes its unchecked temporary rows from the \
+            declaration"
+           i t declared);
+    ok
+  in
+  Array.iteri
+    (fun i (ins : Plan.instr) ->
+      match ins with
+      | Save t ->
+          if inside i t then begin
+            if Hashtbl.mem saved t then
+              add
+                (D.errorf ~code:"YS509"
+                   "instruction %d saves temporary %d a second time: a \
+                    temporary holds one subexpression"
+                   i t);
+            Hashtbl.replace saved t ()
+          end
+      | Recall t ->
+          if inside i t && not (Hashtbl.mem saved t) then
+            add
+              (D.errorf ~code:"YS509"
+                 "instruction %d recalls temporary %d before any save of \
+                  it: the driver would read a stale row"
+                 i t)
+      | _ -> ())
+    plan.Plan.code;
+  let measured = Hashtbl.length saved in
+  if measured <> declared then
+    add
+      (D.errorf ~code:"YS509"
+         "declared %d temporaries but the code saves %d" declared measured);
+  List.rev !ds
+
 (* ------------------------------------------------------------------ *)
 (* Structure: every rule decidable from the plan alone                 *)
 
@@ -210,6 +271,7 @@ let structure (plan : Plan.t) =
           else used.(s) <- true
       | _ -> ())
     code;
+  List.iter add (temp_rules plan);
   let r = simulate code in
   (match r.underflow_at with
   | Some i ->
@@ -353,9 +415,10 @@ let counts_agree (plan : Plan.t) (info : Analysis.t) =
       (D.errorf ~code:"YS510"
          "the plan stores %d value(s) per update but the analysis bills %d"
          c.stores info.Analysis.stores);
-  (* The analysis counts the constant-folded tree the plan executes,
-     so the counts agree; a plan that executes more than is billed
-     means the model's in-core input undercounts the kernel. *)
+  (* The analysis bills the constant-folded tree; the plan executes
+     its DAG, computing a shared subtree once, so it executes at most
+     what is billed. A plan that executes more means the model's
+     in-core input undercounts the kernel. *)
   if c.flops > info.Analysis.flops then
     add
       (D.errorf ~code:"YS510"

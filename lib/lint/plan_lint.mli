@@ -20,8 +20,14 @@
     - YS506 unresolved symbolic coefficients;
     - YS507 statically reachable division by a provably-zero operand,
       YS508 provably-zero dead arithmetic (constant propagation);
+    - YS509 the temporaries are sound: each one named lies inside the
+      declared count (which sizes the driver's unchecked temporary
+      rows), is saved once and recalled only after its save, and the
+      declared count is the number the code saves;
     - YS510 the plan's own FLOP/load/store counts agree with the
-      expression-level {!Analysis} the ECM model is fed.
+      expression-level {!Analysis} the ECM model is fed: the model
+      bills the folded tree, the plan executes its DAG, so executed
+      operations may fall short of billed ones but never exceed them.
 
     A clean verdict is what {!Yasksite_engine}'s certification layer
     turns into a safety certificate, after additionally
@@ -45,7 +51,8 @@ val structure : Plan.t -> Diagnostic.t list
 (** The grid-free rules: YS500 (dangling slots), YS502 (stack safety),
     YS503 (dead loads), YS504 (duplicate slots), YS505 (missing or
     unconsumed results), YS506 (unresolved [Sym]s), YS507 (division by
-    provable zero), YS508 (provably-zero arithmetic). *)
+    provable zero), YS508 (provably-zero arithmetic), YS509
+    (temporaries). *)
 
 val bounds :
   Plan.t -> inputs:Grid.t array -> output:Grid.t -> Diagnostic.t list
@@ -61,12 +68,15 @@ type counts = {
 
 val counts : Plan.t -> counts
 (** The plan's own per-update work, counted from the body the engine
-    actually executes (negations are free, as in {!Analysis}). *)
+    actually executes: a shared subtree's operations once, however
+    often it is recalled (negations are free, as in {!Analysis}). *)
 
 val counts_agree : Plan.t -> Analysis.t -> Diagnostic.t list
 (** YS510: loads/stores and the access set must match {!Analysis}
-    exactly; flops and divisions must not exceed what it bills (it
-    counts the same constant-folded tree, so they agree). *)
+    exactly; flops and divisions must not exceed what it bills. It
+    bills every occurrence in the constant-folded tree, so a plan
+    without temporaries agrees with it exactly and one with
+    temporaries executes less. *)
 
 val check :
   ?info:Analysis.t -> Plan.t -> inputs:Grid.t array -> output:Grid.t ->

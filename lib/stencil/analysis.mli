@@ -18,12 +18,32 @@ type t = {
   divs : int;
   flops : int;
       (** adds + muls + divs. All four are counted on the
-          constant-folded tree ({!Expr.cfold}), the code a lowered plan
-          executes. *)
+          constant-folded tree ({!Expr.cfold}): every occurrence of a
+          repeated subtree is billed. See "Billed and executed
+          operations" below. *)
   loads : int;  (** [List.length accesses] *)
   stores : int;  (** always 1: the output write *)
   read_fields : int list;  (** distinct fields read, ascending *)
 }
+
+(** {2 Billed and executed operations}
+
+    This is the one place the choice is recorded.
+    - The ECM in-core model ({!Yasksite_ecm.Incore}) and the cycles
+      [Measure] bills a simulated run count these operations: the
+      folded {e tree}'s, every occurrence of a repeated subtree once.
+    - A lowered plan executes the folded tree's {e DAG}: {!Lower}
+      computes an operator subtree that occurs more than once a single
+      time and recalls it from a temporary, and generated kernels
+      [let]-bind it. Fused program stages repeat their producers'
+      subtrees, so they execute fewer operations than are billed.
+    - YS510 ({!Yasksite_lint.Plan_lint.counts_agree}) enforces executed
+      ≤ billed, so the model never undercounts a kernel.
+
+    Billing the DAG instead would cut fused stages' in-core time, and
+    that can reorder the partitions [program rank] prints and perfbench
+    checks. So it waits for a model change made after the benchmark can
+    take it. *)
 
 val of_spec : Spec.t -> t
 

@@ -15,6 +15,10 @@ module Grid = Yasksite_grid.Grid
      evaluation replays the code verbatim, every operation in its own
      parentheses (the operands are pure loads and literals, so operand
      evaluation order cannot matter);
+   - each temporary the plan saves becomes a [let] at the top of the
+     output loop, bound to the expression the code had computed when it
+     saved it, and each recall names that binding: the same value on the
+     same operands, computed once per point as the interpreter does;
    - coefficients render as hex-float literals ([%h]), which
      round-trip every finite double exactly; [nan] coefficients are
      refused (an emitted [nan] literal could lose the payload).
@@ -63,7 +67,7 @@ let variant_of ~(plan : Plan.t) ~inputs ~output =
 
 let key ~(plan : Plan.t) v =
   let b = Buffer.create 160 in
-  Printf.bprintf b "yasksite-kern-abi%d|%s|sh:" abi plan.Plan.fingerprint;
+  Printf.bprintf b "yasksite-kern-abi%d|%s|sh:" abi (Plan.code_digest plan);
   Array.iter (fun s -> Printf.bprintf b "%d," s) v.slot_shift;
   Buffer.add_string b "|su:";
   Array.iter (fun u -> Buffer.add_char b (if u then '1' else '0')) v.slot_unit;
@@ -89,9 +93,10 @@ let load v s =
   else Ast.Tab_addr { data = s; row = s; tab = s; shift }
 
 (* The postfix body rebuilt as the nested expression whose evaluation
-   replays it verbatim. *)
+   replays it verbatim, after the [let]s of its temporaries in the order
+   the code saves them. *)
 let row_expr v (code : Plan.instr array) =
-  let stack = ref [] in
+  let stack = ref [] and lets = ref [] in
   let push e = stack := e :: !stack in
   let pop () =
     match !stack with
@@ -126,10 +131,14 @@ let row_expr v (code : Plan.instr array) =
           let b = pop () in
           let a = pop () in
           let c = pop () in
-          push (Ast.Sel (c, a, b)))
+          push (Ast.Sel (c, a, b))
+      | Plan.Save t ->
+          lets := (t, pop ()) :: !lets;
+          push (Ast.Temp t)
+      | Plan.Recall t -> push (Ast.Temp t))
     code;
   match !stack with
-  | [ e ] -> e
+  | [ e ] -> (List.rev !lets, e)
   | _ -> raise (Unsupported "malformed postfix program (leftover operands)")
 
 (* Per used slot, the hoisted bindings: data handle, offset table (only
@@ -155,7 +164,7 @@ let source ~(plan : Plan.t) v =
   then invalid_arg "Codegen.source: variant arity does not match the plan";
   match row_expr v plan.Plan.code with
   | exception Unsupported reason -> Error reason
-  | row_expr ->
+  | row_lets, row_expr ->
       let k = key ~plan v in
       let header =
         Printf.sprintf
@@ -172,5 +181,6 @@ let source ~(plan : Plan.t) v =
              row_out =
                (if v.out_unit then Ast.Out_unit { lp = v.out_lp }
                 else Ast.Out_tab { lp = v.out_lp });
+             row_lets;
              row_expr;
              reg_name = callback_name k })

@@ -29,7 +29,11 @@
     The emitted expression replays the plan interpreter's exact
     IEEE-754 operation sequence: the postfix body is reconstructed into
     the nested expression whose evaluation order is the code's own,
-    every operation in its own parentheses.
+    every operation in its own parentheses. Each temporary the plan
+    saves becomes a [let] at the top of the output loop, bound to the
+    expression the code had built when it saved it, and each recall
+    names that binding, so a shared subexpression is computed once per
+    point here too.
     Coefficients render as hex-float literals (round-trip exact for
     every finite double); plans with [NaN] coefficients or unresolved
     {!Plan.Sym}s are refused ({!source} returns [Error]) and the caller
@@ -90,9 +94,14 @@ val variant_of :
     not matter, only halo/pad and layout. *)
 
 val key : plan:Plan.t -> variant -> string
-(** Content-addressed digest of (ABI × plan fingerprint × variant) —
-    the specialization key. The store key additionally hashes in the
-    compiler version and flags (see {!Yasksite_engine.Native}). *)
+(** Content-addressed digest of (ABI × {!Plan.code_digest} × variant) —
+    the specialization key. The code digest is the fingerprint for a
+    plan without temporaries, whose emitted source is what it was
+    before plans had them, so its key is unchanged too; a plan with
+    temporaries emits [let]s and gets a key of its own, so a kernel
+    compiled from the tree form is never revived for it. The store key
+    additionally hashes in the compiler version and flags (see
+    {!Yasksite_engine.Native}). *)
 
 val callback_name : string -> string
 (** [callback_name key]: the ABI-versioned [Callback.register] name the

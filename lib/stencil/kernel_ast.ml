@@ -1,13 +1,14 @@
 (* The checked kernel AST: the concrete syntax of what Codegen emits.
 
    Codegen's output grammar is tiny -- one type declaration, one row
-   function whose body is prelude bindings plus an output loop over a
-   float expression of unsafe loads with every operation in its own
-   parentheses, and one Callback.register -- and this module is its
-   parser and printer: a hand-written lexer (dotted paths lex as single
-   idents, hex-float literals round-trip [%h] exactly, [-] glued to a
-   digit starts a negative numeral) and a recursive-descent parser
-   accepting exactly the emitted shapes, nothing more. The YS6xx
+   function whose body is prelude bindings plus an output loop over
+   [let]-bound temporaries and a float expression of unsafe loads with
+   every operation in its own parentheses, and one Callback.register --
+   and this module is its parser and printer: a hand-written lexer
+   (dotted paths lex as single idents, hex-float literals round-trip
+   [%h] exactly, [-] glued to a digit starts a negative numeral) and a
+   recursive-descent parser accepting exactly the emitted shapes,
+   nothing more. The YS6xx
    translation validator (Lint.Native) compares parsed ASTs against the
    plan IR; the seeded miscompile injector (Faults.Miscompile) mutates
    them and prints them back. Keeping syntax here and judgment in the
@@ -31,6 +32,7 @@ type expr =
   | Fmin of expr * expr  (* (Float.min a b) *)
   | Fmax of expr * expr  (* (Float.max a b) *)
   | Sel of expr * expr * expr  (* (if c > 0.0 then a else b) *)
+  | Temp of int  (* v<n>, a temporary the output loop let-binds *)
 
 type bind =
   | Bind_data of { name : int; src : int }
@@ -42,6 +44,7 @@ type out_addr = Out_unit of { lp : int } | Out_tab of { lp : int }
 type unit_ast = {
   row_binds : bind list;
   row_out : out_addr;
+  row_lets : (int * expr) list;
   row_expr : expr;
   reg_name : string;
 }
@@ -368,6 +371,9 @@ let parse_load p =
       Tab_addr { data; row; tab; shift }
   | t -> fail (line_at p) "expected x or a table access, found %s" (tok_str t)
 
+(* [v<n>] names a temporary *)
+let is_temp s = String.length s > 1 && s.[0] = 'v'
+
 (* expressions: Codegen parenthesizes every operation on its own, so a
    binary operation is exactly [(a op b)] over two primaries — there is
    no precedence to resolve and an unparenthesized chain is refused.
@@ -378,6 +384,7 @@ let rec parse_primary p =
   match next p with
   | IDENT "infinity", _ -> Lit infinity
   | IDENT "neg_infinity", _ -> Lit neg_infinity
+  | IDENT s, l when is_temp s -> Temp (slot_of ~prefix:'v' s l)
   | INT v, l ->
       fail l "integer literal %d in a float expression" v
   | LPAREN, _ -> (
@@ -445,6 +452,27 @@ let parse_stored p =
   let e = parse_primary p in
   expect p RPAREN;
   e
+
+(* the output loop's temporaries: [let vN = e in], in order *)
+let parse_lets p =
+  let lets = ref [] in
+  while
+    match (peek p, peek2 p) with
+    | IDENT "let", IDENT s -> is_temp s
+    | _ -> false
+  do
+    ignore (next p);
+    let t =
+      match next p with
+      | IDENT s, l -> slot_of ~prefix:'v' s l
+      | t, l -> fail l "expected a temporary, found %s" (tok_str t)
+    in
+    expect p EQUAL;
+    let e = parse_primary p in
+    expect_ident p "in";
+    lets := (t, e) :: !lets
+  done;
+  List.rev !lets
 
 (* prelude bindings: [let dN = Array.unsafe_get slot_data N in] etc. *)
 let parse_binds p =
@@ -526,7 +554,7 @@ let parse_unit_toks p =
   expect p EQUAL;
   parse_ignores p [ "slot_data"; "slot_tab"; "out_tab"; "row" ];
   let row_binds = parse_binds p in
-  let row_out, row_expr =
+  let row_out, row_lets, row_expr =
     match peek p with
     | IDENT "let" ->
         (* unit-stride output: a running flat offset *)
@@ -547,6 +575,7 @@ let parse_unit_toks p =
         expect p (OP "-");
         expect p (INT 1);
         expect_ident p "do";
+        let lets = parse_lets p in
         expect_ident p "Bigarray.Array1.unsafe_set";
         expect_ident p "out";
         expect p BANG;
@@ -554,7 +583,7 @@ let parse_unit_toks p =
         let e = parse_stored p in
         expect p SEMI;
         expect_idents p [ "incr"; "off"; "done" ];
-        (Out_unit { lp }, e)
+        (Out_unit { lp }, lets, e)
     | IDENT "for" ->
         (* table-indexed output *)
         expect_idents p [ "for"; "x" ];
@@ -563,6 +592,7 @@ let parse_unit_toks p =
         expect p (OP "-");
         expect p (INT 1);
         expect_ident p "do";
+        let lets = parse_lets p in
         expect_ident p "Bigarray.Array1.unsafe_set";
         expect_ident p "out";
         expect p LPAREN;
@@ -578,7 +608,7 @@ let parse_unit_toks p =
         expect p RPAREN;
         let e = parse_stored p in
         expect_ident p "done";
-        (Out_tab { lp }, e)
+        (Out_tab { lp }, lets, e)
     | t -> fail (line_at p) "expected the output loop, found %s" (tok_str t)
   in
   (* let () = Callback.register "name" kern_row *)
@@ -596,7 +626,7 @@ let parse_unit_toks p =
   (match next p with
   | EOF, _ -> ()
   | t, l -> fail l "trailing tokens after the registration: %s" (tok_str t));
-  { row_binds; row_out; row_expr; reg_name }
+  { row_binds; row_out; row_lets; row_expr; reg_name }
 
 let parse src =
   match parse_unit_toks { toks = tokenize src; pos = 0 } with
@@ -636,6 +666,7 @@ let rec expr_str = function
   | Sel (c, a, b) ->
       Printf.sprintf "(if %s > 0.0 then %s else %s)" (expr_str c) (expr_str a)
         (expr_str b)
+  | Temp t -> Printf.sprintf "v%d" t
 
 let bind_str = function
   | Bind_data { name; src } ->
@@ -659,15 +690,22 @@ let print ~header ast =
   Buffer.add_string b
     "  ignore slot_data; ignore slot_tab; ignore out_tab; ignore row;\n";
   List.iter (fun bd -> Buffer.add_string b (bind_str bd)) ast.row_binds;
+  let lets () =
+    List.iter
+      (fun (t, e) -> Printf.bprintf b "    let v%d = %s in\n" t (expr_str e))
+      ast.row_lets
+  in
   (match ast.row_out with
   | Out_unit { lp } ->
       Printf.bprintf b "  let off = ref (out_row + %s + xb) in\n" (int_lit lp);
       Buffer.add_string b "  for x = xb to xe - 1 do\n";
+      lets ();
       Printf.bprintf b "    Bigarray.Array1.unsafe_set out !off (%s);\n"
         (expr_str ast.row_expr);
       Buffer.add_string b "    incr off\n  done\n\n"
   | Out_tab { lp } ->
       Buffer.add_string b "  for x = xb to xe - 1 do\n";
+      lets ();
       Printf.bprintf b
         "    Bigarray.Array1.unsafe_set out (out_row + Array.unsafe_get \
          out_tab (x + %s)) (%s)\n"

@@ -2,9 +2,10 @@
     emits, with a parser and printer over exactly that grammar.
 
     {!Codegen.source} produces one small shape — a [farr] type alias,
-    a [kern_row] whose body is prelude bindings plus an output loop over
-    a float expression of unsafe loads with every operation in its own
-    parentheses, and a
+    a [kern_row] whose body is prelude bindings plus an output loop
+    that [let]-binds the plan's temporaries, in order, and stores a
+    float expression of unsafe loads and temporaries with every
+    operation in its own parentheses, and a
     [Callback.register] — by building an AST and printing it with
     {!print}; {!parse} accepts precisely the emitted forms (hex-float
     literals, dotted stdlib paths, both output-loop modes) and nothing
@@ -34,6 +35,8 @@ type expr =
   | Sel of expr * expr * expr
       (** [(if c > 0.0 then a else b)] — the emitted compare-select;
           the comparison literal is always exactly [+0.0] *)
+  | Temp of int
+      (** [v<n>]: temporary [n], bound by a [let] of {!field-row_lets} *)
 
 type bind =
   | Bind_data of { name : int; src : int }
@@ -49,6 +52,9 @@ type out_addr =
 type unit_ast = {
   row_binds : bind list;
   row_out : out_addr;
+  row_lets : (int * expr) list;
+      (** [let v<n> = e in], in order, at the top of the output loop
+          (empty for a plan without temporaries) *)
   row_expr : expr;
   reg_name : string;  (** the [Callback.register] name *)
 }

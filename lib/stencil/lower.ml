@@ -3,18 +3,14 @@ module Grid = Yasksite_grid.Grid
 (* Lowering: Spec.t -> Plan.t, and binding a plan to concrete grids.
 
    [lower] folds constant subtrees ({!Expr.cfold}), then flattens the
-   folded tree to postfix code in its own operation order. Both steps
-   are exact in IEEE-754 double arithmetic, so plan execution is
+   folded tree to postfix code in its own operation order, computing
+   each operator subtree that occurs more than once only the first time
+   and keeping it in a temporary for the others. Folding is exact in
+   IEEE-754 double arithmetic, and a shared subtree's value is the value
+   each of its occurrences would compute, so plan execution is
    bit-identical to walking the expression tree point by point. *)
 
 (* ---- postfix code ---- *)
-
-(* Values an instruction pops; each pushes one. *)
-let pops : Plan.instr -> int = function
-  | Push _ | Load _ | Sym _ -> 0
-  | Neg -> 1
-  | Add | Sub | Mul | Div | Min | Max -> 2
-  | Sel -> 3
 
 (* Postfix code and the stack depth it reaches. *)
 let postfix instrs =
@@ -22,54 +18,123 @@ let postfix instrs =
   let d = ref 0 and depth = ref 0 in
   Array.iter
     (fun i ->
-      d := !d - pops i + 1;
+      d := !d - Plan.pops i + 1;
       depth := max !depth !d)
     code;
   (code, !depth)
 
-let program slot_of e =
+(* An expression node's instruction, without its operands. *)
+let instr slot_of (e : Expr.t) : Plan.instr =
+  match e with
+  | Const c -> Plan.Push c
+  | Coeff n -> Plan.Sym n
+  | Ref a -> Plan.Load (slot_of a)
+  | Neg _ -> Plan.Neg
+  | Add _ -> Plan.Add
+  | Sub _ -> Plan.Sub
+  | Mul _ -> Plan.Mul
+  | Div _ -> Plan.Div
+  | Min _ -> Plan.Min
+  | Max _ -> Plan.Max
+  | Select _ -> Plan.Sel
+
+(* The tree's own postfix code, every occurrence computed: the code the
+   fingerprint renders. Every ECM cache lookup fingerprints a kernel, so
+   the walk allocates nothing but the code. *)
+let tree_code slot_of e =
   let buf = ref [] in
-  let push i = buf := i :: !buf in
   let rec go (e : Expr.t) =
-    match e with
-    | Const c -> push (Plan.Push c)
-    | Coeff n -> push (Plan.Sym n)
-    | Ref a -> push (Plan.Load (slot_of a))
-    | Neg a ->
-        go a;
-        push Plan.Neg
-    | Add (a, b) ->
-        go a;
-        go b;
-        push Plan.Add
-    | Sub (a, b) ->
-        go a;
-        go b;
-        push Plan.Sub
-    | Mul (a, b) ->
-        go a;
-        go b;
-        push Plan.Mul
-    | Div (a, b) ->
-        go a;
-        go b;
-        push Plan.Div
-    | Min (a, b) ->
-        go a;
-        go b;
-        push Plan.Min
+    (match e with
+    | Const _ | Coeff _ | Ref _ -> ()
+    | Neg a -> go a
+    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Min (a, b)
     | Max (a, b) ->
         go a;
-        go b;
-        push Plan.Max
+        go b
     | Select (c, a, b) ->
         go c;
         go a;
-        go b;
-        push Plan.Sel
+        go b);
+    buf := instr slot_of e :: !buf
   in
   go e;
   postfix (List.rev !buf)
+
+(* ---- common subexpressions ---- *)
+
+(* The tree as a DAG: equal subtrees are one node. Two subtrees are
+   equal when their instructions and operand nodes are, with constants
+   compared bit for bit as [Expr.equal] does, so [0.0] and [-0.0] stay
+   apart and a NaN constant meets itself. *)
+type dag = { id : int; instr : Plan.instr; kids : dag list }
+
+(* What makes two nodes one: a constant's bits, a slot, a coefficient's
+   name, or an operator and its operand nodes. *)
+type key =
+  | Const_bits of int64
+  | Slot of int
+  | Name of string
+  | Op of Plan.instr * int list
+
+let intern slot_of e =
+  let tbl = Hashtbl.create 64 in
+  let rec go (e : Expr.t) =
+    let kids =
+      List.map go
+        (match e with
+        | Const _ | Coeff _ | Ref _ -> []
+        | Neg a -> [ a ]
+        | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Min (a, b)
+        | Max (a, b) ->
+            [ a; b ]
+        | Select (c, a, b) -> [ c; a; b ])
+    in
+    let instr = instr slot_of e in
+    let key =
+      match instr with
+      | Plan.Push c -> Const_bits (Int64.bits_of_float c)
+      | Plan.Load s -> Slot s
+      | Plan.Sym n -> Name n
+      | op -> Op (op, List.map (fun k -> k.id) kids)
+    in
+    match Hashtbl.find_opt tbl key with
+    | Some d -> d
+    | None ->
+        let d = { id = Hashtbl.length tbl; instr; kids } in
+        Hashtbl.add tbl key d;
+        d
+  in
+  let root = go e in
+  (root, Hashtbl.length tbl)
+
+(* The DAG's postfix code: an operator node reached a second time is
+   recalled from the temporary its first evaluation saved. Leaves are
+   pushed again, which costs what a recall does. *)
+let dag_code (root, n) =
+  let uses = Array.make n 0 in
+  let rec count d =
+    uses.(d.id) <- uses.(d.id) + 1;
+    if uses.(d.id) = 1 then List.iter count d.kids
+  in
+  count root;
+  let temp = Array.make n (-1) and temps = ref 0 in
+  let buf = ref [] in
+  let push i = buf := i :: !buf in
+  let rec go d =
+    if temp.(d.id) >= 0 then push (Plan.Recall temp.(d.id))
+    else begin
+      List.iter go d.kids;
+      push d.instr;
+      if uses.(d.id) > 1 && d.kids <> [] then begin
+        temp.(d.id) <- !temps;
+        push (Plan.Save !temps);
+        incr temps
+      end
+    end
+  in
+  go root;
+  let code, depth = postfix (List.rev !buf) in
+  (code, depth, !temps)
 
 let make_slot_of accesses =
   let tbl = Hashtbl.create 16 in
@@ -80,11 +145,24 @@ let lower (spec : Spec.t) : Plan.t =
   let info = Analysis.of_spec spec in
   let accesses = Array.of_list info.Analysis.accesses in
   let slot_of = make_slot_of accesses in
-  let code, depth = program slot_of (Expr.cfold spec.Spec.expr) in
+  let code, depth, temps =
+    dag_code (intern slot_of (Expr.cfold spec.Spec.expr))
+  in
   Plan.v ~name:spec.Spec.name ~rank:spec.Spec.rank
-    ~n_fields:spec.Spec.n_fields ~accesses ~code ~depth
+    ~n_fields:spec.Spec.n_fields ~accesses ~code ~depth ~temps
 
-let fingerprint spec = (lower spec).Plan.fingerprint
+(* The tree's fingerprint, without building the DAG: the same bytes as
+   [(lower spec).fingerprint], since a recall renders as what its save
+   captured. *)
+let fingerprint (spec : Spec.t) =
+  let info = Analysis.of_spec spec in
+  let accesses = Array.of_list info.Analysis.accesses in
+  let code, depth =
+    tree_code (make_slot_of accesses) (Expr.cfold spec.Spec.expr)
+  in
+  (Plan.v ~name:spec.Spec.name ~rank:spec.Spec.rank
+     ~n_fields:spec.Spec.n_fields ~accesses ~code ~depth ~temps:0)
+    .Plan.fingerprint
 
 (* ---- binding to concrete grids ---- *)
 
@@ -111,9 +189,18 @@ let check (plan : Plan.t) ~inputs ~output =
         a.offsets)
     plan.Plan.accesses;
   (* The driver runs the code on an unchecked stack of [depth] entries
-     and stores the one value left, so code that underflows, outgrows
-     [depth], leaves other than one value or loads outside the access
-     table is refused here rather than run. *)
+     and [temps] temporary rows, and stores the one value left, so code
+     that underflows, outgrows [depth], leaves other than one value,
+     loads outside the access table, names a temporary outside [temps],
+     saves one twice or recalls one before its save is refused here
+     rather than run. *)
+  let temps = plan.Plan.temps in
+  let saved = Array.make (max 0 temps) false in
+  let temp t =
+    if t < 0 || t >= temps then
+      invalid_arg
+        (Printf.sprintf "Lower: temporary %d outside the declared %d" t temps)
+  in
   let sp =
     Array.fold_left
       (fun sp (i : Plan.instr) ->
@@ -123,9 +210,21 @@ let check (plan : Plan.t) ~inputs ~output =
             invalid_arg
               (Printf.sprintf "Lower: load of slot %d outside the access table"
                  s)
+        | Plan.Save t ->
+            temp t;
+            if saved.(t) then
+              invalid_arg (Printf.sprintf "Lower: temporary %d saved twice" t);
+            saved.(t) <- true
+        | Plan.Recall t ->
+            temp t;
+            if not saved.(t) then
+              invalid_arg
+                (Printf.sprintf "Lower: recall of temporary %d before its save"
+                   t)
         | _ -> ());
-        if sp < pops i then invalid_arg "Lower: code pops an empty stack";
-        let sp = sp - pops i + 1 in
+        let pops = Plan.pops i in
+        if sp < pops then invalid_arg "Lower: code pops an empty stack";
+        let sp = sp - pops + 1 in
         if sp > plan.Plan.depth then
           invalid_arg
             (Printf.sprintf "Lower: code outgrows its declared depth %d"
@@ -206,15 +305,18 @@ type driver = {
   row : int array;  (* per-slot row base, set by {!set_row} *)
   mutable out_row : int;
   oc : int array;  (* rank-1 coordinate scratch *)
-  lanes : float array;  (* the row-wide stack: entries of [chunk] lanes *)
+  lanes : float array;
+      (* the row-wide stack, entries of [chunk] lanes, then one row of
+         [chunk] lanes per temporary *)
 }
 
 let driver b =
+  let p = b.plan in
   { b;
     row = Array.make (max 1 (Array.length b.slot_grid)) 0;
     out_row = 0;
-    oc = Array.make (max 0 (b.plan.Plan.rank - 1)) 0;
-    lanes = Array.make (max 1 b.plan.Plan.depth * chunk) 0.0 }
+    oc = Array.make (max 0 (p.Plan.rank - 1)) 0;
+    lanes = Array.make ((max 1 p.Plan.depth + p.Plan.temps) * chunk) 0.0 }
 
 let set_row drv outer =
   let b = drv.b in
@@ -265,7 +367,7 @@ let load b row lanes s x0 n o =
    run-to-run noise. Still, when a change elsewhere moves host timings,
    check the placement ([nm _build/default/perfbench/main.exe]) before
    blaming the change. *)
-let program_lanes b row lanes code x0 n =
+let program_lanes b row lanes code tb x0 n =
   let sp = ref 0 in  (* first lane of the next free stack entry *)
   for i = 0 to Array.length code - 1 do
     (* [a] is the entry below the top: a binary operator's left operand
@@ -331,11 +433,28 @@ let program_lanes b row lanes code x0 n =
              else Array.unsafe_get lanes (j + (2 * chunk)))
         done;
         sp := a
+    | Plan.Save t ->
+        (* the top entry is [a + chunk]. Copied inline: with
+           [Array.blit] here and in [Recall], a heat-3d-7pt sweep (no
+           temporaries) ran 3-5% slower on a 2-vCPU KVM host *)
+        let d = tb + (t * chunk) - a - chunk in
+        for j = a + chunk to a + chunk + n - 1 do
+          Array.unsafe_set lanes (j + d) (Array.unsafe_get lanes j)
+        done
+    | Plan.Recall t ->
+        let s = tb + (t * chunk) - a - (2 * chunk) in
+        for j = a + (2 * chunk) to a + (2 * chunk) + n - 1 do
+          Array.unsafe_set lanes j (Array.unsafe_get lanes (j + s))
+        done;
+        sp := !sp + chunk
   done
 
 (* Lanes [0, n) <- the values at points [x0, x0 + n) of the row. *)
 let eval_lanes drv x0 n =
-  program_lanes drv.b drv.row drv.lanes drv.b.plan.Plan.code x0 n
+  let p = drv.b.plan in
+  program_lanes drv.b drv.row drv.lanes p.Plan.code
+    (max 1 p.Plan.depth * chunk)
+    x0 n
 
 let store_row drv xb xe =
   let b = drv.b and lanes = drv.lanes in

@@ -2,7 +2,10 @@
 
     [lower] turns a [Spec.t] into a layout-independent {!Plan.t}:
     constant folding, then the folded tree as postfix code in its own
-    operation order — value-preserving down to the bit.
+    operation order, with every operator subtree that occurs more than
+    once computed the first time only and recalled from a temporary
+    after — value-preserving down to the bit, since a shared subtree's
+    value is the one each occurrence would compute.
     [bind] specialises a plan to concrete grids: per-access row-base
     tables and last-dimension offset tables, so the engine evaluates a
     row a chunk of points at a time without per-point dispatch. A
@@ -11,13 +14,19 @@
 
 val lower : Spec.t -> Plan.t
 (** Lower a spec (resolved or not — unresolved coefficients become
-    {!Plan.Sym} instructions, refused only by {!check}). Never
-    raises on a validated spec. *)
+    {!Plan.Sym} instructions, refused only by {!check}). Equal subtrees
+    of the folded tree (constants compared bit for bit, as
+    {!Expr.equal} does) are one node; an operator node reached a second
+    time is a {!Plan.Recall} of the {!Plan.Save} its first evaluation
+    made, and leaves are pushed again. Never raises on a validated
+    spec. *)
 
 val fingerprint : Spec.t -> string
 (** [(lower spec).fingerprint] — the stable content-addressed kernel
     digest (spec name excluded) used by the ECM cache, tuner
-    checkpoints and Offsite memoization. *)
+    checkpoints and Offsite memoization. It digests the folded tree and
+    does not build the DAG, so it costs what it cost before plans had
+    temporaries and keeps its bytes. *)
 
 val check :
   Plan.t -> inputs:Yasksite_grid.Grid.t array ->
@@ -25,9 +34,11 @@ val check :
 (** Structural validation: input count equals [n_fields], every grid
     (and the output) has the plan's rank, each input's halo covers the
     accesses to it, no {!Plan.Sym} remains, and the code is safe on the
-    driver's unchecked stack: every load names an access-table slot, no
-    instruction pops an empty stack, the stack never grows past the
-    declared [depth], and exactly one value remains. Raises
+    driver's unchecked stack and temporary rows: every load names an
+    access-table slot, no instruction pops an empty stack, the stack
+    never grows past the declared [depth], exactly one value remains,
+    and every temporary named lies below the declared [temps], is saved
+    once and recalled only after its save. Raises
     [Invalid_argument] with a ["Lower: ..."] message; a symbolic plan
     gets ["Lower: unresolved coefficient <name>"]. *)
 
@@ -67,8 +78,8 @@ val raw_of : bound -> raw
 
 type driver
 (** Per-region mutable scratch over a shared {!bound} (slot row bases,
-    coordinate scratch, the row-wide evaluation stack). Not
-    thread-safe; allocate one per concurrent region. *)
+    coordinate scratch, the row-wide evaluation stack and a row per
+    temporary). Not thread-safe; allocate one per concurrent region. *)
 
 val driver : bound -> driver
 
@@ -95,8 +106,9 @@ val store_row : driver -> int -> int -> unit
 (** [store_row drv xb xe]: evaluate and store every point of the
     current row with [xb <= x < xe]. The row is evaluated a chunk of
     points at a time: each postfix instruction runs over the whole
-    chunk before the next, and every point gets the same operations on
-    the same values in the same order as the expression tree, so the
+    chunk before the next, and every operation of the expression tree
+    gets the same values in the same order (a shared subtree's once,
+    its value copied from its temporary row wherever it recurs), so the
     stored values are bit-identical to it. No bounds checks: the
     caller must have gated the region (legal interior regions are
     always safe because grid left padding covers the halo), and an

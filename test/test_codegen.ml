@@ -120,11 +120,11 @@ let test_source_refuses_unresolved () =
   Alcotest.(check bool) "a Sym-bearing plan is refused" true
     (refused
        (Plan.v ~name:"sym" ~rank:1 ~n_fields:1 ~accesses
-          ~code:[| Plan.Load 0; Plan.Sym "r"; Plan.Mul |] ~depth:2));
+          ~code:[| Plan.Load 0; Plan.Sym "r"; Plan.Mul |] ~depth:2 ~temps:0));
   Alcotest.(check bool) "a NaN coefficient is refused" true
     (refused
        (Plan.v ~name:"nan" ~rank:1 ~n_fields:1 ~accesses
-          ~code:[| Plan.Push Float.nan; Plan.Load 0; Plan.Mul |] ~depth:2))
+          ~code:[| Plan.Push Float.nan; Plan.Load 0; Plan.Mul |] ~depth:2 ~temps:0))
 
 (* ------------------------------------------------------------------ *)
 (* Three-way bit-identity (tentpole property).                         *)
@@ -541,6 +541,54 @@ let test_no_toolchain_fallback () =
     (contains ~needle:{|"fallbacks":|} stats
     && not (contains ~needle:{|"fallbacks":0,|} stats))
 
+(* A process that builds kernels removes its scratch directory, with
+   the sources and the loaded [.cmxs] files in it, when it exits. The
+   CLI runs in a child whose TMPDIR is a fresh directory, which must be
+   empty afterwards. *)
+let test_codegen_leaves_no_scratch () =
+  let exe = Repo_file.path "bin/main.exe" in
+  let tmp = Filename.temp_dir "yasksite-tmpdir" "" in
+  let env =
+    Unix.environment () |> Array.to_list
+    |> List.filter (fun kv ->
+           not
+             (String.starts_with ~prefix:"TMPDIR=" kv
+             || String.starts_with ~prefix:"YASKSITE_NO_STORE=" kv))
+    |> List.append [ "TMPDIR=" ^ tmp; "YASKSITE_NO_STORE=1" ]
+    |> Array.of_list
+  in
+  let out = Filename.temp_file "yasksite-scratch" ".out" in
+  let left () = Sys.readdir tmp in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove out;
+      let rec rm p =
+        if Sys.is_directory p then begin
+          Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
+          Unix.rmdir p
+        end
+        else Sys.remove p
+      in
+      rm tmp)
+  @@ fun () ->
+  let status =
+    let fo = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+    let pid =
+      Fun.protect ~finally:(fun () -> Unix.close fo) @@ fun () ->
+      Unix.create_process_env exe
+        [| exe; "program"; "run"; "hdiff"; "-d"; "64x64"; "--backend";
+           "codegen"; "--fuse"; "auto"; "--stats-json" |]
+        env Unix.stdin fo Unix.stderr
+    in
+    snd (Unix.waitpid [] pid)
+  in
+  Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0);
+  if Native.available () then
+    Alcotest.(check bool) "kernels were compiled" false
+      (contains ~needle:{|"compiles":0,|}
+         (In_channel.with_open_bin out In_channel.input_all));
+  Alcotest.(check (list string)) "TMPDIR is empty" [] (Array.to_list (left ()))
+
 let test_store_schema_visible () =
   with_tmp_store @@ fun _root store ->
   if Native.available () then begin
@@ -580,5 +628,7 @@ let suite =
     qt codegen_corruption_recompiles;
     Alcotest.test_case "no-toolchain fallback" `Quick
       test_no_toolchain_fallback;
+    Alcotest.test_case "codegen run leaves no scratch directory" `Quick
+      test_codegen_leaves_no_scratch;
     Alcotest.test_case "kern-v1 visible to store stats/gc" `Quick
       test_store_schema_visible ]

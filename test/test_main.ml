@@ -6,6 +6,7 @@ let () =
       ("stencil", Test_stencil.suite);
       ("plan", Test_plan.suite);
       ("codegen", Test_codegen.suite);
+      ("cse", Test_cse.suite);
       ("cachesim", Test_cachesim.suite);
       ("ecm", Test_ecm.suite);
       ("engine", Test_engine.suite);

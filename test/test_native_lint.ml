@@ -53,6 +53,47 @@ let emitted_suite () =
             (Array.init rank (fun i -> if i = rank - 1 then 4 else 1)) ])
     Stencil.Suite.all
 
+(* Kernels whose plans keep shared subexpressions in temporaries, so
+   their units let-bind them: the expression CI lints, and the distinct
+   stages of fully fused hdiff, on both layouts. *)
+let emitted_shared () =
+  let shared =
+    match
+      Stencil.Parser.parse_spec ~name:"shared" ~rank:2
+        "(f0(y,x-1) + f0(y,x+1)) * (f0(y,x-1) + f0(y,x+1)) - (f0(y-1,x) - \
+         f0(y+1,x)) * (f0(y-1,x) - f0(y+1,x))"
+    with
+    | Ok spec -> spec
+    | Error m -> Alcotest.fail m
+  in
+  let module P = Stencil.Program in
+  let fused =
+    P.fuse Stencil.Suite.hdiff ~inline:(P.inlinable Stencil.Suite.hdiff)
+  in
+  let specs = [ shared; P.stage_spec fused fused.P.stages.(0) ] in
+  List.concat_map
+    (fun spec ->
+      let plan = Lower.lower spec in
+      if plan.Stencil.Plan.temps = 0 then
+        Alcotest.failf "%s keeps no temporary" spec.Spec.name;
+      let rank = spec.Spec.rank in
+      let halo = Analysis.halo (Analysis.of_spec spec) in
+      let dims = Array.init rank (fun i -> max 8 ((2 * halo.(i)) + 1)) in
+      List.filter_map
+        (fun layout ->
+          let space = Grid.fresh_space () in
+          let mk () = Grid.create ~space ~halo ~layout ~dims () in
+          let inputs = Array.init spec.Spec.n_fields (fun _ -> mk ()) in
+          let output = mk () in
+          let v = Codegen.variant_of ~plan ~inputs ~output in
+          match Codegen.source ~plan v with
+          | Error _ -> None
+          | Ok src -> Some (spec, plan, v, inputs, src))
+        [ Grid.Linear;
+          Grid.Folded
+            (Array.init rank (fun i -> if i = rank - 1 then 4 else 1)) ])
+    specs
+
 (* ------------------------------------------------------------------ *)
 (* No false rejections, and the grammar round-trips.                   *)
 
@@ -70,6 +111,27 @@ let test_suite_validates () =
     (emitted_suite ());
   (* both layouts of all nine suite stencils actually emitted *)
   Alcotest.(check bool) "full corpus emitted" true (!n >= 18)
+
+(* Kernels with temporaries validate clean and round-trip through the
+   grammar, lets included. *)
+let test_shared_validates () =
+  List.iter
+    (fun (spec, plan, v, inputs, src) ->
+      (match NL.check ~plan ~variant:v ~inputs src with
+      | [] -> ()
+      | ds ->
+          Alcotest.failf "%s: legal kernel rejected: %s" spec.Spec.name
+            (String.concat "; "
+               (List.map (fun d -> d.D.code ^ " " ^ d.D.message) ds)));
+      match Ast.parse src with
+      | Error (msg, line) ->
+          Alcotest.failf "%s: line %d: %s" spec.Spec.name line msg
+      | Ok ast ->
+          Alcotest.(check int) "a let per temporary" plan.Stencil.Plan.temps
+            (List.length ast.Ast.row_lets);
+          Alcotest.(check bool) "round-trips" true
+            (Ast.parse (Ast.print ~header:"reprinted" ast) = Ok ast))
+    (emitted_shared ())
 
 let test_ast_roundtrip () =
   List.iter
@@ -118,6 +180,68 @@ let test_mutation_kill_rate () =
     "at least 5 distinct classes exercised" true
     (Hashtbl.length by_class >= 5)
 
+(* The same over kernels with temporaries: every class with a site is
+   killed, wrong-temp (YS613) among them, and a mutation inside a let
+   is caught like one in the stored expression. *)
+let test_shared_mutation_kill_rate () =
+  let temps_killed = ref 0 in
+  List.iter
+    (fun (spec, plan, v, inputs, src) ->
+      List.iter
+        (fun (cls, mutant) ->
+          let codes =
+            List.map
+              (fun d -> d.D.code)
+              (NL.check ~plan ~variant:v ~inputs mutant)
+          in
+          let want = Mis.expected_code cls in
+          if not (List.mem want codes) then
+            Alcotest.failf "%s: %s mutant survived (want %s, got [%s])"
+              spec.Spec.name (Mis.class_name cls) want
+              (String.concat "," codes);
+          if cls = Mis.Wrong_temp then incr temps_killed)
+        (Mis.corpus ~seed:42 ~per_class:3 src))
+    (emitted_shared ());
+  Alcotest.(check bool) "wrong-temp mutants exercised" true
+    (!temps_killed >= 4)
+
+(* A unit that drops, reorders or renames a let, or recomputes a
+   temporary instead of using it, is rejected. *)
+let test_ys613_lets () =
+  match emitted_shared () with
+  | [] -> Alcotest.fail "no kernel with temporaries"
+  | (_, plan, v, inputs, src) :: _ -> (
+      match Ast.parse src with
+      | Error (m, _) -> Alcotest.fail m
+      | Ok ast ->
+          let verdict ast' =
+            List.map
+              (fun d -> d.D.code)
+              (NL.check ~plan ~variant:v ~inputs
+                 (Ast.print ~header:"mutated" ast'))
+          in
+          let lets = ast.Ast.row_lets in
+          Alcotest.(check bool) "dropped let" true
+            (List.mem "YS613" (verdict { ast with Ast.row_lets = List.tl lets }));
+          Alcotest.(check bool) "reordered lets" true
+            (List.mem "YS613"
+               (verdict { ast with Ast.row_lets = List.rev lets }));
+          let recomputed =
+            let t, e = List.hd lets in
+            let rec inline = function
+              | Ast.Temp t' when t' = t -> e
+              | Ast.Neg a -> Ast.Neg (inline a)
+              | Ast.Bin (o, a, b) -> Ast.Bin (o, inline a, inline b)
+              | Ast.Fmin (a, b) -> Ast.Fmin (inline a, inline b)
+              | Ast.Fmax (a, b) -> Ast.Fmax (inline a, inline b)
+              | Ast.Sel (c, a, b) -> Ast.Sel (inline c, inline a, inline b)
+              | (Ast.Lit _ | Ast.Get _ | Ast.Temp _) as x -> x
+            in
+            { ast with Ast.row_expr = inline ast.Ast.row_expr }
+          in
+          Alcotest.(check bool) "a use recomputed instead of recalled" true
+            (List.mem "YS613" (verdict recomputed)))
+
 (* A mutant differs from the original by construction, so its digest
    can never satisfy an original's certificate. *)
 let test_mutants_are_distinct () =
@@ -153,6 +277,7 @@ let lit_roundtrip_ast f =
   { Ast.row_binds = [ Ast.Bind_data { name = 0; src = 0 };
                   Ast.Bind_row { name = 0; src = 0 } ];
     row_out = Ast.Out_unit { lp = 1 };
+    row_lets = [];
     row_expr = Ast.Bin (Ast.Mul, Ast.Lit f,
                         Ast.Get (Ast.Unit_addr { data = 0; row = 0; shift = 0 }));
     reg_name = "yasksite.kern.test" }
@@ -187,7 +312,7 @@ let test_rules_enumerate_ys6xx () =
       if not (List.mem c codes) then
         Alcotest.failf "rule table lacks %s" c)
     [ "YS600"; "YS601"; "YS602"; "YS603"; "YS604"; "YS605"; "YS606";
-      "YS607"; "YS608"; "YS610"; "YS611"; "YS612" ];
+      "YS607"; "YS608"; "YS610"; "YS611"; "YS612"; "YS613" ];
   let json = D.rules_to_json Lint.rules in
   Alcotest.(check bool)
     "JSON rule dump names YS612" true
@@ -469,7 +594,7 @@ let test_bare_and_nan_literals_are_ys600 () =
   | Some (_, plan, v, inputs, src) ->
       let rec first_lit = function
         | Ast.Lit f -> Some f
-        | Ast.Get _ -> None
+        | Ast.Get _ | Ast.Temp _ -> None
         | Ast.Neg e -> first_lit e
         | Ast.Bin (_, a, b) | Ast.Fmin (a, b) | Ast.Fmax (a, b) -> (
             match first_lit a with Some _ as l -> l | None -> first_lit b)
@@ -502,7 +627,7 @@ let test_unresolved_plan_is_ys612 () =
   let plan =
     Stencil.Plan.v ~name:"sym" ~rank:1 ~n_fields:1 ~accesses
       ~code:[| Stencil.Plan.Load 0; Stencil.Plan.Sym "r"; Stencil.Plan.Mul |]
-      ~depth:2
+      ~depth:2 ~temps:0
   in
   match emitted_suite () with
   | [] -> Alcotest.fail "empty suite"
@@ -525,6 +650,12 @@ let suite =
       test_ast_roundtrip;
     Alcotest.test_case "mutation corpus: 100% kill rate" `Quick
       test_mutation_kill_rate;
+    Alcotest.test_case "kernels with temporaries validate" `Quick
+      test_shared_validates;
+    Alcotest.test_case "mutation corpus with temporaries: 100% kill rate"
+      `Quick test_shared_mutation_kill_rate;
+    Alcotest.test_case "YS613 lets bound and used as the plan saves" `Quick
+      test_ys613_lets;
     Alcotest.test_case "mutants differ from their source" `Quick
       test_mutants_are_distinct;
     Alcotest.test_case "mutation is seed-deterministic" `Quick

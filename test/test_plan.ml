@@ -349,25 +349,32 @@ let test_stack_unsafe_code () =
   let spec = Spec.v ~name:"copy" ~rank:1 Dsl.(fld [ 0 ]) in
   let g = make_grid ~halo:[| 1 |] ~dims:[| 200 |] 8 in
   let o = Grid.create ~halo:[| 1 |] ~dims:[| 200 |] () in
-  let plan code depth =
+  let plan code depth temps =
     Plan.v ~name:"unsafe" ~rank:1 ~n_fields:1
       ~accesses:[| { Expr.field = 0; offsets = [| 0 |] } |]
-      ~code ~depth
+      ~code ~depth ~temps
   in
   List.iter
-    (fun (substr, code, depth) ->
+    (fun (substr, code, depth, temps) ->
       raises_invalid ~substr (fun () ->
-          Lower.check (plan code depth) ~inputs:[| g |] ~output:o);
+          Lower.check (plan code depth temps) ~inputs:[| g |] ~output:o);
       List.iter
         (fun backend ->
           raises_invalid ~substr (fun () ->
-              Sweep.run ~backend ~plan:(plan code depth) spec ~inputs:[| g |]
-                ~output:o))
+              Sweep.run ~backend ~plan:(plan code depth temps) spec
+                ~inputs:[| g |] ~output:o))
         backends)
-    [ ("declared depth 1", [| Plan.Load 0; Plan.Load 0; Plan.Add |], 1);
-      ("empty stack", [| Plan.Load 0; Plan.Add |], 1);
-      ("2 values", [| Plan.Load 0; Plan.Push 2.0 |], 2);
-      ("slot 1 outside", [| Plan.Load 1 |], 1) ]
+    [ ("declared depth 1", [| Plan.Load 0; Plan.Load 0; Plan.Add |], 1, 0);
+      ("empty stack", [| Plan.Load 0; Plan.Add |], 1, 0);
+      ("2 values", [| Plan.Load 0; Plan.Push 2.0 |], 2, 0);
+      ("slot 1 outside", [| Plan.Load 1 |], 1, 0);
+      ( "temporary 1 outside the declared 1",
+        [| Plan.Load 0; Plan.Save 1 |], 1, 1 );
+      ("empty stack", [| Plan.Save 0; Plan.Load 0 |], 1, 1);
+      ( "temporary 0 saved twice",
+        [| Plan.Load 0; Plan.Save 0; Plan.Save 0 |], 1, 1 );
+      ( "recall of temporary 0 before its save",
+        [| Plan.Recall 0; Plan.Load 0; Plan.Save 0; Plan.Add |], 2, 1 ) ]
 
 let test_unresolved_both_backends () =
   let spec = Spec.v ~name:"sym" ~rank:1 Dsl.(p "r" *: fld [ 0 ]) in

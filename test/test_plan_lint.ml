@@ -65,8 +65,8 @@ let acc ?(field = 0) offsets = { Expr.field; offsets }
 (* A syntactically minimal healthy 1D plan to mutate from: one access,
    identity body. *)
 let mk_plan ?(name = "adv") ?(rank = 1) ?(n_fields = 1)
-    ?(accesses = [| acc [| 0 |] |]) code ~depth =
-  Plan.v ~name ~rank ~n_fields ~accesses ~code ~depth
+    ?(accesses = [| acc [| 0 |] |]) ?(temps = 0) code ~depth =
+  Plan.v ~name ~rank ~n_fields ~accesses ~code ~depth ~temps
 
 (* ------------------------------------------------------------------ *)
 (* Rule-by-rule units on hand-built plans.                             *)
@@ -165,6 +165,61 @@ let test_ys508_zero_arithmetic () =
   let p = mk_plan code ~depth:2 in
   Alcotest.(check bool) "zero multiply flagged" true
     (has "YS508" (PL.structure p))
+
+(* A shared subexpression in a temporary: [(f(-1) + f(1)) * (f(-1) +
+   f(1))]. Lowered, it verifies clean; each broken variant is a YS509
+   error. *)
+let test_ys509_temporaries () =
+  let s = Dsl.(fld [ -1 ] +: fld [ 1 ]) in
+  let spec = Spec.v ~name:"square" ~rank:1 Dsl.(s *: s) in
+  let plan = Lower.lower spec in
+  Alcotest.(check int) "one temporary" 1 plan.Plan.temps;
+  Alcotest.(check (list string)) "lowered plan verifies clean" []
+    (List.map (fun (d : D.t) -> d.D.code) (PL.structure plan));
+  let accesses = [| acc [| -1 |]; acc [| 1 |] |] in
+  let sum = [| Plan.Load 0; Plan.Load 1; Plan.Add |] in
+  let broken =
+    [ ( "temporary outside the declared count",
+        mk_plan ~accesses ~temps:1
+          (Array.append sum [| Plan.Save 1; Plan.Recall 1; Plan.Mul |])
+          ~depth:2 );
+      ( "recall before the save",
+        mk_plan ~accesses ~temps:1
+          (Array.concat
+             [ [| Plan.Recall 0 |]; sum; [| Plan.Save 0; Plan.Mul |] ])
+          ~depth:3 );
+      ( "saved twice",
+        mk_plan ~accesses ~temps:1
+          (Array.append sum [| Plan.Save 0; Plan.Save 0; Plan.Recall 0; Plan.Mul |])
+          ~depth:2 );
+      ( "declared count above the saved one",
+        mk_plan ~accesses ~temps:2
+          (Array.append sum [| Plan.Save 0; Plan.Recall 0; Plan.Mul |])
+          ~depth:2 );
+      ( "temporaries used but none declared",
+        mk_plan ~accesses ~temps:0
+          (Array.append sum [| Plan.Save 0; Plan.Recall 0; Plan.Mul |])
+          ~depth:2 ) ]
+  in
+  List.iter
+    (fun (what, p) ->
+      let ds = PL.structure p in
+      Alcotest.(check bool) what true (has "YS509" ds && D.has_errors ds))
+    broken
+
+(* The analysis bills every occurrence in the folded tree; a plan with
+   temporaries executes each shared subtree once, so it executes fewer
+   flops than billed and YS510 accepts it. *)
+let test_ys510_executes_at_most_billed () =
+  let s = Dsl.(fld [ -1 ] +: fld [ 1 ]) in
+  let spec = Spec.v ~name:"square" ~rank:1 Dsl.((s *: s) -: (s *: c 2.0)) in
+  let plan = Lower.lower spec in
+  let info = Analysis.of_spec spec in
+  Alcotest.(check int) "billed: three sums, two products, the difference"
+    6 info.Analysis.flops;
+  Alcotest.(check int) "executed: the sum once" 4 (PL.counts plan).PL.flops;
+  Alcotest.(check int) "YS510 accepts executing less" 0
+    (List.length (PL.counts_agree plan info))
 
 let wide1 = Spec.v ~name:"wide1" ~rank:1 Dsl.(fld [ -2 ] +: fld [ 2 ])
 
@@ -612,6 +667,9 @@ let suite =
       test_ys507_div_by_zero;
     Alcotest.test_case "YS508 provably-zero arithmetic" `Quick
       test_ys508_zero_arithmetic;
+    Alcotest.test_case "YS509 temporaries" `Quick test_ys509_temporaries;
+    Alcotest.test_case "YS510 executed flops at most billed" `Quick
+      test_ys510_executes_at_most_billed;
     Alcotest.test_case "YS501 bounds proof" `Quick test_ys501_bounds;
     Alcotest.test_case "YS510 counts cross-validation" `Quick
       test_ys510_counts_disagree;

@@ -20,6 +20,8 @@ module Lint = Yasksite_lint.Lint
 module D = Yasksite_lint.Diagnostic
 module Prng = Yasksite_util.Prng
 module Pool = Yasksite_util.Pool
+module Gen = Yasksite_stencil.Gen
+module Lower = Yasksite_stencil.Lower
 
 let qt = QCheck_alcotest.to_alcotest
 
@@ -538,6 +540,129 @@ let fusion_bit_identity =
         [ Sweep.Plan_backend; Sweep.Codegen_backend ])
 
 (* ------------------------------------------------------------------ *)
+(* Random programs as text                                             *)
+
+(* A random rank-1 or rank-2 program of 2-4 stages over one input.
+   Stage [k]'s body is a [Gen.spec] body over the previous field (the
+   input for the first stage), plus the square of one read it already
+   makes, and sometimes a second [Gen.spec] body over an earlier field.
+   So every stage reads its producer at a repeated offset, and inlining
+   the producer repeats the producer's whole body: the shared
+   subexpressions the lowering keeps in temporaries. The last stage is
+   the output; the others are inlinable. A body keeps the first three
+   terms of its [Gen.spec] sum: a fully fused chain of four repeats the
+   first body once per path through the chain, and with whole bodies
+   (up to 25 terms in 2d) the generated kernel takes a minute to
+   compile and the oracle, which recomputes every producer read, as
+   long to evaluate. *)
+let random_program rng =
+  let rank = 1 + Prng.int rng ~bound:2 in
+  let n = 2 + Prng.int rng ~bound:3 in
+  let body field =
+    let rec terms = function Expr.Add (a, b) -> terms a @ [ b ] | t -> [ t ] in
+    match List.filteri (fun i _ -> i < 3) (terms (Gen.spec rng ~rank).Spec.expr) with
+    | [] -> assert false
+    | t :: ts ->
+        Expr.map_accesses
+          (fun a -> { a with Expr.field })
+          (List.fold_left (fun a b -> Expr.Add (a, b)) t ts)
+  in
+  let stages =
+    List.init n (fun k ->
+        let fields = "in" :: List.init k (Printf.sprintf "s%d") in
+        let prev = List.nth fields k in
+        let e = body 0 in
+        let reads = Expr.fold_accesses e ~init:[] ~f:(fun acc a -> a :: acc) in
+        let r = Expr.Ref (List.nth reads (Prng.int rng ~bound:(List.length reads))) in
+        let e = Expr.Add (e, Expr.Mul (r, r)) in
+        let other = List.nth fields (Prng.int rng ~bound:(k + 1)) in
+        let reads, e =
+          if k > 0 && other <> prev && Prng.bool rng then
+            ([| prev; other |], Expr.Sub (e, body 1))
+          else ([| prev |], e)
+        in
+        { P.name = Printf.sprintf "s%d" k; reads; expr = e })
+  in
+  P.v ~name:"random" ~rank ~inputs:[| "in" |]
+    ~outputs:[| Printf.sprintf "s%d" (n - 1) |]
+    stages
+
+(* Interior values' bits, in iteration order. *)
+let interior_bits g =
+  let acc = ref [] in
+  Grid.iter_interior g ~f:(fun p ->
+      acc := Int64.bits_of_float (Grid.get g p) :: !acc);
+  List.rev !acc
+
+(* A drawn program's text, the program parsed back from it, a random
+   partition of that, and whether the partition's lowered stages keep a
+   temporary. *)
+let text_case ~seed =
+  let rng = Prng.create ~seed in
+  let text = P.to_text (random_program rng) in
+  let p = parse_ok text in
+  let inline = List.filter (fun _ -> Prng.bool rng) (P.inlinable p) in
+  let fused = P.fuse p ~inline in
+  let temps =
+    Array.exists
+      (fun s ->
+        (Lower.lower (P.stage_spec fused s)).Yasksite_stencil.Plan.temps > 0)
+      fused.P.stages
+  in
+  (text, p, fused, temps)
+
+(* The text round-trips unchanged, and the parsed program, fused along a
+   random partition, runs on both backends bit for bit as the oracle
+   evaluates it. *)
+let random_programs_as_text =
+  QCheck.Test.make ~name:"random programs round-trip as text and run"
+    ~count:30 QCheck.small_int (fun seed ->
+      let text, p', fused, _ = text_case ~seed in
+      let dims =
+        Array.init p'.P.rank (fun i -> if i = p'.P.rank - 1 then 9 else 5)
+      in
+      let inputs =
+        List.map
+          (fun (name, halo) ->
+            let rng = Prng.create ~seed:(seed + 17) in
+            let g = Grid.create ~halo ~dims () in
+            Grid.fill g ~f:(fun _ -> Prng.float_range rng ~lo:(-1.0) ~hi:1.0);
+            Grid.halo_dirichlet g 0.5;
+            (name, g))
+          (P.halo_plan p').P.input_halo
+      in
+      let oracle =
+        List.map
+          (fun (n, vs) -> (n, List.map Int64.bits_of_float vs))
+          (Oracle.program p' ~inputs)
+      in
+      P.to_text p' = text
+      && List.for_all
+           (fun backend ->
+             let r = Prog.run ~backend fused ~inputs in
+             List.map (fun (n, g) -> (n, interior_bits g)) r.Prog.outputs
+             = oracle)
+           [ Sweep.Plan_backend; Sweep.Codegen_backend ])
+
+(* The generator earns its place: at least half of the drawn partitions
+   lower to a plan that keeps a temporary (28 of these 40 do, and 730 of
+   the first 1,000 draws; a partition that inlines nothing keeps
+   none). *)
+let test_random_programs_share () =
+  let n = 40 in
+  let with_temps =
+    List.length
+      (List.filter
+         (fun seed ->
+           let _, _, _, temps = text_case ~seed in
+           temps)
+         (List.init n Fun.id))
+  in
+  if 2 * with_temps < n then
+    Alcotest.failf "only %d of %d random partitions keep a temporary"
+      with_temps n
+
+(* ------------------------------------------------------------------ *)
 (* ECM-ranked fusion                                                   *)
 
 (* Reference scoring: fuse the whole program and price every stage
@@ -850,6 +975,9 @@ let suite =
     Alcotest.test_case "executor backends and pool" `Quick
       test_executor_backends_and_pool;
     qt fusion_bit_identity;
+    qt random_programs_as_text;
+    Alcotest.test_case "random programs keep temporaries" `Quick
+      test_random_programs_share;
     Alcotest.test_case "rank_partitions exact (2-stage)" `Quick
       test_rank_partitions_exact;
     Alcotest.test_case "rank_partitions nested sums" `Quick
